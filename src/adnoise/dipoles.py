@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundstates
+from .boundstates import _trapz
 from .errors import DomainError, NumericalError
 from .units import BOHR, E_CHARGE
 
@@ -59,12 +60,11 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
     z = states.grid.z()
     kernel = induced_dipole(alpha, z)
     mu = np.empty(states.n_states)
-    for i in range(states.n_states):
-        integrand = states.wavefunctions[i] ** 2 * kernel
+    for i, psi in enumerate(states.wavefunctions):
+        integrand = psi * kernel * psi
         if np.argmax(integrand) == 0:
             raise NumericalError(
                 f"state {i}: dipole integrand peaks at the grid edge; the "
                 "wall region is not resolved")
-        mu[i] = image_factor * boundstates.expectation(
-            states, i, i, lambda zz: induced_dipole(alpha, zz))
+        mu[i] = image_factor * float(_trapz(integrand, dx=states.grid.h))
     return DipoleLadder(mu=mu, image_factor=image_factor, polarizability=alpha)

@@ -14,12 +14,11 @@ are implemented:
   This is the primary method: no frequency grid error, manifestly
   non-negative weights.
 
-* spectrum_via_ode: integrates the regression equations for the
-  population correlations <rho_i(tau) rho_k(0)> directly, in the reduced
-  form obtained by eliminating the last level through sum_i rho_i = 1
-  (an (N-1)-block with a constant inhomogeneity, plus the separate
-  equation for the eliminated level), then cosine-transforms the
-  assembled correlation function.  Serves as the independent cross-check.
+* spectrum_via_resolvent: solves the Laplace-transformed regression
+  equations for the population correlations <rho_i(tau) rho_k(0)>, one
+  linear system (a resolvent of the generator) per frequency.  Exact up
+  to round-off and independent of the eigendecomposition; serves as the
+  cross-check.
 
 Both use the convention S(omega) two-sided in angular frequency, with
 sum rule int S(omega) domega / 2 pi = Var(mu).
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dipoles import DipoleLadder
 from .errors import AnalysisError, DomainError, ModelError, NumericalError
@@ -72,8 +70,10 @@ def correlation_modes(r: RateMatrix, p0, ladder: DipoleLadder) -> DipoleSpectrum
     With D = diag(p0), A = D^{-1/2} M D^{1/2} must be symmetric (detailed
     balance); its eigenpairs (lambda_k <= 0, v_k) give the correlation
     C(tau) = sum_k w_k exp(lambda_k |tau|) with w_k = (v_k . w)^2 and
-    w_i = mu_i sqrt(p0_i).  The single zero mode carries <mu>^2 and is
-    excluded.
+    w_i = (mu_i - <mu>) sqrt(p0_i).  The single zero mode is excluded.
+    Centering before the projection, and the pairwise variance
+    1/2 sum_ij p0_i p0_j (mu_i - mu_j)^2, keep the statistics free of
+    cancellation against <mu>^2 when the excited levels are nearly empty.
     """
     p0 = np.asarray(p0, dtype=float)
     mu = np.asarray(ladder.mu, dtype=float)
@@ -94,13 +94,12 @@ def correlation_modes(r: RateMatrix, p0, ladder: DipoleLadder) -> DipoleSpectrum
     scale = np.abs(M).max()
     if abs(lam[izero]) > 1e-10 * scale:
         raise NumericalError("no zero mode found in the symmetrized generator")
-    w = mu * d
-    proj = V.T @ w
+    mean = float(p0 @ mu)
+    proj = V.T @ ((mu - mean) * d)
     keep = np.arange(len(lam)) != izero
     if np.any(lam[keep] >= 0):
         raise NumericalError("non-decaying mode besides the stationary one")
-    mean = float(p0 @ mu)
-    variance = float(p0 @ mu ** 2 - mean ** 2)
+    variance = 0.5 * float(p0 @ (mu[:, None] - mu[None, :]) ** 2 @ p0)
     return DipoleSpectrum(lambdas=-lam[keep], weights=proj[keep] ** 2,
                           mean_dipole=mean, variance=variance,
                           temperature=r.temperature)
@@ -115,98 +114,30 @@ def evaluate_spectrum(spec: DipoleSpectrum, omega):
     return out if out.ndim else float(out)
 
 
-def _filon_cos(tau, c, omega):
-    """Integral of a piecewise-linear c(tau) times cos(omega tau), exact
-    per segment; robust for omega far above the grid Nyquist estimate."""
-    h = tau[1] - tau[0]
-    if omega * tau[-1] < 1e-8:
-        return float(np.trapezoid(c, dx=h) if hasattr(np, "trapezoid")
-                     else np.trapz(c, dx=h))
-    s = np.sin(omega * tau)
-    cs = np.cos(omega * tau)
-    slope = np.diff(c) / h
-    term1 = np.dot(c[:-1], s[1:] - s[:-1]) / omega
-    term2 = np.dot(slope, h * s[1:] / omega + (cs[1:] - cs[:-1]) / omega ** 2)
-    return term1 + term2
+def spectrum_via_resolvent(r: RateMatrix, p0, ladder: DipoleLadder, omegas):
+    """Regression-equation route to S_mu, sampled at the given omegas.
 
+    The Laplace transform of the regression equations for the population
+    correlations gives, with dmu = mu - <mu>,
 
-def correlation_via_ode(r: RateMatrix, p0, ladder: DipoleLadder, tau):
-    """Dipole autocorrelation C(tau) from the regression equations.
+        S(omega) = 2 Re dmu^T (i omega - M + c p0 1^T)^{-1} diag(p0) dmu,
 
-    Integrates, for every initial level k, the reduced correlation system
-    (i < N):
-
-        d/dtau <rho_i(tau) rho_k(0)> =
-            sum_{j<N} (M_ij - M_iN) <rho_j(tau) rho_k(0)> + M_iN p0_k
-
-    together with the separate equation for the eliminated level N, from
-    the initial condition <rho_i(0) rho_k(0)> = delta_ik p0_k.  All the
-    two-point correlations are then contracted with the dipole ladder and
-    <mu>^2 is subtracted.  Independent of the mode decomposition.
+    one linear solve per omega.  Since 1^T diag(p0) dmu = 0, the rank-one
+    term leaves the solution unchanged; it makes the system regular at
+    omega = 0.  Its scale c, the generator's largest rate, keeps the
+    round-off left in 1^T diag(p0) dmu from being amplified there.
+    Independent of the mode decomposition.
     """
     p0 = np.asarray(p0, dtype=float)
     mu = np.asarray(ladder.mu, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    M = r.generator
-    n = len(p0)
-    last = n - 1
-
-    m_red = M[:last, :last] - M[:last, last][:, None]
-    b = M[:last, last]
-    row_n = M[last, :last] - M[last, last]
-    m_nn = M[last, last]
-
-    # State vector: the (n-1) x n block X[i, k], then the row for level N.
-    x0 = np.zeros((last, n))
-    x0[np.arange(last), np.arange(last)] = p0[:last]
-    xn0 = np.zeros(n)
-    xn0[last] = p0[last]
-    y0 = np.concatenate([x0.ravel(), xn0])
-
-    bp = np.outer(b, p0)
-
-    def rhs(_t, y):
-        x = y[: last * n].reshape(last, n)
-        dx = m_red @ x + bp
-        dxn = row_n @ x + m_nn * p0
-        return np.concatenate([dx.ravel(), dxn])
-
-    jac = np.zeros((n * n, n * n))
-    jac[: last * n, : last * n] = np.kron(m_red, np.eye(n))
-    jac[last * n:, : last * n] = np.kron(row_n[None, :], np.eye(n))
-
-    sol = solve_ivp(rhs, (0.0, tau[-1]), y0, method="BDF",
-                    jac=lambda t, y: jac, rtol=1e-9, atol=1e-13,
-                    dense_output=True)
-    if not sol.success:
-        raise NumericalError(f"correlation ODE integration failed: {sol.message}")
-
-    mean_sq = float(p0 @ mu) ** 2
-    c = np.empty(len(tau))
-    chunk = max(1, 20_000_000 // (n * n))
-    for start in range(0, len(tau), chunk):
-        block = sol.sol(tau[start:start + chunk])
-        x = block[: last * n].reshape(last, n, -1)
-        xn = block[last * n:]
-        corr = np.einsum("i,ikt,k->t", mu[:last], x, mu)
-        corr += mu[last] * (mu @ xn)
-        c[start:start + chunk] = corr - mean_sq
-    return c
-
-
-def spectrum_via_ode(r: RateMatrix, p0, ladder: DipoleLadder, omegas,
-                     tau_max, n_steps=200_000):
-    """Regression-equation route to S_mu, sampled at the given omegas.
-
-    The correlation function from `correlation_via_ode` on a uniform tau
-    grid is cosine-transformed with a piecewise-linear (Filon) rule, so
-    high frequencies carry no extra discretization error.  tau_max should
-    exceed ~10 correlation times; n_steps sets the tau sampling.
-    """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    tau = np.linspace(0.0, tau_max, n_steps)
-    c = correlation_via_ode(r, p0, ladder, tau)
-    return np.array([2.0 * _filon_cos(tau, c, w) for w in omegas])
+    M = r.generator
+    dmu = mu - p0 @ mu
+    a = np.abs(M).max() * p0[:, None] - M
+    rhs = p0 * dmu
+    eye = np.eye(len(p0))
+    return np.array([2.0 * (dmu @ np.linalg.solve(1j * w * eye + a, rhs)).real
+                     for w in omegas])
 
 
 def integrate_spectrum(spec: DipoleSpectrum):

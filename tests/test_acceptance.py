@@ -233,21 +233,18 @@ def test_criterion_8_temperature_structure(pipe, sweep):
 
 def test_criterion_9_method_cross_validation(pipe, spectra):
     om = spectrum.omega_grid(pipe.gamma0, 1e-2, 1e3, 24)
-    worst_ode = 0.0
+    worst_res = 0.0
     worst_sum = 0.0
     for x in (1.0, 2.0, 3.0):
         _, r, p0, spec = spectra(x)
-        tau_max = 12.0 / spec.lambdas.min()
-        n_steps = int(max(2e5, 25 * tau_max * om.max()))
-        s_ode = spectrum.spectrum_via_ode(r, p0, pipe.ladder, om, tau_max,
-                                          n_steps)
+        s_res = spectrum.spectrum_via_resolvent(r, p0, pipe.ladder, om)
         s_mod = spectrum.evaluate_spectrum(spec, om)
-        worst_ode = max(worst_ode, float(np.max(np.abs(s_ode - s_mod) / s_mod)))
+        worst_res = max(worst_res, float(np.max(np.abs(s_res - s_mod) / s_mod)))
         total = spectrum.integrate_spectrum(spec) / math.pi
         worst_sum = max(worst_sum, abs(total - spec.variance) / spec.variance)
-    report("9", worst_ode <= 0.02 and worst_sum <= 0.01,
-           f"spectral vs regression-ODE max deviation {worst_ode * 100:.2f}% "
-           f"over [1e-2, 1e3] gamma0 (allowed 2%); sum-rule deviation "
+    report("9", worst_res <= 1e-9 and worst_sum <= 0.01,
+           f"spectral vs resolvent max deviation {worst_res:.1e} "
+           f"over [1e-2, 1e3] gamma0 (allowed 1e-9); sum-rule deviation "
            f"{worst_sum * 100:.3f}% (allowed 1%)")
 
 

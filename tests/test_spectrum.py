@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from adnoise import dipoles, phonons, spectrum
+from adnoise import cli, dipoles, phonons, spectrum
 from adnoise.errors import AnalysisError, ModelError, NumericalError
 from adnoise.units import HBAR, KB
+from scipy.linalg import expm
 
 from conftest import two_state_rate_matrix
 
@@ -113,48 +114,81 @@ def test_modes_require_positive_populations(ne_spectrum_at, ne_ladder):
         spectrum.correlation_modes(r, p_bad, ne_ladder)
 
 
-def test_ode_telegraph_closed_form():
+def correlation_by_expm(r, p0, ladder, tau):
+    """C(tau) on a uniform grid: steps expm(M dtau) on diag(p0) (mu - <mu>)."""
+    dmu = ladder.mu - p0 @ ladder.mu
+    step = expm(r.generator * (tau[1] - tau[0]))
+    x = p0 * dmu
+    c = np.empty(len(tau))
+    for k in range(len(tau)):
+        c[k] = dmu @ x
+        x = step @ x
+    return c
+
+
+def test_resolvent_telegraph_closed_form():
     g10, g01 = 2.5e6, 1.0e6
     r = two_state_rate_matrix(g10, g01)
     p0 = phonons.stationary_distribution(r)
     ladder = make_ladder([4e-33, 1e-33])
     lam = g10 + g01
     om = np.array([0.0, 0.3 * lam, lam, 5 * lam, 40 * lam])
-    s_ode = spectrum.spectrum_via_ode(r, p0, ladder, om, tau_max=14 / lam,
-                                      n_steps=120_000)
+    s_res = spectrum.spectrum_via_resolvent(r, p0, ladder, om)
     w = (4e-33 - 1e-33) ** 2 * p0[0] * p0[1]
     expected = w * 2 * lam / (om ** 2 + lam ** 2)
-    assert np.allclose(s_ode, expected, rtol=2e-3)
+    assert np.allclose(s_res, expected, rtol=1e-12, atol=0)
 
 
-def test_ode_matches_mode_decomposition(ne_spectrum_at, ne_ladder, ne_scales):
+def test_resolvent_matches_mode_decomposition(ne_spectrum_at, ne_ladder,
+                                              ne_scales):
     _, gamma0 = ne_scales
-    om = spectrum.omega_grid(gamma0, 1e-2, 1e3, 20)
+    om = np.concatenate([[0.0], spectrum.omega_grid(gamma0, 1e-2, 1e3, 20)])
     for x in (1.0, 2.0, 3.0):
         r, p0, spec = ne_spectrum_at(x)
-        tau_max = 12.0 / spec.lambdas.min()
-        n_steps = int(max(2e5, 25 * tau_max * om.max()))
-        s_ode = spectrum.spectrum_via_ode(r, p0, ne_ladder, om, tau_max, n_steps)
+        s_res = spectrum.spectrum_via_resolvent(r, p0, ne_ladder, om)
         s_mod = spectrum.evaluate_spectrum(spec, om)
-        assert np.max(np.abs(s_ode - s_mod) / s_mod) < 0.02
+        assert np.max(np.abs(s_res - s_mod) / s_mod) < 1e-9
 
 
-def test_ode_correlation_initial_value_is_variance(ne_spectrum_at, ne_ladder):
+def test_correlation_initial_value_is_variance(ne_spectrum_at, ne_ladder):
     r, p0, spec = ne_spectrum_at(2.0)
     tau = np.linspace(0, 10 / spec.lambdas.min(), 5000)
-    c = spectrum.correlation_via_ode(r, p0, ne_ladder, tau)
+    c = correlation_by_expm(r, p0, ne_ladder, tau)
     assert c[0] == pytest.approx(spec.variance, rel=1e-8)
     # and the correlation is a pure decay toward zero
     assert c[-1] < 1e-4 * c[0]
 
 
-def test_ode_correlation_matches_mode_sum(ne_spectrum_at, ne_ladder):
+def test_correlation_matches_mode_sum(ne_spectrum_at, ne_ladder):
     r, p0, spec = ne_spectrum_at(1.0)
     tau = np.linspace(0, 5 / spec.lambdas.min(), 400)
-    c_ode = spectrum.correlation_via_ode(r, p0, ne_ladder, tau)
+    c_expm = correlation_by_expm(r, p0, ne_ladder, tau)
     c_modes = np.sum(spec.weights[:, None]
                      * np.exp(-np.outer(spec.lambdas, tau)), axis=0)
-    assert np.allclose(c_ode, c_modes, atol=1e-8 * spec.variance, rtol=1e-6)
+    assert np.allclose(c_expm, c_modes, atol=1e-8 * spec.variance, rtol=1e-6)
+
+
+@pytest.mark.parametrize("x", [0.005, 0.01, 0.03, 0.05, 0.1, 0.2])
+def test_low_temperature_statistics_are_centered(
+        x, ne_spectrum_at, ne_ladder, ne_scales, tmp_path):
+    # p0 . mu^2 - <mu>^2 cancels to nothing here; the CLI must still run
+    # and report the true, tiny variance, and the resolvent must still
+    # agree with the modes at omega = 0.
+    assert cli.main(["spectrum", "--preset", "Ne-Au", "--output",
+                     str(tmp_path), "--temperature", f"{x} nu10"]) == 0
+    (csv,) = tmp_path.glob("spectrum_*.csv")
+    (line,) = [ln for ln in csv.read_text().splitlines()
+               if ln.startswith("# variance:")]
+    assert float(line.split()[2]) > 0
+    r, p0, spec = ne_spectrum_at(x)
+    mu = ne_ladder.mu
+    pairwise = 0.5 * math.fsum(p0[i] * p0[j] * (mu[i] - mu[j]) ** 2
+                               for i in range(len(mu)) for j in range(len(mu)))
+    assert spec.variance == pytest.approx(pairwise, rel=1e-12)
+    assert spec.weights.sum() == pytest.approx(pairwise, rel=1e-8)
+    om = np.array([0.0, ne_scales[1]])
+    assert np.allclose(spectrum.spectrum_via_resolvent(r, p0, ne_ladder, om),
+                       spectrum.evaluate_spectrum(spec, om), rtol=1e-12, atol=0)
 
 
 def test_two_level_limit_closed_form():
