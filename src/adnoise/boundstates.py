@@ -14,8 +14,9 @@ probability in the last grid cell (tail condition), otherwise the grid is
 too small and a GridError is raised.
 
 All quadratures (normalization, matrix elements, expectation values) use
-the trapezoid rule on the eigensolver grid, so no interpolation error is
-introduced anywhere downstream.
+the trapezoid weights of Grid.weights() on the eigensolver grid, so no
+interpolation error is introduced anywhere downstream; grid_matrix is the
+one matrix-element quadrature, <f|g|i> for every pair at once.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +34,6 @@ TAIL_BOUND = 1e-10
 # Bound/continuum guard: discard states with E > -NEAR_ZERO_FRACTION * U0.
 NEAR_ZERO_FRACTION = 1e-3
 DEFAULT_N_POINTS = 4000
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,12 @@ class Grid:
 
     def z(self):
         return np.linspace(self.z_min, self.z_max, self.n_points)
+
+    def weights(self):
+        """Trapezoid quadrature weights on z(): h inside, h/2 at both ends."""
+        w = np.full(self.n_points, self.h)
+        w[0] = w[-1] = 0.5 * self.h
+        return w
 
 
 def auto_grid(p: pot.SurfacePotentialParams, n_points: int = DEFAULT_N_POINTS) -> Grid:
@@ -155,6 +160,7 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
         raise ConfigurationError("max_states must be at least 2")
     z = grid.z()
     h = grid.h
+    w = grid.weights()
     u = pot.evaluate(p, z)
     kin = HBAR ** 2 / (2.0 * p.adatom_mass * h * h)
     diag = u + 2.0 * kin
@@ -174,7 +180,9 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
     psis = np.empty((n_keep, grid.n_points))
     for i in range(n_keep):
         psi = vecs[:, i]
-        norm = _trapz(psi * psi, dx=h)
+        # np.sum, not "@": a BLAS reduction here spins worker threads
+        # against the Python Sturm loop and slows solve on fine grids.
+        norm = np.sum(psi * psi * w)
         psi = psi / np.sqrt(norm)
         psis[i] = _fix_sign(psi)
         tail = psis[i, -1] ** 2 * h
@@ -188,38 +196,22 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
                          potential_values=u)
 
 
-def _check_indices(s: BoundStateSet, *idx):
-    for i in idx:
-        if not 0 <= i < s.n_states:
-            raise IndexError(f"state index {i} out of range 0..{s.n_states - 1}")
+def grid_matrix(s: BoundStateSet, g_values):
+    """All <f| g |i> as a symmetric n_states x n_states array.
 
-
-def expectation(s: BoundStateSet, i: int, f: int, g):
-    """Trapezoid quadrature of psi_f(z) g(z) psi_i(z).
-
-    g is a callable evaluated on the grid; it must be finite there.
+    Psi diag(w g) Psi^T with the trapezoid weights w; g_values is g
+    sampled on s.grid.z() and must be finite there.
     """
-    _check_indices(s, i, f)
-    vals = np.asarray(g(s.grid.z()), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    g = np.asarray(g_values, dtype=float)
+    if not np.all(np.isfinite(g)):
         raise NumericalError("g(z) is not finite everywhere on the grid")
-    return float(_trapz(s.wavefunctions[f] * vals * s.wavefunctions[i],
-                        dx=s.grid.h))
-
-
-def matrix_element_dudz(s: BoundStateSet, i: int, f: int):
-    """<f| dU/dz |i> on the solver grid, J/m.  Symmetric in (i, f)."""
-    _check_indices(s, i, f)
-    du = pot.derivative(s.params, s.grid.z())
-    return float(_trapz(s.wavefunctions[f] * du * s.wavefunctions[i],
-                        dx=s.grid.h))
+    psi = s.wavefunctions
+    m = (psi * (s.grid.weights() * g)) @ psi.T
+    # The product is symmetric only to round-off; mirror the lower triangle
+    # so that <f|g|i> == <i|g|f> holds exactly.
+    return np.tril(m) + np.tril(m, -1).T
 
 
 def coupling_matrix(s: BoundStateSet):
-    """All pairwise <f|dU/dz|i> as a symmetric n_states x n_states array."""
-    z = s.grid.z()
-    du = pot.derivative(s.params, z)
-    w = np.full(s.grid.n_points, s.grid.h)
-    w[0] = w[-1] = 0.5 * s.grid.h
-    weighted = s.wavefunctions * (du * w)[None, :]
-    return weighted @ s.wavefunctions.T
+    """All pairwise <f|dU/dz|i> in J/m, symmetric n_states x n_states."""
+    return grid_matrix(s, pot.derivative(s.params, s.grid.z()))

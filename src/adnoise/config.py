@@ -13,6 +13,7 @@ parse(serialize(cfg)) reproduces cfg exactly.  Temperatures are kept as
 resolved against the exact level splitting once the well is solved).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import potential as pot
@@ -115,6 +116,13 @@ def _tokenize(text):
         yield section, key, value
 
 
+def _finite(x, key, text):
+    """x, unless it is an inf or nan float (from the text or unit scaling)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ConfigurationError(f"{key}: {text!r} is not a finite number")
+    return x
+
+
 def _quantity(value, table, key, *, energy=False):
     parts = value.split(None, 1)
     if len(parts) != 2:
@@ -126,13 +134,15 @@ def _quantity(value, table, key, *, energy=False):
         raise ConfigurationError(f"{key}: {num!r} is not a number") from None
     if energy:
         try:
-            return convert_energy(x, unit, "J")
+            x = convert_energy(x, unit, "J")
         except ConfigurationError as exc:
             raise ConfigurationError(f"{key}: {exc}") from None
-    if unit not in table:
+    elif unit in table:
+        x *= table[unit]
+    else:
         raise ConfigurationError(
             f"{key}: unknown unit {unit!r}; known: {sorted(table)}")
-    return x * table[unit]
+    return _finite(x, key, value)
 
 
 def _number(value, key, kind=float, positive=True):
@@ -140,6 +150,7 @@ def _number(value, key, kind=float, positive=True):
         x = kind(value)
     except ValueError:
         raise ConfigurationError(f"{key}: {value!r} is not a valid {kind.__name__}") from None
+    _finite(x, key, value)
     if positive and x <= 0:
         raise ConfigurationError(f"{key}: must be positive, got {x}")
     return x
@@ -159,7 +170,10 @@ def _temperature(value, key):
     if len(parts) != 2 or parts[1] not in ("K", "nu10"):
         raise ConfigurationError(
             f"{key}: expected '<number> K' or '<number> nu10', got {value!r}")
-    t = float(parts[0])
+    try:
+        t = _finite(float(parts[0]), key, value)
+    except ValueError:
+        raise ConfigurationError(f"{key}: {parts[0]!r} is not a number") from None
     if t < 0 or (parts[1] == "nu10" and t == 0):
         raise ConfigurationError(f"{key}: temperature must be positive")
     return (t, parts[1])
@@ -174,7 +188,7 @@ def _temperature_list(value, key):
 
 def _axis(value, key):
     try:
-        comps = tuple(float(v) for v in value.split())
+        comps = tuple(_finite(float(v), key, value) for v in value.split())
     except ValueError:
         raise ConfigurationError(f"{key}: expected three numbers") from None
     if len(comps) != 3:
@@ -182,12 +196,17 @@ def _axis(value, key):
     norm = sum(c * c for c in comps) ** 0.5
     if norm == 0:
         raise ConfigurationError(f"{key}: axis must be non-zero")
+    # Dividing a unit vector by its rounded norm can move its last bits, so
+    # an axis that is already unit is kept: serialize/parse is then exact.
+    if abs(norm - 1.0) <= 1e-12:
+        return comps
     return tuple(c / norm for c in comps)
 
 
 def _float_list(value, key):
     try:
-        vals = tuple(float(v.strip()) for v in value.split(",") if v.strip())
+        vals = tuple(_finite(float(v), key, value)
+                     for v in value.split(",") if v.strip())
     except ValueError:
         raise ConfigurationError(f"{key}: expected comma-separated numbers") from None
     if not vals or any(v <= 0 for v in vals):

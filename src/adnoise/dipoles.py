@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundstates
-from .boundstates import _trapz
 from .errors import DomainError, NumericalError
 from .units import BOHR, E_CHARGE
 
@@ -57,14 +56,12 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
     """
     if alpha <= 0:
         raise DomainError("polarizability must be positive")
-    z = states.grid.z()
-    kernel = induced_dipole(alpha, z)
-    mu = np.empty(states.n_states)
-    for i, psi in enumerate(states.wavefunctions):
-        integrand = psi * kernel * psi
-        if np.argmax(integrand) == 0:
-            raise NumericalError(
-                f"state {i}: dipole integrand peaks at the grid edge; the "
-                "wall region is not resolved")
-        mu[i] = image_factor * float(_trapz(integrand, dx=states.grid.h))
+    psi = states.wavefunctions
+    integrand = psi * induced_dipole(alpha, states.grid.z()) * psi
+    at_edge = np.flatnonzero(np.argmax(integrand, axis=1) == 0)
+    if len(at_edge):
+        raise NumericalError(
+            f"state {at_edge[0]}: dipole integrand peaks at the grid edge; "
+            "the wall region is not resolved")
+    mu = image_factor * np.sum(integrand * states.grid.weights(), axis=1)
     return DipoleLadder(mu=mu, image_factor=image_factor, polarizability=alpha)

@@ -33,17 +33,23 @@ DEGENERACY_RTOL = 1e-12
 
 
 def bose_occupation(delta_omega, T):
-    """Thermal phonon number at angular frequency delta_omega (rad/s)."""
-    if delta_omega <= 0:
+    """Thermal phonon number at angular frequency delta_omega (rad/s).
+
+    delta_omega may be an array; the result then has its shape.
+    """
+    domega = np.asarray(delta_omega, dtype=float)
+    if np.any(domega <= 0):
         raise DomainError("delta_omega must be positive")
     if T < 0:
         raise DomainError("temperature must be non-negative")
     if T == 0:
-        return 0.0
-    x = HBAR * delta_omega / (KB * T)
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
+        n = np.zeros_like(domega)
+    else:
+        x = HBAR * domega / (KB * T)
+        # Above x = 700 the occupation is below 1e-304: call it zero rather
+        # than let expm1 overflow.
+        n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
+    return n if n.ndim else float(n)
 
 
 def gamma0_harmonic(p: SurfacePotentialParams, material: BulkMaterial, nu10):
@@ -58,11 +64,31 @@ def gamma0_harmonic(p: SurfacePotentialParams, material: BulkMaterial, nu10):
             / (4.0 * math.pi * material.speed_of_sound ** 3 * material.density))
 
 
-def _pair_rate(domega, coupling_sq, material, T, downward):
-    base = domega / (TWO_PI * HBAR * material.speed_of_sound ** 3
-                     * material.density) * coupling_sq
-    n = bose_occupation(domega, T)
-    return base * (n + 1.0) if downward else base * n
+def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
+    """Golden-rule rates between every pair of levels; returns (gamma, mask).
+
+    gamma[i, f] = Gamma_{i->f} (zero diagonal) from the coupling matrix
+    <f|dU/dz|i>; mask marks the pairs above the Debye cutoff, whose rates
+    are zero in both directions.  Raises ModelError on degenerate levels.
+    """
+    E = np.asarray(energies, dtype=float)
+    de = E[:, None] - E[None, :]
+    pair = ~np.eye(len(E), dtype=bool)
+    degenerate = pair & (np.abs(de) <= DEGENERACY_RTOL * np.maximum(
+        np.abs(E)[:, None], np.abs(E)[None, :]))
+    if degenerate.any():
+        i, f = np.argwhere(degenerate)[0]
+        raise ModelError(f"states {i} and {f} are degenerate")
+    domega = np.abs(de) / HBAR
+    mask = pair & (domega / TWO_PI > material.debye_frequency)
+    live = pair & ~mask
+    base = (domega[live] / (TWO_PI * HBAR * material.speed_of_sound ** 3
+                            * material.density) * coupling[live] ** 2)
+    # Emission (E_i > E_f) goes with n + 1, absorption with n.
+    n = bose_occupation(domega[live], T)
+    gamma = np.zeros_like(de)
+    gamma[live] = base * (n + (de[live] > 0))
+    return gamma, mask
 
 
 def transition_rate(states: BoundStateSet, material: BulkMaterial,
@@ -74,15 +100,9 @@ def transition_rate(states: BoundStateSet, material: BulkMaterial,
     """
     if i == f:
         raise DomainError("transition requires i != f")
-    ei, ef = states.energies[i], states.energies[f]
-    if abs(ei - ef) <= DEGENERACY_RTOL * max(abs(ei), abs(ef)):
-        raise ModelError(f"states {i} and {f} are degenerate")
-    domega = abs(ei - ef) / HBAR
-    if domega / TWO_PI > material.debye_frequency:
-        return 0.0, True
-    from .boundstates import matrix_element_dudz
-    m2 = matrix_element_dudz(states, i, f) ** 2
-    return _pair_rate(domega, m2, material, T, downward=ei > ef), False
+    gamma, mask = _golden_rule_rates(states.energies, coupling_matrix(states),
+                                     material, T)
+    return float(gamma[i, f]), bool(mask[i, f])
 
 
 @dataclass(frozen=True)
@@ -154,30 +174,15 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
         raise ModelError("need at least two bound states")
     if coupling is None:
         coupling = coupling_matrix(states)
-    E = states.energies
-    gamma = np.zeros((n, n))
-    mask = np.zeros((n, n), dtype=bool)
-    masked_pairs = []
-    for i in range(n):
-        for f in range(i):
-            de = E[i] - E[f]
-            if abs(de) <= DEGENERACY_RTOL * max(abs(E[i]), abs(E[f])):
-                raise ModelError(f"states {f} and {i} are degenerate")
-            domega = de / HBAR
-            if domega / TWO_PI > material.debye_frequency:
-                mask[i, f] = mask[f, i] = True
-                masked_pairs.append((i, f, domega / TWO_PI))
-                continue
-            c2 = coupling[i, f] ** 2
-            gamma[i, f] = _pair_rate(domega, c2, material, T, downward=True)
-            gamma[f, i] = _pair_rate(domega, c2, material, T, downward=False)
-    if masked_pairs:
+    gamma, mask = _golden_rule_rates(states.energies, coupling, material, T)
+    masked_pairs = np.argwhere(np.tril(mask))
+    if len(masked_pairs):
         logger.warning(
             "%s: %d transition(s) above the Debye cutoff (%.3g THz): %s",
             states.params.name, len(masked_pairs),
             material.debye_frequency / 1e12,
-            ", ".join(f"{i}<->{f} ({nu / 1e12:.3g} THz)"
-                      for i, f, nu in masked_pairs))
+            ", ".join(f"{i}<->{f} ({states.splitting(i, f) / TWO_PI / 1e12:.3g}"
+                      " THz)" for i, f in masked_pairs))
     adjacency = (gamma + gamma.T) > 0
     if not _connected(adjacency):
         raise ModelError(

@@ -176,10 +176,7 @@ def two_level_limit(mu0, mu1, gamma0, nu10, T, omega):
 
 def crossover_frequency(gamma0, nu10, T):
     """Knee between the flat and the falling part: gamma0 (n(nu10) + 1)."""
-    if T < 0:
-        raise DomainError("temperature must be non-negative")
-    n = bose_occupation(nu10, T) if T > 0 else 0.0
-    return gamma0 * (n + 1.0)
+    return gamma0 * (bose_occupation(nu10, T) + 1.0)
 
 
 def omega_grid(gamma0, omega_min=1e-3, omega_max=1e4, points_per_decade=60):

@@ -19,7 +19,7 @@ seed-averaged noise inside the window 3 d0 <= d <= extent/10.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -86,38 +86,24 @@ class SurfaceSample:
         return self.n / self.extent ** 2
 
 
-def dipole_field_kernel(source, ion):
-    """Field (V/m per C m) of a unit vertical point dipole in the plane.
+def dipole_field_kernel(sources, ion):
+    """Field (V/m per C m) of unit vertical point dipoles in the plane.
 
-    source is (x, y) on the electrode; ion is (x, y, z) with z > 0.  The
-    bare dipole field E = (3 (z_hat . r_hat) r_hat - z_hat) / (4 pi eps0 r^3);
-    any image doubling belongs to the dipole ladder, not here.
+    sources is an (n, 2) array of (x, y) on the electrode; ion is (x, y, z)
+    with z > 0.  Returns the (n, 3) bare dipole fields at the ion,
+    E = (3 (z_hat . r_hat) r_hat - z_hat) / (4 pi eps0 r^3); any image
+    doubling belongs to the dipole ladder, not here.
     """
-    sx, sy = source
-    ix, iy, iz = ion
-    if iz <= 0:
-        raise DomainError("ion must sit strictly above the plane")
-    r = np.array([ix - sx, iy - sy, iz], dtype=float)
-    dist = np.linalg.norm(r)
-    if dist == 0:
-        raise DomainError("ion coincides with the dipole")
-    rn = r / dist
-    zhat = np.array([0.0, 0.0, 1.0])
-    return (3.0 * rn[2] * rn - zhat) / (FOUR_PI_EPS0 * dist ** 3)
-
-
-def _kernel_grid(positions, ion):
-    """Vectorized kernel for an (n, 2) set of sources; returns (n, 3)."""
     ion = np.asarray(ion, dtype=float)
     if ion[2] <= 0:
         raise DomainError("ion must sit strictly above the plane")
-    rel = np.empty((len(positions), 3))
-    rel[:, 0] = ion[0] - positions[:, 0]
-    rel[:, 1] = ion[1] - positions[:, 1]
+    sources = np.asarray(sources, dtype=float)
+    rel = np.empty((len(sources), 3))
+    rel[:, :2] = ion[:2] - sources
     rel[:, 2] = ion[2]
     dist = np.linalg.norm(rel, axis=1)
     rn = rel / dist[:, None]
-    e = 3.0 * rn[:, 2][:, None] * rn
+    e = 3.0 * rn[:, 2:] * rn
     e[:, 2] -= 1.0
     return e / (FOUR_PI_EPS0 * dist ** 3)[:, None]
 
@@ -139,7 +125,7 @@ def kernel_integral_constant(d=1.0):
     dipole kernel.
     """
     def integrand(s):
-        ez = dipole_field_kernel((s, 0.0), (0.0, 0.0, d))[2]
+        ez = dipole_field_kernel([(s, 0.0)], (0.0, 0.0, d))[0, 2]
         return 2.0 * math.pi * s * (ez * FOUR_PI_EPS0 * d ** 2) ** 2
 
     val, err = quad(integrand, 0.0, np.inf, limit=200)
@@ -193,7 +179,7 @@ def mc_field_noise(sample: SurfaceSample, s_mu, trap: TrapConfig, ion_xy=None):
     if ion_xy is None:
         ion_xy = (0.5 * sample.extent, 0.5 * sample.extent)
     ion = (ion_xy[0], ion_xy[1], trap.distance)
-    e = _kernel_grid(sample.positions, ion)
+    e = dipole_field_kernel(sample.positions, ion)
     proj = e @ np.asarray(trap.axis, dtype=float)
     return float(np.sum(proj ** 2) * s_mu)
 
@@ -227,14 +213,12 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
             f"distances {bad} outside the valid window [{lo:.3g}, {hi:.3g}] "
             "(below: dipole granularity dominates; above: the finite patch "
             "acts as a composite source)")
+    traps = [replace(trap, distance=d) for d in d_list]
     se = np.empty((n_seeds, len(d_list)))
     for k in range(n_seeds):
         s = sample_surface(sample.n, sample.extent, sample.min_spacing,
                            seed=sample.seed + k)
-        for j, d in enumerate(d_list):
-            trap_d = TrapConfig(distance=d, trap_frequency=trap.trap_frequency,
-                                ion_mass=trap.ion_mass, charge=trap.charge,
-                                axis=trap.axis)
+        for j, trap_d in enumerate(traps):
             se[k, j] = mc_field_noise(s, s_mu, trap_d)
     means = se.mean(axis=0)
     stderrs = se.std(axis=0, ddof=1) / math.sqrt(n_seeds)

@@ -13,8 +13,6 @@ import numpy as np
 from . import boundstates, dipoles, phonons, potential, spectrum, trapnoise
 from .units import BOHR, DEBYE, E_CHARGE, HBAR, KB, convert_energy
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def _check_units():
     x = convert_energy(convert_energy(1.234, "meV", "K"), "K", "meV")
@@ -40,13 +38,8 @@ def _check_potential():
         f"C3 = {potential.c3(p):.4g} J m^3"
 
 
-def _check_boundstates():
-    p, _ = potential.preset("Ne-Au")
-    grid = boundstates.auto_grid(p, 3000)
-    s = boundstates.solve(p, grid)
-    h = grid.h
-    overlaps = np.array([[_trapz(s.wavefunctions[i] * s.wavefunctions[j], dx=h)
-                          for j in range(s.n_states)] for i in range(s.n_states)])
+def _check_boundstates(s):
+    overlaps = boundstates.grid_matrix(s, np.ones(s.grid.n_points))
     dev = np.abs(overlaps - np.eye(s.n_states)).max()
     nu = s.splitting(1, 0) / (2 * math.pi) / 1e12
     ok = dev < 1e-8 and 0.2 <= nu <= 0.45 and np.all(s.energies < 0)
@@ -54,27 +47,17 @@ def _check_boundstates():
         f"{s.n_states} states, nu10 = {nu:.3f} THz, max overlap dev {dev:.1e}"
 
 
-def _check_dipoles():
+def _check_dipoles(lad):
     coeff = 0.47 * 4.5 ** 1.5
     ok = abs(coeff - 4.5) / 4.5 < 0.003
-    p, _ = potential.preset("Ne-Au")
-    grid = boundstates.auto_grid(p, 3000)
-    s = boundstates.solve(p, grid)
-    lad = dipoles.dipole_ladder(s, p.polarizability)
     mu0 = lad.mu[0] / DEBYE
     ok &= 0.0025 <= mu0 <= 0.01 and np.all(lad.mu > 0)
     return "induced dipoles: hydrogen coefficient, ladder magnitude", ok, \
         f"0.47*4.5^1.5 = {coeff:.4f}, mu_0 = {mu0:.4f} D"
 
 
-def _check_rates():
-    p, mat = potential.preset("Ne-Au")
-    grid = boundstates.auto_grid(p, 3000)
-    s = boundstates.solve(p, grid)
-    T = 2.0 * HBAR * s.splitting(1, 0) / KB
-    r = phonons.build_rate_matrix(s, mat, T)
-    p0 = phonons.stationary_distribution(r)
-    boltz = np.exp(-(s.energies - s.energies[0]) / (KB * T))
+def _check_rates(s, r, p0):
+    boltz = np.exp(-(s.energies - s.energies[0]) / (KB * r.temperature))
     boltz /= boltz.sum()
     dev = np.abs(p0 - boltz).max() / boltz.max()
     ok = dev < 1e-10
@@ -84,14 +67,7 @@ def _check_rates():
         f"max Boltzmann deviation {dev:.1e}"
 
 
-def _check_spectrum():
-    p, mat = potential.preset("Ne-Au")
-    grid = boundstates.auto_grid(p, 3000)
-    s = boundstates.solve(p, grid)
-    lad = dipoles.dipole_ladder(s, p.polarizability)
-    T = 2.0 * HBAR * s.splitting(1, 0) / KB
-    r = phonons.build_rate_matrix(s, mat, T)
-    p0 = phonons.stationary_distribution(r)
+def _check_spectrum(r, p0, lad):
     spec = spectrum.correlation_modes(r, p0, lad)
     sum_rule = spectrum.integrate_spectrum(spec) / math.pi
     dev = abs(sum_rule - spec.variance) / spec.variance
@@ -150,10 +126,14 @@ def _check_heating():
     return "heating rate dimensional check", ok, f"ndot = {n:.4g} 1/s"
 
 
-_CHECKS = [_check_units, _check_potential, _check_boundstates, _check_dipoles,
-           _check_rates, _check_spectrum, _check_two_state, _check_kernel,
-           _check_single_dipole, _check_heating]
-
-
 def run_checks():
-    return [fn() for fn in _CHECKS]
+    # One Ne-Au chain, solved once, serves the four checks that need it.
+    p, mat = potential.preset("Ne-Au")
+    s = boundstates.solve(p, boundstates.auto_grid(p, 3000))
+    lad = dipoles.dipole_ladder(s, p.polarizability)
+    r = phonons.build_rate_matrix(s, mat, 2.0 * HBAR * s.splitting(1, 0) / KB)
+    p0 = phonons.stationary_distribution(r)
+    return [_check_units(), _check_potential(), _check_boundstates(s),
+            _check_dipoles(lad), _check_rates(s, r, p0),
+            _check_spectrum(r, p0, lad), _check_two_state(), _check_kernel(),
+            _check_single_dipole(), _check_heating()]

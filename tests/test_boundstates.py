@@ -7,8 +7,6 @@ from adnoise import boundstates, potential
 from adnoise.errors import ConfigurationError, GridError, ModelError, NumericalError
 from adnoise.units import AMU, E_CHARGE, HBAR
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def test_auto_grid_bounds(ne):
     p, _ = ne
@@ -148,20 +146,20 @@ def test_deep_well_matches_harmonic_oracle(deep_well, deep_states):
 def test_deep_well_matrix_element_identity(deep_well, deep_states):
     # |<1|dU/dz|0>|^2 -> m nu^3 hbar / 2 in the harmonic limit
     nu_e = deep_states.splitting(1, 0)
-    m01 = boundstates.matrix_element_dudz(deep_states, 0, 1)
+    m01 = boundstates.coupling_matrix(deep_states)[0, 1]
     harmonic = deep_well.adatom_mass * nu_e ** 3 * HBAR / 2
     assert m01 ** 2 == pytest.approx(harmonic, rel=0.05)
 
 
 def test_deep_well_position_expectation(deep_well, deep_states):
-    z00 = boundstates.expectation(deep_states, 0, 0, lambda z: z)
+    z00 = boundstates.grid_matrix(deep_states, deep_states.grid.z())[0, 0]
     assert z00 == pytest.approx(deep_well.z0, rel=0.01)
 
 
 def test_matrix_element_symmetry(ne_states):
-    a = boundstates.matrix_element_dudz(ne_states, 0, 2)
-    b = boundstates.matrix_element_dudz(ne_states, 2, 0)
-    assert a == b
+    c = boundstates.coupling_matrix(ne_states)
+    assert c[0, 2] == c[2, 0]
+    assert np.array_equal(c, c.T)
 
 
 def test_matrix_element_commutator_identity(ne_states):
@@ -169,46 +167,45 @@ def test_matrix_element_commutator_identity(ne_states):
     # pins down both the eigensolver and the quadrature.
     s = ne_states
     m = s.params.adatom_mass
+    dudz = boundstates.coupling_matrix(s)
+    z = boundstates.grid_matrix(s, s.grid.z())
     for i, f in [(0, 1), (1, 2), (0, 3)]:
         omega = s.splitting(i, f)
-        lhs = boundstates.matrix_element_dudz(s, i, f)
-        rhs = m * omega ** 2 * boundstates.expectation(s, i, f, lambda z: z)
-        assert abs(lhs) == pytest.approx(abs(rhs), rel=2e-3)
+        assert abs(dudz[f, i]) == pytest.approx(abs(m * omega ** 2 * z[f, i]),
+                                                rel=2e-3)
 
 
 def test_matrix_element_grid_convergence(ne):
     p, _ = ne
-    m1 = boundstates.matrix_element_dudz(
-        boundstates.solve(p, boundstates.auto_grid(p, 4000), max_states=3), 0, 1)
-    m2 = boundstates.matrix_element_dudz(
-        boundstates.solve(p, boundstates.auto_grid(p, 8000), max_states=3), 0, 1)
+    m1, m2 = (boundstates.coupling_matrix(boundstates.solve(
+        p, boundstates.auto_grid(p, n), max_states=3))[0, 1]
+        for n in (4000, 8000))
     assert abs(m1 - m2) / abs(m2) < 1e-3
 
 
-def test_coupling_matrix_consistent(ne_states):
+def test_coupling_matrix_consistent(ne, ne_states):
+    # Against the textbook composite trapezoid rule, pair by pair.
     c = boundstates.coupling_matrix(ne_states)
-    assert np.abs(c - c.T).max() < 1e-12 * np.abs(c).max()
-    for i, f in [(0, 1), (2, 4)]:
-        assert c[i, f] == pytest.approx(
-            boundstates.matrix_element_dudz(ne_states, i, f), rel=1e-12)
+    du = potential.derivative(ne[0], ne_states.grid.z())
+    for i, f in [(0, 1), (2, 4), (3, 3)]:
+        y = ne_states.wavefunctions[f] * du * ne_states.wavefunctions[i]
+        trapezoid = 0.5 * ne_states.grid.h * np.sum(y[1:] + y[:-1])
+        assert c[i, f] == pytest.approx(trapezoid, rel=1e-12)
 
 
-def test_expectation_normalization_orthogonality(ne_states):
-    one = lambda z: np.ones_like(z)
-    assert boundstates.expectation(ne_states, 0, 0, one) == pytest.approx(1.0, abs=1e-8)
-    assert boundstates.expectation(ne_states, 0, 1, one) == pytest.approx(0.0, abs=1e-8)
+def test_grid_matrix_normalization_orthogonality(ne_states):
+    gram = boundstates.grid_matrix(ne_states, np.ones(ne_states.grid.n_points))
+    assert gram[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert gram[0, 1] == pytest.approx(0.0, abs=1e-8)
+    assert np.abs(gram - np.eye(ne_states.n_states)).max() < 1e-8
 
 
-def test_expectation_rejects_non_finite(ne_states):
+def test_grid_matrix_rejects_non_finite(ne_states):
+    z = ne_states.grid.z()
     with pytest.raises(NumericalError):
-        boundstates.expectation(
-            ne_states, 0, 0,
-            lambda z: np.where(z > z[0], 1.0, np.inf))
-
-
-def test_index_out_of_range(ne_states):
-    with pytest.raises(IndexError):
-        boundstates.matrix_element_dudz(ne_states, 0, ne_states.n_states)
+        boundstates.grid_matrix(ne_states, np.where(z > z[0], 1.0, np.inf))
+    with pytest.raises(NumericalError):
+        boundstates.grid_matrix(ne_states, np.where(z > z[0], 1.0, np.nan))
 
 
 def test_too_shallow_potential_raises_model_error():

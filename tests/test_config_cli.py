@@ -79,9 +79,10 @@ def test_temperature_specs():
     cfg = config.parse_config(
         "preset = Ne-Au\n[spectrum]\ntemperatures = 0.5 nu10, 12 K\n")
     assert cfg.spectrum.temperatures == ((0.5, "nu10"), (12.0, "K"))
-    with pytest.raises(ConfigurationError, match="temperature"):
-        config.parse_config(
-            "preset = Ne-Au\n[spectrum]\ntemperatures = 5 parsec\n")
+    for bad in ("5 parsec", "abc K"):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            config.parse_config(
+                f"preset = Ne-Au\n[spectrum]\ntemperatures = {bad}\n")
 
 
 def test_round_trip_identity():
@@ -254,6 +255,47 @@ def test_cli_tempsweep_and_heat(tmp_path):
     assert se == pytest.approx(
         0.375 * 1e18 * (smu * 3.33564e-30 ** 2)
         / ((4 * np.pi * 8.8541878128e-12) ** 2 * 1e-5 ** 4), rel=1e-6)
+
+
+def test_cli_tempsweep_full_ladder(tmp_path):
+    # max_states = 30 keeps all 23 levels of the Ne well, near-threshold
+    # ones included.
+    cfgfile = tmp_path / "ladder.ini"
+    cfgfile.write_text("preset = Ne-Au\n[solver]\nmax_states = 30\n")
+    out = tmp_path / "o"
+    assert run_cli(["tempsweep", "--config", cfgfile, "--output", out]) == 0
+    lines = (out / "tempsweep.csv").read_text().splitlines()
+    assert "# n_states: 23 (near-zero discarded: 4)" in lines
+    data = [ln for ln in lines if not ln.startswith("#")][1:]
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in data])
+    assert rows.shape == (30, 5)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 2:] > 0)
+
+
+@pytest.mark.parametrize("command,section,temperature,key", [
+    ("spectrum", "", "inf K", "--temperature"),
+    ("spectrum", "", "1e400 K", "--temperature"),
+    ("spectrum", "", "inf nu10", "--temperature"),
+    ("spectrum", "", "nan K", "--temperature"),
+    ("states", "[potential]\nU0 = nan meV\n", None, "potential.U0"),
+    ("heat", "[trap]\ndistance = inf um\n", None, "trap.distance"),
+    ("heat", "[trap]\naxis = 0 inf 1\n", None, "trap.axis"),
+    ("spectrum", "[spectrum]\nomega_max = inf\n", None, "spectrum.omega_max"),
+    ("mc-scaling", "[montecarlo]\nd_values = 3, nan\n", None,
+     "montecarlo.d_values"),
+    ("tempsweep", "[tempsweep]\nt_max = nan nu10\n", None, "tempsweep.t_max"),
+])
+def test_cli_non_finite_number_is_config_error(tmp_path, capsys, command,
+                                               section, temperature, key):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + section)
+    out = tmp_path / "o"
+    args = [command, "--config", cfgfile, "--output", out]
+    if temperature is not None:
+        args += ["--temperature", temperature]
+    assert run_cli(args) == 2
+    assert f"{key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate_exits_zero(capsys):

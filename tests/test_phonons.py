@@ -30,11 +30,22 @@ def test_bose_classical_limit():
     assert n == pytest.approx(100.0, rel=0.01)
 
 
+def test_bose_array_matches_scalar():
+    domega = np.array([1e10, 1e12, 1e13, 1e15])  # the last one has x > 700
+    for T in (0.0, 0.3, 40.0):
+        n = phonons.bose_occupation(domega, T)
+        assert n.shape == domega.shape
+        assert list(n) == [phonons.bose_occupation(float(d), T) for d in domega]
+    assert phonons.bose_occupation(domega, 0.3)[-1] == 0.0
+
+
 def test_bose_domain():
     with pytest.raises(DomainError):
         phonons.bose_occupation(0.0, 1.0)
     with pytest.raises(DomainError):
         phonons.bose_occupation(1e12, -1.0)
+    with pytest.raises(DomainError):
+        phonons.bose_occupation(np.array([1e12, 0.0]), 1.0)
 
 
 def test_gamma0_harmonic_values(ne):

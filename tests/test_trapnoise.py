@@ -17,7 +17,7 @@ def make_trap(d=1.0):
 
 def test_kernel_on_axis():
     d = 2e-6
-    e = trapnoise.dipole_field_kernel((0.0, 0.0), (0.0, 0.0, d))
+    e, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, d))
     assert e[0] == 0.0 and e[1] == 0.0
     assert e[2] == pytest.approx(2.0 / (FPE * d ** 3), rel=1e-12)
 
@@ -25,22 +25,22 @@ def test_kernel_on_axis():
 def test_kernel_lateral_offset_geometry():
     # offset s = d: cos^2 theta = 1/2, r = sqrt(2) d
     d = 3e-6
-    e = trapnoise.dipole_field_kernel((d, 0.0), (0.0, 0.0, d))
+    e, = trapnoise.dipole_field_kernel([(d, 0.0)], (0.0, 0.0, d))
     expected_ez = 0.5 / (FPE * (math.sqrt(2) * d) ** 3)
     assert e[2] == pytest.approx(expected_ez, rel=1e-12)
 
 
 def test_kernel_r_cubed_scaling():
-    e1 = trapnoise.dipole_field_kernel((0.0, 0.0), (0.0, 0.0, 1.0))
-    e2 = trapnoise.dipole_field_kernel((0.0, 0.0), (0.0, 0.0, 2.0))
+    e1, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, 1.0))
+    e2, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, 2.0))
     assert np.linalg.norm(e1) == pytest.approx(8 * np.linalg.norm(e2), rel=1e-12)
 
 
 def test_kernel_domain_errors():
     with pytest.raises(DomainError):
-        trapnoise.dipole_field_kernel((0.0, 0.0), (0.0, 0.0, 0.0))
+        trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        trapnoise.dipole_field_kernel((1.0, 0.0), (1.0, 0.0, -1.0))
+        trapnoise.dipole_field_kernel([(1.0, 0.0)], (1.0, 0.0, -1.0))
 
 
 def test_analytic_field_noise_formula():
