@@ -82,7 +82,13 @@ class Pipeline:
         value, unit = tspec
         if unit == "K":
             return value
-        return value * HBAR * self.nu10 / KB
+        # Python floats overflow to inf silently; numpy scalars warn.
+        T = value * HBAR * float(self.nu10) / KB
+        if not math.isfinite(T):
+            raise ConfigurationError(
+                f"temperature {value:g} nu10 is not a finite number of "
+                f"kelvin (nu10 = {self.nu10 / TWO_PI / 1e12:.6g} THz)")
+        return T
 
     def temp_tag(self, tspec):
         value, unit = tspec

@@ -15,7 +15,13 @@ consistency checks use the kernel-derived K.
 
 The Monte Carlo path samples dipole positions with a minimum spacing d0,
 sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
-seed-averaged noise inside the window 3 d0 <= d <= extent/10.
+seed-averaged noise inside the window 3 d0 <= d <= extent/10.  Sampling
+draws candidates from the seeded stream in blocks and tests each one only
+against placed points in the neighbouring cells of a grid of side about
+d0; the stream, the positions and the rejection counts are those of
+testing every candidate against every placed point, and memory is linear
+in n.  SurfaceSample checks the spacing with an x-sorted sweep, also in
+linear memory.
 """
 
 import math
@@ -69,12 +75,21 @@ class SurfaceSample:
         pts = np.asarray(self.positions, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ConfigurationError("positions must be an (n, 2) array")
-        if np.any(pts < 0) or np.any(pts > self.extent):
+        if not np.all((pts >= 0) & (pts <= self.extent)):
             raise ConfigurationError("positions must lie inside [0, extent]^2")
-        if len(pts) > 1:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() < (self.min_spacing * (1.0 - 1e-12)) ** 2:
+        if not self.min_spacing >= 0:
+            raise ConfigurationError("min_spacing must be non-negative")
+        # x-sorted sweep: pair each point with its k-th successor in x for
+        # k = 1, 2, ... until every such pair is min_spacing or more apart
+        # in x.  That visits every pair that can fail, in O(n) memory.
+        p = pts[np.argsort(pts[:, 0], kind="stable")]
+        limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
+        for k in range(1, len(p)):
+            dx = p[k:, 0] - p[:-k, 0]
+            if not np.any(dx < self.min_spacing):
+                break
+            dy = p[k:, 1] - p[:-k, 1]
+            if np.any(dx * dx + dy * dy < limit):
                 raise ConfigurationError("positions violate the minimum spacing")
 
     @property
@@ -135,38 +150,68 @@ def kernel_integral_constant(d=1.0):
     return val
 
 
+def _near(grid, key, offsets, x, y, limit):
+    """Whether a point in the cells key + offsets is closer than
+    sqrt(limit) to (x, y); d^2 is summed as np.sum(d ** 2) would sum it."""
+    for step in offsets:
+        for px, py in grid.get(key + step, ()):
+            dx, dy = px - x, py - y
+            if dx * dx + dy * dy < limit:
+                return True
+    return False
+
+
 def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     """Uniform positions in [0, extent]^2 with an exclusion radius.
 
     Rejection sampling, deterministic for a given seed.  Feasibility
-    requires n pi min_spacing^2 / 4 < extent^2 / 2.
+    requires n pi min_spacing^2 / 4 < extent^2 / 2.  Candidates are drawn
+    in blocks, which gives the same doubles in the same order as one draw
+    per candidate.  Each is tested, in order, against the placed points in
+    the 3 x 3 neighbouring cells of a grid of side about min_spacing, with
+    the same squared-distance arithmetic as a test against every placed
+    point; positions and rejects are those of that direct test, in memory
+    linear in n.
     """
     if n < 1:
         raise ConfigurationError("need at least one dipole")
+    if not (min_spacing > 0 and 0 < extent < math.inf):
+        raise ConfigurationError(
+            "min_spacing and extent must be positive and finite")
     if n * math.pi * min_spacing ** 2 / 4.0 >= 0.5 * extent ** 2:
         raise ConfigurationError(
             "packing fraction too high for rejection sampling")
+    limit = min_spacing ** 2
+    # A hair wider than min_spacing, so rounding in x / cell never puts a
+    # point that fails the distance test two cells away from the candidate.
+    cell = min_spacing * (1.0 + 1e-9) + 1e-15 * extent
+    # Cell (i, j) has key i * stride + j.  As 0 <= j <= extent / cell, the
+    # neighbours j - 1 and j + 1 never wrap into another row.
+    stride = math.floor(extent / cell) + 3
+    offsets = [a * stride + b for a in (-1, 0, 1) for b in (-1, 0, 1)]
     rng = np.random.default_rng(seed)
-    pts = np.empty((n, 2))
-    count = 0
+    grid = {}                  # cell key -> [(x, y), ...] placed there
+    placed = []
     consecutive = 0
     total_rejects = 0
-    while count < n:
-        cand = rng.uniform(0.0, extent, 2)
-        if count:
-            d2 = np.sum((pts[:count] - cand) ** 2, axis=1)
-            if d2.min() < min_spacing ** 2:
+    while len(placed) < n:
+        block = rng.uniform(0.0, extent, (max(n - len(placed), 256), 2))
+        for x, y in block.tolist():
+            key = math.floor(x / cell) * stride + math.floor(y / cell)
+            if _near(grid, key, offsets, x, y, limit):
                 consecutive += 1
                 total_rejects += 1
                 if consecutive > MAX_CONSECUTIVE_REJECTS:
                     raise PackingError(
                         f"gave up after {consecutive} consecutive rejections "
-                        f"({count}/{n} placed)")
+                        f"({len(placed)}/{n} placed)")
                 continue
-        pts[count] = cand
-        count += 1
-        consecutive = 0
-    return SurfaceSample(positions=pts, min_spacing=min_spacing,
+            grid.setdefault(key, []).append((x, y))
+            placed.append((x, y))
+            consecutive = 0
+            if len(placed) == n:
+                break
+    return SurfaceSample(positions=np.array(placed), min_spacing=min_spacing,
                          extent=extent, seed=seed, rejects=total_rejects)
 
 
@@ -201,8 +246,10 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
     """Power-law fit of seed-averaged S_E over the valid distance window.
 
     The window 3 d0 <= d <= extent/10 avoids granularity at small d and
-    finite-patch edge effects at large d.  Child samples use seeds
-    sample.seed + k, so parallel and serial evaluation agree.
+    finite-patch edge effects at large d.  Child k = 0 is sample itself,
+    so it should come from sample_surface(n, extent, min_spacing, seed);
+    children k >= 1 are drawn with seeds sample.seed + k, so parallel and
+    serial evaluation agree.
     """
     d_list = np.asarray(d_list, dtype=float)
     lo = 3.0 * sample.min_spacing
@@ -216,8 +263,8 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
     traps = [replace(trap, distance=d) for d in d_list]
     se = np.empty((n_seeds, len(d_list)))
     for k in range(n_seeds):
-        s = sample_surface(sample.n, sample.extent, sample.min_spacing,
-                           seed=sample.seed + k)
+        s = sample if k == 0 else sample_surface(
+            sample.n, sample.extent, sample.min_spacing, seed=sample.seed + k)
         for j, trap_d in enumerate(traps):
             se[k, j] = mc_field_noise(s, s_mu, trap_d)
     means = se.mean(axis=0)

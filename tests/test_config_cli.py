@@ -298,6 +298,22 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,section,temperature", [
+    ("spectrum", "", "1e308 nu10"),
+    ("tempsweep", "[tempsweep]\nt_max = 1e308 nu10\n", None),
+])
+def test_cli_nu10_temperature_overflow_is_config_error(
+        tmp_path, capsys, command, section, temperature):
+    # finite in nu10, but inf once converted to kelvin
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + section)
+    args = [command, "--config", cfgfile, "--output", tmp_path / "o"]
+    if temperature is not None:
+        args += ["--temperature", temperature]
+    assert run_cli(args) == 2
+    assert "temperature 1e+308 nu10 is not a finite" in capsys.readouterr().err
+
+
 def test_cli_validate_exits_zero(capsys):
     assert run_cli(["validate", "--preset", "Ne-Au"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""Property tests over random level sets, rate chains, dipole ladders and
-configuration documents.
+"""Property tests over random level sets, rate chains, dipole ladders,
+configuration documents and dipole positions.
 
 In the spectral test, energies are drawn in units of kT over forty
 e-folds, so the excited populations reach down to ~1e-17: deep in the
@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from adnoise import boundstates, config, dipoles, phonons, potential, spectrum
+from adnoise import (boundstates, config, dipoles, phonons, potential,
+                     spectrum, trapnoise)
+from adnoise.errors import ConfigurationError
 from adnoise.units import HBAR, KB
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -197,3 +199,54 @@ def config_documents(draw):
 def test_config_round_trip(text):
     cfg = config.parse_config(text)
     assert config.parse_config(config.serialize_config(cfg)) == cfg
+
+
+# Partner distances in units of min_spacing: duplicates, either side of
+# min_spacing and either side of the (1 - 1e-12) tolerance.
+_PARTNER_FACTORS = [0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13,
+                    (1.0 - 1e-12) * (1.0 - 1e-13), 1.0 - 1e-12,
+                    (1.0 - 1e-12) * (1.0 + 1e-13), 2.0]
+
+
+@st.composite
+def surface_positions(draw):
+    """(positions, min_spacing, extent), some pairs near min_spacing."""
+    extent = draw(st.floats(1.0, 100.0))
+    if draw(st.booleans()):
+        # A lattice that keeps the spacing, so the partners decide.
+        m = draw(st.integers(1, 5))
+        pitch = extent / m
+        pts = [((i + 0.5) * pitch, (j + 0.5) * pitch)
+               for i in range(m) for j in range(m)]
+        spacing = pitch * draw(st.floats(0.01, 0.45))
+    else:
+        coord = st.one_of(st.floats(0.0, extent),
+                          st.sampled_from([0.0, extent]))
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1,
+                            max_size=30))
+        # About the closest-pair distance of len(pts) random points.
+        spacing = extent * draw(st.floats(0.01, 2.0)) / len(pts)
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = draw(st.sampled_from(pts))
+        r = spacing * draw(st.sampled_from(_PARTNER_FACTORS))
+        theta = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi]),
+                               st.floats(0.0, 2.0 * math.pi)))
+        pts.append((x + r * math.cos(theta), y + r * math.sin(theta)))
+    pts = np.clip(np.array(draw(st.permutations(pts))), 0.0, extent)
+    return pts, spacing, extent
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(surface_positions())
+def test_spacing_check_matches_pairwise_table(case):
+    pts, spacing, extent = case
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    too_close = d2.min() < (spacing * (1.0 - 1e-12)) ** 2
+    try:
+        trapnoise.SurfaceSample(positions=pts, min_spacing=spacing,
+                                extent=extent, seed=0)
+    except ConfigurationError as exc:
+        assert too_close and "minimum spacing" in str(exc)
+    else:
+        assert not too_close

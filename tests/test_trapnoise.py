@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from adnoise import trapnoise
-from adnoise.errors import AnalysisError, ConfigurationError, DomainError
+from adnoise import cli, trapnoise
+from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
+                            PackingError)
 from adnoise.units import AMU, E_CHARGE, HBAR
 
 FPE = trapnoise.FOUR_PI_EPS0
@@ -99,10 +100,107 @@ def test_sample_surface_infeasible_packing():
         trapnoise.sample_surface(1000, 10.0, 1.0, seed=0)
 
 
+def reference_sample(n, extent, min_spacing, seed,
+                     max_rejects=trapnoise.MAX_CONSECUTIVE_REJECTS):
+    """The per-candidate loop: one draw and one np.sum per candidate."""
+    rng = np.random.default_rng(seed)
+    pts = np.empty((n, 2))
+    count = consecutive = total_rejects = 0
+    while count < n:
+        cand = rng.uniform(0.0, extent, 2)
+        if count:
+            d2 = np.sum((pts[:count] - cand) ** 2, axis=1)
+            if d2.min() < min_spacing ** 2:
+                consecutive += 1
+                total_rejects += 1
+                if consecutive > max_rejects:
+                    raise PackingError(
+                        f"gave up after {consecutive} consecutive rejections "
+                        f"({count}/{n} placed)")
+                continue
+        pts[count] = cand
+        count += 1
+        consecutive = 0
+    return pts, total_rejects
+
+
+def assert_matches_reference(n, extent, min_spacing, seeds):
+    for seed in seeds:
+        pts, rejects = reference_sample(n, extent, min_spacing, seed)
+        s = trapnoise.sample_surface(n, extent, min_spacing, seed)
+        assert s.positions.tobytes() == pts.tobytes(), seed
+        assert s.rejects == rejects, seed
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 300])
+def test_sample_surface_bit_identical_to_reference(n):
+    assert_matches_reference(n, 100.0, 1.0, range(50))
+
+
+def test_sample_surface_bit_identical_dense_packing():
+    # 1500 in 60^2 is near the feasibility limit: thousands of rejects
+    assert_matches_reference(1500, 60.0, 1.0, range(4))
+
+
+def test_sample_surface_bit_identical_non_integer_cells():
+    # cell edges fall at non-integer multiples of the extent
+    assert_matches_reference(600, 37.3, 0.7, range(10))
+
+
+def test_packing_error_names_placed_count(monkeypatch):
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 20)
+    with pytest.raises(PackingError) as expected:
+        reference_sample(1500, 60.0, 1.0, 0, max_rejects=20)
+    assert "/1500 placed)" in str(expected.value)
+    with pytest.raises(PackingError) as got:
+        trapnoise.sample_surface(1500, 60.0, 1.0, seed=0)
+    assert str(got.value) == str(expected.value)
+
+
+def test_packing_error_exits_four(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 20)
+    cfgfile = tmp_path / "dense.ini"
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nn_dipoles = 1500\n"
+                       "extent = 60\nd_values = 3, 4, 5\nseed = 0\n")
+    assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(tmp_path / "o")]) == 4
+    assert "consecutive rejections" in capsys.readouterr().err
+
+
+def test_sample_surface_rejects_bad_geometry():
+    for extent, spacing in ((10.0, 0.0), (10.0, -1.0), (-10.0, 1.0),
+                            (math.inf, 1.0), (10.0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            trapnoise.sample_surface(5, extent, spacing, seed=0)
+
+
 def test_sample_positions_validated():
     with pytest.raises(ConfigurationError):
         trapnoise.SurfaceSample(positions=np.array([[0.0, 0.0], [0.1, 0.0]]),
                                 min_spacing=1.0, extent=10.0, seed=0)
+
+
+def test_sample_positions_must_be_finite_and_spacing_non_negative():
+    with pytest.raises(ConfigurationError, match="inside"):
+        trapnoise.SurfaceSample(positions=np.array([[1.0, math.nan]]),
+                                min_spacing=1.0, extent=10.0, seed=0)
+    with pytest.raises(ConfigurationError, match="min_spacing"):
+        trapnoise.SurfaceSample(positions=np.array([[1.0, 1.0]]),
+                                min_spacing=-1.0, extent=10.0, seed=0)
+
+
+def test_distance_scaling_uses_sample_as_first_child():
+    # child 0 is the sample passed in; children k >= 1 use seed + k
+    trap = make_trap(3.0)
+    base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
+                                   min_spacing=1.0, extent=100.0, seed=7)
+    res = trapnoise.distance_scaling_fit(base, 1.0, trap, [3.0, 5.0],
+                                         n_seeds=2)
+    child = trapnoise.sample_surface(1, 100.0, 1.0, seed=8)
+    for d, mean in zip(res.distances, res.means):
+        expect = [trapnoise.mc_field_noise(s, 1.0, make_trap(d))
+                  for s in (base, child)]
+        assert mean == np.mean(expect)
 
 
 def test_mc_single_dipole_below_ion():
