@@ -78,6 +78,14 @@ class Pipeline:
     def coupling(self):
         return boundstates.coupling_matrix(self.states)
 
+    @cached_property
+    def trap(self):
+        t = self.cfg.trap
+        return trapnoise.TrapConfig(distance=t.distance,
+                                    trap_frequency=TWO_PI * t.frequency,
+                                    ion_mass=t.ion_mass, charge=t.charge,
+                                    axis=t.axis)
+
     def kelvin(self, tspec):
         value, unit = tspec
         if unit == "K":
@@ -231,14 +239,11 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
     cfg = pipe.cfg
     mc = cfg.montecarlo
     # Work in units of the minimum spacing d0; the fitted exponent is
-    # scale-invariant, so S_mu enters only as a common factor.
+    # scale-invariant, so S_mu enters only as a common factor.  The fit
+    # sets the trap's distance to each d_value in turn.
     base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,
                                     seed=cfg.mc_seed)
-    trap = trapnoise.TrapConfig(distance=mc.d_values[0],
-                                trap_frequency=TWO_PI * cfg.trap.frequency,
-                                ion_mass=cfg.trap.ion_mass,
-                                charge=cfg.trap.charge, axis=cfg.trap.axis)
-    result = trapnoise.distance_scaling_fit(base, 1.0, trap, mc.d_values,
+    result = trapnoise.distance_scaling_fit(base, 1.0, pipe.trap, mc.d_values,
                                             n_seeds=mc.n_seeds)
     k_kernel = trapnoise.kernel_integral_constant()
     sigma = mc.n_dipoles / mc.extent ** 2
@@ -263,10 +268,7 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
 
 def cmd_heat(pipe: Pipeline, outdir: Path):
     cfg = pipe.cfg
-    trap = trapnoise.TrapConfig(distance=cfg.trap.distance,
-                                trap_frequency=TWO_PI * cfg.trap.frequency,
-                                ion_mass=cfg.trap.ion_mass,
-                                charge=cfg.trap.charge, axis=cfg.trap.axis)
+    trap = pipe.trap
     rows = []
     for tspec in cfg.spectrum.temperatures:
         T = pipe.kelvin(tspec)
@@ -352,9 +354,7 @@ def main(argv=None):
     try:
         cfg = load_config(args)
         pipe = Pipeline(cfg)
-        outdir = Path(cfg.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        paths = _COMMANDS[args.command](pipe, outdir)
+        paths = _COMMANDS[args.command](pipe, Path(cfg.output))
         for path in paths:
             print(f"wrote {path}")
         return 0

@@ -6,19 +6,26 @@ parameters mix meV, K, THz, angstrom and Bohr radii.  Keys before any
 [section] header are top-level (preset, material, output, seed).  Unknown
 sections or keys are rejected, naming the offender.
 
-Parsing resolves everything to SI and applies defaults; serialization
-writes the fully resolved document back in SI base units, so
-parse(serialize(cfg)) reproduces cfg exactly.  Temperatures are kept as
-(value, unit) pairs with unit "K" or "nu10" (multiples of hbar*nu10/kB,
-resolved against the exact level splitting once the well is solved).
+One field table declares every key: for each section, key -> (parser,
+formatter) in field order.  Parsing, the unknown-key check and
+serialization all iterate it.  A key that is left out takes the default of
+its dataclass field (or of the preset, for [potential] and [material]);
+the dataclasses hold the only copy of each default.  A quantity with units
+is written back in the unit whose factor is 1.0 in its unit table, so the
+document is in SI and parse(serialize(cfg)) reproduces cfg exactly.
+Temperatures are kept as (value, unit) pairs with unit "K" or "nu10"
+(multiples of hbar*nu10/kB, resolved against the exact level splitting
+once the well is solved).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 
 from . import potential as pot
 from .errors import ConfigurationError
-from .units import AMU, BOHR, E_CHARGE, LENGTH_TO_M, convert_energy
+from .units import (AMU, BOHR, E_CHARGE, ENERGY_TO_J, LENGTH_TO_M,
+                    convert_energy)
 
 _INVERSE_LENGTH = {"1/m": 1.0, "1/angstrom": 1e10, "1/a0": 1.0 / BOHR}
 _VOLUME = {"m^3": 1.0, "angstrom^3": 1e-30, "a0^3": BOHR ** 3}
@@ -50,6 +57,11 @@ class SpectrumSection:
     omega_max: float = 1e4       # units of gamma0
     points_per_decade: int = 60
     image_factor: float = 1.0
+
+    def __post_init__(self):
+        if self.omega_min >= self.omega_max:
+            raise ConfigurationError(
+                "spectrum.omega_min must be below omega_max")
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,11 @@ class RunConfig:
     @property
     def mc_seed(self):
         return self.seed if self.montecarlo.seed is None else self.montecarlo.seed
+
+
+# The section dataclasses, by RunConfig field name, in parsing order.
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)
+                  if f.default_factory is not MISSING}
 
 
 def _tokenize(text):
@@ -214,19 +231,75 @@ def _float_list(value, key):
     return vals
 
 
-_TOP_KEYS = {"preset", "material", "output", "seed"}
-_SECTION_KEYS = {
-    "potential": {"name", "U0", "z0", "beta", "mass", "polarizability",
-                  "reduced_mass"},
-    "material": {"speed_of_sound", "density", "debye_frequency"},
-    "solver": {"n_points", "max_states"},
-    "spectrum": {"temperatures", "omega_min", "omega_max",
-                 "points_per_decade", "image_factor"},
-    "trap": {"distance", "frequency", "ion_mass", "charge", "axis", "coverage"},
-    "montecarlo": {"n_dipoles", "extent", "d_values", "n_seeds", "seed"},
-    "tempsweep": {"t_min", "t_max", "n_temps", "arrhenius_omega",
-                  "highfreq_omega"},
+def _unit(table, energy=False):
+    """Field of a '<number> <unit>' key, written in the unit of factor 1."""
+    si = next(unit for unit, factor in table.items() if factor == 1.0)
+    return (lambda value, key: _quantity(value, table, key, energy=energy),
+            lambda x: f"{x!r} {si}")
+
+
+def _fmt_temp(spec):
+    return f"{spec[0]!r} {spec[1]}"
+
+
+# A field is (parse(value, key), format(value)).
+_TEXT = (lambda value, key: value, str)
+_INT = (partial(_number, kind=int), str)
+_SEED = (partial(_number, kind=int, positive=False), str)
+_FLOAT = (_number, repr)
+_TEMPERATURE = (_temperature, _fmt_temp)
+_TEMPERATURES = (_temperature_list, lambda ts: ", ".join(map(_fmt_temp, ts)))
+_AXIS = (_axis, lambda axis: " ".join(map(repr, axis)))
+_FLOATS = (_float_list, lambda xs: ", ".join(map(repr, xs)))
+
+# Every key of every section, in field order.
+_FIELDS = {
+    "potential": {"name": _TEXT, "U0": _unit(ENERGY_TO_J, energy=True),
+                  "z0": _unit(LENGTH_TO_M), "beta": _unit(_INVERSE_LENGTH),
+                  "mass": _unit(_MASS), "polarizability": _unit(_VOLUME)},
+    "material": {"speed_of_sound": _unit(_VELOCITY),
+                 "density": _unit(_MASS_DENSITY),
+                 "debye_frequency": _unit(_FREQUENCY)},
+    "solver": {"n_points": _INT, "max_states": _INT},
+    "spectrum": {"temperatures": _TEMPERATURES, "omega_min": _FLOAT,
+                 "omega_max": _FLOAT, "points_per_decade": _INT,
+                 "image_factor": _FLOAT},
+    "trap": {"distance": _unit(LENGTH_TO_M), "frequency": _unit(_FREQUENCY),
+             "ion_mass": _unit(_MASS), "charge": _unit(_CHARGE), "axis": _AXIS,
+             "coverage": _unit(_AREA_DENSITY)},
+    "montecarlo": {"n_dipoles": _INT, "extent": _FLOAT, "d_values": _FLOATS,
+                   "n_seeds": _INT, "seed": _SEED},
+    "tempsweep": {"t_min": _TEMPERATURE, "t_max": _TEMPERATURE,
+                  "n_temps": _INT, "arrhenius_omega": _FLOAT,
+                  "highfreq_omega": _FLOAT},
 }
+# RunConfig fields set by a top-level key.
+_TOP_FIELDS = {"output": _TEXT, "seed": _SEED}
+# Keys whose field has another name.
+_FIELD_OF = {"mass": "adatom_mass"}
+# Defaults with no dataclass to hold them.
+_CUSTOM_NAME, _MATERIAL = "custom", "Au"
+
+_TOP_KEYS = {"preset", "material", *_TOP_FIELDS}
+_SECTION_KEYS = {name: set(table) for name, table in _FIELDS.items()}
+# reduced_mass is applied to the parsed potential, never written back.
+_SECTION_KEYS["potential"].add("reduced_mass")
+
+
+def _parsed(table, given, prefix):
+    """{field: value} of the keys in given, parsed in table order."""
+    return {_FIELD_OF.get(key, key): parse(given[key], prefix + key)
+            for key, (parse, _) in table.items() if key in given}
+
+
+def _lines(table, obj):
+    """'key = value' lines of obj in table order; None values are left out."""
+    lines = []
+    for key, (_, fmt) in table.items():
+        value = getattr(obj, _FIELD_OF.get(key, key))
+        if value is not None:
+            lines.append(f"{key} = {fmt(value)}")
+    return lines
 
 
 def parse_config(text: str) -> RunConfig:
@@ -249,167 +322,42 @@ def parse_config(text: str) -> RunConfig:
     p = sections["potential"]
     if preset_name is not None:
         params, material = pot.preset(preset_name)
-        fields = dict(name=params.name, U0=params.U0, z0=params.z0,
-                      beta=params.beta, adatom_mass=params.adatom_mass,
-                      polarizability=params.polarizability)
+        values = asdict(params)
     else:
         material = None
-        fields = dict(name=p.get("name", "custom"), U0=None, z0=None,
-                      beta=None, adatom_mass=None, polarizability=None)
-    if "name" in p:
-        fields["name"] = p["name"]
-    if "U0" in p:
-        fields["U0"] = _quantity(p["U0"], None, "potential.U0", energy=True)
-    if "z0" in p:
-        fields["z0"] = _quantity(p["z0"], LENGTH_TO_M, "potential.z0")
-    if "beta" in p:
-        fields["beta"] = _quantity(p["beta"], _INVERSE_LENGTH, "potential.beta")
-    if "mass" in p:
-        fields["adatom_mass"] = _quantity(p["mass"], _MASS, "potential.mass")
-    if "polarizability" in p:
-        fields["polarizability"] = _quantity(p["polarizability"], _VOLUME,
-                                             "potential.polarizability")
-    for need in ("U0", "z0", "adatom_mass"):
-        if fields[need] is None:
+        values = {f.name: None for f in fields(pot.SurfacePotentialParams)}
+        values["name"] = _CUSTOM_NAME
+    values.update(_parsed(_FIELDS["potential"], p, "potential."))
+    for need in ("U0", "z0", "mass"):
+        if values[_FIELD_OF.get(need, need)] is None:
             raise ConfigurationError(
-                f"potential.{'mass' if need == 'adatom_mass' else need} is "
-                "required (no preset supplies it)")
+                f"potential.{need} is required (no preset supplies it)")
     try:
-        params = pot.SurfacePotentialParams(**fields)
+        params = pot.SurfacePotentialParams(**values)
     except ConfigurationError as exc:
         raise ConfigurationError(f"potential: {exc}") from None
-    if _boolean(p.get("reduced_mass", "false"), "potential.reduced_mass"):
+    if "reduced_mass" in p and _boolean(p["reduced_mass"],
+                                        "potential.reduced_mass"):
         params = pot.reduced_mass(params)
 
     m = sections["material"]
     if material is None or m or "material" in top:
-        base = pot.material_preset(top.get("material", "Au"))
-        material = pot.BulkMaterial(
-            name=base.name,
-            speed_of_sound=_quantity(m["speed_of_sound"], _VELOCITY,
-                                     "material.speed_of_sound")
-            if "speed_of_sound" in m else base.speed_of_sound,
-            density=_quantity(m["density"], _MASS_DENSITY, "material.density")
-            if "density" in m else base.density,
-            debye_frequency=_quantity(m["debye_frequency"], _FREQUENCY,
-                                      "material.debye_frequency")
-            if "debye_frequency" in m else base.debye_frequency)
+        material = replace(pot.material_preset(top.get("material", _MATERIAL)),
+                           **_parsed(_FIELDS["material"], m, "material."))
 
-    s = sections["solver"]
-    solver = SolverSection(
-        n_points=int(_number(s["n_points"], "solver.n_points", int))
-        if "n_points" in s else SolverSection.n_points,
-        max_states=int(_number(s["max_states"], "solver.max_states", int))
-        if "max_states" in s else SolverSection.max_states)
-
-    sp = sections["spectrum"]
-    spectrum = SpectrumSection(
-        temperatures=_temperature_list(sp["temperatures"], "spectrum.temperatures")
-        if "temperatures" in sp else SpectrumSection.temperatures,
-        omega_min=_number(sp.get("omega_min", "1e-3"), "spectrum.omega_min"),
-        omega_max=_number(sp.get("omega_max", "1e4"), "spectrum.omega_max"),
-        points_per_decade=int(_number(sp.get("points_per_decade", "60"),
-                                      "spectrum.points_per_decade", int)),
-        image_factor=_number(sp.get("image_factor", "1"), "spectrum.image_factor"))
-    if spectrum.omega_min >= spectrum.omega_max:
-        raise ConfigurationError("spectrum.omega_min must be below omega_max")
-
-    t = sections["trap"]
-    trap = TrapSection(
-        distance=_quantity(t["distance"], LENGTH_TO_M, "trap.distance")
-        if "distance" in t else TrapSection.distance,
-        frequency=_quantity(t["frequency"], _FREQUENCY, "trap.frequency")
-        if "frequency" in t else TrapSection.frequency,
-        ion_mass=_quantity(t["ion_mass"], _MASS, "trap.ion_mass")
-        if "ion_mass" in t else TrapSection.ion_mass,
-        charge=_quantity(t["charge"], _CHARGE, "trap.charge")
-        if "charge" in t else TrapSection.charge,
-        axis=_axis(t["axis"], "trap.axis") if "axis" in t else TrapSection.axis,
-        coverage=_quantity(t["coverage"], _AREA_DENSITY, "trap.coverage")
-        if "coverage" in t else TrapSection.coverage)
-
-    mc = sections["montecarlo"]
-    montecarlo = MonteCarloSection(
-        n_dipoles=int(_number(mc.get("n_dipoles", "100"), "montecarlo.n_dipoles", int)),
-        extent=_number(mc.get("extent", "100"), "montecarlo.extent"),
-        d_values=_float_list(mc["d_values"], "montecarlo.d_values")
-        if "d_values" in mc else MonteCarloSection.d_values,
-        n_seeds=int(_number(mc.get("n_seeds", "1000"), "montecarlo.n_seeds", int)),
-        seed=int(_number(mc["seed"], "montecarlo.seed", int, positive=False))
-        if "seed" in mc else None)
-
-    ts = sections["tempsweep"]
-    tempsweep = TempSweepSection(
-        t_min=_temperature(ts["t_min"], "tempsweep.t_min")
-        if "t_min" in ts else TempSweepSection.t_min,
-        t_max=_temperature(ts["t_max"], "tempsweep.t_max")
-        if "t_max" in ts else TempSweepSection.t_max,
-        n_temps=int(_number(ts.get("n_temps", "30"), "tempsweep.n_temps", int)),
-        arrhenius_omega=_number(ts.get("arrhenius_omega", "20"),
-                                "tempsweep.arrhenius_omega"),
-        highfreq_omega=_number(ts.get("highfreq_omega", "100"),
-                               "tempsweep.highfreq_omega"))
-
-    return RunConfig(
-        potential=params, material=material, preset=preset_name,
-        solver=solver, spectrum=spectrum, trap=trap, montecarlo=montecarlo,
-        tempsweep=tempsweep, output=top.get("output", "out"),
-        seed=int(_number(top["seed"], "seed", int, positive=False))
-        if "seed" in top else 12345)
-
-
-def _fmt_temp(spec):
-    return f"{spec[0]!r} {spec[1]}"
+    resolved = {name: make(**_parsed(_FIELDS[name], sections[name],
+                                     f"{name}."))
+                for name, make in _SECTION_TYPES.items()}
+    return RunConfig(potential=params, material=material, preset=preset_name,
+                     **resolved, **_parsed(_TOP_FIELDS, top, ""))
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Resolved document in SI base units; parse() reproduces cfg exactly."""
-    p, m = cfg.potential, cfg.material
-    lines = []
-    if cfg.preset is not None:
-        lines.append(f"preset = {cfg.preset}")
-    lines += [f"material = {m.name}", f"output = {cfg.output}",
-              f"seed = {cfg.seed}", "", "[potential]", f"name = {p.name}",
-              f"U0 = {p.U0!r} J", f"z0 = {p.z0!r} m"]
-    if p.beta is not None:
-        lines.append(f"beta = {p.beta!r} 1/m")
-    lines.append(f"mass = {p.adatom_mass!r} kg")
-    if p.polarizability is not None:
-        lines.append(f"polarizability = {p.polarizability!r} m^3")
-    lines += ["", "[material]",
-              f"speed_of_sound = {m.speed_of_sound!r} m/s",
-              f"density = {m.density!r} kg/m^3",
-              f"debye_frequency = {m.debye_frequency!r} Hz",
-              "", "[solver]",
-              f"n_points = {cfg.solver.n_points}",
-              f"max_states = {cfg.solver.max_states}",
-              "", "[spectrum]",
-              "temperatures = " + ", ".join(_fmt_temp(t)
-                                            for t in cfg.spectrum.temperatures),
-              f"omega_min = {cfg.spectrum.omega_min!r}",
-              f"omega_max = {cfg.spectrum.omega_max!r}",
-              f"points_per_decade = {cfg.spectrum.points_per_decade}",
-              f"image_factor = {cfg.spectrum.image_factor!r}",
-              "", "[trap]",
-              f"distance = {cfg.trap.distance!r} m",
-              f"frequency = {cfg.trap.frequency!r} Hz",
-              f"ion_mass = {cfg.trap.ion_mass!r} kg",
-              f"charge = {cfg.trap.charge!r} C",
-              "axis = " + " ".join(repr(a) for a in cfg.trap.axis),
-              f"coverage = {cfg.trap.coverage!r} 1/m^2",
-              "", "[montecarlo]",
-              f"n_dipoles = {cfg.montecarlo.n_dipoles}",
-              f"extent = {cfg.montecarlo.extent!r}",
-              "d_values = " + ", ".join(repr(d) for d in cfg.montecarlo.d_values),
-              f"n_seeds = {cfg.montecarlo.n_seeds}"]
-    if cfg.montecarlo.seed is not None:
-        lines.append(f"seed = {cfg.montecarlo.seed}")
-    lines += ["", "[tempsweep]",
-              f"t_min = {_fmt_temp(cfg.tempsweep.t_min)}",
-              f"t_max = {_fmt_temp(cfg.tempsweep.t_max)}",
-              f"n_temps = {cfg.tempsweep.n_temps}",
-              f"arrhenius_omega = {cfg.tempsweep.arrhenius_omega!r}",
-              f"highfreq_omega = {cfg.tempsweep.highfreq_omega!r}"]
+    lines = [] if cfg.preset is None else [f"preset = {cfg.preset}"]
+    lines += [f"material = {cfg.material.name}", *_lines(_TOP_FIELDS, cfg)]
+    for name, table in _FIELDS.items():
+        lines += ["", f"[{name}]", *_lines(table, getattr(cfg, name))]
     return "\n".join(lines) + "\n"
 
 

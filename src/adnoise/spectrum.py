@@ -186,6 +186,18 @@ def omega_grid(gamma0, omega_min=1e-3, omega_max=1e4, points_per_decade=60):
     return gamma0 * np.logspace(math.log10(omega_min), math.log10(omega_max), n)
 
 
+def _line_fit(x, y):
+    """Least-squares line y = intercept + slope * x.
+
+    Returns (slope, intercept, residuals, sum of squared x deviations).
+    """
+    xm = x - x.mean()
+    sxx = np.dot(xm, xm)
+    slope = float(np.dot(xm, y) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
+    return slope, intercept, y - (intercept + slope * x), sxx
+
+
 def fit_loglog_slope(omegas, values, window):
     """Least-squares slope of log S vs log omega inside window = (lo, hi).
 
@@ -202,15 +214,9 @@ def fit_loglog_slope(omegas, values, window):
             "need at least 8")
     if np.any(values[m] <= 0):
         raise AnalysisError("spectrum values must be positive for a log-log fit")
-    x = np.log(omegas[m])
-    y = np.log(values[m])
-    n = len(x)
-    xm = x - x.mean()
-    slope = float(np.dot(xm, y) / np.dot(xm, xm))
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    dof = max(n - 2, 1)
-    stderr = float(np.sqrt(resid @ resid / dof / np.dot(xm, xm)))
+    slope, _, resid, sxx = _line_fit(np.log(omegas[m]), np.log(values[m]))
+    dof = max(len(resid) - 2, 1)
+    stderr = float(np.sqrt(resid @ resid / dof / sxx))
     return slope, stderr
 
 
@@ -258,11 +264,6 @@ def arrhenius_fit(temps, values):
         raise AnalysisError("no rising flank below the peak")
     if np.any(np.diff(values[: ipeak + 1]) <= 0):
         raise AnalysisError("rising flank is not monotonic")
-    x = 1.0 / t_f
-    y = np.log(v_f)
-    xm = x - x.mean()
-    slope = float(np.dot(xm, y) / np.dot(xm, xm))
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
+    slope, intercept, resid, _ = _line_fit(1.0 / t_f, np.log(v_f))
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return math.exp(intercept), -slope, rms

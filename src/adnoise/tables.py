@@ -8,6 +8,7 @@ byte-identical files.
 
 import csv
 import io
+from pathlib import Path
 
 from .errors import ConfigurationError
 
@@ -37,8 +38,9 @@ def render_table(columns, rows, header_lines=()):
 
 
 def emit_table(path, columns, rows, header_lines=()):
-    """Write the rendered table to path; returns the path."""
+    """Write the rendered table to path, making its directory; returns path."""
     text = render_table(columns, rows, header_lines)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         f.write(text)
     return path

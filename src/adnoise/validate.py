@@ -7,6 +7,7 @@ in the test tree.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,10 +108,9 @@ def _check_single_dipole():
                                 ion_mass=1e-26, charge=E_CHARGE)
     sample = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
                                      min_spacing=1.0, extent=100.0, seed=0)
-    s_at = {d: trapnoise.mc_field_noise(
-        sample, 1.0, trapnoise.TrapConfig(distance=d, trap_frequency=1.0,
-                                          ion_mass=1e-26, charge=E_CHARGE))
-        for d in (1.0, 2.0)}
+    s_at = {d: trapnoise.mc_field_noise(sample, 1.0,
+                                        replace(trap, distance=d))
+            for d in (1.0, 2.0)}
     expected = 4.0 / (trapnoise.FOUR_PI_EPS0 ** 2)
     ok = abs(s_at[1.0] - expected) < 1e-9 * expected
     ok &= abs(s_at[1.0] / s_at[2.0] - 64.0) < 1e-6 * 64.0

@@ -17,6 +17,14 @@ def test_minimal_preset_document():
     assert cfg.montecarlo.n_seeds == 1000
     assert cfg.output == "out"
     assert cfg.seed == 12345
+    # every omitted key takes its dataclass default
+    assert cfg.solver == config.SolverSection()
+    assert cfg.spectrum == config.SpectrumSection()
+    assert cfg.trap == config.TrapSection()
+    assert cfg.montecarlo == config.MonteCarloSection()
+    assert cfg.tempsweep == config.TempSweepSection()
+    assert (cfg.output, cfg.seed) == (config.RunConfig.output,
+                                      config.RunConfig.seed)
 
 
 def test_explicit_parameters_override_preset():
@@ -113,6 +121,65 @@ n_temps = 12
     assert config.serialize_config(again) == config.serialize_config(cfg)
 
 
+# The resolved configuration every CSV header carries for --preset Ne-Au.
+NE_AU_DOCUMENT = """\
+preset = Ne-Au
+material = Au
+output = out
+seed = 12345
+
+[potential]
+name = Ne-Au
+U0 = 1.9226119608e-21 J
+z0 = 3.2015221259631495e-10 m
+beta = 17952398183.944817 1/m
+mass = 3.3210781332e-26 kg
+polarizability = 3.6e-31 m^3
+
+[material]
+speed_of_sound = 3962.0 m/s
+density = 19300.0 kg/m^3
+debye_frequency = 3600000000000.0 Hz
+
+[solver]
+n_points = 4000
+max_states = 5
+
+[spectrum]
+temperatures = 0.2 nu10, 0.3 nu10, 0.4 nu10, 1.0 nu10, 2.0 nu10, 3.0 nu10
+omega_min = 0.001
+omega_max = 10000.0
+points_per_decade = 60
+image_factor = 1.0
+
+[trap]
+distance = 1e-05 m
+frequency = 1000000.0 Hz
+ion_mass = 6.6421562664e-26 kg
+charge = 1.602176634e-19 C
+axis = 0.0 0.0 1.0
+coverage = 1e+18 1/m^2
+
+[montecarlo]
+n_dipoles = 100
+extent = 100.0
+d_values = 3.0, 4.0, 5.0, 6.5, 8.0, 10.0
+n_seeds = 1000
+
+[tempsweep]
+t_min = 0.2 nu10
+t_max = 6.0 nu10
+n_temps = 30
+arrhenius_omega = 20.0
+highfreq_omega = 100.0
+"""
+
+
+def test_preset_document_serializes_to_pinned_text():
+    cfg = config.parse_config("preset = Ne-Au\n")
+    assert config.serialize_config(cfg) == NE_AU_DOCUMENT
+
+
 def test_emit_table_header_only(tmp_path):
     path = tables.emit_table(tmp_path / "empty.csv",
                              [("a", "m"), ("b", "s")], [], ["note"])
@@ -202,6 +269,7 @@ def test_cli_h_au_spectrum_is_model_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(["spectrum", "--preset", "H-Au", "--output", out]) == 3
     assert "Debye" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_k_surface_needs_beta(tmp_path, capsys):
@@ -307,11 +375,13 @@ def test_cli_nu10_temperature_overflow_is_config_error(
     # finite in nu10, but inf once converted to kelvin
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n" + section)
-    args = [command, "--config", cfgfile, "--output", tmp_path / "o"]
+    out = tmp_path / "o"
+    args = [command, "--config", cfgfile, "--output", out]
     if temperature is not None:
         args += ["--temperature", temperature]
     assert run_cli(args) == 2
     assert "temperature 1e+308 nu10 is not a finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate_exits_zero(capsys):
@@ -336,3 +406,15 @@ def test_cli_config_file_with_preset_flag(tmp_path):
                     "--output", out]) == 0
     text = (out / "states.csv").read_text()
     assert "n_points = 1500" in text
+
+
+@pytest.mark.parametrize("command", ["heat", "mc-scaling"])
+def test_cli_trap_distance_must_be_positive(tmp_path, capsys, command):
+    # both commands build the same TrapConfig from [trap]
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[trap]\ndistance = -10 um\n"
+                       "[montecarlo]\nn_seeds = 3\n")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 2
+    assert "trap distance must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -198,7 +198,11 @@ def config_documents(draw):
 @given(config_documents())
 def test_config_round_trip(text):
     cfg = config.parse_config(text)
-    assert config.parse_config(config.serialize_config(cfg)) == cfg
+    document = config.serialize_config(cfg)
+    again = config.parse_config(document)
+    assert again == cfg
+    # serialization is a fixed point
+    assert config.serialize_config(again) == document
 
 
 # Partner distances in units of min_spacing: duplicates, either side of
