@@ -147,9 +147,7 @@ def cmd_states(pipe: Pipeline, outdir: Path):
                                      for e in s.energies)])
     columns = [("z", "m"), ("U", "J")]
     columns += [(f"psi_{i}", "1/sqrt(m)") for i in range(s.n_states)]
-    rows = [[z[k], s.potential_values[k], *(s.wavefunctions[i][k]
-                                            for i in range(s.n_states))]
-            for k in range(len(z))]
+    rows = np.column_stack([z, s.potential_values, s.wavefunctions.T])
     return [emit_table(outdir / "states.csv", columns, rows, header)]
 
 

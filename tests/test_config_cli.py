@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +200,37 @@ def test_emit_table_formats_and_quotes(tmp_path):
 def test_emit_table_rejects_ragged_rows(tmp_path):
     with pytest.raises(ConfigurationError, match="row 0"):
         tables.emit_table(tmp_path / "bad.csv", [("a", "1")], [[1.0, 2.0]])
+    for rows in (np.zeros(3), np.zeros((3, 2))):
+        with pytest.raises(ConfigurationError, match="2-D float array"):
+            tables.emit_table(tmp_path / "bad.csv", [("a", "1")], rows)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_states_csv_matches_per_cell_rows(tmp_path):
+    # Reference: the rows built cell by cell from the solved states, in the
+    # order z, U, psi_0..psi_n, each written through _cell and csv.writer.
+    text = "preset = Ne-Au\n[solver]\nn_points = 4000\nmax_states = 30\n"
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli(["states", "--config", cfgfile, "--output", out]) == 0
+    written = (out / "states.csv").read_text()
+
+    s = cli.Pipeline(config.parse_config(text)).states
+    z = s.grid.z()
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in written.splitlines()
+                   if line.startswith("#"))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["z [m]", "U [J]"] + [f"psi_{i} [1/sqrt(m)]"
+                                          for i in range(s.n_states)])
+    for k in range(len(z)):
+        row = [z[k], s.potential_values[k],
+               *(s.wavefunctions[i][k] for i in range(s.n_states))]
+        writer.writerow([tables._cell(v) for v in row])
+    assert s.n_states > 5
+    # Compared as lists of lines: a diff of the 1.4 MB strings is slow.
+    assert written.splitlines(True) == buf.getvalue().splitlines(True)
 
 
 def test_emit_table_deterministic(tmp_path):
@@ -416,5 +449,36 @@ def test_cli_trap_distance_must_be_positive(tmp_path, capsys, command):
                        "[montecarlo]\nn_seeds = 3\n")
     out = tmp_path / "o"
     assert run_cli([command, "--config", cfgfile, "--output", out]) == 2
-    assert "trap distance must be positive" in capsys.readouterr().err
+    assert "trap.distance: must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("heat", "[trap]\ndistance = 0 um\n", "trap.distance"),
+    ("heat", "[trap]\nfrequency = -1 MHz\n", "trap.frequency"),
+    ("heat", "[trap]\nion_mass = 0 amu\n", "trap.ion_mass"),
+    ("heat", "[trap]\ncoverage = -1e18 1/m^2\n", "trap.coverage"),
+    ("heat", "[trap]\ncharge = 0 e\n", "trap.charge"),
+    ("mc-scaling", "[trap]\ncharge = -0 C\n", "trap.charge"),
+    ("dipoles", "[potential]\npolarizability = -43 angstrom^3\n",
+     "potential.polarizability"),
+    ("states", "[potential]\npolarizability = 0 a0^3\n",
+     "potential.polarizability"),
+])
+def test_cli_sign_checked_at_parse_time(tmp_path, capsys, monkeypatch,
+                                        command, section, key):
+    def no_solve(cfg):
+        raise AssertionError("the run got past the parser")
+
+    monkeypatch.setattr(cli, "Pipeline", no_solve)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + section)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 2
+    assert f"{key}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_charge_is_accepted():
+    cfg = config.parse_config("preset = Ne-Au\n[trap]\ncharge = -2 e\n")
+    assert cfg.trap.charge == -2 * E_CHARGE

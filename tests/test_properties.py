@@ -1,17 +1,19 @@
 """Property tests over random level sets, rate chains, dipole ladders,
-configuration documents and dipole positions.
+configuration documents, dipole positions, float tables and unit
+conversions.
 
 In the spectral test, energies are drawn in units of kT over forty
 e-folds, so the excited populations reach down to ~1e-17: deep in the
 regime where the dipole statistics must be centered to survive round-off.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from adnoise import (boundstates, config, dipoles, phonons, potential,
-                     spectrum, trapnoise)
+                     spectrum, tables, trapnoise, units)
 from adnoise.errors import ConfigurationError
 from adnoise.units import HBAR, KB
 from hypothesis import assume, given, settings
@@ -254,3 +256,54 @@ def test_spacing_check_matches_pairwise_table(case):
         assert too_close and "minimum spacing" in str(exc)
     else:
         assert not too_close
+
+
+# Cells that stress '%.9g': signed zeros, subnormals, the float range's
+# ends, non-finite values and integers that need an exponent.
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1e-308, 1e308,
+                -1.7976931348623157e308, 1e9, 123456789.0, -1234567891.0,
+                2.0 ** 53]
+
+
+@st.composite
+def float_tables(draw):
+    """(columns, rows as a float64 array) of 0-50 rows and 1-8 columns."""
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(0, 50))
+    cell = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                     st.integers(-2 ** 60, 2 ** 60).map(float))
+    values = draw(st.lists(cell, min_size=ncols * nrows,
+                           max_size=ncols * nrows))
+    columns = [(f"c{i}", "1") for i in range(ncols)]
+    return columns, np.array(values, dtype=float).reshape(nrows, ncols)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(float_tables())
+def test_array_rows_render_like_list_rows(table):
+    columns, rows = table
+    as_array = tables.render_table(columns, rows, ["h"])
+    as_lists = tables.render_table(columns, rows.tolist(), ["h"])
+    assert as_array == as_lists
+
+
+_CONVERSIONS = [(convert, a, b)
+                for convert, table in ((units.convert_energy,
+                                        units.ENERGY_TO_J),
+                                       (units.convert_length,
+                                        units.LENGTH_TO_M),
+                                       (units.convert_dipole,
+                                        units.DIPOLE_TO_CM))
+                for a, b in itertools.product(table, repeat=2)]
+
+
+# Unit factors span about 34 decades (J to Hz), so values within 1e±250
+# stay clear of overflow and of subnormal precision loss both ways.
+@pytest.mark.parametrize("convert,unit,other", _CONVERSIONS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(value=st.one_of(st.just(0.0), st.floats(1e-250, 1e250),
+                       st.floats(-1e250, -1e-250)))
+def test_unit_round_trip(convert, unit, other, value):
+    back = convert(convert(value, unit, other), other, unit)
+    assert abs(back - value) <= 4 * math.ulp(value)

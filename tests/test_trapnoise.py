@@ -333,9 +333,18 @@ def test_heating_rate_scalings():
 
 
 def test_trap_config_validation():
-    with pytest.raises(ConfigurationError):
+    # The parser rejects these keys first; TrapConfig still checks its own.
+    with pytest.raises(ConfigurationError,
+                       match="trap distance must be positive"):
         trapnoise.TrapConfig(distance=-1.0, trap_frequency=1.0,
                              ion_mass=1e-26, charge=E_CHARGE)
+    with pytest.raises(ConfigurationError,
+                       match="trap frequency must be positive"):
+        trapnoise.TrapConfig(distance=1.0, trap_frequency=0.0,
+                             ion_mass=1e-26, charge=E_CHARGE)
+    with pytest.raises(ConfigurationError, match="ion mass and charge"):
+        trapnoise.TrapConfig(distance=1.0, trap_frequency=1.0,
+                             ion_mass=1e-26, charge=0.0)
     with pytest.raises(ConfigurationError):
         trapnoise.TrapConfig(distance=1.0, trap_frequency=1.0,
                              ion_mass=1e-26, charge=E_CHARGE,
