@@ -236,17 +236,17 @@ _POSITIVE = (lambda x: x > 0, "positive")
 _NONZERO = (lambda x: x != 0, "non-zero")
 
 
-def _unit(table, energy=False, sign=None):
+def _unit(table, energy=False, sign=_POSITIVE):
     """Field of a '<number> <unit>' key, written in the unit of factor 1.
 
-    A value that fails the sign constraint, if one is given, is an error
-    naming the key, raised before anything is solved.
+    A value that fails the sign constraint (positive unless another is
+    given) is an error naming the key, raised before anything is solved.
     """
     si = next(unit for unit, factor in table.items() if factor == 1.0)
 
     def parse(value, key):
         x = _quantity(value, table, key, energy=energy)
-        if sign is not None and not sign[0](x):
+        if not sign[0](x):
             raise ConfigurationError(
                 f"{key}: must be {sign[1]}, got {value!r}")
         return x
@@ -272,8 +272,7 @@ _FLOATS = (_float_list, lambda xs: ", ".join(map(repr, xs)))
 _FIELDS = {
     "potential": {"name": _TEXT, "U0": _unit(ENERGY_TO_J, energy=True),
                   "z0": _unit(LENGTH_TO_M), "beta": _unit(_INVERSE_LENGTH),
-                  "mass": _unit(_MASS),
-                  "polarizability": _unit(_VOLUME, sign=_POSITIVE)},
+                  "mass": _unit(_MASS), "polarizability": _unit(_VOLUME)},
     "material": {"speed_of_sound": _unit(_VELOCITY),
                  "density": _unit(_MASS_DENSITY),
                  "debye_frequency": _unit(_FREQUENCY)},
@@ -281,11 +280,10 @@ _FIELDS = {
     "spectrum": {"temperatures": _TEMPERATURES, "omega_min": _FLOAT,
                  "omega_max": _FLOAT, "points_per_decade": _INT,
                  "image_factor": _FLOAT},
-    "trap": {"distance": _unit(LENGTH_TO_M, sign=_POSITIVE),
-             "frequency": _unit(_FREQUENCY, sign=_POSITIVE),
-             "ion_mass": _unit(_MASS, sign=_POSITIVE),
+    "trap": {"distance": _unit(LENGTH_TO_M), "frequency": _unit(_FREQUENCY),
+             "ion_mass": _unit(_MASS),
              "charge": _unit(_CHARGE, sign=_NONZERO), "axis": _AXIS,
-             "coverage": _unit(_AREA_DENSITY, sign=_POSITIVE)},
+             "coverage": _unit(_AREA_DENSITY)},
     "montecarlo": {"n_dipoles": _INT, "extent": _FLOAT, "d_values": _FLOATS,
                    "n_seeds": _INT, "seed": _SEED},
     "tempsweep": {"t_min": _TEMPERATURE, "t_max": _TEMPERATURE,

@@ -7,12 +7,13 @@ spectrum S(omega) = int dtau (<mu(tau) mu(0)> - <mu>^2) e^{i omega tau}
 are implemented:
 
 * correlation_modes: detailed balance makes A = D^{-1/2} M D^{1/2}
-  symmetric (D = diag of the stationary state), so the correlation
+  symmetric (D = diag of the stationary state), with off-diagonal
+  entries sqrt(Gamma_ij Gamma_ji) from the rates alone, so the correlation
   function is an exact finite sum of decaying exponentials and the
   spectrum an exact sum of origin-centered Lorentzians
   S(omega) = sum_k w_k 2 lambda_k / (omega^2 + lambda_k^2).
   This is the primary method: no frequency grid error, manifestly
-  non-negative weights.
+  non-negative weights, valid down to T = 0.
 
 * spectrum_via_resolvent: solves the Laplace-transformed regression
   equations for the population correlations <rho_i(tau) rho_k(0)>, one
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dipoles import DipoleLadder
-from .errors import AnalysisError, DomainError, ModelError, NumericalError
+from .errors import AnalysisError, DomainError, NumericalError
 from .phonons import RateMatrix, bose_occupation
 from .units import HBAR, KB
 
@@ -67,31 +68,34 @@ class DipoleSpectrum:
 def correlation_modes(r: RateMatrix, p0, ladder: DipoleLadder) -> DipoleSpectrum:
     """Spectral decomposition of the symmetrized generator.
 
-    With D = diag(p0), A = D^{-1/2} M D^{1/2} must be symmetric (detailed
-    balance); its eigenpairs (lambda_k <= 0, v_k) give the correlation
-    C(tau) = sum_k w_k exp(lambda_k |tau|) with w_k = (v_k . w)^2 and
-    w_i = (mu_i - <mu>) sqrt(p0_i).  The single zero mode is excluded.
+    With D = diag(p0), detailed balance makes A = D^{-1/2} M D^{1/2}
+    symmetric with off-diagonal entries sqrt(Gamma_ij Gamma_ji), taken
+    from the rates (roots first, so no underflow) and not from population
+    ratios, which lose all precision over hundreds of decades; sqrt(p0)
+    must be the null vector of A.  Its eigenpairs (lambda_k <= 0, v_k)
+    give C(tau) = sum_k w_k exp(lambda_k |tau|) with w_k = (v_k . w)^2 and
+    w_i = (mu_i - <mu>) sqrt(p0_i).  The single zero mode is excluded; a
+    population that underflows to 0, as all but p0_0 do at T = 0, has
+    no weight.
     Centering before the projection, and the pairwise variance
     1/2 sum_ij p0_i p0_j (mu_i - mu_j)^2, keep the statistics free of
     cancellation against <mu>^2 when the excited levels are nearly empty.
     """
     p0 = np.asarray(p0, dtype=float)
     mu = np.asarray(ladder.mu, dtype=float)
-    if np.any(p0 <= 0):
-        raise ModelError(
-            "stationary populations must be strictly positive for the mode "
-            "decomposition (T > 0)")
     M = r.generator
+    root = np.sqrt(r.gamma)
+    A = root * root.T
+    np.fill_diagonal(A, M.diagonal())
     d = np.sqrt(p0)
-    A = M * (d[None, :] / d[:, None])
-    asym = np.abs(A - A.T).max()
-    if asym > 1e-8 * np.abs(A).max():
-        raise NumericalError(
-            f"detailed balance violation: symmetrized generator asymmetry "
-            f"{asym:.3e} exceeds tolerance")
-    lam, V = np.linalg.eigh(0.5 * (A + A.T))
-    izero = int(np.argmax(lam))
     scale = np.abs(M).max()
+    resid = np.abs(A @ d).max()
+    if not resid <= 1e-10 * scale * d.max():  # a nan residual fails too
+        raise NumericalError(
+            f"detailed balance violation: sqrt(p0) leaves a residual "
+            f"{resid:.3e} in the symmetrized generator")
+    lam, V = np.linalg.eigh(A)
+    izero = int(np.argmax(lam))
     if abs(lam[izero]) > 1e-10 * scale:
         raise NumericalError("no zero mode found in the symmetrized generator")
     mean = float(p0 @ mu)
@@ -189,13 +193,15 @@ def omega_grid(gamma0, omega_min=1e-3, omega_max=1e4, points_per_decade=60):
 def _line_fit(x, y):
     """Least-squares line y = intercept + slope * x.
 
-    Returns (slope, intercept, residuals, sum of squared x deviations).
+    Returns (slope, intercept, residuals, standard error of the slope).
     """
     xm = x - x.mean()
     sxx = np.dot(xm, xm)
     slope = float(np.dot(xm, y) / sxx)
     intercept = float(y.mean() - slope * x.mean())
-    return slope, intercept, y - (intercept + slope * x), sxx
+    resid = y - (intercept + slope * x)
+    dof = max(len(x) - 2, 1)
+    return slope, intercept, resid, float(np.sqrt(resid @ resid / dof / sxx))
 
 
 def fit_loglog_slope(omegas, values, window):
@@ -214,9 +220,7 @@ def fit_loglog_slope(omegas, values, window):
             "need at least 8")
     if np.any(values[m] <= 0):
         raise AnalysisError("spectrum values must be positive for a log-log fit")
-    slope, _, resid, sxx = _line_fit(np.log(omegas[m]), np.log(values[m]))
-    dof = max(len(resid) - 2, 1)
-    stderr = float(np.sqrt(resid @ resid / dof / sxx))
+    slope, _, _, stderr = _line_fit(np.log(omegas[m]), np.log(values[m]))
     return slope, stderr
 
 

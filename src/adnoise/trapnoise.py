@@ -32,6 +32,7 @@ from scipy.integrate import quad
 
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      NumericalError, PackingError)
+from .spectrum import _line_fit
 from .units import EPS0, HBAR
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
@@ -260,6 +261,10 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
             f"distances {bad} outside the valid window [{lo:.3g}, {hi:.3g}] "
             "(below: dipole granularity dominates; above: the finite patch "
             "acts as a composite source)")
+    if n_seeds < 2 or len(np.unique(d_list)) < 3:
+        raise AnalysisError(
+            f"n_seeds = {n_seeds}, distances {d_list}: the standard errors "
+            "need at least 2 seeds and the fit at least 3 distinct distances")
     traps = [replace(trap, distance=d) for d in d_list]
     se = np.empty((n_seeds, len(d_list)))
     for k in range(n_seeds):
@@ -269,13 +274,7 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
             se[k, j] = mc_field_noise(s, s_mu, trap_d)
     means = se.mean(axis=0)
     stderrs = se.std(axis=0, ddof=1) / math.sqrt(n_seeds)
-    x = np.log(d_list)
-    y = np.log(means)
-    xm = x - x.mean()
-    slope = float(np.dot(xm, y) / np.dot(xm, xm))
-    resid = y - (y.mean() + slope * xm)
-    dof = max(len(x) - 2, 1)
-    stderr = float(np.sqrt(resid @ resid / dof / np.dot(xm, xm)))
+    slope, _, _, stderr = _line_fit(np.log(d_list), np.log(means))
     return DistanceScaling(exponent=slope, stderr=stderr, distances=d_list,
                            means=means, stderrs=stderrs, n_seeds=n_seeds)
 

@@ -143,6 +143,21 @@ def test_criterion_5_two_level_limit(pipe, spectra):
            f"over omega in [0, 10 gamma0] at kT = 0.2 hbar nu10 (allowed 5%)")
 
 
+@pytest.mark.parametrize("x", [0.05, 0.01])
+def test_criterion_5_two_level_limit_colder(pipe, spectra, x):
+    # deeper in the thermally activated regime the closed form only
+    # tightens, while the excited populations fall toward underflow
+    T, _, _, spec = spectra(x)
+    om = np.linspace(0.0, 10 * pipe.gamma0, 51)
+    full = spectrum.evaluate_spectrum(spec, om)
+    limit = spectrum.two_level_limit(pipe.ladder.mu[0], pipe.ladder.mu[1],
+                                     pipe.gamma0, pipe.nu10, T, om)
+    dev = float(np.max(np.abs(full - limit) / limit))
+    report(f"5 (kT = {x} hbar nu10)", dev <= 0.05,
+           f"max deviation from the two-level closed form {dev:.2g} "
+           f"over omega in [0, 10 gamma0] (allowed 5%)")
+
+
 def test_criterion_6_regime_slopes_flat_and_tail(pipe, spectra):
     om = pipe.omega_grid()
     details = []

@@ -464,6 +464,15 @@ def test_cli_trap_distance_must_be_positive(tmp_path, capsys, command):
      "potential.polarizability"),
     ("states", "[potential]\npolarizability = 0 a0^3\n",
      "potential.polarizability"),
+    ("states", "[potential]\nU0 = -12 meV\n", "potential.U0"),
+    ("states", "[potential]\nz0 = 0 angstrom\n", "potential.z0"),
+    ("states", "[potential]\nbeta = -4 1/angstrom\n", "potential.beta"),
+    ("dipoles", "[potential]\nmass = -20 amu\n", "potential.mass"),
+    ("states", "[material]\nspeed_of_sound = 0 m/s\n",
+     "material.speed_of_sound"),
+    ("states", "[material]\ndensity = -1 kg/m^3\n", "material.density"),
+    ("rates", "[material]\ndebye_frequency = -4 THz\n",
+     "material.debye_frequency"),
 ])
 def test_cli_sign_checked_at_parse_time(tmp_path, capsys, monkeypatch,
                                         command, section, key):
@@ -477,6 +486,63 @@ def test_cli_sign_checked_at_parse_time(tmp_path, capsys, monkeypatch,
     assert run_cli([command, "--config", cfgfile, "--output", out]) == 2
     assert f"{key}: must be " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [
+    "n_seeds = 1\n", "d_values = 3\n", "d_values = 3, 5\nn_seeds = 10\n"])
+def test_cli_mc_scaling_needs_seeds_and_distances(tmp_path, capsys, section):
+    # one seed has no standard error, and fewer than three distances
+    # leave the fitted exponent without an error estimate
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\n" + section)
+    out = tmp_path / "o"
+    assert run_cli(["mc-scaling", "--config", cfgfile, "--output", out]) == 4
+    assert ("need at least 2 seeds and the fit at least 3 distinct "
+            "distances") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def data_rows(path):
+    """The numeric rows of an emitted CSV, as a float array."""
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith("#")][1:]
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines])
+
+
+@pytest.mark.parametrize("max_states", [5, 30])
+@pytest.mark.parametrize("x", [0.001, 0.002, 0.01, 0.05])
+def test_cli_low_temperature_spectrum_and_tempsweep(tmp_path, max_states, x):
+    # the thermally activated two-level regime: the excited populations
+    # span hundreds of decades, and the upper ones underflow to 0
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[solver]\nmax_states = {max_states}"
+                       f"\n[tempsweep]\nt_min = {x} nu10\n"
+                       f"t_max = {2 * x} nu10\nn_temps = 3\n")
+    out = tmp_path / "o"
+    assert run_cli(["spectrum", "--config", cfgfile, "--output", out,
+                    "--temperature", f"{x} nu10"]) == 0
+    assert run_cli(["tempsweep", "--config", cfgfile, "--output", out]) == 0
+    for name in (f"spectrum_kT_{x:g}nu10.csv", "tempsweep.csv"):
+        rows = data_rows(out / name)
+        assert np.all(np.isfinite(rows)) and np.all(rows >= 0), name
+
+
+def test_cli_zero_temperature_is_a_zero_spectrum(tmp_path):
+    # at T = 0 only the ground state is populated: no dipole fluctuates
+    out = tmp_path / "o"
+    assert run_cli(["spectrum", "--preset", "Ne-Au", "--output", out,
+                    "--temperature", "0 K"]) == 0
+    path = out / "spectrum_T_0K.csv"
+    assert "# variance: 0 D^2" in path.read_text().splitlines()
+    assert np.all(data_rows(path)[:, 1] == 0.0)
+    assert run_cli(["heat", "--preset", "Ne-Au", "--output", out,
+                    "--temperature", "0 K"]) == 0
+    assert np.all(data_rows(out / "heating.csv")[:, 2:] == 0.0)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[tempsweep]\nt_min = 0 K\n")
+    assert run_cli(["tempsweep", "--config", cfgfile, "--output", out]) == 0
+    assert "# arrhenius_fit: not available (values must be positive)" in (
+        out / "tempsweep.csv").read_text().splitlines()
 
 
 def test_negative_charge_is_accepted():

@@ -5,6 +5,8 @@ conversions.
 In the spectral test, energies are drawn in units of kT over forty
 e-folds, so the excited populations reach down to ~1e-17: deep in the
 regime where the dipole statistics must be centered to survive round-off.
+Its deep-tail sibling puts the top level 700-800 kT up, where the mode
+decomposition must work from the rates alone.
 """
 
 import itertools
@@ -20,12 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 
-@st.composite
-def detailed_balance_chains(draw):
+def chain_on_levels(draw, energies):
     """(rate matrix, energies / kT, dipole ladder) with Boltzmann ratios."""
-    n = draw(st.integers(2, 8))
-    energies = np.array(sorted(draw(st.lists(
-        st.floats(0.0, 40.0), min_size=n, max_size=n, unique=True))))
+    n = len(energies)
     coupling = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -42,6 +41,34 @@ def detailed_balance_chains(draw):
                                   polarizability=1e-30)
     return phonons.RateMatrix.from_gamma(gamma, temperature=1.0), energies, \
         ladder
+
+
+@st.composite
+def detailed_balance_chains(draw):
+    n = draw(st.integers(2, 8))
+    energies = np.array(sorted(draw(st.lists(
+        st.floats(0.0, 40.0), min_size=n, max_size=n, unique=True))))
+    return chain_on_levels(draw, energies)
+
+
+@st.composite
+def deep_detailed_balance_chains(draw):
+    """Chains whose top level lies 700-800 kT above the ground state.
+
+    The populations span more than 300 decades and the uphill rates and
+    populations of the highest levels underflow to 0.  The first excited
+    level stays within 40 kT and its dipole differs from the ground
+    state's, so the variance is a normal double to compare against.
+    """
+    n = draw(st.integers(3, 8))
+    energies = [0.0, draw(st.floats(0.5, 40.0)),
+                *draw(st.lists(st.floats(40.0, 800.0), min_size=n - 3,
+                               max_size=n - 3)),
+                draw(st.floats(700.0, 800.0))]
+    assume(len(set(energies)) == n)
+    r, energies, ladder = chain_on_levels(draw, np.array(sorted(energies)))
+    assume(abs(ladder.mu[1] - ladder.mu[0]) > 1e-3 * ladder.mu.max())
+    return r, energies, ladder
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -65,6 +92,20 @@ def test_spectral_invariants(chain):
     s_res = spectrum.spectrum_via_resolvent(r, p0, ladder, om)
     s_mod = spectrum.evaluate_spectrum(spec, om)
     assert np.max(np.abs(s_res - s_mod) / s_mod) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(deep_detailed_balance_chains())
+def test_spectral_invariants_deep_tail(chain):
+    r, _, ladder = chain
+    p0 = phonons.stationary_distribution(r)
+    assert p0[-1] < 1e-300 * p0[0]
+    spec = spectrum.correlation_modes(r, p0, ladder)
+    mu, n = ladder.mu, len(ladder)
+    pairwise = 0.5 * math.fsum(p0[i] * p0[j] * (mu[i] - mu[j]) ** 2
+                               for i in range(n) for j in range(n))
+    assert spec.weights.min() >= -1e-12 * pairwise
+    assert abs(spec.weights.sum() - pairwise) <= 1e-12 * pairwise
 
 
 def reference_rate(e_i, e_f, coupling, material, T):

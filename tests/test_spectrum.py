@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from adnoise import cli, dipoles, phonons, spectrum
-from adnoise.errors import AnalysisError, ModelError, NumericalError
+from adnoise.errors import AnalysisError, NumericalError
 from adnoise.units import HBAR, KB
 from scipy.linalg import expm
 
@@ -110,7 +110,7 @@ def test_modes_require_positive_populations(ne_spectrum_at, ne_ladder):
     r, p0, _ = ne_spectrum_at(1.0)
     p_bad = p0.copy()
     p_bad[-1] = 0.0
-    with pytest.raises(ModelError):
+    with pytest.raises(NumericalError, match="detailed balance violation"):
         spectrum.correlation_modes(r, p_bad, ne_ladder)
 
 

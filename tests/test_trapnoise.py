@@ -194,7 +194,7 @@ def test_distance_scaling_uses_sample_as_first_child():
     trap = make_trap(3.0)
     base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
                                    min_spacing=1.0, extent=100.0, seed=7)
-    res = trapnoise.distance_scaling_fit(base, 1.0, trap, [3.0, 5.0],
+    res = trapnoise.distance_scaling_fit(base, 1.0, trap, [3.0, 4.0, 5.0],
                                          n_seeds=2)
     child = trapnoise.sample_surface(1, 100.0, 1.0, seed=8)
     for d, mean in zip(res.distances, res.means):
