@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import potential as pot
 from .errors import ConfigurationError, GridError, ModelError, NumericalError
@@ -82,8 +81,8 @@ def auto_grid(p: pot.SurfacePotentialParams, n_points: int = DEFAULT_N_POINTS) -
     target = 10.0 * p.U0
     if u_pk >= target:
         # U decreases monotonically from the barrier top to -U0 at z0.
-        z_min = brentq(lambda z: pot.evaluate(p, z) - target,
-                       z_pk, p.z0, xtol=1e-18, rtol=1e-14)
+        z_min = pot._brentq(lambda z: pot.evaluate(p, z) - target,
+                            z_pk, p.z0, xtol=1e-18, rtol=1e-14)
     else:
         z_min = z_pk
 
@@ -91,8 +90,8 @@ def auto_grid(p: pot.SurfacePotentialParams, n_points: int = DEFAULT_N_POINTS) -
     tail_level = 1e-4 * p.U0
     z_guess = (pot.c3(p) / tail_level) ** (1.0 / 3.0)
     z_hi = max(2.0 * z_guess, 8.0 * p.z0)
-    z_max = brentq(lambda z: abs(pot.evaluate(p, z)) - tail_level,
-                   1.5 * p.z0, z_hi, xtol=1e-18, rtol=1e-14)
+    z_max = pot._brentq(lambda z: abs(pot.evaluate(p, z)) - tail_level,
+                        1.5 * p.z0, z_hi, xtol=1e-18, rtol=1e-14)
     z_max = max(z_max, 6.0 * p.z0)
     return Grid(z_min=z_min, z_max=z_max, n_points=n_points)
 

@@ -17,11 +17,12 @@ the bound-state grid is clipped there.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .units import AMU, BOHR, E_CHARGE, HBAR
 
 GOLD_MASS_AMU = 196.966569
@@ -138,23 +139,109 @@ def bound_state_count_estimate(p: SurfacePotentialParams):
     return max(int(n), 1)
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    A port of scipy.optimize.brentq (Brent 1973 as in scipy's brentq.c):
+    the same secant, inverse quadratic and bisection steps, the same
+    tolerance delta = (xtol + rtol*|x|)/2 and the same function calls, so
+    it returns scipy's float bit for bit.  A bracket without a sign
+    change, a NaN value of f or no convergence within maxiter iterations
+    raises NumericalError.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(
+                f"root bracket [{a!r}, {b!r}]: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalError(
+            f"root bracket [{a!r}, {b!r}] holds no sign change "
+            f"(f = {fpre:.6g}, {fcur:.6g})")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C division gives inf or nan here; either way it bisects.
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericalError(
+        f"root bracket [{a!r}, {b!r}]: no convergence after {maxiter} "
+        f"iterations (last x = {xcur!r})")
+
+
 def inner_barrier(p: SurfacePotentialParams):
     """Locate the top of the repulsive wall.
 
     Returns (z_peak, U_peak).  U' has exactly one root below z0, where
-    (z0/z)^4 = exp(bz*(1 - z/z0)); solved by bisection on the reduced
-    variable x = z/z0 in (0, 4/bz).
+    (z0/z)^4 = exp(bz*(1 - z/z0)); solved by Brent's method on the reduced
+    variable x = z/z0 in (0, 4/bz).  The bracket is [1e-12, 4/bz), or
+    [0.5, 2]*exp(-bz/4) for walls so steep (bz > ~110.5) that the root
+    lies below 1e-12; DomainError if 0.5*exp(-bz/4) is not a normal float
+    (bz > ~2830).
     """
-    from scipy.optimize import brentq
-
     bz = p.beta_z0
 
     def g(x):
         return -4.0 * math.log(x) - bz * (1.0 - x)
 
-    hi = 4.0 / bz
-    lo = 1e-12
-    x_pk = brentq(g, lo, hi * (1.0 - 1e-12), xtol=1e-15, rtol=1e-14)
+    lo, hi, xtol = 1e-12, 4.0 / bz * (1.0 - 1e-12), 1e-15
+    if g(lo) <= 0:
+        # Below x = 1e-12, bz*x is negligible and the root sits at
+        # exp(-bz/4) to within a factor 1 + bz*x/4: g(lo) = 4 ln 2 + bz*lo
+        # > 0 and g(4 lo) = -4 ln 2 + 4 bz*lo < 0.  The tolerance scales
+        # with the root.
+        lo = 0.5 * math.exp(-0.25 * bz)
+        if lo < sys.float_info.min:
+            raise DomainError(
+                f"{p.name}: beta*z0 = {bz:.6g} is too steep; the inner "
+                "barrier top lies below the smallest normal float in z/z0")
+        hi, xtol = 4.0 * lo, 1e-14 * lo
+    x_pk = _brentq(g, lo, hi, xtol=xtol, rtol=1e-14)
     z_pk = x_pk * p.z0
     return z_pk, evaluate(p, z_pk)
 

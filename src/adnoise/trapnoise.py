@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      NumericalError, PackingError)
@@ -140,6 +139,8 @@ def kernel_integral_constant(d=1.0):
     radial quadrature; independent of d and equal to 3 pi / 4 for the bare
     dipole kernel.
     """
+    from scipy.integrate import quad
+
     def integrand(s):
         ez = dipole_field_kernel([(s, 0.0)], (0.0, 0.0, d))[0, 2]
         return 2.0 * math.pi * s * (ez * FOUR_PI_EPS0 * d ** 2) ** 2

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -548,3 +551,38 @@ def test_cli_zero_temperature_is_a_zero_spectrum(tmp_path):
 def test_negative_charge_is_accepted():
     cfg = config.parse_config("preset = Ne-Au\n[trap]\ncharge = -2 e\n")
     assert cfg.trap.charge == -2 * E_CHARGE
+
+
+@pytest.mark.parametrize("beta, code", [(20, 0), (100, 0), (1000, 2)])
+@pytest.mark.parametrize("command", ["states", "spectrum"])
+def test_cli_steep_wall(tmp_path, capsys, command, beta, code):
+    # beta*z0 = 121, 605 and 6050: the barrier top lies below z/z0 = 1e-12,
+    # and for the last wall below the smallest normal float
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[potential]\nbeta = {beta} 1/a0\n")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "beta*z0 = 6050 is too steep" in err
+
+
+def test_cli_import_leaves_optimize_and_integrate_unloaded():
+    # A fresh interpreter: only scipy.linalg loads with the command line,
+    # and quad is imported on first use.
+    script = (
+        "import sys, math\n"
+        "import adnoise.cli\n"
+        "from adnoise import trapnoise\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
+        " if m in sys.modules))\n"
+        "print(trapnoise.kernel_integral_constant() / (0.75 * math.pi))\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded, ratio, lazy = run.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(ratio) == pytest.approx(1.0, rel=1e-8)
+    assert lazy == "True"

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adnoise import potential
-from adnoise.errors import ConfigurationError, DomainError
+from adnoise.errors import ConfigurationError, DomainError, NumericalError
 from adnoise.units import AMU, BOHR, E_CHARGE, HBAR
 
 
@@ -183,3 +184,43 @@ def test_inner_barrier_ne(ne):
     assert potential.derivative(p, z_pk) == pytest.approx(
         0.0, abs=1e-8 * p.U0 / p.z0)
     assert 2.0 * p.U0 < u_pk < 10.0 * p.U0
+
+
+def test_brentq_no_sign_change_names_bracket():
+    with pytest.raises(NumericalError, match=r"\[1\.0, 2\.0\] holds no sign change"):
+        potential._brentq(lambda x: x * x + 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-14)
+
+
+def test_brentq_nan_value_names_bracket():
+    def f(x):
+        return math.nan if x > 0.5 else x - 0.75
+
+    with pytest.raises(NumericalError, match=r"\[0\.0, 1\.0\]: f\(1\.0\) is NaN"):
+        potential._brentq(f, 0.0, 1.0, xtol=1e-12, rtol=1e-14)
+
+
+def test_brentq_no_convergence_names_bracket():
+    with pytest.raises(NumericalError,
+                       match=r"\[0\.0, 3\.0\]: no convergence after 3 iterations"):
+        potential._brentq(lambda x: math.atan(x - 1.0), 0.0, 3.0,
+                          xtol=1e-15, rtol=1e-15, maxiter=3)
+
+
+@pytest.mark.parametrize("beta_a0", [20.0, 100.0, 400.0])
+def test_inner_barrier_steep_wall(ne, beta_a0):
+    # beta*z0 = 121, 605 and 2420: the barrier top lies below x = 1e-12,
+    # and the bracket moves down to [0.5, 2] exp(-beta*z0/4).  U itself
+    # overflows at the top of the last wall.
+    p = replace(ne[0], beta=beta_a0 / BOHR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_pk, _ = potential.inner_barrier(p)
+    x_pk = z_pk / p.z0
+    bz = p.beta_z0
+    assert x_pk == pytest.approx(math.exp(-bz / 4), rel=1e-12)
+    assert -4.0 * math.log(x_pk) == pytest.approx(bz * (1.0 - x_pk), rel=1e-14)
+
+
+def test_inner_barrier_too_steep_is_domain_error(ne):
+    p = replace(ne[0], beta=1000.0 / BOHR)
+    with pytest.raises(DomainError, match=r"beta\*z0 = 6050"):
+        potential.inner_barrier(p)

@@ -1,6 +1,6 @@
 """Property tests over random level sets, rate chains, dipole ladders,
-configuration documents, dipole positions, float tables and unit
-conversions.
+configuration documents, dipole positions, float tables, unit
+conversions and root brackets.
 
 In the spectral test, energies are drawn in units of kT over forty
 e-folds, so the excited populations reach down to ~1e-17: deep in the
@@ -11,15 +11,18 @@ decomposition must work from the rates alone.
 
 import itertools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from adnoise import (boundstates, config, dipoles, phonons, potential,
                      spectrum, tables, trapnoise, units)
-from adnoise.errors import ConfigurationError
+from adnoise.errors import ConfigurationError, ModelError
 from adnoise.units import HBAR, KB
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 
 def chain_on_levels(draw, energies):
@@ -348,3 +351,78 @@ _CONVERSIONS = [(convert, a, b)
 def test_unit_round_trip(convert, unit, other, value):
     back = convert(convert(value, unit, other), other, unit)
     assert abs(back - value) <= 4 * math.ulp(value)
+
+
+# Held here because test_auto_grid_roots_match_scipy_brentq patches
+# potential._brentq with the checker below.
+_PORTED_BRENTQ = potential._brentq
+
+
+def brentq_like_scipy(f, a, b, xtol, rtol):
+    """_brentq's root, after checking it against scipy's brentq: the same
+    float and the same sequence of abscissae handed to f."""
+    ours, theirs = [], []
+    root = _PORTED_BRENTQ(lambda x: ours.append(x) or f(x), a, b,
+                          xtol=xtol, rtol=rtol)
+    ref = brentq(lambda x: theirs.append(x) or f(x), a, b,
+                 xtol=xtol, rtol=rtol)
+    assert root == ref
+    assert ours == theirs
+    return root
+
+
+# beta*z0 up to 700 reaches the steep-wall bracket (above ~110.5) and stays
+# below the overflow of exp(beta*z0) in U(z).
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["Ne-Au", "H-Au"]),
+       u0_factor=st.floats(0.3, 3.0), z0_factor=st.floats(0.6, 1.6),
+       beta_z0=st.floats(4.5, 700.0))
+def test_auto_grid_roots_match_scipy_brentq(name, u0_factor, z0_factor,
+                                            beta_z0):
+    base, _ = potential.preset(name)
+    z0 = base.z0 * z0_factor
+    p = replace(base, U0=base.U0 * u0_factor, z0=z0, beta=beta_z0 / z0)
+    with mock.patch.object(potential, "_brentq",
+                           wraps=brentq_like_scipy) as checked:
+        try:
+            boundstates.auto_grid(p)
+        except ModelError:
+            # a barrier top below the dissociation limit: only the
+            # barrier root ran
+            pass
+    assert checked.call_count >= 1
+
+
+_SMOOTH = [
+    lambda u: math.tanh(3.0 * u),
+    lambda u: u ** 3 + 0.1 * u,
+    lambda u: math.expm1(u),
+    lambda u: math.atan(5.0 * u) + 0.3 * math.sin(u),
+    # values so small that the extrapolation's denominator underflows to 0
+    lambda u: 1e-120 * (u ** 3 + 0.1 * u),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=st.sampled_from(range(len(_SMOOTH))),
+       root=st.floats(-5.0, 5.0), left=st.floats(1e-3, 10.0),
+       right=st.floats(1e-3, 10.0), flip=st.booleans(),
+       log_xtol=st.floats(-16.0, -2.0),
+       log_rtol=st.floats(math.log10(4 * np.finfo(float).eps), -3.0))
+def test_brentq_matches_scipy_on_smooth_functions(family, root, left, right,
+                                                  flip, log_xtol, log_rtol):
+    g = _SMOOTH[family]
+    a, b = root - left, root + right
+    if flip:
+        a, b = b, a
+    brentq_like_scipy(lambda x: g(x - root), a, b, xtol=10.0 ** log_xtol,
+                      rtol=10.0 ** log_rtol)
+
+
+@pytest.mark.parametrize("name, z_min, z_max", [
+    ("Ne-Au", "0x1.4470c211de282p-33", "0x1.2f19c048ca6d1p-27"),
+    ("H-Au", "0x1.0a07450fcc97ep-34", "0x1.267d731ecbe49p-28"),
+])
+def test_auto_grid_bounds_pinned(name, z_min, z_max):
+    grid = boundstates.auto_grid(potential.preset(name)[0])
+    assert (grid.z_min.hex(), grid.z_max.hex()) == (z_min, z_max)
