@@ -11,7 +11,10 @@ states are physical (energies are measured from the dissociation limit
 U(inf) = 0); states closer to the continuum than 1e-3*U0 are discarded and
 counted in the diagnostics, and every kept state must leave negligible
 probability in the last grid cell (tail condition), otherwise the grid is
-too small and a GridError is raised.
+too small and a GridError is raised.  The levels below -1e-3*U0 and below
+0 are counted before any eigenpair is computed, by LAPACK bisection at a
+tolerance of U0: the count is a difference of two Sturm counts, which no
+tolerance changes.  U must be finite on the whole grid.
 
 All quadratures (normalization, matrix elements, expectation values) use
 the trapezoid weights of Grid.weights() on the eigensolver grid, so no
@@ -19,10 +22,11 @@ interpolation error is introduced anywhere downstream; grid_matrix is the
 one matrix-element quadrature, <f|g|i> for every pair at once.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import potential as pot
 from .errors import ConfigurationError, GridError, ModelError, NumericalError
@@ -80,9 +84,12 @@ def auto_grid(p: pot.SurfacePotentialParams, n_points: int = DEFAULT_N_POINTS) -
             "exp-3 parameters are outside the model's validity")
     target = 10.0 * p.U0
     if u_pk >= target:
-        # U decreases monotonically from the barrier top to -U0 at z0.
+        # U decreases monotonically from the barrier top to -U0 at z0.  Past
+        # a top that overflows, bracket from exp(bz*(1 - z/z0)) = e^700,
+        # where U is finite and still far above 10 U0.
+        z_lo = z_pk if u_pk < math.inf else p.z0 * (1.0 - 700.0 / p.beta_z0)
         z_min = pot._brentq(lambda z: pot.evaluate(p, z) - target,
-                            z_pk, p.z0, xtol=1e-18, rtol=1e-14)
+                            z_lo, p.z0, xtol=1e-18, rtol=1e-14)
     else:
         z_min = z_pk
 
@@ -132,42 +139,36 @@ def _fix_sign(psi):
     return -psi if psi[k] < 0 else psi
 
 
-def _sturm_count(diag, off, x):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
-
-    Sturm sequence on the LDL^T recurrence; O(n) and far cheaper than
-    computing the eigenvalues themselves.
-    """
-    tiny = np.finfo(float).tiny
-    q = diag[0] - x
-    count = int(q < 0)
-    for i in range(1, len(diag)):
-        if q == 0.0:
-            q = tiny
-        q = (diag[i] - x) - off[i - 1] * off[i - 1] / q
-        count += q < 0
-    return count
-
-
 def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> BoundStateSet:
     """All bound states of mass m in U(z), up to max_states.
 
     Raises ModelError if fewer than two bound states exist and GridError if
-    a kept state fails the tail condition (grid too small).
+    U is not finite on the grid or a kept state fails the tail condition
+    (grid too small).
     """
     if max_states < 2:
         raise ConfigurationError("max_states must be at least 2")
     z = grid.z()
     h = grid.h
     w = grid.weights()
-    u = pot.evaluate(p, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = pot.evaluate(p, z)
+    if not np.all(np.isfinite(u)):
+        raise GridError(
+            f"{p.name}: U(z) is not finite on the grid (z_min = "
+            f"{grid.z_min / p.z0:.3g} z0); move the inner edge outward")
     kin = HBAR ** 2 / (2.0 * p.adatom_mass * h * h)
     diag = u + 2.0 * kin
     off = np.full(grid.n_points - 1, -kin)
 
+    # Levels below cut and below 0, from LAPACK bisection (stebz): the count
+    # is the difference of its Sturm counts at the ends of the interval, so
+    # a tolerance of U0 stops the refinement at once and leaves it exact.
     cut = -NEAR_ZERO_FRACTION * p.U0
-    n_bound = _sturm_count(diag, off, cut)
-    near_zero = _sturm_count(diag, off, 0.0) - n_bound
+    n_bound, n_negative = (len(eigvalsh_tridiagonal(
+        diag, off, select="v", select_range=(-np.inf, x), tol=p.U0))
+        for x in (cut, 0.0))
+    near_zero = n_negative - n_bound
     if n_bound < 2:
         raise ModelError(
             f"{p.name}: potential too shallow for spectrum analysis "
@@ -179,8 +180,7 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
     psis = np.empty((n_keep, grid.n_points))
     for i in range(n_keep):
         psi = vecs[:, i]
-        # np.sum, not "@": a BLAS reduction here spins worker threads
-        # against the Python Sturm loop and slows solve on fine grids.
+        # np.sum, not "@": BLAS would sum in another order, other bits.
         norm = np.sum(psi * psi * w)
         psi = psi / np.sqrt(norm)
         psis[i] = _fix_sign(psi)

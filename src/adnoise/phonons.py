@@ -144,21 +144,6 @@ class RateMatrix:
                    cutoff_mask=cutoff_mask)
 
 
-def _connected(adjacency):
-    """BFS connectivity of the undirected transition graph."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        j = stack.pop()
-        for k in np.flatnonzero(adjacency[j]):
-            if not seen[k]:
-                seen[k] = True
-                stack.append(k)
-    return bool(seen.all())
-
-
 def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
                       coupling=None) -> RateMatrix:
     """Populate all pairwise rates and assemble the generator.
@@ -182,8 +167,12 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
             material.debye_frequency / 1e12,
             ", ".join(f"{i}<->{f} ({states.splitting(i, f) / TWO_PI / 1e12:.3g}"
                       " THz)" for i, f in masked_pairs))
-    adjacency = (gamma + gamma.T) > 0
-    if not _connected(adjacency):
+    # Boolean closure: after k squarings reach[i, j] holds when a path of
+    # at most 2**k transitions joins i and j, and 2**n.bit_length() > n.
+    reach = ((gamma + gamma.T) > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    if not reach[0].all():
         raise ModelError(
             f"{states.params.name}: ergodicity broken by Debye cutoff; the "
             "transition graph is disconnected and the spectrum is ill-defined")

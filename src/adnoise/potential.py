@@ -222,7 +222,8 @@ def inner_barrier(p: SurfacePotentialParams):
     variable x = z/z0 in (0, 4/bz).  The bracket is [1e-12, 4/bz), or
     [0.5, 2]*exp(-bz/4) for walls so steep (bz > ~110.5) that the root
     lies below 1e-12; DomainError if 0.5*exp(-bz/4) is not a normal float
-    (bz > ~2830).
+    (bz > ~2830).  Where exp(bz*(1 - z/z0)) overflows at the top (bz >
+    ~709.8) U_peak is inf: the barrier is above every float energy.
     """
     bz = p.beta_z0
 
@@ -243,7 +244,9 @@ def inner_barrier(p: SurfacePotentialParams):
         hi, xtol = 4.0 * lo, 1e-14 * lo
     x_pk = _brentq(g, lo, hi, xtol=xtol, rtol=1e-14)
     z_pk = x_pk * p.z0
-    return z_pk, evaluate(p, z_pk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_pk = evaluate(p, z_pk)
+    return z_pk, u_pk if math.isfinite(u_pk) else math.inf
 
 
 def reduced_mass(p: SurfacePotentialParams, host_mass_amu=GOLD_MASS_AMU):

@@ -43,20 +43,6 @@ DEBYE = CODATA.debye
 PLANCK = 2.0 * math.pi * HBAR
 
 
-def _startup_check():
-    for name, value in vars(CODATA).items():
-        if value <= 0:
-            raise ConfigurationError(f"constant {name} must be positive")
-    ea0 = E_CHARGE * BOHR / DEBYE
-    if abs(ea0 - 2.5417) > 1e-3 * 2.5417:
-        raise ConfigurationError(
-            f"inconsistent constants: e*a0/debye = {ea0:.6f}, expected ~2.5417")
-    if abs(DEBYE - 3.33564e-30) > 1e-6 * DEBYE:
-        raise ConfigurationError("debye constant does not match 3.33564e-30 C m")
-
-
-_startup_check()
-
 # Conversion factors to the SI base of each quantity.  Pure data; the
 # alias table maps spelling variants onto canonical tags.
 ENERGY_TO_J = {

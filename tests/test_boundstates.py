@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adnoise import boundstates, potential
 from adnoise.errors import ConfigurationError, GridError, ModelError, NumericalError
-from adnoise.units import AMU, E_CHARGE, HBAR
+from adnoise.units import AMU, BOHR, E_CHARGE, HBAR
 
 
 def test_auto_grid_bounds(ne):
@@ -24,6 +25,19 @@ def test_auto_grid_wall_rule_for_steep_well(deep_well):
     g = boundstates.auto_grid(deep_well)
     assert potential.evaluate(deep_well, g.z_min) == pytest.approx(
         10 * deep_well.U0, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta_a0", [117.0, 118.0, 150.0, 400.0])
+def test_auto_grid_wall_rule_past_overflowing_barrier(ne, beta_a0):
+    # beta*z0 = 708 to 2420: from about 709.8 on exp(beta*z0*(1 - z/z0))
+    # overflows at the barrier top, which is then reported as inf, and the
+    # 10 U0 root is bracketed below the overflow
+    p = replace(ne[0], beta=beta_a0 / BOHR)
+    _, u_pk = potential.inner_barrier(p)
+    assert (u_pk == math.inf) == (p.beta_z0 > 709.8)
+    g = boundstates.auto_grid(p)
+    assert potential.evaluate(p, g.z_min) == pytest.approx(10 * p.U0,
+                                                           rel=1e-9)
 
 
 def test_auto_grid_independent_of_resolution(ne):
@@ -214,6 +228,18 @@ def test_too_shallow_potential_raises_model_error():
         adatom_mass=1 * AMU)
     grid = boundstates.auto_grid(p, 1200)
     with pytest.raises(ModelError, match="too shallow"):
+        boundstates.solve(p, grid)
+
+
+@pytest.mark.parametrize("beta_a0, z_min", [(None, 1e-120), (400.0, None)])
+def test_non_finite_potential_on_grid_is_grid_error(ne, beta_a0, z_min):
+    # (z0/z)^3 overflows at z = 1e-120 m (U = -inf); at the barrier top of
+    # a beta*z0 = 2420 wall exp overflows too (U = inf - inf = nan)
+    p = ne[0] if beta_a0 is None else replace(ne[0], beta=beta_a0 / BOHR)
+    if z_min is None:
+        z_min, _ = potential.inner_barrier(p)
+    grid = boundstates.Grid(z_min=z_min, z_max=30 * p.z0, n_points=400)
+    with pytest.raises(GridError, match=r"U\(z\) is not finite on the grid"):
         boundstates.solve(p, grid)
 
 

@@ -1,6 +1,6 @@
-"""Property tests over random level sets, rate chains, dipole ladders,
-configuration documents, dipole positions, float tables, unit
-conversions and root brackets.
+"""Property tests over random level sets, rate chains, rate graphs,
+dipole ladders, configuration documents, dipole positions, float tables,
+unit conversions, root brackets and wells.
 
 In the spectral test, energies are drawn in units of kT over forty
 e-folds, so the excited populations reach down to ~1e-17: deep in the
@@ -175,6 +175,65 @@ def test_rate_matrix_matches_scalar_golden_rule(levels):
                     r.gamma[f, i] * math.exp(x), rel=1e-12)
             elif i < f:
                 assert (r.gamma[i, f] == 0.0) == (masked or x > 700.0)
+
+
+def reachable_from_ground(adjacency):
+    """Breadth-first search of an undirected graph from node 0: True when
+    it reaches every node."""
+    seen = np.zeros(len(adjacency), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+@st.composite
+def rate_graphs(draw):
+    """(energies, coupling, material, T) with some couplings exactly zero
+    and the Debye cutoff anywhere among the splittings: some transition
+    graphs fall apart."""
+    n = draw(st.integers(2, 24))
+    unit = KB * 10.0
+    gaps = np.array(draw(st.lists(st.floats(0.05, 4.0), min_size=n - 1,
+                                  max_size=n - 1)))
+    energies = -40.0 * unit + unit * np.concatenate([[0.0], np.cumsum(gaps)])
+    # One seed per graph keeps the draws cheap at 24 levels.
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    coupling = 10.0 ** rng.uniform(-12.0, -10.0, (n, n))
+    coupling[rng.random((n, n)) < draw(st.floats(0.0, 0.9))] = 0.0
+    coupling = np.triu(coupling, 1) + np.triu(coupling, 1).T
+    splittings = np.unique(np.abs(energies[:, None] - energies[None, :]))[1:]
+    cut = splittings[draw(st.integers(0, len(splittings) - 1))]
+    cut *= draw(st.sampled_from([0.5, 1.0 + 1e-9, 2.0]))
+    material = potential.BulkMaterial(
+        name="test-bulk", speed_of_sound=3962.0, density=19300.0,
+        debye_frequency=cut / HBAR / (2.0 * math.pi))
+    T = draw(st.one_of(st.just(0.0), st.floats(0.2, 50.0)))
+    return energies, coupling, material, T
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rate_graphs())
+def test_ergodicity_check_matches_breadth_first_search(graph):
+    energies, coupling, material, T = graph
+    n = len(energies)
+    adjacency = np.array([[i != f and reference_rate(
+        energies[i], energies[f], coupling[i, f], material, T)[0] > 0
+        for f in range(n)] for i in range(n)])
+    adjacency |= adjacency.T
+    grid = boundstates.Grid(z_min=1e-10, z_max=1e-9, n_points=200)
+    states = boundstates.BoundStateSet(
+        grid=grid, energies=energies, wavefunctions=np.zeros((n, 200)),
+        params=potential.preset("Ne-Au")[0])
+    try:
+        phonons.build_rate_matrix(states, material, T, coupling=coupling)
+    except ModelError as exc:
+        assert "ergodicity" in str(exc)
+        assert not reachable_from_ground(adjacency)
+    else:
+        assert reachable_from_ground(adjacency)
 
 
 def _value(draw, lo, hi):
@@ -426,3 +485,46 @@ def test_brentq_matches_scipy_on_smooth_functions(family, root, left, right,
 def test_auto_grid_bounds_pinned(name, z_min, z_max):
     grid = boundstates.auto_grid(potential.preset(name)[0])
     assert (grid.z_min.hex(), grid.z_max.hex()) == (z_min, z_max)
+
+
+def sturm_count(diag, off, x):
+    """Eigenvalues of a symmetric tridiagonal matrix below x, from the
+    signs of the LDL^T pivots of (T - x)."""
+    tiny = np.finfo(float).tiny
+    q = diag[0] - x
+    count = int(q < 0)
+    for i in range(1, len(diag)):
+        if q == 0.0:
+            q = tiny
+        q = (diag[i] - x) - off[i - 1] * off[i - 1] / q
+        count += q < 0
+    return count
+
+
+# Wells from about 1 bound level to about 40, on coarse and fine grids.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["Ne-Au", "H-Au"]),
+       log_u0_factor=st.floats(-2.0, 0.5), z0_factor=st.floats(0.6, 1.6),
+       beta_z0=st.floats(5.75, 30.0), n_points=st.integers(200, 3000))
+def test_level_counts_match_sturm_recurrence(name, log_u0_factor, z0_factor,
+                                             beta_z0, n_points):
+    base, _ = potential.preset(name)
+    z0 = base.z0 * z0_factor
+    p = replace(base, U0=base.U0 * 10.0 ** log_u0_factor, z0=z0,
+                beta=beta_z0 / z0)
+    grid = boundstates.auto_grid(p, n_points)
+    kin = HBAR ** 2 / (2.0 * p.adatom_mass * grid.h * grid.h)
+    diag = potential.evaluate(p, grid.z()) + 2.0 * kin
+    off = np.full(n_points - 1, -kin)
+    n_bound = sturm_count(diag, off, -boundstates.NEAR_ZERO_FRACTION * p.U0)
+    n_negative = sturm_count(diag, off, 0.0)
+    # every level below the cut is kept, whatever its tail
+    with mock.patch.object(boundstates, "TAIL_BOUND", math.inf):
+        if n_bound < 2:
+            with pytest.raises(ModelError,
+                               match=rf"\({n_bound} bound state\(s\) found"):
+                boundstates.solve(p, grid, max_states=10 ** 6)
+            return
+        s = boundstates.solve(p, grid, max_states=10 ** 6)
+    assert s.n_states == n_bound
+    assert s.near_zero_discarded == n_negative - n_bound
