@@ -14,7 +14,9 @@ probability in the last grid cell (tail condition), otherwise the grid is
 too small and a GridError is raised.  The levels below -1e-3*U0 and below
 0 are counted before any eigenpair is computed, by LAPACK bisection at a
 tolerance of U0: the count is a difference of two Sturm counts, which no
-tolerance changes.  U must be finite on the whole grid.
+tolerance changes.  U must be finite on the whole grid and must not rise
+at its inner edge: a grid that starts inside the inner barrier, where the
+exp-3 form dives towards -infinity, is refused.
 
 All quadratures (normalization, matrix elements, expectation values) use
 the trapezoid weights of Grid.weights() on the eigensolver grid, so no
@@ -143,7 +145,8 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
     """All bound states of mass m in U(z), up to max_states.
 
     Raises ModelError if fewer than two bound states exist and GridError if
-    U is not finite on the grid or a kept state fails the tail condition
+    U is not finite on the grid, rises at its inner edge (the grid starts
+    inside the inner barrier) or a kept state fails the tail condition
     (grid too small).
     """
     if max_states < 2:
@@ -157,6 +160,11 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
         raise GridError(
             f"{p.name}: U(z) is not finite on the grid (z_min = "
             f"{grid.z_min / p.z0:.3g} z0); move the inner edge outward")
+    if u[1] > u[0]:
+        raise GridError(
+            f"{p.name}: U(z) rises at the inner edge, so the grid starts "
+            f"inside the inner barrier (z_min = {grid.z_min / p.z0:.3g} z0); "
+            "start it at the barrier top or on the wall beyond")
     kin = HBAR ** 2 / (2.0 * p.adatom_mass * h * h)
     diag = u + 2.0 * kin
     off = np.full(grid.n_points - 1, -kin)

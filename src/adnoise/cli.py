@@ -153,7 +153,7 @@ def cmd_states(pipe: Pipeline, outdir: Path):
 
 def cmd_dipoles(pipe: Pipeline, outdir: Path):
     s = pipe.states
-    mu = pipe.ladder.mu
+    mu = pipe.ladder
     header = pipe.header("dipoles", pipe.derived_header() + [
         f"image_factor: {pipe.cfg.spectrum.image_factor!r}",
         f"ladder_monotonic_decreasing: {bool(np.all(np.diff(mu) < 0))}"])
@@ -206,17 +206,13 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
     ts = pipe.cfg.tempsweep
     t_lo, t_hi = pipe.kelvin(ts.t_min), pipe.kelvin(ts.t_max)
     temps = np.linspace(t_lo, t_hi, ts.n_temps)
-    w_mid = ts.arrhenius_omega * pipe.gamma0
-    w_hi = ts.highfreq_omega * pipe.gamma0
-    rows = []
-    for T in temps:
-        spec = pipe.spectrum_at(T)
-        s0 = spectrum.evaluate_spectrum(spec, 0.0)
-        s_mid = spectrum.evaluate_spectrum(spec, w_mid)
-        s_hi = spectrum.evaluate_spectrum(spec, w_hi)
-        rows.append([KB * T / (HBAR * pipe.nu10), T, s0 / DEBYE ** 2,
-                     s_mid / DEBYE ** 2, s_hi / DEBYE ** 2])
-    mid_vals = np.array([r[3] for r in rows])
+    omegas = [0.0, ts.arrhenius_omega * pipe.gamma0,
+              ts.highfreq_omega * pipe.gamma0]
+    values = np.array([spectrum.evaluate_spectrum(pipe.spectrum_at(T), omegas)
+                       for T in temps])
+    rows = np.column_stack([KB * temps / (HBAR * pipe.nu10), temps,
+                            values / DEBYE ** 2])
+    mid_vals = rows[:, 3]
     fit_lines = []
     try:
         s_t, t0, resid = spectrum.arrhenius_fit(temps, mid_vals)
@@ -244,7 +240,7 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
     result = trapnoise.distance_scaling_fit(base, 1.0, pipe.trap, mc.d_values,
                                             n_seeds=mc.n_seeds)
     k_kernel = trapnoise.kernel_integral_constant()
-    sigma = mc.n_dipoles / mc.extent ** 2
+    sigma = base.density
     ratios = [m / (sigma * k_kernel / (trapnoise.FOUR_PI_EPS0 ** 2 * d ** 4))
               for d, m in zip(result.distances, result.means)]
     header = pipe.header("mc-scaling", [

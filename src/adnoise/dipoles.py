@@ -6,12 +6,11 @@ An atom of polarizability alpha at height z above the image plane carries
 
 which for hydrogen (alpha = 4.5 a0^3) reduces to ~4.49 e a0^5 / z^4.  The
 vibrational average over bound state |i> gives the dipole ladder
-mu_i = <i| P(z) |i> that drives the fluctuation spectrum.  Image charges
-double the dipole seen by the atom itself; that factor is NOT applied by
-default and is exposed as image_factor.
+mu_i = <i| P(z) |i> that drives the fluctuation spectrum, a plain array
+with one entry per bound state.  Image charges double the dipole seen by
+the atom itself; that factor is NOT applied by default and is the
+image_factor argument of dipole_ladder.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +33,9 @@ def induced_dipole(alpha, z):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class DipoleLadder:
-    """Vibrationally averaged dipole moments, one per bound state (C m)."""
-
-    mu: np.ndarray
-    image_factor: float
-    polarizability: float
-
-    def __len__(self):
-        return len(self.mu)
-
-
 def dipole_ladder(states: boundstates.BoundStateSet, alpha,
-                  image_factor: float = 1.0) -> DipoleLadder:
-    """mu_i = image_factor * <i| P(z) |i> for every bound state.
+                  image_factor: float = 1.0) -> np.ndarray:
+    """The array mu_i = image_factor * <i| P(z) |i> (C m), one per state.
 
     The z^-4 kernel is integrable against |psi_i|^2 because the states
     vanish exponentially inside the repulsive wall; as a guard, the
@@ -63,5 +50,4 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
         raise NumericalError(
             f"state {at_edge[0]}: dipole integrand peaks at the grid edge; "
             "the wall region is not resolved")
-    mu = image_factor * np.sum(integrand * states.grid.weights(), axis=1)
-    return DipoleLadder(mu=mu, image_factor=image_factor, polarizability=alpha)
+    return image_factor * np.sum(integrand * states.grid.weights(), axis=1)

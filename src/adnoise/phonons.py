@@ -181,15 +181,18 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
     return RateMatrix.from_gamma(gamma, temperature=T, cutoff_mask=mask)
 
 
-def _gth_null_vector(gamma):
-    """Stationary vector of a rate matrix by GTH elimination.
+def stationary_distribution(r: RateMatrix):
+    """Probability vector p with M p = 0, by GTH elimination.
 
     Gaussian elimination reorganized so every intermediate is a sum of
     products of non-negative rates: no cancellation, hence componentwise
     relative accuracy even when populations span hundreds of orders of
-    magnitude (deep Boltzmann tails at low temperature).
+    magnitude (deep Boltzmann tails at low temperature).  It raises
+    ModelError exactly when some state has no path toward lower states.
+    Otherwise every state reaches state 0, which makes the closed class and
+    hence the stationary state unique.
     """
-    a = np.array(gamma, dtype=float)  # a[i, j] = rate i -> j, i != j
+    a = np.array(r.gamma, dtype=float)  # a[i, j] = rate i -> j, i != j
     n = a.shape[0]
     np.fill_diagonal(a, 0.0)
     for k in range(n - 1, 0, -1):
@@ -205,14 +208,3 @@ def _gth_null_vector(gamma):
     for k in range(1, n):
         p[k] = p[:k] @ a[:k, k]
     return p / p.sum()
-
-
-def stationary_distribution(r: RateMatrix):
-    """Probability vector p with M p = 0, by GTH elimination.
-
-    GTH resolves exponentially small populations to full relative
-    precision, and it raises ModelError exactly when some state has no
-    path toward lower states.  Otherwise every state reaches state 0,
-    which makes the closed class and hence the stationary state unique.
-    """
-    return _gth_null_vector(r.gamma)

@@ -1,8 +1,9 @@
 """Dipole fluctuation spectrum of a single adatom.
 
 The dipole operator is diagonal in the vibrational basis,
-mu = sum_i mu_i |i><i|, and the populations relax under the master
-equation d<rho>/dt = M <rho>.  Two independent routes to the two-sided
+mu = sum_i mu_i |i><i|; both routes below take the ladder as the plain
+array mu_i (C m).  The populations relax under the master equation
+d<rho>/dt = M <rho>.  Two independent routes to the two-sided
 spectrum S(omega) = int dtau (<mu(tau) mu(0)> - <mu>^2) e^{i omega tau}
 are implemented:
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipoles import DipoleLadder
 from .errors import AnalysisError, DomainError, NumericalError
 from .phonons import RateMatrix, bose_occupation
 from .units import HBAR, KB
@@ -48,7 +48,6 @@ class DipoleSpectrum:
     weights: np.ndarray
     mean_dipole: float
     variance: float
-    temperature: float
 
     def __post_init__(self):
         if np.any(self.lambdas <= 0):
@@ -65,7 +64,7 @@ class DipoleSpectrum:
         return len(self.lambdas)
 
 
-def correlation_modes(r: RateMatrix, p0, ladder: DipoleLadder) -> DipoleSpectrum:
+def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
     """Spectral decomposition of the symmetrized generator.
 
     With D = diag(p0), detailed balance makes A = D^{-1/2} M D^{1/2}
@@ -74,15 +73,16 @@ def correlation_modes(r: RateMatrix, p0, ladder: DipoleLadder) -> DipoleSpectrum
     ratios, which lose all precision over hundreds of decades; sqrt(p0)
     must be the null vector of A.  Its eigenpairs (lambda_k <= 0, v_k)
     give C(tau) = sum_k w_k exp(lambda_k |tau|) with w_k = (v_k . w)^2 and
-    w_i = (mu_i - <mu>) sqrt(p0_i).  The single zero mode is excluded; a
-    population that underflows to 0, as all but p0_0 do at T = 0, has
-    no weight.
+    w_i = (mu_i - <mu>) sqrt(p0_i), mu being the dipole ladder (C m).  The
+    single zero mode is excluded (DipoleSpectrum requires every other one
+    to decay); a population that underflows to 0, as all but p0_0 do at
+    T = 0, has no weight.
     Centering before the projection, and the pairwise variance
     1/2 sum_ij p0_i p0_j (mu_i - mu_j)^2, keep the statistics free of
     cancellation against <mu>^2 when the excited levels are nearly empty.
     """
     p0 = np.asarray(p0, dtype=float)
-    mu = np.asarray(ladder.mu, dtype=float)
+    mu = np.asarray(mu, dtype=float)
     M = r.generator
     root = np.sqrt(r.gamma)
     A = root * root.T
@@ -101,12 +101,9 @@ def correlation_modes(r: RateMatrix, p0, ladder: DipoleLadder) -> DipoleSpectrum
     mean = float(p0 @ mu)
     proj = V.T @ ((mu - mean) * d)
     keep = np.arange(len(lam)) != izero
-    if np.any(lam[keep] >= 0):
-        raise NumericalError("non-decaying mode besides the stationary one")
     variance = 0.5 * float(p0 @ (mu[:, None] - mu[None, :]) ** 2 @ p0)
     return DipoleSpectrum(lambdas=-lam[keep], weights=proj[keep] ** 2,
-                          mean_dipole=mean, variance=variance,
-                          temperature=r.temperature)
+                          mean_dipole=mean, variance=variance)
 
 
 def evaluate_spectrum(spec: DipoleSpectrum, omega):
@@ -118,11 +115,11 @@ def evaluate_spectrum(spec: DipoleSpectrum, omega):
     return out if out.ndim else float(out)
 
 
-def spectrum_via_resolvent(r: RateMatrix, p0, ladder: DipoleLadder, omegas):
+def spectrum_via_resolvent(r: RateMatrix, p0, mu, omegas):
     """Regression-equation route to S_mu, sampled at the given omegas.
 
     The Laplace transform of the regression equations for the population
-    correlations gives, with dmu = mu - <mu>,
+    correlations gives, with mu the dipole ladder (C m) and dmu = mu - <mu>,
 
         S(omega) = 2 Re dmu^T (i omega - M + c p0 1^T)^{-1} diag(p0) dmu,
 
@@ -133,7 +130,7 @@ def spectrum_via_resolvent(r: RateMatrix, p0, ladder: DipoleLadder, omegas):
     Independent of the mode decomposition.
     """
     p0 = np.asarray(p0, dtype=float)
-    mu = np.asarray(ladder.mu, dtype=float)
+    mu = np.asarray(mu, dtype=float)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     M = r.generator
     dmu = mu - p0 @ mu

@@ -217,15 +217,13 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
                          extent=extent, seed=seed, rejects=total_rejects)
 
 
-def mc_field_noise(sample: SurfaceSample, s_mu, trap: TrapConfig, ion_xy=None):
+def mc_field_noise(sample: SurfaceSample, s_mu, trap: TrapConfig):
     """Field noise from one dipole configuration; sources add in power.
 
-    The ion sits at height trap.distance above the sample center unless
-    ion_xy overrides the lateral position.
+    The ion sits at height trap.distance above the sample center.
     """
-    if ion_xy is None:
-        ion_xy = (0.5 * sample.extent, 0.5 * sample.extent)
-    ion = (ion_xy[0], ion_xy[1], trap.distance)
+    center = 0.5 * sample.extent
+    ion = (center, center, trap.distance)
     e = dipole_field_kernel(sample.positions, ion)
     proj = e @ np.asarray(trap.axis, dtype=float)
     return float(np.sum(proj ** 2) * s_mu)

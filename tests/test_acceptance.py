@@ -107,7 +107,7 @@ def test_criterion_2b_gamma0_harmonic_scale(pipe):
 
 
 def test_criterion_3_dipole_ladder(pipe):
-    mu0 = pipe.ladder.mu[0] / DEBYE
+    mu0 = pipe.ladder[0] / DEBYE
     ok1 = 0.0025 <= mu0 <= 0.01
     coeff = dipoles.INDUCED_DIPOLE_COEFFICIENT * 4.5 ** 1.5
     ok2 = abs(coeff - 4.5) / 4.5 <= 0.003
@@ -135,7 +135,7 @@ def test_criterion_5_two_level_limit(pipe, spectra):
     T, _, _, spec = spectra(0.2)
     om = np.linspace(0.0, 10 * pipe.gamma0, 51)
     full = spectrum.evaluate_spectrum(spec, om)
-    limit = spectrum.two_level_limit(pipe.ladder.mu[0], pipe.ladder.mu[1],
+    limit = spectrum.two_level_limit(pipe.ladder[0], pipe.ladder[1],
                                      pipe.gamma0, pipe.nu10, T, om)
     dev = float(np.max(np.abs(full - limit) / limit))
     report("5", dev <= 0.05,
@@ -150,7 +150,7 @@ def test_criterion_5_two_level_limit_colder(pipe, spectra, x):
     T, _, _, spec = spectra(x)
     om = np.linspace(0.0, 10 * pipe.gamma0, 51)
     full = spectrum.evaluate_spectrum(spec, om)
-    limit = spectrum.two_level_limit(pipe.ladder.mu[0], pipe.ladder.mu[1],
+    limit = spectrum.two_level_limit(pipe.ladder[0], pipe.ladder[1],
                                      pipe.gamma0, pipe.nu10, T, om)
     dev = float(np.max(np.abs(full - limit) / limit))
     report(f"5 (kT = {x} hbar nu10)", dev <= 0.05,

@@ -255,3 +255,14 @@ def test_max_states_validation(ne, ne_states):
     p, _ = ne
     with pytest.raises(ConfigurationError):
         boundstates.solve(p, ne_states.grid, max_states=1)
+
+
+def test_grid_inside_inner_barrier_is_grid_error(ne):
+    # Inside the barrier top the exp-3 form dives towards -infinity, so a
+    # grid from there gives levels thousands of U0 deep unless refused.
+    p, _ = ne
+    z_pk, _ = potential.inner_barrier(p)
+    assert 0.05 * p.z0 < z_pk
+    grid = boundstates.Grid(z_min=0.05 * p.z0, z_max=30 * p.z0, n_points=4000)
+    with pytest.raises(GridError, match="inside the inner barrier"):
+        boundstates.solve(p, grid)

@@ -39,40 +39,40 @@ def test_domain_errors():
 def test_ne_ground_state_average(ne_ladder):
     # vibrational averaging over the ground state; the quoted value for
     # this system is 0.005 D with generous tolerance
-    mu0 = ne_ladder.mu[0] / DEBYE
+    mu0 = ne_ladder[0] / DEBYE
     assert 0.0025 <= mu0 <= 0.0075
 
 
 def test_ladder_positive_and_sized(ne_states, ne_ladder):
     assert len(ne_ladder) == ne_states.n_states
-    assert np.all(ne_ladder.mu > 0)
+    assert np.all(ne_ladder > 0)
 
 
 def test_ladder_monotonic_decreasing(ne_ladder):
     # Higher states live at larger z where the z^-4 kernel is weaker;
     # observed (not assumed): the ladder decreases monotonically.
-    assert ne_ladder.mu[0] == ne_ladder.mu.max()
-    assert np.all(np.diff(ne_ladder.mu) < 0)
+    assert ne_ladder[0] == ne_ladder.max()
+    assert np.all(np.diff(ne_ladder) < 0)
 
 
 def test_image_factor_linearity(ne_states, ne):
     p, _ = ne
     single = dipoles.dipole_ladder(ne_states, p.polarizability, image_factor=1.0)
     double = dipoles.dipole_ladder(ne_states, p.polarizability, image_factor=2.0)
-    assert np.allclose(double.mu, 2.0 * single.mu, rtol=1e-12)
+    assert np.allclose(double, 2.0 * single, rtol=1e-12)
 
 
 def test_polarizability_scaling_three_halves(ne_states, ne):
     p, _ = ne
     base = dipoles.dipole_ladder(ne_states, p.polarizability)
     scaled = dipoles.dipole_ladder(ne_states, 4.0 * p.polarizability)
-    assert np.allclose(scaled.mu, 8.0 * base.mu, rtol=1e-12)
+    assert np.allclose(scaled, 8.0 * base, rtol=1e-12)
 
 
 def test_alpha_to_zero_limit(ne_states, ne):
     p, _ = ne
     tiny = dipoles.dipole_ladder(ne_states, 1e-12 * p.polarizability)
-    assert np.all(tiny.mu < 1e-15 * DEBYE)
+    assert np.all(tiny < 1e-15 * DEBYE)
 
 
 def test_integrand_peaks_inside_grid(ne_states, ne):
@@ -89,4 +89,4 @@ def test_vibrational_average_near_point_value(ne, ne_ladder):
     # the average, the anharmonic outward shift lowers it
     p, _ = ne
     point = dipoles.induced_dipole(p.polarizability, p.z0)
-    assert 0.8 * point < ne_ladder.mu[0] < 1.25 * point
+    assert 0.8 * point < ne_ladder[0] < 1.25 * point

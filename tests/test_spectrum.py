@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from adnoise import cli, dipoles, phonons, spectrum
+from adnoise import cli, phonons, spectrum
 from adnoise.errors import AnalysisError, NumericalError
 from adnoise.units import HBAR, KB
 from scipy.linalg import expm
@@ -10,11 +10,6 @@ from scipy.linalg import expm
 from conftest import two_state_rate_matrix
 
 TWO_PI = 2 * math.pi
-
-
-def make_ladder(mu):
-    return dipoles.DipoleLadder(mu=np.asarray(mu, dtype=float),
-                                image_factor=1.0, polarizability=1e-30)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +33,7 @@ def test_two_state_telegraph_mode():
     g10, g01 = 3.0e6, 1.2e6
     r = two_state_rate_matrix(g10, g01)
     p0 = phonons.stationary_distribution(r)
-    ladder = make_ladder([5e-33, 2e-33])
+    ladder = np.array([5e-33, 2e-33])
     spec = spectrum.correlation_modes(r, p0, ladder)
     assert spec.n_modes == 1
     assert spec.lambdas[0] == pytest.approx(g10 + g01, rel=1e-12)
@@ -48,7 +43,7 @@ def test_two_state_telegraph_mode():
 
 def test_variance_identity(ne_spectrum_at, ne_states, ne_ladder):
     _, p0, spec = ne_spectrum_at(2.0)
-    mu = ne_ladder.mu
+    mu = ne_ladder
     var = float(p0 @ mu ** 2 - (p0 @ mu) ** 2)
     assert spec.weights.sum() == pytest.approx(var, rel=1e-10)
     assert spec.variance == pytest.approx(var, rel=1e-12)
@@ -57,7 +52,7 @@ def test_variance_identity(ne_spectrum_at, ne_states, ne_ladder):
 
 def test_uniform_ladder_has_no_fluctuations(ne_spectrum_at, ne_states):
     r, p0, _ = ne_spectrum_at(2.0)
-    flat = make_ladder(np.full(ne_states.n_states, 3e-33))
+    flat = np.full(ne_states.n_states, 3e-33)
     spec = spectrum.correlation_modes(r, p0, flat)
     assert spec.variance == pytest.approx(0.0, abs=1e-80)
     assert np.all(np.abs(spec.weights) < 1e-77)
@@ -116,7 +111,7 @@ def test_modes_require_positive_populations(ne_spectrum_at, ne_ladder):
 
 def correlation_by_expm(r, p0, ladder, tau):
     """C(tau) on a uniform grid: steps expm(M dtau) on diag(p0) (mu - <mu>)."""
-    dmu = ladder.mu - p0 @ ladder.mu
+    dmu = ladder - p0 @ ladder
     step = expm(r.generator * (tau[1] - tau[0]))
     x = p0 * dmu
     c = np.empty(len(tau))
@@ -130,7 +125,7 @@ def test_resolvent_telegraph_closed_form():
     g10, g01 = 2.5e6, 1.0e6
     r = two_state_rate_matrix(g10, g01)
     p0 = phonons.stationary_distribution(r)
-    ladder = make_ladder([4e-33, 1e-33])
+    ladder = np.array([4e-33, 1e-33])
     lam = g10 + g01
     om = np.array([0.0, 0.3 * lam, lam, 5 * lam, 40 * lam])
     s_res = spectrum.spectrum_via_resolvent(r, p0, ladder, om)
@@ -181,7 +176,7 @@ def test_low_temperature_statistics_are_centered(
                if ln.startswith("# variance:")]
     assert float(line.split()[2]) > 0
     r, p0, spec = ne_spectrum_at(x)
-    mu = ne_ladder.mu
+    mu = ne_ladder
     pairwise = 0.5 * math.fsum(p0[i] * p0[j] * (mu[i] - mu[j]) ** 2
                                for i in range(len(mu)) for j in range(len(mu)))
     assert spec.variance == pytest.approx(pairwise, rel=1e-12)
@@ -209,7 +204,7 @@ def test_two_level_limit_matches_full_spectrum_at_low_T(
     _, _, spec = ne_spectrum_at(x)
     om = np.linspace(0.0, 10 * gamma0, 41)
     full = spectrum.evaluate_spectrum(spec, om)
-    limit = spectrum.two_level_limit(ne_ladder.mu[0], ne_ladder.mu[1],
+    limit = spectrum.two_level_limit(ne_ladder[0], ne_ladder[1],
                                      gamma0, nu10, T, om)
     assert np.max(np.abs(full - limit) / limit) < 0.05
 

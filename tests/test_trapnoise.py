@@ -249,8 +249,8 @@ def test_mc_rotation_invariance():
     turned = (sample.positions - center) @ rot.T + center
     rotated = trapnoise.SurfaceSample(positions=turned, min_spacing=1.0,
                                       extent=60.0, seed=11)
-    a = trapnoise.mc_field_noise(sample, 1.0, trap, ion_xy=center)
-    b = trapnoise.mc_field_noise(rotated, 1.0, trap, ion_xy=center)
+    a = trapnoise.mc_field_noise(sample, 1.0, trap)
+    b = trapnoise.mc_field_noise(rotated, 1.0, trap)
     assert b == pytest.approx(a, rel=1e-12)
 
 
