@@ -158,8 +158,8 @@ def cmd_dipoles(pipe: Pipeline, outdir: Path):
         f"image_factor: {pipe.cfg.spectrum.image_factor!r}",
         f"ladder_monotonic_decreasing: {bool(np.all(np.diff(mu) < 0))}"])
     columns = [("i", "1"), ("E", "meV"), ("mu", "D")]
-    rows = [[i, s.energies[i] / (1e-3 * E_CHARGE), mu[i] / DEBYE]
-            for i in range(s.n_states)]
+    rows = np.column_stack([np.arange(s.n_states),
+                            s.energies / (1e-3 * E_CHARGE), mu / DEBYE])
     return [emit_table(outdir / "dipoles.csv", columns, rows, header)]
 
 
@@ -171,21 +171,25 @@ def cmd_rates(pipe: Pipeline, outdir: Path):
         f"debye_frequency: {pipe.material.debye_frequency / 1e12:.6g} THz"])
     columns = [("i", "1"), ("f", "1"), ("delta_nu", "THz"),
                ("gamma", "1/s"), ("masked", "bool")]
-    rows = []
-    n = pipe.states.n_states
-    for i in range(n):
-        for f in range(n):
-            if i == f:
-                continue
-            dnu = pipe.states.splitting(i, f) / TWO_PI / 1e12
-            rows.append([i, f, dnu, r.gamma[i, f], bool(r.cutoff_mask[i, f])])
+    e = pipe.states.energies
+    i, f = np.nonzero(~np.eye(pipe.states.n_states, dtype=bool))
+    rows = np.column_stack([i, f, np.abs(e[i] - e[f]) / HBAR / TWO_PI / 1e12,
+                            r.gamma[i, f], r.cutoff_mask[i, f]])
     return [emit_table(outdir / "rates.csv", columns, rows, header)]
 
 
 def cmd_spectrum(pipe: Pipeline, outdir: Path):
+    temperatures = pipe.cfg.spectrum.temperatures
+    tags = [pipe.temp_tag(tspec) for tspec in temperatures]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            (a, ua), (b, ub) = temperatures[tags.index(tag)], temperatures[k]
+            raise ConfigurationError(
+                f"temperatures {a!r} {ua} and {b!r} {ub} would both write "
+                f"spectrum_{tag}.csv")
     omegas = pipe.omega_grid()
     paths = []
-    for tspec in pipe.cfg.spectrum.temperatures:
+    for tspec, tag in zip(temperatures, tags):
         T = pipe.kelvin(tspec)
         spec = pipe.spectrum_at(T)
         values = spectrum.evaluate_spectrum(spec, omegas)
@@ -195,10 +199,9 @@ def cmd_spectrum(pipe: Pipeline, outdir: Path):
             f"crossover_omega_c: {wc / pipe.gamma0:.6g} gamma0",
             f"variance: {spec.variance / DEBYE ** 2:.6g} D^2"])
         columns = [("omega_over_gamma0", "1"), ("S_mu", "D^2/Hz")]
-        rows = [[w / pipe.gamma0, v / DEBYE ** 2]
-                for w, v in zip(omegas, values)]
-        name = f"spectrum_{pipe.temp_tag(tspec)}.csv"
-        paths.append(emit_table(outdir / name, columns, rows, header))
+        rows = np.column_stack([omegas / pipe.gamma0, values / DEBYE ** 2])
+        paths.append(emit_table(outdir / f"spectrum_{tag}.csv", columns,
+                                rows, header))
     return paths
 
 
@@ -241,22 +244,22 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
                                             n_seeds=mc.n_seeds)
     k_kernel = trapnoise.kernel_integral_constant()
     sigma = base.density
-    ratios = [m / (sigma * k_kernel / (trapnoise.FOUR_PI_EPS0 ** 2 * d ** 4))
-              for d, m in zip(result.distances, result.means)]
+    d = result.distances
+    ratios = result.means / (sigma * k_kernel
+                             / (trapnoise.FOUR_PI_EPS0 ** 2 * d ** 4))
     header = pipe.header("mc-scaling", [
         f"n_dipoles: {mc.n_dipoles}, extent: {mc.extent:g} d0, "
         f"n_seeds: {mc.n_seeds}, seed: {cfg.mc_seed}",
         f"fitted_exponent: {result.exponent:.6g} +/- {result.stderr:.3g}",
         f"surface_average_constant: {trapnoise.SURFACE_AVERAGE_CONSTANT!r}",
-        f"kernel_integral_constant: {k_kernel:.9g} (= 3 pi / 4; the ratio to "
-        "3/8 is exactly 2 pi, a spectral-convention difference)",
+        f"kernel_integral_constant: {k_kernel:.9g} (= 3 pi / 4 = 2 pi x 3/8; "
+        "heat's 3/8 gives S_E per d omega, 2 pi below the sum rule)",
         "S_E columns are per unit S_mu, distances in units of d0"])
     columns = [("d_over_d0", "1"), ("S_E_mean", "(V/m)^2 per (C m)^2"),
                ("S_E_stderr", "(V/m)^2 per (C m)^2"), ("mc_over_plane", "1"),
                ("n_seeds", "1")]
-    rows = [[d, m, s, r, result.n_seeds]
-            for d, m, s, r in zip(result.distances, result.means,
-                                  result.stderrs, ratios)]
+    rows = np.column_stack([d, result.means, result.stderrs, ratios,
+                            np.full(len(d), result.n_seeds)])
     return [emit_table(outdir / "mc_scaling.csv", columns, rows, header)]
 
 
@@ -278,7 +281,8 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
         "field noise uses the surface-averaged 3/8 transfer"])
     columns = [("T", "K"), ("omega_t", "rad/s"), ("S_mu", "D^2/Hz"),
                ("S_E", "(V/m)^2/Hz"), ("ndot", "1/s")]
-    return [emit_table(outdir / "heating.csv", columns, rows, header)]
+    return [emit_table(outdir / "heating.csv", columns, np.array(rows),
+                       header)]
 
 
 def cmd_validate(pipe: Pipeline, outdir: Path):
@@ -330,7 +334,7 @@ def load_config(args) -> RunConfig:
     if args.config is not None:
         try:
             text = args.config.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {args.config}: {exc}") from None
     elif args.preset is not None:
         text = f"preset = {args.preset}\n"

@@ -4,14 +4,16 @@ Uncorrelated vertical dipoles at area density sigma add in power, so the
 field noise at height d above the plane is S_mu times a purely geometric
 transfer.  Two transfers are provided on purpose:
 
-* analytic_field_noise uses the conventional surface-averaged form
-  S_E = (3/8) sigma S_mu / ((4 pi eps0)^2 d^4);
-* kernel_integral_constant computes the same plane integral from the bare
-  point-dipole kernel, which gives K = 3 pi / 4 = 2 pi * (3/8).
+* analytic_field_noise uses the surface-averaged form the heating-rate
+  contract fixes, S_E = (3/8) sigma S_mu / ((4 pi eps0)^2 d^4);
+* kernel_integral_constant computes the plane integral of the squared
+  bare point-dipole kernel, K = 3 pi / 4 = 2 pi * (3/8).
 
-The factor-2pi discrepancy reflects a spectral-convention choice upstream
-of the 3/8; both constants are reported side by side and the Monte Carlo
-consistency checks use the kernel-derived K.
+The factor 2 pi is not a convention choice: uncorrelated dipoles give
+Var(E_z) = sigma K Var(mu) / ((4 pi eps0)^2 d^4), so with S_mu per
+d omega / 2 pi an S_E in the same convention carries K.  The 3/8 gives a
+density per d omega instead, 2 pi below the one heating_rate expects.
+The Monte Carlo consistency checks use K.
 
 The Monte Carlo path samples dipole positions with a minimum spacing d0,
 sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
@@ -177,6 +179,8 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     """
     if n < 1:
         raise ConfigurationError("need at least one dipole")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     if not (min_spacing > 0 and 0 < extent < math.inf):
         raise ConfigurationError(
             "min_spacing and extent must be positive and finite")

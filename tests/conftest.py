@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,17 @@ def soft_material():
 def two_state_rate_matrix(gamma_down, gamma_up, temperature=1.0):
     gamma = np.array([[0.0, gamma_up], [gamma_down, 0.0]])
     return phonons.RateMatrix.from_gamma(gamma, temperature=temperature)
+
+
+def per_cell_table(columns, rows, header_lines=()):
+    """Reference CSV written cell by cell through csv.writer: a bool cell
+    as true/false, a float cell with '%.9g', any other cell with str()."""
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in header_lines)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"{name} [{unit}]" for name, unit in columns])
+    for row in rows:
+        writer.writerow([("true" if v else "false") if isinstance(v, bool)
+                         else "%.9g" % v if isinstance(v, float) else str(v)
+                         for v in row])
+    return buf.getvalue()

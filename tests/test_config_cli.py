@@ -1,5 +1,3 @@
-import csv
-import io
 import os
 import subprocess
 import sys
@@ -11,6 +9,7 @@ import pytest
 from adnoise import cli, config, tables
 from adnoise.errors import ConfigurationError
 from adnoise.units import AMU, BOHR, E_CHARGE
+from conftest import per_cell_table
 
 
 def test_minimal_preset_document():
@@ -187,31 +186,84 @@ def test_preset_document_serializes_to_pinned_text():
 
 def test_emit_table_header_only(tmp_path):
     path = tables.emit_table(tmp_path / "empty.csv",
-                             [("a", "m"), ("b", "s")], [], ["note"])
+                             [("a", "m"), ("b", "s")], np.empty((0, 2)),
+                             ["note"])
     content = Path(path).read_text()
     assert content == "# note\na [m],b [s]\n"
 
 
 def test_emit_table_formats_and_quotes(tmp_path):
-    path = tables.emit_table(tmp_path / "t.csv", [("x", "1"), ("tag", "text")],
-                             [[1.23456789012345, 'say "hi"']])
-    content = Path(path).read_text()
-    assert "1.23456789" in content
-    assert '"say ""hi"""' in content
+    # '%.9g' per cell, integral floats as integers, and 0/1 in a 'bool'
+    # column as false/true; any other value there keeps '%.9g'.
+    rows = np.array([[1.23456789012345, 30.0, 1.0],
+                     [-2.5e-300, 1e9, 0.0],
+                     [float("nan"), 123456789.0, 0.5]])
+    path = tables.emit_table(tmp_path / "t.csv",
+                             [("x", "1"), ("n", "1"), ("masked", "bool")],
+                             rows)
+    assert Path(path).read_text() == (
+        "x [1],n [1],masked [bool]\n1.23456789,30,true\n"
+        "-2.5e-300,1e+09,false\nnan,123456789,0.5\n")
 
 
 def test_emit_table_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ConfigurationError, match="row 0"):
-        tables.emit_table(tmp_path / "bad.csv", [("a", "1")], [[1.0, 2.0]])
-    for rows in (np.zeros(3), np.zeros((3, 2))):
+    for rows in ([[1.0, 2.0]], [[1.0]], np.zeros(3), np.zeros((3, 2)),
+                 np.zeros((3, 1), dtype=int)):
         with pytest.raises(ConfigurationError, match="2-D float array"):
             tables.emit_table(tmp_path / "bad.csv", [("a", "1")], rows)
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_cli_output_path_through_a_file_is_config_error(tmp_path, capsys,
+                                                        target):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / target
+    assert run_cli(["dipoles", "--preset", "Ne-Au", "--output", out]) == 2
+    assert f"cannot write {out / 'dipoles.csv'}" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_bytes(b"preset = Ne-Au\n# \xff\n")
+    out = tmp_path / "o"
+    assert run_cli(["states", "--config", cfgfile, "--output", out]) == 2
+    assert f"cannot read {cfgfile}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "seed = -5\n",
+                                    "[montecarlo]\nseed = -5\n"])
+def test_cli_negative_mc_seed_is_config_error(tmp_path, capsys, source):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + ("" if source == "flag"
+                                               else source))
+    out = tmp_path / "o"
+    args = ["mc-scaling", "--config", cfgfile, "--output", out]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    assert run_cli(args) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_spectrum_temperature_tags_must_differ(tmp_path, capsys):
+    # 2.0000001 nu10 and 5.0000004 K round to the tags of 2 nu10 and 5 K,
+    # so two of the four files would silently overwrite the other two.
+    out = tmp_path / "o"
+    assert run_cli(["spectrum", "--preset", "Ne-Au", "--temperature",
+                    "2 nu10, 2.0000001 nu10, 5 K, 5.0000004 K",
+                    "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert "2.0 nu10 and 2.0000001 nu10" in err
+    assert "spectrum_kT_2nu10.csv" in err
+    assert not out.exists()
+
+
 def test_states_csv_matches_per_cell_rows(tmp_path):
     # Reference: the rows built cell by cell from the solved states, in the
-    # order z, U, psi_0..psi_n, each written through _cell and csv.writer.
+    # order z, U, psi_0..psi_n, each written through csv.writer.
     text = "preset = Ne-Au\n[solver]\nn_points = 4000\nmax_states = 30\n"
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(text)
@@ -221,24 +273,22 @@ def test_states_csv_matches_per_cell_rows(tmp_path):
 
     s = cli.Pipeline(config.parse_config(text)).states
     z = s.grid.z()
-    buf = io.StringIO()
-    buf.writelines(line + "\n" for line in written.splitlines()
-                   if line.startswith("#"))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["z [m]", "U [J]"] + [f"psi_{i} [1/sqrt(m)]"
-                                          for i in range(s.n_states)])
-    for k in range(len(z)):
-        row = [z[k], s.potential_values[k],
-               *(s.wavefunctions[i][k] for i in range(s.n_states))]
-        writer.writerow([tables._cell(v) for v in row])
+    header = [line[2:] for line in written.splitlines()
+              if line.startswith("#")]
+    columns = [("z", "m"), ("U", "J")] + [(f"psi_{i}", "1/sqrt(m)")
+                                          for i in range(s.n_states)]
+    rows = [[z[k], s.potential_values[k],
+             *(s.wavefunctions[i][k] for i in range(s.n_states))]
+            for k in range(len(z))]
     assert s.n_states > 5
     # Compared as lists of lines: a diff of the 1.4 MB strings is slow.
-    assert written.splitlines(True) == buf.getvalue().splitlines(True)
+    assert (written.splitlines(True)
+            == per_cell_table(columns, rows, header).splitlines(True))
 
 
 def test_emit_table_deterministic(tmp_path):
     cols = [("x", "1"), ("y", "1")]
-    rows = [[0.1, 0.2], [0.3, 0.4]]
+    rows = np.array([[0.1, 0.2], [0.3, 0.4]])
     a = tables.emit_table(tmp_path / "a.csv", cols, rows, ["h"])
     b = tables.emit_table(tmp_path / "b.csv", cols, rows, ["h"])
     assert Path(a).read_bytes() == Path(b).read_bytes()

@@ -20,6 +20,7 @@ from adnoise import (boundstates, config, phonons, potential,
                      spectrum, tables, trapnoise, units)
 from adnoise.errors import ConfigurationError, ModelError
 from adnoise.units import HBAR, KB
+from conftest import per_cell_table
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -368,24 +369,31 @@ _EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 
 @st.composite
 def float_tables(draw):
-    """(columns, rows as a float64 array) of 0-50 rows and 1-8 columns."""
+    """(columns, rows as Python lists) of 0-50 rows: 1-8 float columns and,
+    at a drawn position, one 'bool' column of Python bools."""
     ncols = draw(st.integers(1, 8))
     nrows = draw(st.integers(0, 50))
     cell = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
                      st.integers(-2 ** 60, 2 ** 60).map(float))
     values = draw(st.lists(cell, min_size=ncols * nrows,
                            max_size=ncols * nrows))
+    flags = draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+    at = draw(st.integers(0, ncols))
     columns = [(f"c{i}", "1") for i in range(ncols)]
-    return columns, np.array(values, dtype=float).reshape(nrows, ncols)
+    columns.insert(at, ("flag", "bool"))
+    rows = [values[k * ncols:(k + 1) * ncols] for k in range(nrows)]
+    for row, flag in zip(rows, flags):
+        row.insert(at, flag)
+    return columns, rows
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(float_tables())
 def test_array_rows_render_like_list_rows(table):
     columns, rows = table
-    as_array = tables.render_table(columns, rows, ["h"])
-    as_lists = tables.render_table(columns, rows.tolist(), ["h"])
-    assert as_array == as_lists
+    array = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    assert (tables.render_table(columns, array, ["h"])
+            == per_cell_table(columns, rows, ["h"]))
 
 
 _CONVERSIONS = [(convert, a, b)
