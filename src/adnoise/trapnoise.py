@@ -19,15 +19,17 @@ The Monte Carlo path samples dipole positions with a minimum spacing d0,
 sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
 seed-averaged noise inside the window 3 d0 <= d <= extent/10.  Sampling
 draws candidates from the seeded stream in blocks and tests each one only
-against placed points in the neighbouring cells of a grid of side about
-d0; the stream, the positions and the rejection counts are those of
-testing every candidate against every placed point, and memory is linear
-in n.  SurfaceSample checks the spacing with an x-sorted sweep, also in
-linear memory.
+against placed points in the 2 x 2 cells, of a grid of side about 2 d0,
+that a disk of radius d0 about it can reach; the stream, the positions
+and the rejection counts are those of testing every candidate against
+every placed point, and memory is linear in n.  SurfaceSample checks the
+spacing on every sample, in one window over the x-sorted points that
+reaches each successor closer than d0 in x.  mc_field_noise evaluates the
+field kernel once per sample for all distances.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,16 +83,20 @@ class SurfaceSample:
             raise ConfigurationError("positions must lie inside [0, extent]^2")
         if not self.min_spacing >= 0:
             raise ConfigurationError("min_spacing must be non-negative")
-        # x-sorted sweep: pair each point with its k-th successor in x for
-        # k = 1, 2, ... until every such pair is min_spacing or more apart
-        # in x.  That visits every pair that can fail, in O(n) memory.
+        # One window over the x-sorted points: each point against every
+        # successor closer than min_spacing in x, the rows padded with inf.
+        # That visits every pair that can fail, in n x (window) memory.
         p = pts[np.argsort(pts[:, 0], kind="stable")]
-        limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
-        for k in range(1, len(p)):
-            dx = p[k:, 0] - p[:-k, 0]
-            if not np.any(dx < self.min_spacing):
-                break
-            dy = p[k:, 1] - p[:-k, 1]
+        x = p[:, 0]
+        reach = np.searchsorted(x, x + self.min_spacing, side="right")
+        width = int(np.max(reach - np.arange(len(p)), initial=1)) - 1
+        if width:
+            pad = np.concatenate([p, np.full((width, 2), np.inf)])
+            win = np.lib.stride_tricks.sliding_window_view(
+                pad, width + 1, axis=0)[:len(p), :, 1:]
+            dx = win[:, 0] - x[:, None]
+            dy = win[:, 1] - p[:, 1:]
+            limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
             if np.any(dx * dx + dy * dy < limit):
                 raise ConfigurationError("positions violate the minimum spacing")
 
@@ -100,29 +106,41 @@ class SurfaceSample:
 
     @property
     def density(self):
-        return self.n / self.extent ** 2
+        try:
+            return self.n / self.extent ** 2
+        except OverflowError:  # extent ** 2 is past the float range
+            return self.n / self.extent / self.extent
 
 
 def dipole_field_kernel(sources, ion):
     """Field (V/m per C m) of unit vertical point dipoles in the plane.
 
     sources is an (n, 2) array of (x, y) on the electrode; ion is (x, y, z)
-    with z > 0.  Returns the (n, 3) bare dipole fields at the ion,
+    with z > 0, or a (D, 3) array of such positions.  Returns the (n, 3),
+    or (D, n, 3), bare dipole fields at the ion,
     E = (3 (z_hat . r_hat) r_hat - z_hat) / (4 pi eps0 r^3); any image
     doubling belongs to the dipole ladder, not here.
     """
     ion = np.asarray(ion, dtype=float)
-    if ion[2] <= 0:
+    if (ion[..., 2] <= 0).any():
         raise DomainError("ion must sit strictly above the plane")
     sources = np.asarray(sources, dtype=float)
-    rel = np.empty((len(sources), 3))
-    rel[:, :2] = ion[:2] - sources
-    rel[:, 2] = ion[2]
-    dist = np.linalg.norm(rel, axis=1)
-    rn = rel / dist[:, None]
-    e = 3.0 * rn[:, 2:] * rn
-    e[:, 2] -= 1.0
-    return e / (FOUR_PI_EPS0 * dist ** 3)[:, None]
+    # One (..., n) array per component of r = ion - source.  The sum of
+    # squares runs x, y, z from the left, as np.linalg.norm's does, and
+    # E_c = ((3 r_z / r) (r_c / r) - delta_cz) / (4 pi eps0 r^3) rounds
+    # in this order.
+    rx = ion[..., :1] - sources[:, 0]
+    ry = ion[..., 1:2] - sources[:, 1]
+    rz = ion[..., 2:]
+    dist = np.sqrt(rx * rx + ry * ry + rz * rz)
+    scale = FOUR_PI_EPS0 * dist ** 3
+    rnz = rz / dist
+    cos3 = 3.0 * rnz
+    e = np.empty(dist.shape + (3,))
+    e[..., 0] = cos3 * (rx / dist) / scale
+    e[..., 1] = cos3 * (ry / dist) / scale
+    e[..., 2] = (cos3 * rnz - 1.0) / scale
+    return e
 
 
 def analytic_field_noise(sigma, s_mu, d):
@@ -154,11 +172,11 @@ def kernel_integral_constant(d=1.0):
     return val
 
 
-def _near(grid, key, offsets, x, y, limit):
-    """Whether a point in the cells key + offsets is closer than
+def _near(grid, low, stride, x, y, limit):
+    """Whether a point in the 2 x 2 cells from low up is closer than
     sqrt(limit) to (x, y); d^2 is summed as np.sum(d ** 2) would sum it."""
-    for step in offsets:
-        for px, py in grid.get(key + step, ()):
+    for key in (low, low + 1, low + stride, low + stride + 1):
+        for px, py in grid.get(key, ()):
             dx, dy = px - x, py - y
             if dx * dx + dy * dy < limit:
                 return True
@@ -172,7 +190,8 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     requires n pi min_spacing^2 / 4 < extent^2 / 2.  Candidates are drawn
     in blocks, which gives the same doubles in the same order as one draw
     per candidate.  Each is tested, in order, against the placed points in
-    the 3 x 3 neighbouring cells of a grid of side about min_spacing, with
+    2 x 2 cells of a grid of side about 2 min_spacing: its own cell and
+    the neighbours on the side of the cell where it sits.  The test uses
     the same squared-distance arithmetic as a test against every placed
     point; positions and rejects are those of that direct test, in memory
     linear in n.
@@ -184,53 +203,71 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     if not (min_spacing > 0 and 0 < extent < math.inf):
         raise ConfigurationError(
             "min_spacing and extent must be positive and finite")
-    if n * math.pi * min_spacing ** 2 / 4.0 >= 0.5 * extent ** 2:
+    if n * math.pi * (min_spacing / extent) ** 2 / 4.0 >= 0.5:
         raise ConfigurationError(
             "packing fraction too high for rejection sampling")
     limit = min_spacing ** 2
-    # A hair wider than min_spacing, so rounding in x / cell never puts a
-    # point that fails the distance test two cells away from the candidate.
-    cell = min_spacing * (1.0 + 1e-9) + 1e-15 * extent
-    # Cell (i, j) has key i * stride + j.  As 0 <= j <= extent / cell, the
-    # neighbours j - 1 and j + 1 never wrap into another row.
+    # A hair wider than 2 min_spacing: a disk of radius min_spacing about a
+    # point in the lower half of its cell in x meets only that cell and the
+    # one below, in the upper half only that cell and the one above, and
+    # likewise in y, even after rounding in x / cell.
+    cell = 2.0 * (min_spacing * (1.0 + 1e-9) + 1e-15 * extent)
+    # Cell (i, j) has key i * stride + j, an exact int however large.  As
+    # 0 <= j <= extent / cell, the neighbours j - 1 and j + 1 never wrap
+    # into another row.
     stride = math.floor(extent / cell) + 3
-    offsets = [a * stride + b for a in (-1, 0, 1) for b in (-1, 0, 1)]
     rng = np.random.default_rng(seed)
     grid = {}                  # cell key -> [(x, y), ...] placed there
-    placed = []
-    consecutive = 0
-    total_rejects = 0
-    while len(placed) < n:
-        block = rng.uniform(0.0, extent, (max(n - len(placed), 256), 2))
-        for x, y in block.tolist():
-            key = math.floor(x / cell) * stride + math.floor(y / cell)
-            if _near(grid, key, offsets, x, y, limit):
+    chunks = []                # the accepted rows of each drawn block
+    placed = consecutive = total_rejects = 0
+    while placed < n:
+        block = rng.uniform(0.0, extent, (max(n - placed, 256), 2))
+        taken = []
+        for row, (x, y) in enumerate(block.tolist()):
+            fx, fy = x / cell, y / cell
+            i, j = math.floor(fx), math.floor(fy)
+            key = i * stride + j
+            # the lower-left cell of the 2 x 2 block the disk can reach
+            low = key - (stride if fx - i < 0.5 else 0) - (fy - j < 0.5)
+            if _near(grid, low, stride, x, y, limit):
                 consecutive += 1
                 total_rejects += 1
                 if consecutive > MAX_CONSECUTIVE_REJECTS:
                     raise PackingError(
                         f"gave up after {consecutive} consecutive rejections "
-                        f"({len(placed)}/{n} placed)")
+                        f"({placed}/{n} placed)")
                 continue
             grid.setdefault(key, []).append((x, y))
-            placed.append((x, y))
+            taken.append(row)
+            placed += 1
             consecutive = 0
-            if len(placed) == n:
+            if placed == n:
                 break
-    return SurfaceSample(positions=np.array(placed), min_spacing=min_spacing,
-                         extent=extent, seed=seed, rejects=total_rejects)
+        chunks.append(block[taken])
+    return SurfaceSample(positions=np.concatenate(chunks),
+                         min_spacing=min_spacing, extent=extent, seed=seed,
+                         rejects=total_rejects)
 
 
-def mc_field_noise(sample: SurfaceSample, s_mu, trap: TrapConfig):
+def mc_field_noise(sample: SurfaceSample, s_mu, axis, distances):
     """Field noise from one dipole configuration; sources add in power.
 
-    The ion sits at height trap.distance above the sample center.
+    The ion sits at each height in distances above the sample center, and
+    the field is projected on the unit vector axis.  Returns one S_E per
+    distance, from one kernel evaluation for all of them.
     """
-    center = 0.5 * sample.extent
-    ion = (center, center, trap.distance)
-    e = dipole_field_kernel(sample.positions, ion)
-    proj = e @ np.asarray(trap.axis, dtype=float)
-    return float(np.sum(proj ** 2) * s_mu)
+    d = np.asarray(distances, dtype=float)
+    ions = np.empty((len(d), 3))
+    ions[:, :2] = 0.5 * sample.extent
+    ions[:, 2] = d
+    # A source too far away for r^3 to be a float gives a zero field.
+    with np.errstate(over="ignore"):
+        e = dipole_field_kernel(sample.positions, ions)
+    axis = np.asarray(axis, dtype=float)
+    # One (n, 3) @ axis per distance: a fused (D n, 3) @ axis differs from
+    # it in the last bit in a few per cent of samples.
+    proj = np.array([e_d @ axis for e_d in e])
+    return np.sum(proj ** 2, axis=1) * s_mu
 
 
 @dataclass(frozen=True)
@@ -253,7 +290,8 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
     finite-patch edge effects at large d.  Child k = 0 is sample itself,
     so it should come from sample_surface(n, extent, min_spacing, seed);
     children k >= 1 are drawn with seeds sample.seed + k, so parallel and
-    serial evaluation agree.
+    serial evaluation agree.  A seed mean that is not finite and positive
+    (the field sum underflows when the extent is huge) is an AnalysisError.
     """
     d_list = np.asarray(d_list, dtype=float)
     lo = 3.0 * sample.min_spacing
@@ -268,14 +306,19 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
         raise AnalysisError(
             f"n_seeds = {n_seeds}, distances {d_list}: the standard errors "
             "need at least 2 seeds and the fit at least 3 distinct distances")
-    traps = [replace(trap, distance=d) for d in d_list]
     se = np.empty((n_seeds, len(d_list)))
     for k in range(n_seeds):
         s = sample if k == 0 else sample_surface(
             sample.n, sample.extent, sample.min_spacing, seed=sample.seed + k)
-        for j, trap_d in enumerate(traps):
-            se[k, j] = mc_field_noise(s, s_mu, trap_d)
+        se[k] = mc_field_noise(s, s_mu, trap.axis, d_list)
     means = se.mean(axis=0)
+    empty = ~(np.isfinite(means) & (means > 0))
+    if np.any(empty):
+        raise AnalysisError(
+            f"seed-averaged S_E at distances {d_list[empty]} is "
+            f"{means[empty]}, not finite and positive: the field sum "
+            "underflows or overflows for this extent, so no power law "
+            "can be fitted")
     stderrs = se.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     slope, _, _, stderr = _line_fit(np.log(d_list), np.log(means))
     return DistanceScaling(exponent=slope, stderr=stderr, distances=d_list,

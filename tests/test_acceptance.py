@@ -277,10 +277,7 @@ def test_criterion_10_distance_scaling(pipe):
     single = trapnoise.SurfaceSample(
         positions=np.array([[mc.extent / 2, mc.extent / 2]]),
         min_spacing=1.0, extent=mc.extent, seed=0)
-    se = [trapnoise.mc_field_noise(
-        single, 1.0, trapnoise.TrapConfig(distance=d, trap_frequency=1.0,
-                                          ion_mass=40 * AMU, charge=1.6e-19))
-        for d in mc.d_values]
+    se = trapnoise.mc_field_noise(single, 1.0, (0.0, 0.0, 1.0), mc.d_values)
     slope_single = float(np.polyfit(np.log(mc.d_values), np.log(se), 1)[0])
     ok_single = abs(slope_single + 6.0) <= 0.05
     k = trapnoise.kernel_integral_constant()

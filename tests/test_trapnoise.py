@@ -9,6 +9,7 @@ from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
 from adnoise.units import AMU, E_CHARGE, HBAR
 
 FPE = trapnoise.FOUR_PI_EPS0
+Z_AXIS = (0.0, 0.0, 1.0)
 
 
 def make_trap(d=1.0):
@@ -42,6 +43,19 @@ def test_kernel_domain_errors():
         trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         trapnoise.dipole_field_kernel([(1.0, 0.0)], (1.0, 0.0, -1.0))
+
+
+def test_kernel_broadcasts_over_ion_positions():
+    # a (D, 3) array of ions gives, bit for bit, the D one-ion results
+    sources = trapnoise.sample_surface(50, 60.0, 1.0, seed=4).positions
+    ions = np.array([(30.0, 30.0, d) for d in (3.0, 4.5, 10.0)])
+    batch = trapnoise.dipole_field_kernel(sources, ions)
+    assert batch.shape == (3, 50, 3)
+    for ion, e in zip(ions, batch):
+        assert e.tobytes() == trapnoise.dipole_field_kernel(
+            sources, ion).tobytes()
+    with pytest.raises(DomainError):
+        trapnoise.dipole_field_kernel(sources, [(1.0, 1.0, 2.0), (1.0, 1.0, 0.0)])
 
 
 def test_analytic_field_noise_formula():
@@ -187,6 +201,18 @@ def test_sample_surface_bit_identical_non_integer_cells():
     assert_matches_reference(600, 37.3, 0.7, range(10))
 
 
+def test_sample_surface_bit_identical_beyond_int64_keys():
+    # extent / d0 past ~3e9: the cell keys i * stride + j exceed int64
+    assert_matches_reference(100, 1e10, 1.0, range(10))
+    assert_matches_reference(100, 1e20, 1.0, range(10))
+
+
+def test_sample_surface_bit_identical_cell_edges_at_two_d0():
+    # cells are a hair wider than 2 d0, so their edges sit next to
+    # multiples of 2 d0 when the extent is one
+    assert_matches_reference(1000, 64.0, 1.0, range(6))
+
+
 def test_packing_error_names_placed_count(monkeypatch):
     monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 20)
     with pytest.raises(PackingError) as expected:
@@ -207,6 +233,29 @@ def test_packing_error_exits_four(monkeypatch, tmp_path, capsys):
     assert "consecutive rejections" in capsys.readouterr().err
 
 
+def test_huge_extent_exits_four(tmp_path, capsys):
+    # extent ** 2 overflows; the field sums underflow to zero at 1e60 and
+    # overflow the squared distance at 1e155, so no power law is fitted
+    for extent, seeds in (("1e155", 30), ("1e60", 5)):
+        cfgfile = tmp_path / "huge.ini"
+        cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nn_dipoles = 100\n"
+                           f"extent = {extent}\nn_seeds = {seeds}\n")
+        out = tmp_path / f"o{extent}"
+        assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                         "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "distances [ 3.   4.   5.   6.5  8.  10. ]" in err, err
+        assert not (out / "mc_scaling.csv").exists()
+
+
+def test_density_without_overflow():
+    s = trapnoise.sample_surface(100, 1e155, 1.0, seed=0)
+    assert s.density == 100 / 1e155 / 1e155 > 0
+    # below the overflow, the density is n / extent ** 2 bit for bit
+    small = trapnoise.SurfaceSample(np.array([[1.0, 1.0]]), 1.0, 100.0 / 3.0, 0)
+    assert small.density == 1 / (100.0 / 3.0) ** 2
+
+
 def test_sample_surface_rejects_bad_geometry():
     for extent, spacing in ((10.0, 0.0), (10.0, -1.0), (-10.0, 1.0),
                             (math.inf, 1.0), (10.0, math.nan)):
@@ -220,6 +269,20 @@ def test_sample_positions_validated():
                                 min_spacing=1.0, extent=10.0, seed=0)
 
 
+def test_spacing_window_reaches_every_close_successor():
+    # 40 points within 1e-3 in x: the pair that fails is the first and the
+    # last in x order, 39 places apart
+    n = 40
+    x = 5.0 + np.linspace(0.0, 1e-3, n)
+    y = np.concatenate([[0.0], 2.0 + np.arange(n - 2), [0.5]])
+    with pytest.raises(ConfigurationError, match="minimum spacing"):
+        trapnoise.SurfaceSample(positions=np.column_stack([x, y]),
+                                min_spacing=1.0, extent=100.0, seed=0)
+    y[-1] = 1.0
+    trapnoise.SurfaceSample(positions=np.column_stack([x, y]),
+                            min_spacing=1.0, extent=100.0, seed=0)
+
+
 def test_sample_positions_must_be_finite_and_spacing_non_negative():
     with pytest.raises(ConfigurationError, match="inside"):
         trapnoise.SurfaceSample(positions=np.array([[1.0, math.nan]]),
@@ -227,6 +290,34 @@ def test_sample_positions_must_be_finite_and_spacing_non_negative():
     with pytest.raises(ConfigurationError, match="min_spacing"):
         trapnoise.SurfaceSample(positions=np.array([[1.0, 1.0]]),
                                 min_spacing=-1.0, extent=10.0, seed=0)
+
+
+def reference_field_noise(positions, extent, s_mu, axis, d):
+    """The per-distance field sum: one kernel call for one ion height."""
+    ion = np.array([0.5 * extent, 0.5 * extent, d])
+    rel = np.empty((len(positions), 3))
+    rel[:, :2] = ion[:2] - positions
+    rel[:, 2] = ion[2]
+    dist = np.linalg.norm(rel, axis=1)
+    rn = rel / dist[:, None]
+    e = 3.0 * rn[:, 2:] * rn
+    e[:, 2] -= 1.0
+    e = e / (FPE * dist ** 3)[:, None]
+    proj = e @ np.asarray(axis, dtype=float)
+    return float(np.sum(proj ** 2) * s_mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 300])
+def test_field_sum_bit_identical_to_per_distance_reference(n):
+    ds = np.array([3.0, 4.0, 5.0, 6.5, 8.0, 10.0])
+    axes = [Z_AXIS, (0.6, 0.0, 0.8), tuple(np.ones(3) / math.sqrt(3.0))]
+    for seed in range(100):
+        sample = trapnoise.sample_surface(n, 100.0, 1.0, seed)
+        for axis in axes:
+            expect = np.array([reference_field_noise(
+                sample.positions, 100.0, 1.0, axis, d) for d in ds])
+            got = trapnoise.mc_field_noise(sample, 1.0, axis, ds)
+            assert got.tobytes() == expect.tobytes(), (seed, axis)
 
 
 def test_distance_scaling_uses_sample_as_first_child():
@@ -237,10 +328,9 @@ def test_distance_scaling_uses_sample_as_first_child():
     res = trapnoise.distance_scaling_fit(base, 1.0, trap, [3.0, 4.0, 5.0],
                                          n_seeds=2)
     child = trapnoise.sample_surface(1, 100.0, 1.0, seed=8)
-    for d, mean in zip(res.distances, res.means):
-        expect = [trapnoise.mc_field_noise(s, 1.0, make_trap(d))
-                  for s in (base, child)]
-        assert mean == np.mean(expect)
+    expect = [trapnoise.mc_field_noise(s, 1.0, Z_AXIS, res.distances)
+              for s in (base, child)]
+    assert np.array_equal(res.means, np.mean(expect, axis=0))
 
 
 def test_mc_single_dipole_below_ion():
@@ -248,36 +338,32 @@ def test_mc_single_dipole_below_ion():
     s_mu = 2.5e-70
     sample = trapnoise.SurfaceSample(positions=np.array([[5.0, 5.0]]),
                                      min_spacing=1.0, extent=10.0, seed=0)
-    for d in (1.0, 2.0):
-        trap = make_trap(d)
-        got = trapnoise.mc_field_noise(sample, s_mu, trap)
+    ds = (1.0, 2.0)
+    for d, got in zip(ds, trapnoise.mc_field_noise(sample, s_mu, Z_AXIS, ds)):
         assert got == pytest.approx(4 * s_mu / (FPE ** 2 * d ** 6), rel=1e-12)
 
 
 def test_mc_linearity_in_s_mu():
     sample = trapnoise.sample_surface(40, 60.0, 1.0, seed=3)
-    trap = make_trap(5.0)
-    a = trapnoise.mc_field_noise(sample, 1.0, trap)
-    b = trapnoise.mc_field_noise(sample, 2.0, trap)
+    a = trapnoise.mc_field_noise(sample, 1.0, Z_AXIS, [5.0])
+    b = trapnoise.mc_field_noise(sample, 2.0, Z_AXIS, [5.0])
     assert b == pytest.approx(2 * a, rel=1e-12)
 
 
 def test_mc_additive_over_subsamples():
-    trap = make_trap(5.0)
     full = trapnoise.sample_surface(40, 60.0, 1.0, seed=3)
     lo = trapnoise.SurfaceSample(positions=full.positions[:17],
                                  min_spacing=1.0, extent=60.0, seed=3)
     hi = trapnoise.SurfaceSample(positions=full.positions[17:],
                                  min_spacing=1.0, extent=60.0, seed=3)
-    assert trapnoise.mc_field_noise(full, 1.0, trap) == pytest.approx(
-        trapnoise.mc_field_noise(lo, 1.0, trap)
-        + trapnoise.mc_field_noise(hi, 1.0, trap), rel=1e-12)
+    assert trapnoise.mc_field_noise(full, 1.0, Z_AXIS, [5.0]) == pytest.approx(
+        trapnoise.mc_field_noise(lo, 1.0, Z_AXIS, [5.0])
+        + trapnoise.mc_field_noise(hi, 1.0, Z_AXIS, [5.0]), rel=1e-12)
 
 
 def test_mc_rotation_invariance():
     # rigid rotation about the vertical through the ion leaves the
     # z-axis projection unchanged
-    trap = make_trap(4.0)
     raw = trapnoise.sample_surface(30, 60.0, 1.0, seed=11)
     center = np.array([30.0, 30.0])
     inside = np.linalg.norm(raw.positions - center, axis=1) < 25.0
@@ -289,8 +375,8 @@ def test_mc_rotation_invariance():
     turned = (sample.positions - center) @ rot.T + center
     rotated = trapnoise.SurfaceSample(positions=turned, min_spacing=1.0,
                                       extent=60.0, seed=11)
-    a = trapnoise.mc_field_noise(sample, 1.0, trap)
-    b = trapnoise.mc_field_noise(rotated, 1.0, trap)
+    a = trapnoise.mc_field_noise(sample, 1.0, Z_AXIS, [4.0])
+    b = trapnoise.mc_field_noise(rotated, 1.0, Z_AXIS, [4.0])
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -318,11 +404,10 @@ def test_distance_scaling_paper_geometry():
 
 def test_distance_scaling_single_dipole_is_minus_six():
     # a single dipole under the ion is a pure point source
-    trap = make_trap(3.0)
     base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
                                    min_spacing=1.0, extent=100.0, seed=0)
     d_list = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
-    se = [trapnoise.mc_field_noise(base, 1.0, make_trap(d)) for d in d_list]
+    se = trapnoise.mc_field_noise(base, 1.0, Z_AXIS, d_list)
     x = np.log(d_list)
     slope = np.polyfit(x, np.log(se), 1)[0]
     assert slope == pytest.approx(-6.0, abs=0.05)
@@ -332,14 +417,11 @@ def test_far_field_drifts_toward_point_dipole():
     # far beyond the patch the finite cluster acts as a composite source:
     # the local exponent leaves -4 and heads for -6 (documented regime,
     # excluded from the fitting window)
-    base = trapnoise.sample_surface(100, 100.0, 1.0, seed=5)
     ds = (250.0, 500.0)
-    means = []
-    for d in ds:
-        vals = [trapnoise.mc_field_noise(
-            trapnoise.sample_surface(100, 100.0, 1.0, seed=5 + k), 1.0,
-            make_trap(d)) for k in range(60)]
-        means.append(np.mean(vals))
+    vals = [trapnoise.mc_field_noise(
+        trapnoise.sample_surface(100, 100.0, 1.0, seed=5 + k), 1.0, Z_AXIS, ds)
+        for k in range(60)]
+    means = np.mean(vals, axis=0)
     slope = math.log(means[1] / means[0]) / math.log(ds[1] / ds[0])
     assert -6.2 < slope < -5.3
 
