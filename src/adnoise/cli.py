@@ -188,16 +188,17 @@ def cmd_spectrum(pipe: Pipeline, outdir: Path):
                 f"temperatures {a!r} {ua} and {b!r} {ub} would both write "
                 f"spectrum_{tag}.csv")
     omegas = pipe.omega_grid()
+    temps = [pipe.kelvin(tspec) for tspec in temperatures]
+    spec = pipe.spectrum_at(np.array(temps))
     paths = []
-    for tspec, tag in zip(temperatures, tags):
-        T = pipe.kelvin(tspec)
-        spec = pipe.spectrum_at(T)
-        values = spectrum.evaluate_spectrum(spec, omegas)
+    for tspec, tag, T, variance, values in zip(
+            temperatures, tags, temps, spec.variance,
+            spectrum.evaluate_spectrum(spec, omegas)):
         wc = spectrum.crossover_frequency(pipe.gamma0, pipe.nu10, T)
         header = pipe.header("spectrum", pipe.derived_header() + [
             f"temperature: {T:.6g} K ({tspec[0]:g} {tspec[1]})",
             f"crossover_omega_c: {wc / pipe.gamma0:.6g} gamma0",
-            f"variance: {spec.variance / DEBYE ** 2:.6g} D^2"])
+            f"variance: {variance / DEBYE ** 2:.6g} D^2"])
         columns = [("omega_over_gamma0", "1"), ("S_mu", "D^2/Hz")]
         rows = np.column_stack([omegas / pipe.gamma0, values / DEBYE ** 2])
         paths.append(emit_table(outdir / f"spectrum_{tag}.csv", columns,
@@ -211,8 +212,7 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
     temps = np.linspace(t_lo, t_hi, ts.n_temps)
     omegas = [0.0, ts.arrhenius_omega * pipe.gamma0,
               ts.highfreq_omega * pipe.gamma0]
-    values = np.array([spectrum.evaluate_spectrum(pipe.spectrum_at(T), omegas)
-                       for T in temps])
+    values = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omegas)
     rows = np.column_stack([KB * temps / (HBAR * pipe.nu10), temps,
                             values / DEBYE ** 2])
     mid_vals = rows[:, 3]
@@ -266,11 +266,11 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
 def cmd_heat(pipe: Pipeline, outdir: Path):
     cfg = pipe.cfg
     trap = pipe.trap
+    temps = [pipe.kelvin(tspec) for tspec in cfg.spectrum.temperatures]
+    spec = pipe.spectrum_at(np.array(temps))
     rows = []
-    for tspec in cfg.spectrum.temperatures:
-        T = pipe.kelvin(tspec)
-        spec = pipe.spectrum_at(T)
-        s_mu = spectrum.evaluate_spectrum(spec, trap.trap_frequency)
+    for T, s_mu in zip(temps, spectrum.evaluate_spectrum(
+            spec, trap.trap_frequency)):
         s_e = trapnoise.analytic_field_noise(cfg.trap.coverage, s_mu,
                                              trap.distance)
         rows.append([T, trap.trap_frequency, s_mu / DEBYE ** 2, s_e,

@@ -12,6 +12,14 @@ bulk; transitions above it are hard-zeroed on both directions and flagged
 in the cutoff mask.  The rates assemble into the master-equation generator
 M (columns sum to zero) whose null space is the stationary distribution;
 detailed balance holds pair by pair, so the stationary state is Boltzmann.
+
+The temperature may be an array: the rates, the generator and the
+stationary state then carry its shape as leading axes, and row k is bit
+for bit the result at the k-th temperature alone.  What does not depend
+on the temperature (the coupling, the degeneracy check, the Debye mask
+and its warning, the base rates and the connectivity of the transition
+graph) is done once per call.  A check that fails on one row names that
+row's temperature.
 """
 
 import logging
@@ -34,20 +42,21 @@ DEGENERACY_RTOL = 1e-12
 def bose_occupation(delta_omega, T):
     """Thermal phonon number at angular frequency delta_omega (rad/s).
 
-    delta_omega may be an array; the result then has its shape.
+    delta_omega and T may be arrays; the result then has the shape
+    T.shape + delta_omega.shape.
     """
     domega = np.asarray(delta_omega, dtype=float)
+    T = np.asarray(T, dtype=float)
     if np.any(domega <= 0):
         raise DomainError("delta_omega must be positive")
-    if T < 0:
+    if np.any(T < 0):
         raise DomainError("temperature must be non-negative")
-    if T == 0:
-        n = np.zeros_like(domega)
-    else:
-        x = HBAR * domega / (KB * T)
-        # Above x = 700 the occupation is below 1e-304: call it zero rather
-        # than let expm1 overflow.
-        n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
+    # T = 0 gives x = inf, hence n = 0 below.
+    with np.errstate(divide="ignore"):
+        x = HBAR * domega / (KB * T[(...,) + (None,) * domega.ndim])
+    # Above x = 700 the occupation is below 1e-304: call it zero rather
+    # than let expm1 overflow.
+    n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
     return n if n.ndim else float(n)
 
 
@@ -63,12 +72,30 @@ def gamma0_harmonic(p: SurfacePotentialParams, material: BulkMaterial, nu10):
             / (4.0 * math.pi * material.speed_of_sound ** 3 * material.density))
 
 
-def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
-    """Golden-rule rates between every pair of levels; returns (gamma, mask).
+def _require(ok, T, exc, message, *values):
+    """Raise exc(message) unless ok holds on every row of a stack.
 
-    gamma[i, f] = Gamma_{i->f} (zero diagonal) from the coupling matrix
+    ok has the leading shape of the temperatures T; the message names the
+    first failing row's temperature in kelvin, and its %-fields take that
+    row's entries of values.
+    """
+    bad = np.flatnonzero(~np.asarray(ok))
+    if len(bad):
+        k = np.unravel_index(bad[0], np.shape(ok))
+        message %= tuple(np.asarray(v)[k] for v in values)
+        t = np.broadcast_to(T, np.shape(ok))[k]
+        raise exc(f"{message} at T = {t:.6g} K")
+
+
+def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
+    """Golden-rule rates between every pair of levels.
+
+    Returns (gamma, mask, base): gamma[..., i, f] = Gamma_{i->f} at each
+    temperature of T (zero diagonal) from the coupling matrix
     <f|dU/dz|i>; mask marks the pairs above the Debye cutoff, whose rates
-    are zero in both directions.  Raises ModelError on degenerate levels.
+    are zero in both directions; base is the temperature-independent
+    prefactor of each pair (zero where masked), which the emission rate
+    multiplies by n + 1 >= 1.  Raises ModelError on degenerate levels.
     """
     E = np.asarray(energies, dtype=float)
     de = E[:, None] - E[None, :]
@@ -81,13 +108,14 @@ def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
     domega = np.abs(de) / HBAR
     mask = pair & (domega / TWO_PI > material.debye_frequency)
     live = pair & ~mask
-    base = (domega[live] / (TWO_PI * HBAR * material.speed_of_sound ** 3
-                            * material.density) * coupling[live] ** 2)
+    base = np.zeros_like(de)
+    base[live] = (domega[live] / (TWO_PI * HBAR * material.speed_of_sound ** 3
+                                  * material.density) * coupling[live] ** 2)
     # Emission (E_i > E_f) goes with n + 1, absorption with n.
     n = bose_occupation(domega[live], T)
-    gamma = np.zeros_like(de)
-    gamma[live] = base * (n + (de[live] > 0))
-    return gamma, mask
+    gamma = np.zeros(np.shape(T) + de.shape)
+    gamma[..., live] = base[live] * (n + (de[live] > 0))
+    return gamma, mask, base
 
 
 def transition_rate(states: BoundStateSet, material: BulkMaterial,
@@ -99,8 +127,8 @@ def transition_rate(states: BoundStateSet, material: BulkMaterial,
     """
     if i == f:
         raise DomainError("transition requires i != f")
-    gamma, mask = _golden_rule_rates(states.energies, coupling_matrix(states),
-                                     material, T)
+    gamma, mask, _ = _golden_rule_rates(states.energies,
+                                        coupling_matrix(states), material, T)
     return float(gamma[i, f]), bool(mask[i, f])
 
 
@@ -108,10 +136,12 @@ def transition_rate(states: BoundStateSet, material: BulkMaterial,
 class RateMatrix:
     """Pairwise rates and the master-equation generator at temperature T.
 
-    gamma[i, f] = Gamma_{i->f} (zero diagonal); the generator has
-    M[i, j] = Gamma_{j->i} off the diagonal and column sums exactly zero.
-    cutoff_mask marks transition pairs zeroed by the Debye cutoff
-    (symmetric by construction).
+    gamma[..., i, f] = Gamma_{i->f} (zero diagonal); the generator has
+    M[..., i, j] = Gamma_{j->i} off the diagonal and column sums exactly
+    zero.  temperature is a float, or an array whose shape is the leading
+    shape of gamma (one rate matrix per temperature).  cutoff_mask marks
+    the transition pairs zeroed by the Debye cutoff; it is the same at
+    every temperature and symmetric by construction.
     """
 
     gamma: np.ndarray
@@ -120,26 +150,28 @@ class RateMatrix:
     cutoff_mask: np.ndarray
 
     def __post_init__(self):
-        scale = np.abs(self.generator).max()
-        colsums = np.abs(self.generator.sum(axis=0))
-        if scale > 0 and colsums.max() > 1e-12 * scale:
-            raise NumericalError("generator columns do not sum to zero")
+        scale = np.abs(self.generator).max(axis=(-2, -1))
+        colsums = np.abs(self.generator.sum(axis=-2)).max(axis=-1)
+        _require(~((scale > 0) & (colsums > 1e-12 * scale)),
+                 self.temperature, NumericalError,
+                 "generator columns do not sum to zero")
         if not np.array_equal(self.cutoff_mask, self.cutoff_mask.T):
             raise NumericalError("cutoff mask must be symmetric")
 
     @property
     def n_states(self):
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
 
     @classmethod
     def from_gamma(cls, gamma, temperature, cutoff_mask=None):
         gamma = np.asarray(gamma, dtype=float)
-        n = gamma.shape[0]
+        n = gamma.shape[-1]
         if cutoff_mask is None:
             cutoff_mask = np.zeros((n, n), dtype=bool)
-        gen = gamma.T.copy()
-        np.fill_diagonal(gen, 0.0)
-        np.fill_diagonal(gen, -gen.sum(axis=0))
+        gen = np.swapaxes(gamma, -1, -2).copy()
+        diag = np.arange(n)
+        gen[..., diag, diag] = 0.0
+        gen[..., diag, diag] = -gen.sum(axis=-2)
         return cls(gamma=gamma, generator=gen, temperature=temperature,
                    cutoff_mask=cutoff_mask)
 
@@ -148,17 +180,19 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
                       coupling=None) -> RateMatrix:
     """Populate all pairwise rates and assemble the generator.
 
+    T may be an array of temperatures (see the module docstring).
     coupling may carry a precomputed <f|dU/dz|i> matrix (temperature
-    independent) to amortize the quadratures across a temperature sweep.
-    Raises ModelError when the Debye cutoff disconnects the transition
-    graph, because no unique stationary state exists then.
+    independent) to amortize the quadratures across calls.  Raises
+    ModelError when the Debye cutoff disconnects the transition graph,
+    because no unique stationary state exists then.
     """
     n = states.n_states
     if n < 2:
         raise ModelError("need at least two bound states")
     if coupling is None:
         coupling = coupling_matrix(states)
-    gamma, mask = _golden_rule_rates(states.energies, coupling, material, T)
+    gamma, mask, base = _golden_rule_rates(states.energies, coupling,
+                                           material, T)
     masked_pairs = np.argwhere(np.tril(mask))
     if len(masked_pairs):
         logger.warning(
@@ -167,17 +201,20 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
             material.debye_frequency / 1e12,
             ", ".join(f"{i}<->{f} ({states.splitting(i, f) / TWO_PI / 1e12:.3g}"
                       " THz)" for i, f in masked_pairs))
-    # Boolean closure: after k squarings reach[i, j] holds when a path of
-    # at most 2**k transitions joins i and j, and 2**n.bit_length() > n.
-    reach = ((gamma + gamma.T) > 0) | np.eye(n, dtype=bool)
+    # A pair is linked at every temperature exactly when its base rate is
+    # positive, since its emission rate is at least that.  Boolean
+    # closure: after k squarings reach[i, j] holds when a path of at most
+    # 2**k transitions joins i and j, and 2**n.bit_length() > n.
+    linked = base > 0
+    reach = linked | linked.T | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
         reach = reach @ reach
     if not reach[0].all():
         raise ModelError(
             f"{states.params.name}: ergodicity broken by Debye cutoff; the "
             "transition graph is disconnected and the spectrum is ill-defined")
-    logger.info("%s: transition graph connected (%d states, T = %.4g K)",
-                states.params.name, n, T)
+    logger.info("%s: transition graph connected (%d states)",
+                states.params.name, n)
     return RateMatrix.from_gamma(gamma, temperature=T, cutoff_mask=mask)
 
 
@@ -190,21 +227,22 @@ def stationary_distribution(r: RateMatrix):
     magnitude (deep Boltzmann tails at low temperature).  It raises
     ModelError exactly when some state has no path toward lower states.
     Otherwise every state reaches state 0, which makes the closed class and
-    hence the stationary state unique.
+    hence the stationary state unique.  A stack of rate matrices gives one
+    probability vector per temperature, p[..., i].
     """
-    a = np.array(r.gamma, dtype=float)  # a[i, j] = rate i -> j, i != j
-    n = a.shape[0]
-    np.fill_diagonal(a, 0.0)
+    a = np.array(r.gamma, dtype=float)  # a[..., i, j] = rate i -> j, i != j
+    n = a.shape[-1]
+    diag = np.arange(n)
+    a[..., diag, diag] = 0.0
     for k in range(n - 1, 0, -1):
-        s = a[k, :k].sum()
-        if s <= 0.0:
-            raise ModelError(
-                f"state {k} has no path toward lower states; stationary "
-                "state not reachable by elimination")
-        a[:k, k] /= s
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    p = np.zeros(n)
-    p[0] = 1.0
+        s = a[..., k, :k].sum(axis=-1)
+        _require(~(s <= 0.0), r.temperature, ModelError,
+                 f"state {k} has no path toward lower states; stationary "
+                 "state not reachable by elimination")
+        a[..., :k, k] /= s[..., None]
+        a[..., :k, :k] += a[..., :k, k, None] * a[..., k, None, :k]
+    p = np.zeros(a.shape[:-1])
+    p[..., 0] = 1.0
     for k in range(1, n):
-        p[k] = p[:k] @ a[:k, k]
-    return p / p.sum()
+        p[..., k] = (p[..., None, :k] @ a[..., :k, k, None])[..., 0, 0]
+    return p / p.sum(axis=-1, keepdims=True)

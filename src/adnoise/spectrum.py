@@ -24,6 +24,13 @@ are implemented:
 
 Both use the convention S(omega) two-sided in angular frequency, with
 sum rule int S(omega) domega / 2 pi = Var(mu).
+
+correlation_modes and evaluate_spectrum also take a stack of rate
+matrices with a leading temperature axis (see phonons): the mode set and
+the spectrum then carry that axis too, and row k is bit for bit the
+result at the k-th temperature alone.  The modes are found by one eigh
+call on the whole stack and the Lorentzians are summed one mode at a
+time across it, in the order a single mode set sums them.
 """
 
 import math
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, DomainError, NumericalError
-from .phonons import RateMatrix, bose_occupation
+from .phonons import RateMatrix, _require, bose_occupation
 from .units import HBAR, KB
 
 
@@ -42,6 +49,8 @@ class DipoleSpectrum:
 
     modes: decay rates lambdas (1/s, all > 0) with spectral weights
     (C^2 m^2, all >= 0 up to round-off); their sum equals the variance.
+    A stack carries the leading temperature axis on every field:
+    lambdas[..., k], mean_dipole[...].
     """
 
     lambdas: np.ndarray
@@ -49,19 +58,9 @@ class DipoleSpectrum:
     mean_dipole: float
     variance: float
 
-    def __post_init__(self):
-        if np.any(self.lambdas <= 0):
-            raise NumericalError("all mode decay rates must be positive")
-        if self.variance > 0:
-            if self.weights.min() < -1e-12 * self.variance:
-                raise NumericalError("negative spectral weight beyond round-off")
-            if abs(self.weights.sum() - self.variance) > 1e-8 * self.variance:
-                raise NumericalError(
-                    "mode weights do not add up to the dipole variance")
-
     @property
     def n_modes(self):
-        return len(self.lambdas)
+        return self.lambdas.shape[-1]
 
 
 def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
@@ -74,43 +73,69 @@ def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
     must be the null vector of A.  Its eigenpairs (lambda_k <= 0, v_k)
     give C(tau) = sum_k w_k exp(lambda_k |tau|) with w_k = (v_k . w)^2 and
     w_i = (mu_i - <mu>) sqrt(p0_i), mu being the dipole ladder (C m).  The
-    single zero mode is excluded (DipoleSpectrum requires every other one
-    to decay); a population that underflows to 0, as all but p0_0 do at
-    T = 0, has no weight.
+    single zero mode is excluded and every other one must decay; a
+    population that underflows to 0, as all but p0_0 do at T = 0, has no
+    weight.
     Centering before the projection, and the pairwise variance
     1/2 sum_ij p0_i p0_j (mu_i - mu_j)^2, keep the statistics free of
     cancellation against <mu>^2 when the excited levels are nearly empty.
+    r and p0 may be stacks with a leading temperature axis; mu is one
+    ladder for all of them.
     """
     p0 = np.asarray(p0, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    T = r.temperature
     M = r.generator
+    n = M.shape[-1]
+    diag = np.arange(n)
     root = np.sqrt(r.gamma)
-    A = root * root.T
-    np.fill_diagonal(A, M.diagonal())
+    A = root * np.swapaxes(root, -1, -2)
+    A[..., diag, diag] = M[..., diag, diag]
     d = np.sqrt(p0)
-    scale = np.abs(M).max()
-    resid = np.abs(A @ d).max()
-    if not resid <= 1e-10 * scale * d.max():  # a nan residual fails too
-        raise NumericalError(
-            f"detailed balance violation: sqrt(p0) leaves a residual "
-            f"{resid:.3e} in the symmetrized generator")
+    scale = np.abs(M).max(axis=(-2, -1))
+    resid = np.abs((A @ d[..., None])[..., 0]).max(axis=-1)
+    # A nan residual fails too.
+    _require(resid <= 1e-10 * scale * d.max(axis=-1), T, NumericalError,
+             "detailed balance violation: sqrt(p0) leaves a residual %.3e "
+             "in the symmetrized generator", resid)
     lam, V = np.linalg.eigh(A)
-    izero = int(np.argmax(lam))
-    if abs(lam[izero]) > 1e-10 * scale:
-        raise NumericalError("no zero mode found in the symmetrized generator")
-    mean = float(p0 @ mu)
-    proj = V.T @ ((mu - mean) * d)
-    keep = np.arange(len(lam)) != izero
-    variance = 0.5 * float(p0 @ (mu[:, None] - mu[None, :]) ** 2 @ p0)
-    return DipoleSpectrum(lambdas=-lam[keep], weights=proj[keep] ** 2,
+    izero = np.argmax(lam, axis=-1)
+    top = np.take_along_axis(lam, izero[..., None], axis=-1)[..., 0]
+    _require(~(np.abs(top) > 1e-10 * scale), T, NumericalError,
+             "no zero mode found in the symmetrized generator")
+    mean = (p0[..., None, :] @ mu[:, None])[..., 0, 0]
+    proj = (np.swapaxes(V, -1, -2)
+            @ ((mu - mean[..., None]) * d)[..., None])[..., 0]
+    keep = np.arange(n) != izero[..., None]
+    shape = keep.shape[:-1] + (n - 1,)
+    lambdas = -lam[keep].reshape(shape)
+    weights = proj[keep].reshape(shape) ** 2
+    variance = 0.5 * ((p0[..., None, :] @ (mu[:, None] - mu[None, :]) ** 2)
+                      @ p0[..., :, None])[..., 0, 0]
+    _require(~np.any(lambdas <= 0, axis=-1), T, NumericalError,
+             "all mode decay rates must be positive")
+    fluctuates = variance > 0
+    _require(~(fluctuates & (weights.min(axis=-1) < -1e-12 * variance)), T,
+             NumericalError, "negative spectral weight beyond round-off")
+    _require(~(fluctuates & (np.abs(weights.sum(axis=-1) - variance)
+                             > 1e-8 * variance)), T, NumericalError,
+             "mode weights do not add up to the dipole variance")
+    return DipoleSpectrum(lambdas=lambdas, weights=weights,
                           mean_dipole=mean, variance=variance)
 
 
 def evaluate_spectrum(spec: DipoleSpectrum, omega):
-    """S_mu(omega) as the exact Lorentzian sum; even in omega."""
+    """S_mu(omega) as the exact Lorentzian sum; even in omega.
+
+    A stack of mode sets gives the shape spec.lambdas.shape[:-1] +
+    omega.shape.
+    """
     omega = np.asarray(omega, dtype=float)
-    out = np.zeros_like(omega, dtype=float)
-    for lam, wk in zip(spec.lambdas, spec.weights):
+    tail = (...,) + (None,) * omega.ndim
+    out = np.zeros(spec.lambdas.shape[:-1] + omega.shape)
+    for lam, wk in zip(np.moveaxis(spec.lambdas, -1, 0),
+                       np.moveaxis(spec.weights, -1, 0)):
+        lam, wk = lam[tail], wk[tail]
         out = out + wk * 2.0 * lam / (omega ** 2 + lam * lam)
     return out if out.ndim else float(out)
 

@@ -319,7 +319,12 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
             f"{means[empty]}, not finite and positive: the field sum "
             "underflows or overflows for this extent, so no power law "
             "can be fitted")
-    stderrs = se.std(axis=0, ddof=1) / math.sqrt(n_seeds)
+    # The squared deviations of a tiny S_E underflow: take the spread of
+    # se scaled near 1 by an even power of two, which is exact, and undo
+    # the scale.
+    k = 2 * (int(np.frexp(se.max())[1]) // 2)
+    stderrs = (np.ldexp(np.ldexp(se, -k).std(axis=0, ddof=1), k)
+               / math.sqrt(n_seeds))
     slope, _, _, stderr = _line_fit(np.log(d_list), np.log(means))
     return DistanceScaling(exponent=slope, stderr=stderr, distances=d_list,
                            means=means, stderrs=stderrs, n_seeds=n_seeds)

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -6,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adnoise import cli, config, tables
-from adnoise.errors import ConfigurationError
-from adnoise.units import AMU, BOHR, E_CHARGE
+from adnoise import cli, config, spectrum, tables, trapnoise
+from adnoise.errors import AdnoiseError, ConfigurationError
+from adnoise.tables import emit_table
+from adnoise.units import AMU, BOHR, DEBYE, E_CHARGE, HBAR, KB
 from conftest import per_cell_table
 
 
@@ -424,6 +426,112 @@ def test_cli_tempsweep_full_ladder(tmp_path):
     rows = np.array([[float(v) for v in ln.split(",")] for ln in data])
     assert rows.shape == (30, 5)
     assert np.all(np.isfinite(rows)) and np.all(rows[:, 2:] > 0)
+
+
+def per_temperature_spectrum(pipe, outdir):
+    """cmd_spectrum as one chain call per temperature: the reference."""
+    omegas = pipe.omega_grid()
+    paths = []
+    for tspec in pipe.cfg.spectrum.temperatures:
+        T = pipe.kelvin(tspec)
+        spec = pipe.spectrum_at(T)
+        values = spectrum.evaluate_spectrum(spec, omegas)
+        wc = spectrum.crossover_frequency(pipe.gamma0, pipe.nu10, T)
+        header = pipe.header("spectrum", pipe.derived_header() + [
+            f"temperature: {T:.6g} K ({tspec[0]:g} {tspec[1]})",
+            f"crossover_omega_c: {wc / pipe.gamma0:.6g} gamma0",
+            f"variance: {spec.variance / DEBYE ** 2:.6g} D^2"])
+        columns = [("omega_over_gamma0", "1"), ("S_mu", "D^2/Hz")]
+        rows = np.column_stack([omegas / pipe.gamma0, values / DEBYE ** 2])
+        paths.append(emit_table(outdir / f"spectrum_{pipe.temp_tag(tspec)}.csv",
+                                columns, rows, header))
+    return paths
+
+
+def per_temperature_tempsweep(pipe, outdir):
+    """cmd_tempsweep as one chain call per temperature: the reference."""
+    ts = pipe.cfg.tempsweep
+    temps = np.linspace(pipe.kelvin(ts.t_min), pipe.kelvin(ts.t_max),
+                        ts.n_temps)
+    omegas = [0.0, ts.arrhenius_omega * pipe.gamma0,
+              ts.highfreq_omega * pipe.gamma0]
+    values = np.array([spectrum.evaluate_spectrum(pipe.spectrum_at(T), omegas)
+                       for T in temps])
+    rows = np.column_stack([KB * temps / (HBAR * pipe.nu10), temps,
+                            values / DEBYE ** 2])
+    try:
+        s_t, t0, resid = spectrum.arrhenius_fit(temps, rows[:, 3])
+        fit_lines = [
+            f"arrhenius_fit at omega = {ts.arrhenius_omega:g} gamma0: "
+            f"S_T = {s_t:.6g} D^2/Hz, T0 = {t0:.6g} K "
+            f"({t0 * KB / pipe.params.U0:.4g} U0/kB), residual_rms = {resid:.3g}"]
+    except AdnoiseError as exc:
+        fit_lines = [f"arrhenius_fit: not available ({exc})"]
+    header = pipe.header("tempsweep", pipe.derived_header() + fit_lines)
+    columns = [("kT_over_hnu10", "1"), ("T", "K"), ("S_white", "D^2/Hz"),
+               (f"S_{ts.arrhenius_omega:g}gamma0", "D^2/Hz"),
+               (f"S_{ts.highfreq_omega:g}gamma0", "D^2/Hz")]
+    return [emit_table(outdir / "tempsweep.csv", columns, rows, header)]
+
+
+def per_temperature_heat(pipe, outdir):
+    """cmd_heat as one chain call per temperature: the reference."""
+    cfg, trap = pipe.cfg, pipe.trap
+    rows = []
+    for tspec in cfg.spectrum.temperatures:
+        T = pipe.kelvin(tspec)
+        s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(T),
+                                          trap.trap_frequency)
+        s_e = trapnoise.analytic_field_noise(cfg.trap.coverage, s_mu,
+                                             trap.distance)
+        rows.append([T, trap.trap_frequency, s_mu / DEBYE ** 2, s_e,
+                     trapnoise.heating_rate(trap, s_e)])
+    header = pipe.header("heat", pipe.derived_header() + [
+        f"coverage: {cfg.trap.coverage:.6g} 1/m^2, "
+        f"distance: {cfg.trap.distance:.6g} m",
+        "field noise uses the surface-averaged 3/8 transfer"])
+    columns = [("T", "K"), ("omega_t", "rad/s"), ("S_mu", "D^2/Hz"),
+               ("S_E", "(V/m)^2/Hz"), ("ndot", "1/s")]
+    return [emit_table(outdir / "heating.csv", columns, np.array(rows),
+                       header)]
+
+
+@pytest.mark.parametrize("command,reference", [
+    ("spectrum", per_temperature_spectrum),
+    ("tempsweep", per_temperature_tempsweep),
+    ("heat", per_temperature_heat),
+])
+def test_cli_stacked_sweep_matches_per_temperature_loop(tmp_path, command,
+                                                        reference):
+    # One stacked chain call per run writes the bytes that one call per
+    # temperature writes, for the default temperatures and a 0 K row.
+    for k, temperature in enumerate((None, "0 K, 0.3 nu10, 2 nu10")):
+        out, ref = tmp_path / f"cli{k}", tmp_path / f"ref{k}"
+        args = [command, "--preset", "Ne-Au", "--output", out]
+        if temperature is not None:
+            args += ["--temperature", temperature]
+        assert run_cli(args) == 0
+        cfg = cli.load_config(cli.build_parser().parse_args(
+            [str(a) for a in args]))
+        ref.mkdir()
+        paths = reference(cli.Pipeline(cfg), ref)
+        assert len(paths) == len(list(out.glob("*.csv")))
+        for path in paths:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path
+
+
+def test_cli_tempsweep_warns_once_about_the_debye_mask(tmp_path, caplog):
+    # the mask does not depend on the temperature: one warning per sweep
+    cfgfile = tmp_path / "soft.ini"
+    cfgfile.write_text("preset = Ne-Au\n[material]\ndebye_frequency = 1.5 THz"
+                       "\n[solver]\nmax_states = 30\n")
+    with caplog.at_level(logging.WARNING, logger="adnoise.phonons"):
+        assert run_cli(["tempsweep", "--config", cfgfile,
+                        "--output", tmp_path / "o"]) == 0
+    warnings = [rec.getMessage() for rec in caplog.records
+                if "Debye cutoff" in rec.getMessage()]
+    assert len(warnings) == 1
+    assert "57 transition(s) above the Debye cutoff (1.5 THz)" in warnings[0]
 
 
 @pytest.mark.parametrize("command,section,temperature,key", [

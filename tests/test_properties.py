@@ -175,6 +175,105 @@ def test_rate_matrix_matches_scalar_golden_rule(levels):
                 assert (r.gamma[i, f] == 0.0) == (masked or x > 700.0)
 
 
+@st.composite
+def temperature_stacks(draw):
+    """(states, coupling, material, temperatures, dipole ladder): a level
+    set with at least one Debye-masked pair and a stack of temperatures
+    that starts at 0 K."""
+    energies, coupling, material, _ = draw(level_sets())
+    n = len(energies)
+    de = np.abs(energies[:, None] - energies[None, :])
+    assume((de / HBAR / (2.0 * math.pi) > material.debye_frequency).any())
+    temps = np.array([0.0, *draw(st.lists(st.floats(0.2, 50.0), min_size=1,
+                                          max_size=4))])
+    mu = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n,
+                                max_size=n))) * 1e-32
+    grid = boundstates.Grid(z_min=1e-10, z_max=1e-9, n_points=200)
+    states = boundstates.BoundStateSet(
+        grid=grid, energies=energies, wavefunctions=np.zeros((n, 200)),
+        params=potential.preset("Ne-Au")[0])
+    return states, coupling, material, temps, mu
+
+
+def reference_chain(energies, coupling, material, T, mu, om):
+    """The chain at one temperature as written before it took a
+    temperature axis: (gamma, generator, p0, lambdas, weights, mean,
+    variance, S at om)."""
+    de = energies[:, None] - energies[None, :]
+    pair = ~np.eye(len(energies), dtype=bool)
+    domega = np.abs(de) / HBAR
+    live = pair & ~(domega / (2.0 * math.pi) > material.debye_frequency)
+    base = (domega[live] / (2.0 * math.pi * HBAR * material.speed_of_sound
+                            ** 3 * material.density) * coupling[live] ** 2)
+    if T == 0:
+        n = np.zeros_like(base)
+    else:
+        x = HBAR * domega[live] / (KB * T)
+        n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
+    gamma = np.zeros_like(de)
+    gamma[live] = base * (n + (de[live] > 0))
+    gen = gamma.T.copy()
+    np.fill_diagonal(gen, 0.0)
+    np.fill_diagonal(gen, -gen.sum(axis=0))
+    a = gamma.copy()
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    p = np.zeros(len(a))
+    p[0] = 1.0
+    for k in range(1, len(a)):
+        p[k] = p[:k] @ a[:k, k]
+    p = p / p.sum()
+    root = np.sqrt(gamma)
+    A = root * root.T
+    np.fill_diagonal(A, gen.diagonal())
+    lam, V = np.linalg.eigh(A)
+    keep = np.arange(len(lam)) != int(np.argmax(lam))
+    mean = float(p @ mu)
+    proj = V.T @ ((mu - mean) * np.sqrt(p))
+    variance = 0.5 * float(p @ (mu[:, None] - mu[None, :]) ** 2 @ p)
+    lambdas, weights = -lam[keep], proj[keep] ** 2
+    s = np.zeros_like(om)
+    for lk, wk in zip(lambdas, weights):
+        s = s + wk * 2.0 * lk / (om ** 2 + lk * lk)
+    return gamma, gen, p, lambdas, weights, mean, variance, s
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(temperature_stacks())
+def test_stacked_chain_is_bit_identical_to_one_temperature(stack):
+    # Each row of a stacked call against the call at its temperature alone
+    # and against the chain as written before the temperature axis.
+    states, coupling, material, temps, mu = stack
+    om = np.concatenate([[0.0], np.logspace(6.0, 12.0, 7)])
+    r = phonons.build_rate_matrix(states, material, temps, coupling=coupling)
+    p0 = phonons.stationary_distribution(r)
+    spec = spectrum.correlation_modes(r, p0, mu)
+    stacked = (r.gamma, r.generator, p0, spec.lambdas, spec.weights,
+               spec.mean_dipole, spec.variance,
+               spectrum.evaluate_spectrum(spec, om))
+    assert r.cutoff_mask.any()
+    for k, T in enumerate(temps):
+        r1 = phonons.build_rate_matrix(states, material, float(T),
+                                       coupling=coupling)
+        p1 = phonons.stationary_distribution(r1)
+        spec1 = spectrum.correlation_modes(r1, p1, mu)
+        single = (r1.gamma, r1.generator, p1, spec1.lambdas, spec1.weights,
+                  spec1.mean_dipole, spec1.variance,
+                  spectrum.evaluate_spectrum(spec1, om))
+        reference = reference_chain(states.energies, coupling, material,
+                                    float(T), mu, om)
+        assert np.array_equal(r.cutoff_mask, r1.cutoff_mask)
+        for name, a, b, c in zip(
+                ("gamma", "generator", "p0", "lambdas", "weights",
+                 "mean_dipole", "variance", "S"), stacked, single, reference):
+            assert same_bits(a[k], b) and same_bits(b, c), (name, T)
+
+
 def reachable_from_ground(adjacency):
     """Breadth-first search of an undirected graph from node 0: True when
     it reaches every node."""

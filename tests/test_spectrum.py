@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from adnoise import cli, phonons, spectrum
-from adnoise.errors import AnalysisError, NumericalError
+from adnoise.errors import AnalysisError, ModelError, NumericalError
 from adnoise.units import HBAR, KB
 from scipy.linalg import expm
 
@@ -107,6 +107,94 @@ def test_modes_require_positive_populations(ne_spectrum_at, ne_ladder):
     p_bad[-1] = 0.0
     with pytest.raises(NumericalError, match="detailed balance violation"):
         spectrum.correlation_modes(r, p_bad, ne_ladder)
+
+
+STACK_TEMPS = np.array([1.0, 2.0, 3.0])
+STACK_MU = np.array([3e-33, 2e-33, 0.5e-33])
+
+
+def balanced_stack():
+    """Rates of three levels with Boltzmann ratios, one row per
+    temperature of STACK_TEMPS (energies in units of kelvin)."""
+    E = np.array([0.0, 1.0, 2.5])
+    c = 1e6 * np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+    rise = np.maximum(E[None, :] - E[:, None], 0.0)
+    return c * np.exp(-rise / STACK_TEMPS[:, None, None])
+
+
+def isolate_middle_top_level(g):
+    g[1, 2, :] = g[1, :, 2] = 0.0
+    return phonons.RateMatrix.from_gamma(g, STACK_TEMPS)
+
+
+def stack_modes(r, middle_p0=None):
+    """Modes of r with the balanced stack's populations, whose middle row
+    may be replaced."""
+    p0 = phonons.stationary_distribution(
+        phonons.RateMatrix.from_gamma(balanced_stack(), STACK_TEMPS))
+    if middle_p0 is not None:
+        p0[1] = middle_p0
+    return spectrum.correlation_modes(r, p0, STACK_MU)
+
+
+def fail_elimination(g):
+    phonons.stationary_distribution(isolate_middle_top_level(g))
+
+
+def fail_column_sums(g):
+    gen = phonons.RateMatrix.from_gamma(g, STACK_TEMPS).generator
+    gen[1, 0, 0] *= 1.5
+    phonons.RateMatrix(gamma=g, generator=gen, temperature=STACK_TEMPS,
+                       cutoff_mask=np.zeros((3, 3), dtype=bool))
+
+
+def fail_detailed_balance(g):
+    g[1, 1, 0] *= 1.5
+    stack_modes(phonons.RateMatrix.from_gamma(g, STACK_TEMPS))
+
+
+def fail_zero_mode(g):
+    # gamma and generator disagree in the middle row: sqrt(p0) = e_0 is a
+    # null vector, but the levels 1 and 2 alone have a positive eigenvalue
+    g[1] = [[0.0, 0.0, 0.0], [1e6, 0.0, 1e6], [0.0, 1e6, 0.0]]
+    small = g.copy()
+    small[1] *= 1e-3
+    gen = phonons.RateMatrix.from_gamma(small, STACK_TEMPS).generator
+    stack_modes(phonons.RateMatrix(gamma=g, generator=gen,
+                                   temperature=STACK_TEMPS,
+                                   cutoff_mask=np.zeros((3, 3), dtype=bool)),
+                middle_p0=[1.0, 0.0, 0.0])
+
+
+def fail_decay_rates(g):
+    # a second zero mode: the isolated top level never decays
+    r = isolate_middle_top_level(g)
+    pair = phonons.stationary_distribution(
+        phonons.RateMatrix.from_gamma(r.gamma[1, :2, :2], 2.0))
+    stack_modes(r, middle_p0=[*pair, 0.0])
+
+
+def fail_sum_rule(g):
+    # populations that add up to 2 break the sum rule, not detailed balance
+    r = phonons.RateMatrix.from_gamma(g, STACK_TEMPS)
+    stack_modes(r, middle_p0=2.0 * phonons.stationary_distribution(r)[1])
+
+
+@pytest.mark.parametrize("fail,exc,match", [
+    (fail_elimination, ModelError, "state 2 has no path toward lower states"),
+    (fail_column_sums, NumericalError, "generator columns do not sum to zero"),
+    (fail_detailed_balance, NumericalError,
+     r"detailed balance violation: sqrt\(p0\) leaves a residual \d"),
+    (fail_zero_mode, NumericalError, "no zero mode found"),
+    (fail_decay_rates, NumericalError, "mode decay rates must be positive"),
+    (fail_sum_rule, NumericalError, "weights do not add up to the dipole"),
+])
+def test_failing_row_of_a_stack_names_its_temperature(fail, exc, match):
+    g = balanced_stack()
+    # every row passes as it stands
+    stack_modes(phonons.RateMatrix.from_gamma(g, STACK_TEMPS))
+    with pytest.raises(exc, match=match + ".* at T = 2 K$"):
+        fail(g)
 
 
 def correlation_by_expm(r, p0, ladder, tau):

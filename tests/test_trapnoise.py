@@ -248,6 +248,28 @@ def test_huge_extent_exits_four(tmp_path, capsys):
         assert not (out / "mc_scaling.csv").exists()
 
 
+@pytest.mark.parametrize("extent", [100.0, 1e35])
+def test_standard_errors_survive_tiny_field_noise(extent):
+    # At extent 1e35 S_E is about 1e-180, so its squared deviations
+    # underflow; the standard errors must come out of the per-seed values
+    # all the same, and at extent 100 bit for bit as se.std gives them.
+    n_seeds, d_values = 8, [3.0, 4.0, 5.0]
+    base = trapnoise.sample_surface(100, extent, 1.0, seed=0)
+    res = trapnoise.distance_scaling_fit(base, 1.0, make_trap(), d_values,
+                                         n_seeds=n_seeds)
+    se = np.array([trapnoise.mc_field_noise(
+        base if k == 0 else trapnoise.sample_surface(100, extent, 1.0, seed=k),
+        1.0, Z_AXIS, d_values) for k in range(n_seeds)])
+    assert np.array_equal(res.means, se.mean(axis=0))
+    scale = 1.0 / se.max()
+    expect = (se * scale).std(axis=0, ddof=1) / scale / math.sqrt(n_seeds)
+    assert np.all(res.stderrs > 0)
+    np.testing.assert_allclose(res.stderrs, expect, rtol=1e-13, atol=0)
+    if extent == 100.0:
+        plain = se.std(axis=0, ddof=1) / math.sqrt(n_seeds)
+        assert res.stderrs.tobytes() == plain.tobytes()
+
+
 def test_density_without_overflow():
     s = trapnoise.sample_surface(100, 1e155, 1.0, seed=0)
     assert s.density == 100 / 1e155 / 1e155 > 0
