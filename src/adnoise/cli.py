@@ -78,14 +78,6 @@ class Pipeline:
     def coupling(self):
         return boundstates.coupling_matrix(self.states)
 
-    @cached_property
-    def trap(self):
-        t = self.cfg.trap
-        return trapnoise.TrapConfig(distance=t.distance,
-                                    trap_frequency=TWO_PI * t.frequency,
-                                    ion_mass=t.ion_mass, charge=t.charge,
-                                    axis=t.axis)
-
     def kelvin(self, tspec):
         value, unit = tspec
         if unit == "K":
@@ -236,11 +228,10 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
     cfg = pipe.cfg
     mc = cfg.montecarlo
     # Work in units of the minimum spacing d0; the fitted exponent is
-    # scale-invariant, so S_mu enters only as a common factor.  The fit
-    # sets the trap's distance to each d_value in turn.
+    # scale-invariant, so S_mu enters only as a common factor.
     base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,
                                     seed=cfg.mc_seed)
-    result = trapnoise.distance_scaling_fit(base, 1.0, pipe.trap, mc.d_values,
+    result = trapnoise.distance_scaling_fit(base, cfg.trap.axis, mc.d_values,
                                             n_seeds=mc.n_seeds)
     k_kernel = trapnoise.kernel_integral_constant()
     sigma = base.density
@@ -264,25 +255,22 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
 
 
 def cmd_heat(pipe: Pipeline, outdir: Path):
-    cfg = pipe.cfg
-    trap = pipe.trap
-    temps = [pipe.kelvin(tspec) for tspec in cfg.spectrum.temperatures]
-    spec = pipe.spectrum_at(np.array(temps))
-    rows = []
-    for T, s_mu in zip(temps, spectrum.evaluate_spectrum(
-            spec, trap.trap_frequency)):
-        s_e = trapnoise.analytic_field_noise(cfg.trap.coverage, s_mu,
-                                             trap.distance)
-        rows.append([T, trap.trap_frequency, s_mu / DEBYE ** 2, s_e,
-                     trapnoise.heating_rate(trap, s_e)])
+    trap = pipe.cfg.trap
+    omega_t = TWO_PI * trap.frequency
+    temps = np.array([pipe.kelvin(tspec)
+                      for tspec in pipe.cfg.spectrum.temperatures])
+    s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omega_t)
+    s_e = trapnoise.analytic_field_noise(trap.coverage, s_mu, trap.distance)
+    ndot = trapnoise.heating_rate(s_e, trap.charge, trap.ion_mass, omega_t)
     header = pipe.header("heat", pipe.derived_header() + [
-        f"coverage: {cfg.trap.coverage:.6g} 1/m^2, "
-        f"distance: {cfg.trap.distance:.6g} m",
+        f"coverage: {trap.coverage:.6g} 1/m^2, "
+        f"distance: {trap.distance:.6g} m",
         "field noise uses the surface-averaged 3/8 transfer"])
     columns = [("T", "K"), ("omega_t", "rad/s"), ("S_mu", "D^2/Hz"),
                ("S_E", "(V/m)^2/Hz"), ("ndot", "1/s")]
-    return [emit_table(outdir / "heating.csv", columns, np.array(rows),
-                       header)]
+    rows = np.column_stack([temps, np.full(len(temps), omega_t),
+                            s_mu / DEBYE ** 2, s_e, ndot])
+    return [emit_table(outdir / "heating.csv", columns, rows, header)]
 
 
 def cmd_validate(pipe: Pipeline, outdir: Path):

@@ -25,7 +25,7 @@ from functools import partial
 from . import potential as pot
 from .errors import ConfigurationError
 from .units import (AMU, BOHR, E_CHARGE, ENERGY_TO_J, LENGTH_TO_M,
-                    convert_energy)
+                    unit_factor)
 
 _INVERSE_LENGTH = {"1/m": 1.0, "1/angstrom": 1e10, "1/a0": 1.0 / BOHR}
 _VOLUME = {"m^3": 1.0, "angstrom^3": 1e-30, "a0^3": BOHR ** 3}
@@ -140,25 +140,17 @@ def _finite(x, key, text):
     return x
 
 
-def _quantity(value, table, key, *, energy=False):
+def _quantity(value, table, key):
     parts = value.split(None, 1)
     if len(parts) != 2:
         raise ConfigurationError(f"{key}: expected '<number> <unit>', got {value!r}")
     num, unit = parts
     try:
-        x = float(num)
+        x = float(num) * unit_factor(table, unit)
     except ValueError:
         raise ConfigurationError(f"{key}: {num!r} is not a number") from None
-    if energy:
-        try:
-            x = convert_energy(x, unit, "J")
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{key}: {exc}") from None
-    elif unit in table:
-        x *= table[unit]
-    else:
-        raise ConfigurationError(
-            f"{key}: unknown unit {unit!r}; known: {sorted(table)}")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
     return _finite(x, key, value)
 
 
@@ -236,7 +228,7 @@ _POSITIVE = (lambda x: x > 0, "positive")
 _NONZERO = (lambda x: x != 0, "non-zero")
 
 
-def _unit(table, energy=False, sign=_POSITIVE):
+def _unit(table, sign=_POSITIVE):
     """Field of a '<number> <unit>' key, written in the unit of factor 1.
 
     A value that fails the sign constraint (positive unless another is
@@ -245,7 +237,7 @@ def _unit(table, energy=False, sign=_POSITIVE):
     si = next(unit for unit, factor in table.items() if factor == 1.0)
 
     def parse(value, key):
-        x = _quantity(value, table, key, energy=energy)
+        x = _quantity(value, table, key)
         if not sign[0](x):
             raise ConfigurationError(
                 f"{key}: must be {sign[1]}, got {value!r}")
@@ -270,7 +262,7 @@ _FLOATS = (_float_list, lambda xs: ", ".join(map(repr, xs)))
 
 # Every key of every section, in field order.
 _FIELDS = {
-    "potential": {"name": _TEXT, "U0": _unit(ENERGY_TO_J, energy=True),
+    "potential": {"name": _TEXT, "U0": _unit(ENERGY_TO_J),
                   "z0": _unit(LENGTH_TO_M), "beta": _unit(_INVERSE_LENGTH),
                   "mass": _unit(_MASS), "polarizability": _unit(_VOLUME)},
     "material": {"speed_of_sound": _unit(_VELOCITY),

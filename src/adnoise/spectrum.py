@@ -48,7 +48,7 @@ class DipoleSpectrum:
     """Lorentzian-mode decomposition of S_mu plus dipole statistics.
 
     modes: decay rates lambdas (1/s, all > 0) with spectral weights
-    (C^2 m^2, all >= 0 up to round-off); their sum equals the variance.
+    (C^2 m^2, all >= 0); their sum equals the variance.
     A stack carries the leading temperature axis on every field:
     lambdas[..., k], mean_dipole[...].
     """
@@ -114,11 +114,8 @@ def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
                       @ p0[..., :, None])[..., 0, 0]
     _require(~np.any(lambdas <= 0, axis=-1), T, NumericalError,
              "all mode decay rates must be positive")
-    fluctuates = variance > 0
-    _require(~(fluctuates & (weights.min(axis=-1) < -1e-12 * variance)), T,
-             NumericalError, "negative spectral weight beyond round-off")
-    _require(~(fluctuates & (np.abs(weights.sum(axis=-1) - variance)
-                             > 1e-8 * variance)), T, NumericalError,
+    _require(~((variance > 0) & (np.abs(weights.sum(axis=-1) - variance)
+                                 > 1e-8 * variance)), T, NumericalError,
              "mode weights do not add up to the dipole variance")
     return DipoleSpectrum(lambdas=lambdas, weights=weights,
                           mean_dipole=mean, variance=variance)

@@ -25,7 +25,12 @@ and the rejection counts are those of testing every candidate against
 every placed point, and memory is linear in n.  SurfaceSample checks the
 spacing on every sample, in one window over the x-sorted points that
 reaches each successor closer than d0 in x.  mc_field_noise evaluates the
-field kernel once per sample for all distances.
+field kernel once per sample for all distances and gives S_E per unit
+S_mu, projected on a unit axis.
+
+The trap enters as the plain values of the [trap] section, and
+analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
+work elementwise on arrays.
 """
 
 import math
@@ -41,28 +46,6 @@ from .units import EPS0, HBAR
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
 MAX_CONSECUTIVE_REJECTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class TrapConfig:
-    """Ion trap geometry and the mode the noise couples to."""
-
-    distance: float        # m, ion height above the electrode
-    trap_frequency: float  # rad/s
-    ion_mass: float        # kg
-    charge: float          # C
-    axis: tuple = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ConfigurationError("trap distance must be positive")
-        if self.trap_frequency <= 0:
-            raise ConfigurationError("trap frequency must be positive")
-        if self.ion_mass <= 0 or self.charge == 0:
-            raise ConfigurationError("ion mass and charge must be set")
-        norm = math.sqrt(sum(a * a for a in self.axis))
-        if abs(norm - 1.0) > 1e-12:
-            raise ConfigurationError("trap axis must be a unit vector")
 
 
 @dataclass(frozen=True)
@@ -144,10 +127,13 @@ def dipole_field_kernel(sources, ion):
 
 
 def analytic_field_noise(sigma, s_mu, d):
-    """Surface-averaged transfer with the conventional 3/8 constant."""
-    if sigma <= 0 or d <= 0:
+    """Surface-averaged transfer with the conventional 3/8 constant.
+
+    Elementwise over arrays: each entry has the bits of a scalar call.
+    """
+    if np.any(sigma <= 0) or np.any(d <= 0):
         raise DomainError("sigma and d must be positive")
-    if s_mu < 0:
+    if np.any(s_mu < 0):
         raise DomainError("s_mu must be non-negative")
     return SURFACE_AVERAGE_CONSTANT * sigma * s_mu / (FOUR_PI_EPS0 ** 2 * d ** 4)
 
@@ -249,8 +235,9 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
                          rejects=total_rejects)
 
 
-def mc_field_noise(sample: SurfaceSample, s_mu, axis, distances):
-    """Field noise from one dipole configuration; sources add in power.
+def mc_field_noise(sample: SurfaceSample, axis, distances):
+    """Field noise per unit S_mu from one dipole configuration; sources
+    add in power.
 
     The ion sits at each height in distances above the sample center, and
     the field is projected on the unit vector axis.  Returns one S_E per
@@ -267,7 +254,7 @@ def mc_field_noise(sample: SurfaceSample, s_mu, axis, distances):
     # One (n, 3) @ axis per distance: a fused (D n, 3) @ axis differs from
     # it in the last bit in a few per cent of samples.
     proj = np.array([e_d @ axis for e_d in e])
-    return np.sum(proj ** 2, axis=1) * s_mu
+    return np.sum(proj ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -282,9 +269,10 @@ class DistanceScaling:
     n_seeds: int
 
 
-def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
-                         d_list, n_seeds=50) -> DistanceScaling:
-    """Power-law fit of seed-averaged S_E over the valid distance window.
+def distance_scaling_fit(sample: SurfaceSample, axis, d_list,
+                         n_seeds=50) -> DistanceScaling:
+    """Power-law fit of seed-averaged S_E, per unit S_mu and projected on
+    the unit vector axis, over the valid distance window.
 
     The window 3 d0 <= d <= extent/10 avoids granularity at small d and
     finite-patch edge effects at large d.  Child k = 0 is sample itself,
@@ -293,6 +281,8 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
     serial evaluation agree.  A seed mean that is not finite and positive
     (the field sum underflows when the extent is huge) is an AnalysisError.
     """
+    if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
+        raise DomainError(f"axis {tuple(axis)} is not a unit vector")
     d_list = np.asarray(d_list, dtype=float)
     lo = 3.0 * sample.min_spacing
     hi = sample.extent / 10.0
@@ -310,7 +300,7 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
     for k in range(n_seeds):
         s = sample if k == 0 else sample_surface(
             sample.n, sample.extent, sample.min_spacing, seed=sample.seed + k)
-        se[k] = mc_field_noise(s, s_mu, trap.axis, d_list)
+        se[k] = mc_field_noise(s, axis, d_list)
     means = se.mean(axis=0)
     empty = ~(np.isfinite(means) & (means > 0))
     if np.any(empty):
@@ -330,9 +320,15 @@ def distance_scaling_fit(sample: SurfaceSample, s_mu, trap: TrapConfig,
                            means=means, stderrs=stderrs, n_seeds=n_seeds)
 
 
-def heating_rate(trap: TrapConfig, s_E):
-    """Quanta per second gained by the ion: q^2 S_E / (2 m hbar omega_t)."""
-    if s_E < 0:
+def heating_rate(s_E, charge, ion_mass, omega_t):
+    """Quanta per second gained by the ion: q^2 S_E / (2 m hbar omega_t).
+
+    s_E may be an array; each entry has the bits of a scalar call.
+    """
+    if not (ion_mass > 0 and omega_t > 0 and charge != 0):
+        raise DomainError(
+            f"ion mass {ion_mass!r} kg and trap frequency {omega_t!r} rad/s "
+            f"must be positive and the charge {charge!r} C non-zero")
+    if np.any(s_E < 0):
         raise DomainError("S_E must be non-negative")
-    return trap.charge ** 2 / (2.0 * trap.ion_mass * HBAR
-                               * trap.trap_frequency) * s_E
+    return charge ** 2 / (2.0 * ion_mass * HBAR * omega_t) * s_E

@@ -86,28 +86,28 @@ _ALIASES = {
 }
 
 
-def _factor(table, unit, quantity):
-    tag = _ALIASES.get(unit, unit)
+def unit_factor(table, unit):
+    """Factor of unit, or of the tag it is an alias of, in table."""
     try:
-        return table[tag]
+        return table[_ALIASES.get(unit, unit)]
     except KeyError:
         raise ConfigurationError(
-            f"unknown {quantity} unit {unit!r}; known: {sorted(table)}") from None
+            f"unknown unit {unit!r}; known: {sorted(table)}") from None
 
 
 def convert_energy(value, from_unit, to_unit):
     """Convert between J, eV, meV, kelvin-equivalent and hertz-equivalent."""
-    return value * _factor(ENERGY_TO_J, from_unit, "energy") \
-        / _factor(ENERGY_TO_J, to_unit, "energy")
+    return value * unit_factor(ENERGY_TO_J, from_unit) \
+        / unit_factor(ENERGY_TO_J, to_unit)
 
 
 def convert_length(value, from_unit, to_unit):
     """Convert between m, angstrom, a0 (Bohr radii) and um."""
-    return value * _factor(LENGTH_TO_M, from_unit, "length") \
-        / _factor(LENGTH_TO_M, to_unit, "length")
+    return value * unit_factor(LENGTH_TO_M, from_unit) \
+        / unit_factor(LENGTH_TO_M, to_unit)
 
 
 def convert_dipole(value, from_unit, to_unit):
     """Convert between C*m, D (debye) and e*a0 (atomic units)."""
-    return value * _factor(DIPOLE_TO_CM, from_unit, "dipole") \
-        / _factor(DIPOLE_TO_CM, to_unit, "dipole")
+    return value * unit_factor(DIPOLE_TO_CM, from_unit) \
+        / unit_factor(DIPOLE_TO_CM, to_unit)

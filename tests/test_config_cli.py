@@ -476,16 +476,17 @@ def per_temperature_tempsweep(pipe, outdir):
 
 def per_temperature_heat(pipe, outdir):
     """cmd_heat as one chain call per temperature: the reference."""
-    cfg, trap = pipe.cfg, pipe.trap
+    cfg, trap = pipe.cfg, pipe.cfg.trap
+    omega_t = 2 * np.pi * trap.frequency
     rows = []
     for tspec in cfg.spectrum.temperatures:
         T = pipe.kelvin(tspec)
-        s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(T),
-                                          trap.trap_frequency)
-        s_e = trapnoise.analytic_field_noise(cfg.trap.coverage, s_mu,
+        s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(T), omega_t)
+        s_e = trapnoise.analytic_field_noise(trap.coverage, s_mu,
                                              trap.distance)
-        rows.append([T, trap.trap_frequency, s_mu / DEBYE ** 2, s_e,
-                     trapnoise.heating_rate(trap, s_e)])
+        rows.append([T, omega_t, s_mu / DEBYE ** 2, s_e,
+                     trapnoise.heating_rate(s_e, trap.charge, trap.ion_mass,
+                                            omega_t)])
     header = pipe.header("heat", pipe.derived_header() + [
         f"coverage: {cfg.trap.coverage:.6g} 1/m^2, "
         f"distance: {cfg.trap.distance:.6g} m",
@@ -604,7 +605,7 @@ def test_cli_config_file_with_preset_flag(tmp_path):
 
 @pytest.mark.parametrize("command", ["heat", "mc-scaling"])
 def test_cli_trap_distance_must_be_positive(tmp_path, capsys, command):
-    # both commands build the same TrapConfig from [trap]
+    # both commands read the same [trap] section, checked when it is parsed
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n[trap]\ndistance = -10 um\n"
                        "[montecarlo]\nn_seeds = 3\n")
@@ -704,6 +705,50 @@ def test_cli_zero_temperature_is_a_zero_spectrum(tmp_path):
     assert run_cli(["tempsweep", "--config", cfgfile, "--output", out]) == 0
     assert "# arrhenius_fit: not available (values must be positive)" in (
         out / "tempsweep.csv").read_text().splitlines()
+
+
+def test_cli_mc_scaling_follows_trap_axis(tmp_path):
+    # [trap] axis reaches the fit as the parser normalizes it
+    rows = {}
+    for name, axis in (("tilted", "0.3 0.4 1"), ("z", "0 0 1")):
+        cfgfile = tmp_path / f"{name}.ini"
+        cfgfile.write_text(f"preset = Ne-Au\n[trap]\naxis = {axis}\n"
+                           "[montecarlo]\nn_seeds = 5\n")
+        out = tmp_path / name
+        assert run_cli(["mc-scaling", "--config", cfgfile,
+                        "--output", out]) == 0
+        rows[name] = data_rows(out / "mc_scaling.csv")
+    cfg = config.parse_config((tmp_path / "tilted.ini").read_text())
+    assert cfg.trap.axis == pytest.approx(np.array([0.3, 0.4, 1.0])
+                                          / np.sqrt(1.25), rel=1e-15)
+    mc = cfg.montecarlo
+    base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,
+                                    seed=cfg.mc_seed)
+    res = trapnoise.distance_scaling_fit(base, cfg.trap.axis, mc.d_values,
+                                         n_seeds=mc.n_seeds)
+    expect = np.column_stack([res.distances, res.means, res.stderrs])
+    got = rows["tilted"][:, :3]
+    assert got.tolist() == [[float(f"{x:.9g}") for x in row]
+                            for row in expect.tolist()]
+    assert not np.array_equal(got, rows["z"][:, :3])
+
+
+def test_length_unit_aliases():
+    # every quantity looks its unit up through the alias table in units
+    def z0(text):
+        return config.parse_config(
+            f"preset = Ne-Au\n[potential]\nz0 = {text}\n").potential.z0
+    assert z0("3.2 A") == z0("3.2 Å") == z0("3.2 angstrom")
+    assert z0("6.05 bohr") == z0("6.05 a0")
+
+    def distance(text):
+        return config.parse_config(
+            f"preset = Ne-Au\n[trap]\ndistance = {text}\n").trap.distance
+    assert distance("30 micron") == distance("30 μm") == distance("30 um")
+    with pytest.raises(ConfigurationError) as err:
+        config.parse_config("preset = Ne-Au\n[potential]\nz0 = 3 furlong\n")
+    assert str(err.value) == ("potential.z0: unknown unit 'furlong'; known: "
+                              "['a0', 'angstrom', 'm', 'um']")
 
 
 def test_negative_charge_is_accepted():

@@ -12,11 +12,6 @@ FPE = trapnoise.FOUR_PI_EPS0
 Z_AXIS = (0.0, 0.0, 1.0)
 
 
-def make_trap(d=1.0):
-    return trapnoise.TrapConfig(distance=d, trap_frequency=2 * math.pi * 1e6,
-                                ion_mass=40 * AMU, charge=E_CHARGE)
-
-
 def test_kernel_on_axis():
     d = 2e-6
     e, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, d))
@@ -255,11 +250,11 @@ def test_standard_errors_survive_tiny_field_noise(extent):
     # all the same, and at extent 100 bit for bit as se.std gives them.
     n_seeds, d_values = 8, [3.0, 4.0, 5.0]
     base = trapnoise.sample_surface(100, extent, 1.0, seed=0)
-    res = trapnoise.distance_scaling_fit(base, 1.0, make_trap(), d_values,
+    res = trapnoise.distance_scaling_fit(base, Z_AXIS, d_values,
                                          n_seeds=n_seeds)
     se = np.array([trapnoise.mc_field_noise(
         base if k == 0 else trapnoise.sample_surface(100, extent, 1.0, seed=k),
-        1.0, Z_AXIS, d_values) for k in range(n_seeds)])
+        Z_AXIS, d_values) for k in range(n_seeds)])
     assert np.array_equal(res.means, se.mean(axis=0))
     scale = 1.0 / se.max()
     expect = (se * scale).std(axis=0, ddof=1) / scale / math.sqrt(n_seeds)
@@ -314,7 +309,7 @@ def test_sample_positions_must_be_finite_and_spacing_non_negative():
                                 min_spacing=-1.0, extent=10.0, seed=0)
 
 
-def reference_field_noise(positions, extent, s_mu, axis, d):
+def reference_field_noise(positions, extent, axis, d):
     """The per-distance field sum: one kernel call for one ion height."""
     ion = np.array([0.5 * extent, 0.5 * extent, d])
     rel = np.empty((len(positions), 3))
@@ -326,7 +321,7 @@ def reference_field_noise(positions, extent, s_mu, axis, d):
     e[:, 2] -= 1.0
     e = e / (FPE * dist ** 3)[:, None]
     proj = e @ np.asarray(axis, dtype=float)
-    return float(np.sum(proj ** 2) * s_mu)
+    return float(np.sum(proj ** 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 300])
@@ -337,39 +332,31 @@ def test_field_sum_bit_identical_to_per_distance_reference(n):
         sample = trapnoise.sample_surface(n, 100.0, 1.0, seed)
         for axis in axes:
             expect = np.array([reference_field_noise(
-                sample.positions, 100.0, 1.0, axis, d) for d in ds])
-            got = trapnoise.mc_field_noise(sample, 1.0, axis, ds)
+                sample.positions, 100.0, axis, d) for d in ds])
+            got = trapnoise.mc_field_noise(sample, axis, ds)
             assert got.tobytes() == expect.tobytes(), (seed, axis)
 
 
 def test_distance_scaling_uses_sample_as_first_child():
     # child 0 is the sample passed in; children k >= 1 use seed + k
-    trap = make_trap(3.0)
     base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
                                    min_spacing=1.0, extent=100.0, seed=7)
-    res = trapnoise.distance_scaling_fit(base, 1.0, trap, [3.0, 4.0, 5.0],
+    res = trapnoise.distance_scaling_fit(base, Z_AXIS, [3.0, 4.0, 5.0],
                                          n_seeds=2)
     child = trapnoise.sample_surface(1, 100.0, 1.0, seed=8)
-    expect = [trapnoise.mc_field_noise(s, 1.0, Z_AXIS, res.distances)
+    expect = [trapnoise.mc_field_noise(s, Z_AXIS, res.distances)
               for s in (base, child)]
     assert np.array_equal(res.means, np.mean(expect, axis=0))
 
 
 def test_mc_single_dipole_below_ion():
-    # one dipole directly under the ion: S_E = 4 S_mu / (4 pi eps0)^2 d^6
-    s_mu = 2.5e-70
+    # one dipole directly under the ion: S_E = 4 S_mu / (4 pi eps0)^2 d^6,
+    # here per unit S_mu
     sample = trapnoise.SurfaceSample(positions=np.array([[5.0, 5.0]]),
                                      min_spacing=1.0, extent=10.0, seed=0)
     ds = (1.0, 2.0)
-    for d, got in zip(ds, trapnoise.mc_field_noise(sample, s_mu, Z_AXIS, ds)):
-        assert got == pytest.approx(4 * s_mu / (FPE ** 2 * d ** 6), rel=1e-12)
-
-
-def test_mc_linearity_in_s_mu():
-    sample = trapnoise.sample_surface(40, 60.0, 1.0, seed=3)
-    a = trapnoise.mc_field_noise(sample, 1.0, Z_AXIS, [5.0])
-    b = trapnoise.mc_field_noise(sample, 2.0, Z_AXIS, [5.0])
-    assert b == pytest.approx(2 * a, rel=1e-12)
+    for d, got in zip(ds, trapnoise.mc_field_noise(sample, Z_AXIS, ds)):
+        assert got == pytest.approx(4 / (FPE ** 2 * d ** 6), rel=1e-12)
 
 
 def test_mc_additive_over_subsamples():
@@ -378,9 +365,9 @@ def test_mc_additive_over_subsamples():
                                  min_spacing=1.0, extent=60.0, seed=3)
     hi = trapnoise.SurfaceSample(positions=full.positions[17:],
                                  min_spacing=1.0, extent=60.0, seed=3)
-    assert trapnoise.mc_field_noise(full, 1.0, Z_AXIS, [5.0]) == pytest.approx(
-        trapnoise.mc_field_noise(lo, 1.0, Z_AXIS, [5.0])
-        + trapnoise.mc_field_noise(hi, 1.0, Z_AXIS, [5.0]), rel=1e-12)
+    assert trapnoise.mc_field_noise(full, Z_AXIS, [5.0]) == pytest.approx(
+        trapnoise.mc_field_noise(lo, Z_AXIS, [5.0])
+        + trapnoise.mc_field_noise(hi, Z_AXIS, [5.0]), rel=1e-12)
 
 
 def test_mc_rotation_invariance():
@@ -397,17 +384,16 @@ def test_mc_rotation_invariance():
     turned = (sample.positions - center) @ rot.T + center
     rotated = trapnoise.SurfaceSample(positions=turned, min_spacing=1.0,
                                       extent=60.0, seed=11)
-    a = trapnoise.mc_field_noise(sample, 1.0, Z_AXIS, [4.0])
-    b = trapnoise.mc_field_noise(rotated, 1.0, Z_AXIS, [4.0])
+    a = trapnoise.mc_field_noise(sample, Z_AXIS, [4.0])
+    b = trapnoise.mc_field_noise(rotated, Z_AXIS, [4.0])
     assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_mc_ensemble_matches_plane_integral():
     # law of large numbers against sigma * K / ((4 pi eps0)^2 d^4)
-    trap = make_trap(5.0)
     base = trapnoise.sample_surface(100, 100.0, 1.0, seed=2024)
-    res = trapnoise.distance_scaling_fit(base, 1.0, trap,
-                                         [4.0, 6.0, 9.0], n_seeds=800)
+    res = trapnoise.distance_scaling_fit(base, Z_AXIS, [4.0, 6.0, 9.0],
+                                         n_seeds=800)
     k = trapnoise.kernel_integral_constant()
     sigma = base.density
     for d, mean in zip(res.distances, res.means):
@@ -416,9 +402,8 @@ def test_mc_ensemble_matches_plane_integral():
 
 
 def test_distance_scaling_paper_geometry():
-    trap = make_trap(3.0)
     base = trapnoise.sample_surface(100, 100.0, 1.0, seed=12345)
-    res = trapnoise.distance_scaling_fit(base, 1.0, trap,
+    res = trapnoise.distance_scaling_fit(base, Z_AXIS,
                                          [3.0, 4.0, 5.0, 6.5, 8.0, 10.0],
                                          n_seeds=1000)
     assert res.exponent == pytest.approx(-4.0, abs=0.15)
@@ -429,7 +414,7 @@ def test_distance_scaling_single_dipole_is_minus_six():
     base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
                                    min_spacing=1.0, extent=100.0, seed=0)
     d_list = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
-    se = trapnoise.mc_field_noise(base, 1.0, Z_AXIS, d_list)
+    se = trapnoise.mc_field_noise(base, Z_AXIS, d_list)
     x = np.log(d_list)
     slope = np.polyfit(x, np.log(se), 1)[0]
     assert slope == pytest.approx(-6.0, abs=0.05)
@@ -441,7 +426,7 @@ def test_far_field_drifts_toward_point_dipole():
     # excluded from the fitting window)
     ds = (250.0, 500.0)
     vals = [trapnoise.mc_field_noise(
-        trapnoise.sample_surface(100, 100.0, 1.0, seed=5 + k), 1.0, Z_AXIS, ds)
+        trapnoise.sample_surface(100, 100.0, 1.0, seed=5 + k), Z_AXIS, ds)
         for k in range(60)]
     means = np.mean(vals, axis=0)
     slope = math.log(means[1] / means[0]) / math.log(ds[1] / ds[0])
@@ -449,47 +434,65 @@ def test_far_field_drifts_toward_point_dipole():
 
 
 def test_distance_window_enforced():
-    trap = make_trap(3.0)
     base = trapnoise.sample_surface(100, 100.0, 1.0, seed=1)
     with pytest.raises(AnalysisError, match="window"):
-        trapnoise.distance_scaling_fit(base, 1.0, trap, [1.0, 5.0], n_seeds=5)
+        trapnoise.distance_scaling_fit(base, Z_AXIS, [1.0, 5.0], n_seeds=5)
     with pytest.raises(AnalysisError, match="window"):
-        trapnoise.distance_scaling_fit(base, 1.0, trap, [5.0, 40.0], n_seeds=5)
+        trapnoise.distance_scaling_fit(base, Z_AXIS, [5.0, 40.0], n_seeds=5)
+
+
+OMEGA_T = 2 * math.pi * 1e6
 
 
 def test_heating_rate_reference_point():
     # q = e, m = 40 amu, omega_t = 2 pi MHz, S_E = 1e-12 -> ~2.9e2 /s
-    trap = make_trap(1e-5)
     expected = E_CHARGE ** 2 * 1e-12 / (2 * 40 * AMU * HBAR * 2 * math.pi * 1e6)
-    got = trapnoise.heating_rate(trap, 1e-12)
+    got = trapnoise.heating_rate(1e-12, E_CHARGE, 40 * AMU, OMEGA_T)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(291.6, rel=1e-3)
 
 
 def test_heating_rate_scalings():
-    trap = make_trap(1e-5)
-    assert trapnoise.heating_rate(trap, 0.0) == 0.0
-    half = trapnoise.TrapConfig(distance=1e-5,
-                                trap_frequency=trap.trap_frequency / 2,
-                                ion_mass=trap.ion_mass, charge=trap.charge)
-    assert trapnoise.heating_rate(half, 1e-12) == pytest.approx(
-        2 * trapnoise.heating_rate(trap, 1e-12), rel=1e-12)
+    assert trapnoise.heating_rate(0.0, E_CHARGE, 40 * AMU, OMEGA_T) == 0.0
+    assert trapnoise.heating_rate(
+        1e-12, E_CHARGE, 40 * AMU, OMEGA_T / 2) == pytest.approx(
+        2 * trapnoise.heating_rate(1e-12, E_CHARGE, 40 * AMU, OMEGA_T),
+        rel=1e-12)
 
 
-def test_trap_config_validation():
-    # The parser rejects these keys first; TrapConfig still checks its own.
-    with pytest.raises(ConfigurationError,
-                       match="trap distance must be positive"):
-        trapnoise.TrapConfig(distance=-1.0, trap_frequency=1.0,
-                             ion_mass=1e-26, charge=E_CHARGE)
-    with pytest.raises(ConfigurationError,
-                       match="trap frequency must be positive"):
-        trapnoise.TrapConfig(distance=1.0, trap_frequency=0.0,
-                             ion_mass=1e-26, charge=E_CHARGE)
-    with pytest.raises(ConfigurationError, match="ion mass and charge"):
-        trapnoise.TrapConfig(distance=1.0, trap_frequency=1.0,
-                             ion_mass=1e-26, charge=0.0)
-    with pytest.raises(ConfigurationError):
-        trapnoise.TrapConfig(distance=1.0, trap_frequency=1.0,
-                             ion_mass=1e-26, charge=E_CHARGE,
-                             axis=(0.0, 0.0, 2.0))
+def test_array_calls_match_scalar_calls():
+    # one call over a sweep gives, bit for bit, the per-entry scalar calls
+    s_mu = np.array([0.0, 1e-70, 3.7e-68, 2.2e-66])
+    s_e = trapnoise.analytic_field_noise(1e18, s_mu, 1e-5)
+    assert s_e.tobytes() == np.array([
+        trapnoise.analytic_field_noise(1e18, float(x), 1e-5)
+        for x in s_mu]).tobytes()
+    ndot = trapnoise.heating_rate(s_e, -2 * E_CHARGE, 9 * AMU, OMEGA_T)
+    assert ndot.tobytes() == np.array([
+        trapnoise.heating_rate(float(x), -2 * E_CHARGE, 9 * AMU, OMEGA_T)
+        for x in s_e]).tobytes()
+    with pytest.raises(DomainError, match="s_mu"):
+        trapnoise.analytic_field_noise(1e18, np.array([1e-70, -1e-70]), 1e-5)
+    with pytest.raises(DomainError, match="S_E"):
+        trapnoise.heating_rate(np.array([1e-12, -1e-12]), E_CHARGE,
+                               40 * AMU, OMEGA_T)
+
+
+@pytest.mark.parametrize("charge,ion_mass,omega_t", [
+    (E_CHARGE, 0.0, OMEGA_T), (E_CHARGE, -40 * AMU, OMEGA_T),
+    (E_CHARGE, 40 * AMU, 0.0), (E_CHARGE, 40 * AMU, -OMEGA_T),
+    (0.0, 40 * AMU, OMEGA_T), (-0.0, 40 * AMU, OMEGA_T)])
+def test_heating_rate_checks_trap_values(charge, ion_mass, omega_t):
+    # The parser rejects these keys first; heating_rate still checks them.
+    with pytest.raises(DomainError, match="ion mass"):
+        trapnoise.heating_rate(1e-12, charge, ion_mass, omega_t)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0),
+                                  (0.3, 0.4, 1.0), (0.0, 0.0, math.nan),
+                                  (0.0, 0.0, 1.0 + 1e-11)])
+def test_distance_scaling_fit_needs_unit_axis(axis):
+    base = trapnoise.sample_surface(100, 100.0, 1.0, seed=1)
+    with pytest.raises(DomainError, match="not a unit vector"):
+        trapnoise.distance_scaling_fit(base, axis, [3.0, 4.0, 5.0],
+                                       n_seeds=2)
