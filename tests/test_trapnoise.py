@@ -61,6 +61,9 @@ def test_analytic_field_noise_formula():
     assert trapnoise.analytic_field_noise(sigma, s_mu, 2 * d) == pytest.approx(
         expected / 16, rel=1e-12)
     assert trapnoise.analytic_field_noise(sigma, 0.0, d) == 0.0
+    # the trap distance is checked here, where it is read
+    with pytest.raises(DomainError, match="sigma and d must be positive"):
+        trapnoise.analytic_field_noise(sigma, s_mu, -d)
 
 
 def test_kernel_integral_constant_closed_form():
