@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, boundstates, dipoles, phonons, spectrum, trapnoise
 from .config import RunConfig, override, parse_config, serialize_config
-from .errors import (AdnoiseError, ConfigurationError, DomainError,
-                     ModelError, NumericalError)
+from .errors import (AdnoiseError, AnalysisError, ConfigurationError,
+                     DomainError, ModelError, NumericalError)
 from .tables import emit_table
 from .units import DEBYE, E_CHARGE, HBAR, KB
 
@@ -227,6 +227,17 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
 def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
     cfg = pipe.cfg
     mc = cfg.montecarlo
+    # Dipoles expected within the largest distance of the ion, summed over
+    # the seeds; below one the nearest dipoles of every seed lie far
+    # outside the fit window and S_E hardly depends on d.
+    count = (mc.n_seeds * math.pi * max(mc.d_values) ** 2 * mc.n_dipoles
+             / mc.extent / mc.extent)
+    if count < 1:
+        raise AnalysisError(
+            f"{count:.3g} dipoles expected within the largest distance of "
+            f"the ion over all seeds (n_seeds * pi * d_max^2 * n_dipoles / "
+            f"extent^2 < 1), distances {np.asarray(mc.d_values)}: the "
+            "surface is too sparse for a distance scaling fit")
     # Work in units of the minimum spacing d0; the fitted exponent is
     # scale-invariant, so S_mu enters only as a common factor.
     base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,

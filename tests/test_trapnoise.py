@@ -246,6 +246,45 @@ def test_huge_extent_exits_four(tmp_path, capsys):
         assert not (out / "mc_scaling.csv").exists()
 
 
+def run_mc_scaling(tmp_path, extent):
+    """mc-scaling with 100 dipoles and 30 seeds at the given extent."""
+    cfgfile = tmp_path / f"e{extent}.ini"
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nn_dipoles = 100\n"
+                       f"extent = {extent}\nn_seeds = 30\n")
+    out = tmp_path / f"o{extent}"
+    return cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(out)]), out / "mc_scaling.csv"
+
+
+@pytest.mark.parametrize("extent, count", [("1e6", "9.42e-07"),
+                                           ("1e4", "0.00942")])
+def test_sparse_surface_exits_four_before_sampling(tmp_path, capsys,
+                                                   monkeypatch, extent,
+                                                   count):
+    # 30 seeds expect far less than one dipole within d = 10 of the ion, so
+    # S_E hardly depends on d: the fitted exponents were -4.65e-06 and
+    # -0.140 at exit 0.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(trapnoise, "sample_surface", no_sampling)
+    code, csv = run_mc_scaling(tmp_path, extent)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"{count} dipoles expected" in err, err
+    assert "distances [ 3.   4.   5.   6.5  8.  10. ]" in err, err
+    assert not csv.exists()
+
+
+def test_sparse_surface_threshold(tmp_path, capsys):
+    # 30 pi 10^2 100 / extent^2 = 1 at extent 970.8
+    code, csv = run_mc_scaling(tmp_path, 970)
+    assert code == 0 and csv.exists()
+    code, csv = run_mc_scaling(tmp_path, 972)
+    assert code == 4 and not csv.exists()
+    assert "0.998 dipoles expected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extent", [100.0, 1e35])
 def test_standard_errors_survive_tiny_field_noise(extent):
     # At extent 1e35 S_E is about 1e-180, so its squared deviations
