@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, boundstates, dipoles, phonons, spectrum, trapnoise
 from .config import RunConfig, override, parse_config, serialize_config
-from .errors import (AdnoiseError, AnalysisError, ConfigurationError,
-                     DomainError, ModelError, NumericalError)
+from .errors import (AdnoiseError, ConfigurationError, DomainError,
+                     ModelError, NumericalError)
 from .tables import emit_table
 from .units import DEBYE, E_CHARGE, HBAR, KB
 
@@ -227,25 +227,11 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
 def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
     cfg = pipe.cfg
     mc = cfg.montecarlo
-    # Dipoles expected within the largest distance of the ion, summed over
-    # the seeds; below one the nearest dipoles of every seed lie far
-    # outside the fit window and S_E hardly depends on d.
-    count = (mc.n_seeds * math.pi * max(mc.d_values) ** 2 * mc.n_dipoles
-             / mc.extent / mc.extent)
-    if count < 1:
-        raise AnalysisError(
-            f"{count:.3g} dipoles expected within the largest distance of "
-            f"the ion over all seeds (n_seeds * pi * d_max^2 * n_dipoles / "
-            f"extent^2 < 1), distances {np.asarray(mc.d_values)}: the "
-            "surface is too sparse for a distance scaling fit")
-    # Work in units of the minimum spacing d0; the fitted exponent is
-    # scale-invariant, so S_mu enters only as a common factor.
-    base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,
-                                    seed=cfg.mc_seed)
-    result = trapnoise.distance_scaling_fit(base, cfg.trap.axis, mc.d_values,
-                                            n_seeds=mc.n_seeds)
+    result = trapnoise.distance_scaling_fit(
+        mc.n_dipoles, mc.extent, cfg.mc_seed, cfg.trap.axis, mc.d_values,
+        mc.n_seeds)
     k_kernel = trapnoise.kernel_integral_constant()
-    sigma = base.density
+    sigma = mc.n_dipoles / mc.extent ** 2
     d = result.distances
     ratios = result.means / (sigma * k_kernel
                              / (trapnoise.FOUR_PI_EPS0 ** 2 * d ** 4))
@@ -271,8 +257,29 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
     temps = np.array([pipe.kelvin(tspec)
                       for tspec in pipe.cfg.spectrum.temperatures])
     s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omega_t)
-    s_e = trapnoise.analytic_field_noise(trap.coverage, s_mu, trap.distance)
-    ndot = trapnoise.heating_rate(s_e, trap.charge, trap.ion_mass, omega_t)
+    # ndot = q^2 S_E / (2 m hbar omega_t), S_E ~ 1 / ((4 pi eps0)^2 d^4):
+    # a value the parser accepts can still overflow q^2, omega_t or a
+    # denominator, or underflow a denominator to 0.  Each factor is
+    # checked as it is built, under the key that brings it in, and then
+    # the product.
+    with np.errstate(all="ignore"):
+        den = 2.0 * trap.ion_mass * HBAR
+        for key, ok in (
+                ("trap.distance", 0 < trapnoise.FOUR_PI_EPS0 ** 2
+                 * np.float64(trap.distance) ** 4 < math.inf),
+                ("trap.charge", np.float64(trap.charge) ** 2 < math.inf),
+                ("trap.ion_mass", den > 0),
+                ("trap.frequency", omega_t < math.inf and den * omega_t > 0)):
+            if not ok:
+                raise NumericalError(
+                    f"{key}: a factor of S_E or ndot leaves the float range")
+        s_e = trapnoise.analytic_field_noise(trap.coverage, s_mu,
+                                             trap.distance)
+        ndot = trapnoise.heating_rate(s_e, trap.charge, trap.ion_mass,
+                                      omega_t)
+    if not np.all(np.isfinite(ndot)):
+        raise NumericalError("the [trap] values together take S_E or ndot "
+                             "past the float range")
     header = pipe.header("heat", pipe.derived_header() + [
         f"coverage: {trap.coverage:.6g} 1/m^2, "
         f"distance: {trap.distance:.6g} m",

@@ -330,10 +330,9 @@ def parse_config(text: str) -> RunConfig:
     preset_name = top.get("preset")
     p = sections["potential"]
     if preset_name is not None:
-        params, material = pot.preset(preset_name)
+        params, _ = pot.preset(preset_name)
         values = asdict(params)
     else:
-        material = None
         values = {f.name: None for f in fields(pot.SurfacePotentialParams)}
         values["name"] = _CUSTOM_NAME
     values.update(_parsed(_FIELDS["potential"], p, "potential."))
@@ -349,10 +348,9 @@ def parse_config(text: str) -> RunConfig:
                                         "potential.reduced_mass"):
         params = pot.reduced_mass(params)
 
-    m = sections["material"]
-    if material is None or m or "material" in top:
-        material = replace(pot.material_preset(top.get("material", _MATERIAL)),
-                           **_parsed(_FIELDS["material"], m, "material."))
+    material = replace(pot.material_preset(top.get("material", _MATERIAL)),
+                       **_parsed(_FIELDS["material"], sections["material"],
+                                 "material."))
 
     resolved = {name: make(**_parsed(_FIELDS[name], sections[name],
                                      f"{name}."))

@@ -34,6 +34,7 @@ time across it, in the order a single mode set sums them.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,11 @@ def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
                       @ p0[..., :, None])[..., 0, 0]
     _require(~np.any(lambdas <= 0, axis=-1), T, NumericalError,
              "all mode decay rates must be positive")
+    # Past sqrt(DBL_MAX) lambda^2 overflows, and the Lorentzian reads 0.
+    fastest = lambdas.max(axis=-1, initial=0.0)
+    _require(fastest <= math.sqrt(sys.float_info.max), T, NumericalError,
+             "the fastest mode decays at %.3e 1/s, past sqrt(DBL_MAX), so "
+             "its Lorentzian overflows", fastest)
     _require(~((variance > 0) & (np.abs(weights.sum(axis=-1) - variance)
                                  > 1e-8 * variance)), T, NumericalError,
              "mode weights do not add up to the dipole variance")

@@ -26,7 +26,8 @@ every placed point, and memory is linear in n.  SurfaceSample checks the
 spacing on every sample, in one window over the x-sorted points that
 reaches each successor closer than d0 in x.  mc_field_noise evaluates the
 field kernel once per sample for all distances and gives S_E per unit
-S_mu, projected on a unit axis.
+S_mu, projected on a unit axis.  distance_scaling_fit draws each seed's
+surface itself and refuses a surface too sparse near the ion.
 
 The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
@@ -55,7 +56,6 @@ class SurfaceSample:
     positions: np.ndarray  # (n, 2), inside [0, extent]^2
     min_spacing: float
     extent: float
-    seed: int
     rejects: int = field(default=0, compare=False)
 
     def __post_init__(self):
@@ -86,13 +86,6 @@ class SurfaceSample:
     @property
     def n(self):
         return len(self.positions)
-
-    @property
-    def density(self):
-        try:
-            return self.n / self.extent ** 2
-        except OverflowError:  # extent ** 2 is past the float range
-            return self.n / self.extent / self.extent
 
 
 def dipole_field_kernel(sources, ion):
@@ -231,7 +224,7 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
                 break
         chunks.append(block[taken])
     return SurfaceSample(positions=np.concatenate(chunks),
-                         min_spacing=min_spacing, extent=extent, seed=seed,
+                         min_spacing=min_spacing, extent=extent,
                          rejects=total_rejects)
 
 
@@ -269,23 +262,34 @@ class DistanceScaling:
     n_seeds: int
 
 
-def distance_scaling_fit(sample: SurfaceSample, axis, d_list,
-                         n_seeds=50) -> DistanceScaling:
+def distance_scaling_fit(n, extent, seed, axis, d_list,
+                         n_seeds) -> DistanceScaling:
     """Power-law fit of seed-averaged S_E, per unit S_mu and projected on
     the unit vector axis, over the valid distance window.
 
-    The window 3 d0 <= d <= extent/10 avoids granularity at small d and
-    finite-patch edge effects at large d.  Child k = 0 is sample itself,
-    so it should come from sample_surface(n, extent, min_spacing, seed);
-    children k >= 1 are drawn with seeds sample.seed + k, so parallel and
-    serial evaluation agree.  A seed mean that is not finite and positive
-    (the field sum underflows when the extent is huge) is an AnalysisError.
+    Lengths are in units of the minimum spacing d0.  Surface k is
+    sample_surface(n, extent, 1.0, seed + k), so parallel and serial
+    evaluation agree.  A surface on which the seeds together expect fewer
+    than one dipole within the largest distance is refused before any is
+    drawn: S_E then hardly depends on d, and the exponent comes out near
+    0.  The window 3 d0 <= d <= extent/10 avoids granularity at small d
+    and finite-patch edge effects at large d.  With the distances scaled
+    up along with the extent, S_E can be tiny or underflow; a seed mean
+    that is not finite and positive is an AnalysisError.
     """
+    count = n_seeds * math.pi * max(d_list) ** 2 * n / extent / extent
+    if count < 1:
+        raise AnalysisError(
+            f"{count:.3g} dipoles expected within the largest distance of "
+            f"the ion over all seeds (n_seeds * pi * d_max^2 * n_dipoles / "
+            f"extent^2 < 1), distances {np.asarray(d_list)}: the "
+            "surface is too sparse for a distance scaling fit")
+    # Drawn first, so that sampling's errors come before the checks below.
+    surface = sample_surface(n, extent, 1.0, seed)
     if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
         raise DomainError(f"axis {tuple(axis)} is not a unit vector")
     d_list = np.asarray(d_list, dtype=float)
-    lo = 3.0 * sample.min_spacing
-    hi = sample.extent / 10.0
+    lo, hi = 3.0, extent / 10.0
     bad = d_list[(d_list < lo) | (d_list > hi)]
     if len(bad):
         raise AnalysisError(
@@ -298,9 +302,9 @@ def distance_scaling_fit(sample: SurfaceSample, axis, d_list,
             "need at least 2 seeds and the fit at least 3 distinct distances")
     se = np.empty((n_seeds, len(d_list)))
     for k in range(n_seeds):
-        s = sample if k == 0 else sample_surface(
-            sample.n, sample.extent, sample.min_spacing, seed=sample.seed + k)
-        se[k] = mc_field_noise(s, axis, d_list)
+        if k:
+            surface = sample_surface(n, extent, 1.0, seed + k)
+        se[k] = mc_field_noise(surface, axis, d_list)
     means = se.mean(axis=0)
     empty = ~(np.isfinite(means) & (means > 0))
     if np.any(empty):

@@ -266,15 +266,14 @@ def test_criterion_9_method_cross_validation(pipe, spectra):
 def test_criterion_10_distance_scaling(pipe):
     cfg = pipe.cfg
     mc = cfg.montecarlo
-    base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,
-                                    seed=cfg.mc_seed)
-    res = trapnoise.distance_scaling_fit(base, (0.0, 0.0, 1.0), mc.d_values,
-                                         n_seeds=mc.n_seeds)
+    res = trapnoise.distance_scaling_fit(mc.n_dipoles, mc.extent,
+                                         cfg.mc_seed, (0.0, 0.0, 1.0),
+                                         mc.d_values, n_seeds=mc.n_seeds)
     ok_many = abs(res.exponent + 4.0) <= 0.15
     # single dipole below the ion
     single = trapnoise.SurfaceSample(
         positions=np.array([[mc.extent / 2, mc.extent / 2]]),
-        min_spacing=1.0, extent=mc.extent, seed=0)
+        min_spacing=1.0, extent=mc.extent)
     se = trapnoise.mc_field_noise(single, (0.0, 0.0, 1.0), mc.d_values)
     slope_single = float(np.polyfit(np.log(mc.d_values), np.log(se), 1)[0])
     ok_single = abs(slope_single + 6.0) <= 0.05

@@ -707,6 +707,58 @@ def test_cli_zero_temperature_is_a_zero_spectrum(tmp_path):
         out / "tempsweep.csv").read_text().splitlines()
 
 
+@pytest.mark.parametrize("command, section, temperature", [
+    ("spectrum", "", "1e+150"), ("heat", "", "1e+150"),
+    ("tempsweep", "[tempsweep]\nt_max = 1e160 K\n", "3.44828e+158")])
+def test_cli_mode_rate_past_float_square_exits_four(tmp_path, capsys,
+                                                    command, section,
+                                                    temperature):
+    # past about 7e146 K the fastest Ne-Au mode rate squares to inf, and
+    # every Lorentzian would read 0
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + section)
+    out = tmp_path / "o"
+    args = [command, "--config", cfgfile, "--output", out]
+    if command != "tempsweep":
+        args += ["--temperature", "1e150 K"]
+    assert run_cli(args) == 4
+    err = capsys.readouterr().err
+    assert "past sqrt(DBL_MAX)" in err
+    assert err.endswith(f"at T = {temperature} K\n"), err
+    assert not out.exists()
+    # below the onset the spectrum is still written, and is not zero
+    assert run_cli(["spectrum", "--preset", "Ne-Au", "--output", out,
+                    "--temperature", "1e140 K"]) == 0
+    assert np.all(data_rows(out / "spectrum_T_1e+140K.csv")[:, 1] > 0)
+
+
+FACTOR = ": a factor of S_E or ndot leaves the float range"
+
+
+@pytest.mark.parametrize("section, error", [
+    ("charge = 1e200 C", "trap.charge" + FACTOR),
+    ("ion_mass = 1e-300 kg", "trap.ion_mass" + FACTOR),
+    ("frequency = 1e-300 Hz", "trap.frequency" + FACTOR),
+    ("frequency = 1e308 Hz", "trap.frequency" + FACTOR),
+    ("distance = 1e-300 m", "trap.distance" + FACTOR),
+    ("charge = 1e150 C",
+     "the [trap] values together take S_E or ndot past the float range")],
+    ids=["charge", "ion_mass", "frequency-low", "frequency-high", "distance",
+         "gain"])
+def test_cli_heat_trap_value_past_float_range_exits_four(tmp_path, capsys,
+                                                         section, error):
+    # The parser accepts these, but q^2 overflows, 2 m hbar omega_t
+    # underflows to 0 (a ZeroDivisionError), omega_t overflows (an inf
+    # column), d^4 underflows (S_E = inf), or q^2 = 1e300 is a float and
+    # q^2 / (2 m hbar omega_t) is not.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[trap]\n{section}\n")
+    out = tmp_path / "o"
+    assert run_cli(["heat", "--config", cfgfile, "--output", out]) == 4
+    assert capsys.readouterr().err == f"numerical error: {error}\n"
+    assert not out.exists()
+
+
 def test_cli_mc_scaling_follows_trap_axis(tmp_path):
     # [trap] axis reaches the fit as the parser normalizes it
     rows = {}
@@ -722,10 +774,9 @@ def test_cli_mc_scaling_follows_trap_axis(tmp_path):
     assert cfg.trap.axis == pytest.approx(np.array([0.3, 0.4, 1.0])
                                           / np.sqrt(1.25), rel=1e-15)
     mc = cfg.montecarlo
-    base = trapnoise.sample_surface(mc.n_dipoles, mc.extent, 1.0,
-                                    seed=cfg.mc_seed)
-    res = trapnoise.distance_scaling_fit(base, cfg.trap.axis, mc.d_values,
-                                         n_seeds=mc.n_seeds)
+    res = trapnoise.distance_scaling_fit(mc.n_dipoles, mc.extent,
+                                         cfg.mc_seed, cfg.trap.axis,
+                                         mc.d_values, n_seeds=mc.n_seeds)
     expect = np.column_stack([res.distances, res.means, res.stderrs])
     got = rows["tilted"][:, :3]
     assert got.tolist() == [[float(f"{x:.9g}") for x in row]

@@ -451,7 +451,7 @@ def test_spacing_check_matches_pairwise_table(case):
     too_close = d2.min() < (spacing * (1.0 - 1e-12)) ** 2
     try:
         trapnoise.SurfaceSample(positions=pts, min_spacing=spacing,
-                                extent=extent, seed=0)
+                                extent=extent)
     except ConfigurationError as exc:
         assert too_close and "minimum spacing" in str(exc)
     else:

@@ -232,8 +232,8 @@ def test_packing_error_exits_four(monkeypatch, tmp_path, capsys):
 
 
 def test_huge_extent_exits_four(tmp_path, capsys):
-    # extent ** 2 overflows; the field sums underflow to zero at 1e60 and
-    # overflow the squared distance at 1e155, so no power law is fitted
+    # at the default distances both surfaces are far too sparse; extent ** 2
+    # overflows at 1e155
     for extent, seeds in (("1e155", 30), ("1e60", 5)):
         cfgfile = tmp_path / "huge.ini"
         cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nn_dipoles = 100\n"
@@ -285,18 +285,84 @@ def test_sparse_surface_threshold(tmp_path, capsys):
     assert "0.998 dipoles expected" in capsys.readouterr().err
 
 
+SPARSE = ("dipoles expected within the largest distance of the ion over "
+          "all seeds (n_seeds * pi * d_max^2 * n_dipoles / extent^2 < 1), "
+          "distances [ 3.   4.   5.   6.5  8.  10. ]: the surface is too "
+          "sparse for a distance scaling fit")
+
+
+@pytest.mark.parametrize("section, code, message", [
+    ("extent = 10\n", 2,
+     "configuration error: packing fraction too high for rejection sampling"),
+    ("seed = -3\nextent = 20\n", 2,
+     "configuration error: seed must be non-negative, got -3"),
+    ("n_seeds = 1\n", 4,
+     "numerical error: n_seeds = 1, distances [ 3.   4.   5.   6.5  8.  10. ]"
+     ": the standard errors need at least 2 seeds and the fit at least 3 "
+     "distinct distances"),
+    ("extent = 1e35\n", 4, "numerical error: 3.14e-63 " + SPARSE),
+    ("n_seeds = 1\nextent = 1e9\n", 4, "numerical error: 3.14e-14 " + SPARSE),
+    ("d_values = 1, 3, 5\n", 4,
+     "numerical error: distances [1.] outside the valid window [3, 10] "
+     "(below: dipole granularity dominates; above: the finite patch acts "
+     "as a composite source)"),
+], ids=["packing", "seed", "seeds", "sparse", "sparse-one-seed", "window"])
+def test_mc_scaling_refusals_in_order(tmp_path, capsys, section, code,
+                                      message):
+    # the sparse-surface rule first, then sampling's argument and packing
+    # errors, then the window and the seed count
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\n" + section)
+    out = tmp_path / "o"
+    assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_scaled_distances_reach_the_tiny_field_guards(tmp_path, capsys):
+    # Distances scaled with the extent keep the surface dense enough near
+    # the ion, 23.6 dipoles over 30 seeds: at 1e35 S_E is about 1e-182 and
+    # its standard errors stay positive, and at 1e101 the field sums
+    # underflow to 0, which is refused.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nextent = 1e35\n"
+                       "d_values = 3e33, 4e33, 5e33\nn_seeds = 30\n")
+    out = tmp_path / "o"
+    assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(out)]) == 0
+    lines = [ln for ln in (out / "mc_scaling.csv").read_text().splitlines()
+             if not ln.startswith("#")][1:]
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    assert np.all((rows[:, 1] < 1e-180) & (rows[:, 2] > 0))
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nextent = 1e101\n"
+                       "d_values = 3e99, 4e99, 5e99\nn_seeds = 30\n")
+    capsys.readouterr()
+    assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(tmp_path / "z")]) == 4
+    assert "is [0. 0. 0.], not finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
+def seed_field_noise(n, extent, seed, d_values, n_seeds):
+    """The per-seed S_E the fit averages: one sample_surface per seed."""
+    return np.array([trapnoise.mc_field_noise(
+        trapnoise.sample_surface(n, extent, 1.0, seed + k), Z_AXIS, d_values)
+        for k in range(n_seeds)])
+
+
 @pytest.mark.parametrize("extent", [100.0, 1e35])
 def test_standard_errors_survive_tiny_field_noise(extent):
-    # At extent 1e35 S_E is about 1e-180, so its squared deviations
-    # underflow; the standard errors must come out of the per-seed values
-    # all the same, and at extent 100 bit for bit as se.std gives them.
-    n_seeds, d_values = 8, [3.0, 4.0, 5.0]
-    base = trapnoise.sample_surface(100, extent, 1.0, seed=0)
-    res = trapnoise.distance_scaling_fit(base, Z_AXIS, d_values,
+    # With the distances scaled along with the extent, 6 dipoles are
+    # expected within d_max over the 8 seeds at either extent.  At 1e35 S_E
+    # is about 1e-182, so its squared deviations underflow; the standard
+    # errors must come out of the per-seed values all the same, and at
+    # extent 100 bit for bit as se.std gives them.
+    n_seeds, d_values = 8, [3.0 * extent / 100, 4.0 * extent / 100,
+                            5.0 * extent / 100]
+    res = trapnoise.distance_scaling_fit(100, extent, 0, Z_AXIS, d_values,
                                          n_seeds=n_seeds)
-    se = np.array([trapnoise.mc_field_noise(
-        base if k == 0 else trapnoise.sample_surface(100, extent, 1.0, seed=k),
-        Z_AXIS, d_values) for k in range(n_seeds)])
+    se = seed_field_noise(100, extent, 0, d_values, n_seeds)
     assert np.array_equal(res.means, se.mean(axis=0))
     scale = 1.0 / se.max()
     expect = (se * scale).std(axis=0, ddof=1) / scale / math.sqrt(n_seeds)
@@ -307,12 +373,21 @@ def test_standard_errors_survive_tiny_field_noise(extent):
         assert res.stderrs.tobytes() == plain.tobytes()
 
 
-def test_density_without_overflow():
-    s = trapnoise.sample_surface(100, 1e155, 1.0, seed=0)
-    assert s.density == 100 / 1e155 / 1e155 > 0
-    # below the overflow, the density is n / extent ** 2 bit for bit
-    small = trapnoise.SurfaceSample(np.array([[1.0, 1.0]]), 1.0, 100.0 / 3.0, 0)
-    assert small.density == 1 / (100.0 / 3.0) ** 2
+@pytest.mark.parametrize("extent, count", [(1e35, "6.28e-66"),
+                                           (1e155, "6.28e-306")])
+def test_fit_refuses_sparse_surface_before_sampling(monkeypatch, extent,
+                                                    count):
+    # 8 seeds at the distances 3-5 expect next to no dipole near the ion;
+    # the count divides by the extent twice, as extent ** 2 overflows at 1e155
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(trapnoise, "sample_surface", no_sampling)
+    with pytest.raises(AnalysisError) as err:
+        trapnoise.distance_scaling_fit(100, extent, 0, Z_AXIS,
+                                       [3.0, 4.0, 5.0], n_seeds=8)
+    assert str(err.value).startswith(f"{count} dipoles expected")
+    assert "too sparse" in str(err.value)
 
 
 def test_sample_surface_rejects_bad_geometry():
@@ -325,7 +400,7 @@ def test_sample_surface_rejects_bad_geometry():
 def test_sample_positions_validated():
     with pytest.raises(ConfigurationError):
         trapnoise.SurfaceSample(positions=np.array([[0.0, 0.0], [0.1, 0.0]]),
-                                min_spacing=1.0, extent=10.0, seed=0)
+                                min_spacing=1.0, extent=10.0)
 
 
 def test_spacing_window_reaches_every_close_successor():
@@ -336,19 +411,19 @@ def test_spacing_window_reaches_every_close_successor():
     y = np.concatenate([[0.0], 2.0 + np.arange(n - 2), [0.5]])
     with pytest.raises(ConfigurationError, match="minimum spacing"):
         trapnoise.SurfaceSample(positions=np.column_stack([x, y]),
-                                min_spacing=1.0, extent=100.0, seed=0)
+                                min_spacing=1.0, extent=100.0)
     y[-1] = 1.0
     trapnoise.SurfaceSample(positions=np.column_stack([x, y]),
-                            min_spacing=1.0, extent=100.0, seed=0)
+                            min_spacing=1.0, extent=100.0)
 
 
 def test_sample_positions_must_be_finite_and_spacing_non_negative():
     with pytest.raises(ConfigurationError, match="inside"):
         trapnoise.SurfaceSample(positions=np.array([[1.0, math.nan]]),
-                                min_spacing=1.0, extent=10.0, seed=0)
+                                min_spacing=1.0, extent=10.0)
     with pytest.raises(ConfigurationError, match="min_spacing"):
         trapnoise.SurfaceSample(positions=np.array([[1.0, 1.0]]),
-                                min_spacing=-1.0, extent=10.0, seed=0)
+                                min_spacing=-1.0, extent=10.0)
 
 
 def reference_field_noise(positions, extent, axis, d):
@@ -379,23 +454,22 @@ def test_field_sum_bit_identical_to_per_distance_reference(n):
             assert got.tobytes() == expect.tobytes(), (seed, axis)
 
 
-def test_distance_scaling_uses_sample_as_first_child():
-    # child 0 is the sample passed in; children k >= 1 use seed + k
-    base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
-                                   min_spacing=1.0, extent=100.0, seed=7)
-    res = trapnoise.distance_scaling_fit(base, Z_AXIS, [3.0, 4.0, 5.0],
-                                         n_seeds=2)
-    child = trapnoise.sample_surface(1, 100.0, 1.0, seed=8)
-    expect = [trapnoise.mc_field_noise(s, Z_AXIS, res.distances)
-              for s in (base, child)]
-    assert np.array_equal(res.means, np.mean(expect, axis=0))
+def test_distance_scaling_draws_surface_k_with_seed_plus_k():
+    # surface k is sample_surface(n, extent, 1.0, seed + k)
+    d_values = [3.0, 4.0, 5.0, 6.5]
+    res = trapnoise.distance_scaling_fit(40, 80.0, 7, Z_AXIS, d_values,
+                                         n_seeds=5)
+    se = seed_field_noise(40, 80.0, 7, d_values, 5)
+    assert res.means.tobytes() == se.mean(axis=0).tobytes()
+    assert res.stderrs.tobytes() == (se.std(axis=0, ddof=1)
+                                     / math.sqrt(5)).tobytes()
 
 
 def test_mc_single_dipole_below_ion():
     # one dipole directly under the ion: S_E = 4 S_mu / (4 pi eps0)^2 d^6,
     # here per unit S_mu
     sample = trapnoise.SurfaceSample(positions=np.array([[5.0, 5.0]]),
-                                     min_spacing=1.0, extent=10.0, seed=0)
+                                     min_spacing=1.0, extent=10.0)
     ds = (1.0, 2.0)
     for d, got in zip(ds, trapnoise.mc_field_noise(sample, Z_AXIS, ds)):
         assert got == pytest.approx(4 / (FPE ** 2 * d ** 6), rel=1e-12)
@@ -404,9 +478,9 @@ def test_mc_single_dipole_below_ion():
 def test_mc_additive_over_subsamples():
     full = trapnoise.sample_surface(40, 60.0, 1.0, seed=3)
     lo = trapnoise.SurfaceSample(positions=full.positions[:17],
-                                 min_spacing=1.0, extent=60.0, seed=3)
+                                 min_spacing=1.0, extent=60.0)
     hi = trapnoise.SurfaceSample(positions=full.positions[17:],
-                                 min_spacing=1.0, extent=60.0, seed=3)
+                                 min_spacing=1.0, extent=60.0)
     assert trapnoise.mc_field_noise(full, Z_AXIS, [5.0]) == pytest.approx(
         trapnoise.mc_field_noise(lo, Z_AXIS, [5.0])
         + trapnoise.mc_field_noise(hi, Z_AXIS, [5.0]), rel=1e-12)
@@ -419,13 +493,13 @@ def test_mc_rotation_invariance():
     center = np.array([30.0, 30.0])
     inside = np.linalg.norm(raw.positions - center, axis=1) < 25.0
     sample = trapnoise.SurfaceSample(positions=raw.positions[inside],
-                                     min_spacing=1.0, extent=60.0, seed=11)
+                                     min_spacing=1.0, extent=60.0)
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     turned = (sample.positions - center) @ rot.T + center
     rotated = trapnoise.SurfaceSample(positions=turned, min_spacing=1.0,
-                                      extent=60.0, seed=11)
+                                      extent=60.0)
     a = trapnoise.mc_field_noise(sample, Z_AXIS, [4.0])
     b = trapnoise.mc_field_noise(rotated, Z_AXIS, [4.0])
     assert b == pytest.approx(a, rel=1e-12)
@@ -433,19 +507,17 @@ def test_mc_rotation_invariance():
 
 def test_mc_ensemble_matches_plane_integral():
     # law of large numbers against sigma * K / ((4 pi eps0)^2 d^4)
-    base = trapnoise.sample_surface(100, 100.0, 1.0, seed=2024)
-    res = trapnoise.distance_scaling_fit(base, Z_AXIS, [4.0, 6.0, 9.0],
-                                         n_seeds=800)
+    res = trapnoise.distance_scaling_fit(100, 100.0, 2024, Z_AXIS,
+                                         [4.0, 6.0, 9.0], n_seeds=800)
     k = trapnoise.kernel_integral_constant()
-    sigma = base.density
+    sigma = 100 / 100.0 ** 2
     for d, mean in zip(res.distances, res.means):
         expected = sigma * k / (FPE ** 2 * d ** 4)
         assert mean == pytest.approx(expected, rel=0.10)
 
 
 def test_distance_scaling_paper_geometry():
-    base = trapnoise.sample_surface(100, 100.0, 1.0, seed=12345)
-    res = trapnoise.distance_scaling_fit(base, Z_AXIS,
+    res = trapnoise.distance_scaling_fit(100, 100.0, 12345, Z_AXIS,
                                          [3.0, 4.0, 5.0, 6.5, 8.0, 10.0],
                                          n_seeds=1000)
     assert res.exponent == pytest.approx(-4.0, abs=0.15)
@@ -454,7 +526,7 @@ def test_distance_scaling_paper_geometry():
 def test_distance_scaling_single_dipole_is_minus_six():
     # a single dipole under the ion is a pure point source
     base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
-                                   min_spacing=1.0, extent=100.0, seed=0)
+                                   min_spacing=1.0, extent=100.0)
     d_list = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
     se = trapnoise.mc_field_noise(base, Z_AXIS, d_list)
     x = np.log(d_list)
@@ -476,11 +548,12 @@ def test_far_field_drifts_toward_point_dipole():
 
 
 def test_distance_window_enforced():
-    base = trapnoise.sample_surface(100, 100.0, 1.0, seed=1)
     with pytest.raises(AnalysisError, match="window"):
-        trapnoise.distance_scaling_fit(base, Z_AXIS, [1.0, 5.0], n_seeds=5)
+        trapnoise.distance_scaling_fit(100, 100.0, 1, Z_AXIS, [1.0, 5.0],
+                                       n_seeds=5)
     with pytest.raises(AnalysisError, match="window"):
-        trapnoise.distance_scaling_fit(base, Z_AXIS, [5.0, 40.0], n_seeds=5)
+        trapnoise.distance_scaling_fit(100, 100.0, 1, Z_AXIS, [5.0, 40.0],
+                                       n_seeds=5)
 
 
 OMEGA_T = 2 * math.pi * 1e6
@@ -534,7 +607,6 @@ def test_heating_rate_checks_trap_values(charge, ion_mass, omega_t):
                                   (0.3, 0.4, 1.0), (0.0, 0.0, math.nan),
                                   (0.0, 0.0, 1.0 + 1e-11)])
 def test_distance_scaling_fit_needs_unit_axis(axis):
-    base = trapnoise.sample_surface(100, 100.0, 1.0, seed=1)
     with pytest.raises(DomainError, match="not a unit vector"):
-        trapnoise.distance_scaling_fit(base, axis, [3.0, 4.0, 5.0],
+        trapnoise.distance_scaling_fit(100, 100.0, 1, axis, [3.0, 4.0, 5.0],
                                        n_seeds=2)
