@@ -6,17 +6,24 @@ grid, giving a real symmetric tridiagonal Hamiltonian
 
     H = -hbar^2/(2m) D2 + diag(U(z_i)),  Dirichlet boundaries,
 
-solved exactly with a LAPACK tridiagonal eigensolver.  Only negative-energy
-states are physical (energies are measured from the dissociation limit
-U(inf) = 0); states closer to the continuum than 1e-3*U0 are discarded and
-counted in the diagnostics, and every kept state must leave negligible
-probability in the last grid cell (tail condition), otherwise the grid is
-too small and a GridError is raised.  The levels below -1e-3*U0 and below
-0 are counted before any eigenpair is computed, by LAPACK bisection at a
-tolerance of U0: the count is a difference of two Sturm counts, which no
-tolerance changes.  U must be finite on the whole grid and must not rise
-at its inner edge: a grid that starts inside the inner barrier, where the
-exp-3 form dives towards -infinity, is refused.
+solved exactly with LAPACK: dstebz (bisection) for the levels and dstein
+(inverse iteration) for the vectors, called as scipy.linalg's tridiagonal
+eigensolver calls them with its stebz driver, so every bit is scipy's.
+Both come from scipy's f2py extension scipy.linalg._flapack, loaded once
+from its file at import (or reused from sys.modules) without running
+scipy/linalg/__init__.py, which would double the start-up time of the
+command line.  A non-zero LAPACK info is a NumericalError.
+
+Only negative-energy states are physical (energies are measured from the
+dissociation limit U(inf) = 0); states closer to the continuum than
+1e-3*U0 are discarded and counted in the diagnostics, and every kept state
+must leave negligible probability in the last grid cell (tail condition),
+otherwise the grid is too small and a GridError is raised.  The levels
+below -1e-3*U0 and below 0 are counted before any eigenpair is computed,
+by LAPACK bisection at a tolerance of U0: the count is a difference of two
+Sturm counts, which no tolerance changes.  U must be finite on the whole
+grid and must not rise at its inner edge: a grid that starts inside the
+inner barrier, where the exp-3 form dives towards -infinity, is refused.
 
 All quadratures (normalization, matrix elements, expectation values) use
 the trapezoid weights of Grid.weights() on the eigensolver grid, so no
@@ -24,11 +31,14 @@ interpolation error is introduced anywhere downstream; grid_matrix is the
 one matrix-element quadrature, <f|g|i> for every pair at once.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import potential as pot
 from .errors import ConfigurationError, GridError, ModelError, NumericalError
@@ -39,6 +49,85 @@ TAIL_BOUND = 1e-10
 # Bound/continuum guard: discard states with E > -NEAR_ZERO_FRACTION * U0.
 NEAR_ZERO_FRACTION = 1e-3
 DEFAULT_N_POINTS = 4000
+
+
+def _scipy_linalg_dir():
+    """scipy's linalg directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("adnoise needs scipy's LAPACK extension, "
+                                  "and scipy is not installed", name="scipy")
+    return os.path.join(spec.submodule_search_locations[0], "linalg")
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file under its own name.
+
+    A module already in sys.modules (scipy.linalg imported first) is
+    reused, and the one loaded here is registered there, so scipy.linalg
+    imported later reuses it: one module object either way.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = _scipy_linalg_dir()
+    paths = [os.path.join(where, "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((q for q in paths if os.path.isfile(q)), None)
+    if path is None:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no LAPACK extension "
+                          f"_flapack in {where}; adnoise calls its dstebz and "
+                          "dstein")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+
+
+def _lapack(routine, *args):
+    """Call a _flapack routine and return its outputs without info.
+
+    A non-zero info is a NumericalError, where scipy's _check_info raises
+    ValueError or LinAlgError; a positive dstein info counts the vectors
+    that did not converge.
+    """
+    *out, info = getattr(_FLAPACK, routine)(*args)
+    if info < 0:
+        raise NumericalError(f"LAPACK {routine}: illegal value in argument "
+                             f"{-info} (info = {info})")
+    if info > 0:
+        what = (f"{info} eigenvector(s) did not converge" if routine == "dstein"
+                else "did not converge")
+        raise NumericalError(f"LAPACK {routine}: {what} (info = {info})")
+    return out
+
+
+def _levels_below(diag, off, x, tol):
+    """Eigenvalues below x, ascending, by bisection to tol (dstebz by
+    value), as scipy.linalg returns them for select="v" and a range
+    (-inf, x]."""
+    m, levels, _, _ = _lapack("dstebz", diag, off, 1, -np.inf, x, 1, 1, tol,
+                              "E")
+    return levels[:m]
+
+
+def _lowest_pairs(diag, off, k):
+    """The k lowest eigenpairs, ascending, vectors in columns.
+
+    dstebz by index in block order, dstein for the vectors, then a sort by
+    energy, as scipy.linalg does for select="i" and a range (0, k - 1).
+    """
+    m, levels, iblock, isplit = _lapack("dstebz", diag, off, 2, 0.0, 1.0, 1,
+                                        k, 0.0, "B")
+    levels = levels[:m]
+    vecs, = _lapack("dstein", diag, off, levels, iblock, isplit)
+    order = np.argsort(levels)
+    return levels[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -147,7 +236,8 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
     Raises ModelError if fewer than two bound states exist and GridError if
     U is not finite on the grid, rises at its inner edge (the grid starts
     inside the inner barrier) or a kept state fails the tail condition
-    (grid too small).
+    (grid too small).  Raises NumericalError if the Hamiltonian is not
+    finite (a mass too small for the grid) or a LAPACK call fails.
     """
     if max_states < 2:
         raise ConfigurationError("max_states must be at least 2")
@@ -165,17 +255,24 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
             f"{p.name}: U(z) rises at the inner edge, so the grid starts "
             f"inside the inner barrier (z_min = {grid.z_min / p.z0:.3g} z0); "
             "start it at the barrier top or on the wall beyond")
-    kin = HBAR ** 2 / (2.0 * p.adatom_mass * h * h)
-    diag = u + 2.0 * kin
+    # A float64 quotient: a denominator that underflows to 0 gives inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        kin = HBAR ** 2 / np.float64(2.0 * p.adatom_mass * h * h)
+        diag = u + 2.0 * kin
+    # LAPACK needs finite input (scipy.linalg's check_finite); u is.
+    if not np.all(np.isfinite(diag)):
+        raise NumericalError(
+            f"{p.name}: the kinetic term hbar^2/(2 m h^2) = {kin:.3g} J "
+            "overflows the Hamiltonian; the adatom mass is too small")
     off = np.full(grid.n_points - 1, -kin)
 
-    # Levels below cut and below 0, from LAPACK bisection (stebz): the count
-    # is the difference of its Sturm counts at the ends of the interval, so
-    # a tolerance of U0 stops the refinement at once and leaves it exact.
+    # Levels below cut and below 0, from LAPACK bisection (dstebz by
+    # value): the count is the difference of its Sturm counts at the ends
+    # of the interval, so a tolerance of U0 stops the refinement at once
+    # and leaves it exact.
     cut = -NEAR_ZERO_FRACTION * p.U0
-    n_bound, n_negative = (len(eigvalsh_tridiagonal(
-        diag, off, select="v", select_range=(-np.inf, x), tol=p.U0))
-        for x in (cut, 0.0))
+    n_bound, n_negative = (len(_levels_below(diag, off, x, p.U0))
+                           for x in (cut, 0.0))
     near_zero = n_negative - n_bound
     if n_bound < 2:
         raise ModelError(
@@ -183,8 +280,7 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> Bo
             f"({n_bound} bound state(s) found)")
     n_keep = min(n_bound, max_states)
 
-    energies, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, n_keep - 1))
+    energies, vecs = _lowest_pairs(diag, off, n_keep)
     psis = np.empty((n_keep, grid.n_points))
     for i in range(n_keep):
         psi = vecs[:, i]

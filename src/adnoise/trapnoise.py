@@ -277,7 +277,11 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     up along with the extent, S_E can be tiny or underflow; a seed mean
     that is not finite and positive is an AnalysisError.
     """
-    count = n_seeds * math.pi * max(d_list) ** 2 * n / extent / extent
+    # In float64, so that a square past the float range is inf, not an
+    # OverflowError: the window or seed-mean check below then refuses it.
+    with np.errstate(over="ignore"):
+        count = (n_seeds * math.pi * np.float64(max(d_list)) ** 2 * n
+                 / extent / extent)
     if count < 1:
         raise AnalysisError(
             f"{count:.3g} dipoles expected within the largest distance of "

@@ -1,5 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from importlib.metadata import version
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,3 +272,61 @@ def test_grid_inside_inner_barrier_is_grid_error(ne):
     grid = boundstates.Grid(z_min=0.05 * p.z0, z_max=30 * p.z0, n_points=4000)
     with pytest.raises(GridError, match="inside the inner barrier"):
         boundstates.solve(p, grid)
+
+
+@pytest.mark.parametrize("routine, info, message", [
+    ("dstebz", 1, "LAPACK dstebz: did not converge (info = 1)"),
+    ("dstein", 3, "LAPACK dstein: 3 eigenvector(s) did not converge "
+                  "(info = 3)"),
+    ("dstein", -4, "LAPACK dstein: illegal value in argument 4 (info = -4)"),
+])
+def test_lapack_info_is_numerical_error(monkeypatch, routine, info, message):
+    fake = SimpleNamespace(**{routine: lambda *args: (None, info)})
+    monkeypatch.setattr(boundstates, "_FLAPACK", fake)
+    with pytest.raises(NumericalError) as err:
+        boundstates._lapack(routine, 1, 2)
+    assert str(err.value) == message
+
+
+def test_missing_flapack_names_scipy_version_and_directory(monkeypatch,
+                                                           tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(boundstates, "_scipy_linalg_dir", lambda: str(tmp_path))
+    with pytest.raises(ImportError) as err:
+        boundstates._load_flapack()
+    assert str(err.value) == (
+        f"scipy {version('scipy')} has no LAPACK extension _flapack in "
+        f"{tmp_path}; adnoise calls its dstebz and dstein")
+
+
+def test_missing_scipy_is_module_not_found(monkeypatch):
+    monkeypatch.setattr(boundstates.importlib.util, "find_spec",
+                        lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="scipy is not installed"):
+        boundstates._scipy_linalg_dir()
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_flapack_is_shared_with_scipy_linalg(scipy_first):
+    # One module object whichever is imported first.  Loaded here first,
+    # scipy.linalg.lapack still finds it through sys.modules, but the
+    # attribute scipy.linalg._flapack stays unbound.
+    first, second = "import scipy.linalg\n", "import adnoise.cli\n"
+    if not scipy_first:
+        first, second = second, first
+    script = (
+        "import sys\n" + first + second +
+        "import numpy as np\n"
+        "import scipy.linalg.lapack\n"
+        "from adnoise import boundstates\n"
+        "assert boundstates._FLAPACK is scipy.linalg.lapack._flapack\n"
+        "assert boundstates._FLAPACK is sys.modules['scipy.linalg._flapack']\n"
+        "w, v = scipy.linalg.eigh_tridiagonal(np.arange(4.0), np.ones(3),"
+        " select='i', select_range=(0, 3))\n"
+        "print(w.tobytes() == boundstates._lowest_pairs(np.arange(4.0),"
+        " np.ones(3), 4)[0].tobytes())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "True\n"

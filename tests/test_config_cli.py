@@ -826,18 +826,16 @@ def test_cli_steep_wall(tmp_path, capsys, command, beta, code):
 
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded(tmp_path):
-    # A fresh interpreter: a states run loads no public scipy subpackage
-    # but scipy.linalg (scipy.version comes with scipy itself), and quad
-    # is imported on first use.
+    # A fresh interpreter: a states run loads no scipy module but the LAPACK
+    # extension scipy.linalg._flapack, neither the scipy package nor
+    # scipy.linalg, and quad is imported on first use.
     script = (
         "import sys, math\n"
         "import adnoise.cli\n"
         "from adnoise import trapnoise\n"
         "adnoise.cli.main(['states', '--preset', 'Ne-Au', '--output',"
         f" {str(tmp_path)!r}])\n"
-        "print(sorted({m.split('.')[1] for m in sys.modules"
-        " if m.startswith('scipy.') and not m.split('.')[1].startswith('_')}"
-        " - {'version'}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(trapnoise.kernel_integral_constant() / (0.75 * math.pi))\n"
         "print('scipy.integrate' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -845,6 +843,23 @@ def test_cli_import_leaves_optimize_and_integrate_unloaded(tmp_path):
                          capture_output=True, text=True, check=True)
     loaded, ratio, lazy = run.stdout.splitlines()[-3:]
     assert (tmp_path / "states.csv").exists()
-    assert loaded == "['linalg']"
+    assert loaded == "['scipy.linalg._flapack']"
     assert float(ratio) == pytest.approx(1.0, rel=1e-8)
     assert lazy == "True"
+
+
+@pytest.mark.parametrize("mass, message", [
+    ("1e-200", "numerical error: LAPACK dstebz: did not converge (info = 1)"),
+    ("1e-320", "numerical error: Ne-Au: the kinetic term hbar^2/(2 m h^2) = "
+               "inf J overflows the Hamiltonian; the adatom mass is too small"),
+], ids=["bisection", "kinetic-term"])
+def test_cli_lapack_failure_exits_four(tmp_path, capsys, mass, message):
+    # bisection fails at 1e-200 kg (a LinAlgError traceback through
+    # scipy.linalg, exit 1); at 1e-320 kg 2 m h^2 underflows to 0 (a
+    # ZeroDivisionError)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[potential]\nmass = {mass} kg\n")
+    out = tmp_path / "o"
+    assert run_cli(["states", "--config", cfgfile, "--output", out]) == 4
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()

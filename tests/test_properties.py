@@ -632,3 +632,70 @@ def test_level_counts_match_sturm_recurrence(name, log_u0_factor, z0_factor,
         s = boundstates.solve(p, grid, max_states=10 ** 6)
     assert s.n_states == n_bound
     assert s.near_zero_discarded == n_negative - n_bound
+
+
+@st.composite
+def tridiagonals(draw):
+    """Symmetric tridiagonal (diag, off): generic, clustered (repeated
+    diagonal entries with zero or tiny couplings, so LAPACK splits it into
+    blocks) or Wilkinson's W_n^+ (near-degenerate pairs)."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["generic", "clustered", "wilkinson"]))
+    if kind == "wilkinson":
+        diag = np.abs(np.arange(n) - (n - 1) / 2.0)
+        return diag, np.ones(n - 1)
+    if kind == "generic":
+        values = offs = st.floats(-10.0, 10.0)
+    else:
+        values = st.sampled_from([-1.0, 0.0, 1e-9, 1.0])
+        offs = st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 1.0])
+    diag = draw(st.lists(values, min_size=n, max_size=n))
+    off = draw(st.lists(offs, min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(off)
+
+
+# The direct _flapack calls against scipy.linalg, bit for bit: level lists
+# by value at a tolerance, and eigenpairs by index.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix=tridiagonals(), x=st.floats(-12.0, 12.0),
+       tol=st.sampled_from([0.0, 1e-8, 0.5, 12.0]), data=st.data())
+def test_direct_lapack_matches_scipy_tridiagonal(matrix, x, tol, data):
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+    diag, off = matrix
+    ours = boundstates._levels_below(diag, off, x, tol)
+    theirs = eigvalsh_tridiagonal(diag, off, select="v",
+                                  select_range=(-np.inf, x), tol=tol)
+    assert ours.tobytes() == theirs.tobytes()
+    k = data.draw(st.integers(1, len(diag)))
+    ours = boundstates._lowest_pairs(diag, off, k)
+    theirs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+
+
+# The same on real wells, with the arrays solve passes.
+@pytest.mark.parametrize("n_points", [4000, 16000])
+@pytest.mark.parametrize("name", ["Ne-Au", "H-Au"])
+def test_solve_lapack_calls_match_scipy_on_real_wells(name, n_points):
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+    p = potential.preset(name)[0]
+    calls = []
+
+    def spy(f):
+        def record(*args):
+            calls.append((f.__name__, args, f(*args)))
+            return calls[-1][2]
+        return record
+
+    with mock.patch.object(boundstates, "_levels_below",
+                           spy(boundstates._levels_below)), \
+            mock.patch.object(boundstates, "_lowest_pairs",
+                              spy(boundstates._lowest_pairs)):
+        boundstates.solve(p, boundstates.auto_grid(p, n_points))
+    assert [c[0] for c in calls] == ["_levels_below"] * 2 + ["_lowest_pairs"]
+    for _, (diag, off, x, tol), ours in calls[:2]:
+        theirs = eigvalsh_tridiagonal(diag, off, select="v",
+                                      select_range=(-np.inf, x), tol=tol)
+        assert ours.tobytes() == theirs.tobytes()
+    _, (diag, off, k), ours = calls[2]
+    theirs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]

@@ -320,6 +320,27 @@ def test_mc_scaling_refusals_in_order(tmp_path, capsys, section, code,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, message", [
+    ("d_values = 3, 4, 1e200\n",
+     "numerical error: distances [1.e+200] outside the valid window [3, 10]"),
+    ("extent = 1e200\nd_values = 3e198, 4e198, 5e198\n",
+     "numerical error: seed-averaged S_E at distances [3.e+198 4.e+198 "
+     "5.e+198] is [0. 0. 0.], not finite and positive"),
+], ids=["window", "seed-mean"])
+def test_largest_distance_past_float_square_exits_four(tmp_path, capsys,
+                                                       section, message):
+    # d_max^2 overflows in the sparse-surface count (an OverflowError on a
+    # Python float, exit 1); as inf the count passes, and the window or the
+    # seed-mean check refuses the run
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\n" + section)
+    out = tmp_path / "o"
+    assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_scaled_distances_reach_the_tiny_field_guards(tmp_path, capsys):
     # Distances scaled with the extent keep the surface dense enough near
     # the ion, 23.6 dipoles over 30 seeds: at 1e35 S_E is about 1e-182 and
