@@ -58,7 +58,8 @@ class Pipeline:
     def gamma0(self):
         """Exact zero-temperature 1 -> 0 decay rate, 1/s."""
         rate, masked = phonons.transition_rate(self.states, self.material,
-                                               1, 0, 0.0)
+                                               1, 0, 0.0,
+                                               coupling=self.coupling)
         if masked:
             raise ModelError(
                 f"{self.params.name}: the fundamental transition exceeds the "

@@ -119,16 +119,19 @@ def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
 
 
 def transition_rate(states: BoundStateSet, material: BulkMaterial,
-                    i: int, f: int, T):
+                    i: int, f: int, T, coupling=None):
     """Rate Gamma_{i->f} at temperature T; returns (rate, masked).
 
     masked is True when the transition frequency exceeds the Debye cutoff
-    of the material, in which case the rate is zero.
+    of the material, in which case the rate is zero.  coupling may carry a
+    precomputed <f|dU/dz|i> matrix, as for build_rate_matrix.
     """
     if i == f:
         raise DomainError("transition requires i != f")
-    gamma, mask, _ = _golden_rule_rates(states.energies,
-                                        coupling_matrix(states), material, T)
+    if coupling is None:
+        coupling = coupling_matrix(states)
+    gamma, mask, _ = _golden_rule_rates(states.energies, coupling, material,
+                                        T)
     return float(gamma[i, f]), bool(mask[i, f])
 
 

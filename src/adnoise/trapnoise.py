@@ -34,6 +34,7 @@ analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
 work elementwise on arrays.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,10 @@ from .units import EPS0, HBAR
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
 MAX_CONSECUTIVE_REJECTS = 1_000_000
+# Gauss-Legendre rules of kernel_integral_constant, and how far apart
+# their two values may lie, relative.
+_KERNEL_RULES = (8, 16)
+_KERNEL_RULE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,24 +136,42 @@ def analytic_field_noise(sigma, s_mu, d):
     return SURFACE_AVERAGE_CONSTANT * sigma * s_mu / (FOUR_PI_EPS0 ** 2 * d ** 4)
 
 
+@functools.cache
+def _kernel_rules():
+    """Nodes u and weights of the Gauss-Legendre rules of _KERNEL_RULES on
+    [0, 1], concatenated in that order; built on first use."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = zip(*(leggauss(n) for n in _KERNEL_RULES))
+    return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(w)
+
+
 def kernel_integral_constant(d=1.0):
     """Dimensionless plane integral of the squared vertical-field kernel.
 
-    K = d^4 (4 pi eps0)^2 int d^2s |E_z(s; d)|^2, evaluated by adaptive
-    radial quadrature; independent of d and equal to 3 pi / 4 for the bare
-    dipole kernel.
+    K = d^4 (4 pi eps0)^2 int d^2s |E_z(s; d)|^2, independent of d and
+    equal to 3 pi / 4 for the bare dipole kernel.  With the radius on the
+    plane s = d tan(theta) and u = cos(theta), 2 pi s ds = 2 pi d^2 du / u^3
+    on u in [0, 1], and the integrand 2 pi d^2 (E_z 4 pi eps0 d^2)^2 / u^3
+    of the bare kernel is 2 pi (3 u^2 - 1)^2 u^3, a polynomial of degree 7.
+    One kernel evaluation on the nodes of an 8- and a 16-point
+    Gauss-Legendre rule gives two values, each exact up to rounding; the
+    16-point one is returned.  A kernel that is not that polynomial makes
+    them disagree, which is a NumericalError.
     """
-    from scipy.integrate import quad
-
-    def integrand(s):
-        ez = dipole_field_kernel([(s, 0.0)], (0.0, 0.0, d))[0, 2]
-        return 2.0 * math.pi * s * (ez * FOUR_PI_EPS0 * d ** 2) ** 2
-
-    val, err = quad(integrand, 0.0, np.inf, limit=200)
-    if err > 1e-8 * abs(val):
+    u, w = _kernel_rules()
+    s = d * np.sqrt(1.0 - u * u) / u
+    ez = dipole_field_kernel(np.column_stack([s, np.zeros_like(s)]),
+                             (0.0, 0.0, d))[:, 2]
+    terms = w * (2.0 * math.pi * d ** 2 * (ez * FOUR_PI_EPS0 * d ** 2) ** 2
+                 / u ** 3)
+    n = _KERNEL_RULES[0]
+    coarse, fine = terms[:n].sum(), terms[n:].sum()
+    if not abs(fine - coarse) <= _KERNEL_RULE_RTOL * abs(fine):
         raise NumericalError(
-            f"kernel plane integral did not converge (err {err:.2e})")
-    return val
+            f"kernel plane integral: the {_KERNEL_RULES[0]}- and "
+            f"{_KERNEL_RULES[1]}-point rules give {coarse:.17g} and "
+            f"{fine:.17g}")
+    return float(fine)
 
 
 def _near(grid, low, stride, x, y, limit):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adnoise import cli, config, spectrum, tables, trapnoise
+from adnoise import (boundstates, cli, config, phonons, spectrum, tables,
+                     trapnoise)
 from adnoise.errors import AdnoiseError, ConfigurationError
 from adnoise.tables import emit_table
 from adnoise.units import AMU, BOHR, DEBYE, E_CHARGE, HBAR, KB
@@ -428,6 +429,29 @@ def test_cli_tempsweep_full_ladder(tmp_path):
     assert np.all(np.isfinite(rows)) and np.all(rows[:, 2:] > 0)
 
 
+def test_cli_tempsweep_builds_the_coupling_matrix_once(tmp_path, monkeypatch):
+    # gamma0 and the rate matrices share Pipeline.coupling
+    calls = []
+    build = boundstates.coupling_matrix
+
+    def counted(states):
+        calls.append(states)
+        return build(states)
+
+    monkeypatch.setattr(boundstates, "coupling_matrix", counted)
+    monkeypatch.setattr(phonons, "coupling_matrix", counted)
+    assert run_cli(["tempsweep", "--preset", "Ne-Au", "--output",
+                    tmp_path]) == 0
+    assert len(calls) == 1
+    # and gamma0 has the bits of a transition_rate that builds its own
+    pipe = cli.Pipeline(config.parse_config("preset = Ne-Au\n"))
+    rate, masked = phonons.transition_rate(pipe.states, pipe.material, 1, 0,
+                                           0.0)
+    assert not masked
+    assert pipe.gamma0 == rate
+    assert len(calls) == 3
+
+
 def per_temperature_spectrum(pipe, outdir):
     """cmd_spectrum as one chain call per temperature: the reference."""
     omegas = pipe.omega_grid()
@@ -826,26 +850,25 @@ def test_cli_steep_wall(tmp_path, capsys, command, beta, code):
 
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded(tmp_path):
-    # A fresh interpreter: a states run loads no scipy module but the LAPACK
-    # extension scipy.linalg._flapack, neither the scipy package nor
-    # scipy.linalg, and quad is imported on first use.
+    # A fresh interpreter: a states and an mc-scaling run load no scipy
+    # module but the LAPACK extension scipy.linalg._flapack, neither the
+    # scipy package nor scipy.linalg, and K takes no quad.
     script = (
-        "import sys, math\n"
+        "import sys\n"
         "import adnoise.cli\n"
-        "from adnoise import trapnoise\n"
-        "adnoise.cli.main(['states', '--preset', 'Ne-Au', '--output',"
+        "for command in ('states', 'mc-scaling'):\n"
+        "    adnoise.cli.main([command, '--preset', 'Ne-Au', '--output',"
         f" {str(tmp_path)!r}])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(trapnoise.kernel_integral_constant() / (0.75 * math.pi))\n"
         "print('scipy.integrate' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    loaded, ratio, lazy = run.stdout.splitlines()[-3:]
+    loaded, integrate = run.stdout.splitlines()[-2:]
     assert (tmp_path / "states.csv").exists()
+    assert (tmp_path / "mc_scaling.csv").exists()
     assert loaded == "['scipy.linalg._flapack']"
-    assert float(ratio) == pytest.approx(1.0, rel=1e-8)
-    assert lazy == "True"
+    assert integrate == "False"
 
 
 @pytest.mark.parametrize("mass, message", [

@@ -5,7 +5,7 @@ import pytest
 
 from adnoise import cli, config, spectrum, trapnoise
 from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
-                            PackingError)
+                            NumericalError, PackingError)
 from adnoise.units import AMU, E_CHARGE, HBAR
 
 FPE = trapnoise.FOUR_PI_EPS0
@@ -69,13 +69,28 @@ def test_analytic_field_noise_formula():
 def test_kernel_integral_constant_closed_form():
     # independently integrable: K = 3 pi / 4 over the infinite plane
     k = trapnoise.kernel_integral_constant()
-    assert k == pytest.approx(3 * math.pi / 4, rel=1e-8)
+    assert k == pytest.approx(3 * math.pi / 4, rel=1e-13)
 
 
 def test_kernel_integral_d_independent():
     k1 = trapnoise.kernel_integral_constant(1.0)
-    k2 = trapnoise.kernel_integral_constant(2.0)
-    assert abs(k1 - k2) < 1e-6 * k1
+    for d in np.geomspace(1e-3, 1e3, 25):
+        assert trapnoise.kernel_integral_constant(d) == pytest.approx(
+            k1, rel=1e-13)
+
+
+def test_kernel_integral_rejects_a_kernel_off_the_rule(monkeypatch):
+    # A screened kernel, exp(-r / d) times the bare one, is not a
+    # polynomial in u = d / r: the 8- and 16-point rules disagree.
+    bare = trapnoise.dipole_field_kernel
+
+    def screened(sources, ion):
+        r = np.hypot(np.asarray(sources)[:, 0], ion[2])
+        return bare(sources, ion) * np.exp(-r / ion[2])[:, None]
+
+    monkeypatch.setattr(trapnoise, "dipole_field_kernel", screened)
+    with pytest.raises(NumericalError, match="8- and 16-point rules"):
+        trapnoise.kernel_integral_constant()
 
 
 def test_kernel_constant_vs_surface_average():
