@@ -18,13 +18,13 @@ The Monte Carlo consistency checks use K.
 The Monte Carlo path samples dipole positions with a minimum spacing d0,
 sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
 seed-averaged noise inside the window 3 d0 <= d <= extent/10.  Sampling
-draws candidates from the seeded stream in blocks and tests each one only
-against placed points in the 2 x 2 cells, of a grid of side about 2 d0,
-that a disk of radius d0 about it can reach; the stream, the positions
-and the rejection counts are those of testing every candidate against
-every placed point, and memory is linear in n.  SurfaceSample checks the
-spacing on every sample, in one window over the x-sorted points that
-reaches each successor closer than d0 in x.  mc_field_noise evaluates the
+draws candidates from the seeded stream in blocks.  Per block, one window
+over the x-sorted placed points and candidates, each against its
+successors less than d0 further along in x, finds every pair closer than
+d0; Python only walks the pairs inside the block, in stream order.  The
+stream, the positions and the rejection counts are those of testing
+every candidate against every placed point.  SurfaceSample checks the
+spacing on every sample with the same window.  mc_field_noise evaluates the
 field kernel once per sample for all distances and gives S_E per unit
 S_mu, projected on a unit axis.  distance_scaling_fit draws each seed's
 surface itself and refuses a surface too sparse near the ion.
@@ -48,6 +48,8 @@ from .units import EPS0, HBAR
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
 MAX_CONSECUTIVE_REJECTS = 1_000_000
+# Entries of the close-pair window tested per numpy pass.
+_WINDOW_CELLS = 1 << 16
 # Gauss-Legendre rules of kernel_integral_constant, and how far apart
 # their two values may lie, relative.
 _KERNEL_RULES = (8, 16)
@@ -71,22 +73,9 @@ class SurfaceSample:
             raise ConfigurationError("positions must lie inside [0, extent]^2")
         if not self.min_spacing >= 0:
             raise ConfigurationError("min_spacing must be non-negative")
-        # One window over the x-sorted points: each point against every
-        # successor closer than min_spacing in x, the rows padded with inf.
-        # That visits every pair that can fail, in n x (window) memory.
-        p = pts[np.argsort(pts[:, 0], kind="stable")]
-        x = p[:, 0]
-        reach = np.searchsorted(x, x + self.min_spacing, side="right")
-        width = int(np.max(reach - np.arange(len(p)), initial=1)) - 1
-        if width:
-            pad = np.concatenate([p, np.full((width, 2), np.inf)])
-            win = np.lib.stride_tricks.sliding_window_view(
-                pad, width + 1, axis=0)[:len(p), :, 1:]
-            dx = win[:, 0] - x[:, None]
-            dy = win[:, 1] - p[:, 1:]
-            limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
-            if np.any(dx * dx + dy * dy < limit):
-                raise ConfigurationError("positions violate the minimum spacing")
+        limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
+        if len(_close_pairs(pts, self.min_spacing, limit)[0]):
+            raise ConfigurationError("positions violate the minimum spacing")
 
     @property
     def n(self):
@@ -174,15 +163,45 @@ def kernel_integral_constant(d=1.0):
     return float(fine)
 
 
-def _near(grid, low, stride, x, y, limit):
-    """Whether a point in the 2 x 2 cells from low up is closer than
-    sqrt(limit) to (x, y); d^2 is summed as np.sum(d ** 2) would sum it."""
-    for key in (low, low + 1, low + stride, low + stride + 1):
-        for px, py in grid.get(key, ()):
-            dx, dy = px - x, py - y
-            if dx * dx + dy * dy < limit:
-                return True
-    return False
+def _close_pairs(points, reach, limit):
+    """Index pairs (i, j), i < j, of the rows of points whose squared
+    distance is below limit; d^2 is summed as np.sum(d ** 2) would sum it.
+
+    One window over the x-sorted points: each point against every
+    successor at most reach further along in x, the rows padded with inf.
+    The window holds y only, tested _WINDOW_CELLS entries at a time:
+    dy^2 < limit keeps every pair that dx^2 + dy^2 < limit keeps, as the
+    rounded sum is never below the rounded dy^2, and passes a few per cent
+    of the window.  Those pairs then take the full test.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    n = len(order)
+    p = points.T[:, order]                 # rows x and y, in x order
+    ends = np.searchsorted(p[0], p[0] + reach, side="right")
+    width = int((ends - np.arange(n)).max(initial=1)) - 1
+    if not width:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    pad = np.full(n + width, np.inf)
+    pad[:n] = p[1]
+    # win[k, o] = pad[k + 1 + o], the y of the o-th successor of point k
+    s = pad.strides[0]
+    win = np.lib.stride_tricks.as_strided(pad[1:], (n, width), (s, s),
+                                          writeable=False)
+    step = max(_WINDOW_CELLS // width, 1)
+    hits = []
+    # a |dx| or |dy| past 1e154 squares to inf, which is not below limit
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, step):
+            dy = win[lo:lo + step] - p[1, lo:lo + step, None]
+            dy *= dy
+            row, off = np.nonzero(dy < limit)
+            hits.append((row + lo, row + lo + 1 + off))
+        k, l = (np.concatenate(h) for h in zip(*hits))
+        d = p[:, l] - p[:, k]
+        d *= d
+        close = d[0] + d[1] < limit
+    i, j = order[k[close]], order[l[close]]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
@@ -191,12 +210,14 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     Rejection sampling, deterministic for a given seed.  Feasibility
     requires n pi min_spacing^2 / 4 < extent^2 / 2.  Candidates are drawn
     in blocks, which gives the same doubles in the same order as one draw
-    per candidate.  Each is tested, in order, against the placed points in
-    2 x 2 cells of a grid of side about 2 min_spacing: its own cell and
-    the neighbours on the side of the cell where it sits.  The test uses
-    the same squared-distance arithmetic as a test against every placed
-    point; positions and rejects are those of that direct test, in memory
-    linear in n.
+    per candidate, and a block holds at least as many candidates as are
+    placed.  One window over the placed points and the block finds every
+    pair closer than min_spacing, with the squared-distance arithmetic of
+    a test against every placed point.  A candidate close to a placed
+    point is rejected; Python walks the pairs inside the block in stream
+    order and rejects a candidate close to an accepted earlier one.  The
+    rest are accepted, up to the n-th.  Positions and rejects are those of
+    that direct test, candidate by candidate.
     """
     if n < 1:
         raise ConfigurationError("need at least one dipole")
@@ -209,46 +230,57 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
         raise ConfigurationError(
             "packing fraction too high for rejection sampling")
     limit = min_spacing ** 2
-    # A hair wider than 2 min_spacing: a disk of radius min_spacing about a
-    # point in the lower half of its cell in x meets only that cell and the
-    # one below, in the upper half only that cell and the one above, and
-    # likewise in y, even after rounding in x / cell.
-    cell = 2.0 * (min_spacing * (1.0 + 1e-9) + 1e-15 * extent)
-    # Cell (i, j) has key i * stride + j, an exact int however large.  As
-    # 0 <= j <= extent / cell, the neighbours j - 1 and j + 1 never wrap
-    # into another row.
-    stride = math.floor(extent / cell) + 3
+    # A pair the direct test fails has fl(dx)^2 < fl(d0^2), so |fl(dx)| < d0
+    # and, d0 being a double, the exact |dx| < d0 as well: the later of the
+    # two in x lies at most at fl(x + d0), inside the window.  The hair
+    # beyond d0 is a margin.
+    reach = min_spacing * (1.0 + 1e-9)
     rng = np.random.default_rng(seed)
-    grid = {}                  # cell key -> [(x, y), ...] placed there
-    chunks = []                # the accepted rows of each drawn block
-    placed = consecutive = total_rejects = 0
-    while placed < n:
-        block = rng.uniform(0.0, extent, (max(n - placed, 256), 2))
-        taken = []
-        for row, (x, y) in enumerate(block.tolist()):
-            fx, fy = x / cell, y / cell
-            i, j = math.floor(fx), math.floor(fy)
-            key = i * stride + j
-            # the lower-left cell of the 2 x 2 block the disk can reach
-            low = key - (stride if fx - i < 0.5 else 0) - (fy - j < 0.5)
-            if _near(grid, low, stride, x, y, limit):
-                consecutive += 1
-                total_rejects += 1
-                if consecutive > MAX_CONSECUTIVE_REJECTS:
-                    raise PackingError(
-                        f"gave up after {consecutive} consecutive rejections "
-                        f"({placed}/{n} placed)")
-                continue
-            grid.setdefault(key, []).append((x, y))
-            taken.append(row)
-            placed += 1
-            consecutive = 0
-            if placed == n:
-                break
-        chunks.append(block[taken])
-    return SurfaceSample(positions=np.concatenate(chunks),
-                         min_spacing=min_spacing, extent=extent,
-                         rejects=total_rejects)
+    placed = np.empty((0, 2))
+    run = total_rejects = 0    # run: consecutive rejects carried over
+    while len(placed) < n:
+        m, need = len(placed), n - len(placed)
+        # need and an eighth more, but at least m (and 256): re-scanning the
+        # m placed rows then costs at most one row per candidate
+        block = rng.uniform(0.0, extent, (max(need + need // 8, m, 256), 2))
+        i, j = _close_pairs(np.concatenate([placed, block]), reach, limit)
+        j -= m                 # no two placed points are close: j >= m
+        inner = i >= m
+        rejected = np.zeros(len(block), dtype=bool)
+        rejected[j[~inner]] = True
+        # Pairs inside the block, less those with a candidate already
+        # rejected: such a pair can reject neither.  In order of the later
+        # candidate, the earlier one of each pair is settled before it
+        # comes up.
+        a, b = i[inner] - m, j[inner]
+        live = ~(rejected[a] | rejected[b])
+        a, b = a[live], b[live]
+        later = np.argsort(b, kind="stable")
+        for early, late in zip(a[later].tolist(), b[later].tolist()):
+            if not rejected[early]:
+                rejected[late] = True
+        taken = np.flatnonzero(~rejected)[:need]
+        cut = int(taken[-1]) + 1 if len(taken) == need else len(block)
+        rejects = cut - len(taken)
+        # No run can pass the limit unless the rejects before the cut do,
+        # with the run carried in.
+        if run + rejects > MAX_CONSECUTIVE_REJECTS:
+            # the consecutive rejects up to each candidate, 0 at an accept
+            k = np.arange(cut)
+            last = np.maximum.accumulate(np.where(rejected[:cut], -1, k))
+            over = np.flatnonzero(
+                np.where(last < 0, run + k + 1, k - last)
+                > MAX_CONSECUTIVE_REJECTS)
+            if len(over):
+                raise PackingError(
+                    f"gave up after {MAX_CONSECUTIVE_REJECTS + 1} "
+                    f"consecutive rejections "
+                    f"({m + np.count_nonzero(taken < over[0])}/{n} placed)")
+        total_rejects += rejects
+        run = cut - 1 - int(taken[-1]) if len(taken) else run + cut
+        placed = np.concatenate([placed, block[taken]])
+    return SurfaceSample(positions=placed, min_spacing=min_spacing,
+                         extent=extent, rejects=total_rejects)
 
 
 def mc_field_noise(sample: SurfaceSample, axis, distances):

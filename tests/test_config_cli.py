@@ -301,6 +301,41 @@ def run_cli(args):
     return cli.main([str(a) for a in args])
 
 
+def test_cli_main_reuses_one_parser_across_subcommands(tmp_path, capsys,
+                                                      monkeypatch):
+    # main parses with one parser per process; nothing one call parses may
+    # reach the next.  Each file must match a run with a parser built for
+    # it, apart from the output directory in the header.
+    runs = [("a", ["rates", "--temperature", "5 K", "--seed", "7"]),
+            ("b", ["dipoles"]), ("c", ["rates"])]
+    for out, args in runs:
+        assert run_cli(args + ["--preset", "Ne-Au",
+                               "--output", tmp_path / out]) == 0
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    for out, args in runs:
+        assert run_cli(args + ["--preset", "Ne-Au",
+                               "--output", tmp_path / f"fresh-{out}"]) == 0
+
+    def text(out):
+        path, = (tmp_path / out).iterdir()
+        return [ln for ln in path.read_text().splitlines()
+                if not ln.startswith("#   output = ")]
+    for out, _ in runs:
+        assert text(out) == text(f"fresh-{out}")
+    assert "# temperature: 5 K" in text("a") and "# seed: 7" in text("a")
+    assert "# temperature: 5 K" not in text("c")
+    assert "# seed: 12345" in text("c")
+    monkeypatch.undo()
+    capsys.readouterr()
+    for args, code in ((["--version"], 0), (["nosuch"], 2),
+                       (["states", "--bogus"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == code
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
 def test_cli_requires_config_or_preset(capsys):
     assert run_cli(["states"]) == 2
     assert "preset" in capsys.readouterr().err

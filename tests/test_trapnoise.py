@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from adnoise import cli, config, spectrum, trapnoise
+from adnoise import cli, config, spectrum, trapnoise, validate
 from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
                             NumericalError, PackingError)
 from adnoise.units import AMU, E_CHARGE, HBAR
@@ -91,6 +94,16 @@ def test_kernel_integral_rejects_a_kernel_off_the_rule(monkeypatch):
     monkeypatch.setattr(trapnoise, "dipole_field_kernel", screened)
     with pytest.raises(NumericalError, match="8- and 16-point rules"):
         trapnoise.kernel_integral_constant()
+
+
+def test_validate_kernel_check_catches_k_off_in_the_tenth_digit(
+        monkeypatch):
+    assert validate._check_kernel()[1]
+    exact = trapnoise.kernel_integral_constant
+    for off in (lambda d: 1e-10, lambda d: 1e-10 * (d != 1.0)):
+        monkeypatch.setattr(trapnoise, "kernel_integral_constant",
+                            lambda d=1.0, off=off: exact(d) * (1.0 + off(d)))
+        assert not validate._check_kernel()[1]
 
 
 def test_kernel_constant_vs_surface_average():
@@ -215,7 +228,8 @@ def test_sample_surface_bit_identical_non_integer_cells():
 
 
 def test_sample_surface_bit_identical_beyond_int64_keys():
-    # extent / d0 past ~3e9: the cell keys i * stride + j exceed int64
+    # extent / d0 past ~1e16: x + d0 rounds to x, so the close-pair window
+    # holds the ties in x only
     assert_matches_reference(100, 1e10, 1.0, range(10))
     assert_matches_reference(100, 1e20, 1.0, range(10))
 
@@ -224,6 +238,94 @@ def test_sample_surface_bit_identical_cell_edges_at_two_d0():
     # cells are a hair wider than 2 d0, so their edges sit next to
     # multiples of 2 d0 when the extent is one
     assert_matches_reference(1000, 64.0, 1.0, range(6))
+
+
+@st.composite
+def sampler_configs(draw):
+    """(n, extent, min_spacing, seed) below the packing gate: dense ones
+    by packing fraction n pi d0^2 / 4 / extent^2 up to 0.4999, sparse ones
+    by extent up to 1e20."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(30, 60)))
+    d0 = draw(st.one_of(st.sampled_from([0.7, 1e-3, 37.5]),
+                        st.floats(1e-3, 1e3)))
+    if draw(st.booleans()):
+        fraction = draw(st.one_of(st.floats(1e-3, 0.4999),
+                                  st.floats(0.44, 0.4999)))
+        extent = d0 * math.sqrt(n * math.pi / 4.0 / fraction)
+    else:
+        extent = 10.0 ** draw(st.floats(0.0, 20.0))
+    assume(n * math.pi * (d0 / extent) ** 2 / 4.0 < 0.5)
+    return n, extent, d0, draw(st.integers(0, 2 ** 32))
+
+
+def sample_or_error(sample, *args, **kwargs):
+    """(positions bytes, rejects) of a sample, or a PackingError's text."""
+    try:
+        got = sample(*args, **kwargs)
+    except PackingError as exc:
+        return str(exc)
+    if isinstance(got, tuple):
+        return got[0].tobytes(), got[1]
+    return got.positions.tobytes(), got.rejects
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sampler_configs())
+def test_sample_surface_matches_reference_property(case):
+    # Near the gate a run of rejects can end the draw: both sides give up
+    # after the same 101 consecutive rejections, or neither does.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 100)
+        got = sample_or_error(trapnoise.sample_surface, *case)
+    assert got == sample_or_error(reference_sample, *case, max_rejects=100)
+
+
+def draw_spy(monkeypatch):
+    """Patch np.random.default_rng so that its generators record the size
+    of each uniform draw; returns that list."""
+    sizes, make = [], np.random.default_rng
+
+    def spying_rng(seed):
+        rng = make(seed)
+
+        def uniform(low, high, size):
+            sizes.append(size)
+            return rng.uniform(low, high, size)
+        return SimpleNamespace(uniform=uniform)
+
+    monkeypatch.setattr(np.random, "default_rng", spying_rng)
+    return sizes
+
+
+def test_sample_surface_bit_identical_over_several_blocks(monkeypatch):
+    # 150 in 20^2 rejects more candidates than the first block holds
+    # beyond the 150 it needs
+    sizes = draw_spy(monkeypatch)
+    for seed in range(3):
+        pts, rejects = reference_sample(150, 20.0, 1.0, seed)
+        del sizes[:]
+        s = trapnoise.sample_surface(150, 20.0, 1.0, seed)
+        assert rejects > sizes[0][0] - 150 and len(sizes) > 1
+        assert s.positions.tobytes() == pts.tobytes(), seed
+        assert s.rejects == rejects, seed
+
+
+def test_packing_error_run_across_blocks(monkeypatch):
+    # 60 in 10^2 gets stuck at 59: the 301 rejects in a row begin in one
+    # block and end in a later one
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 300)
+    sizes = draw_spy(monkeypatch)
+    with pytest.raises(PackingError) as expected:
+        reference_sample(60, 10.0, 1.0, 3, max_rejects=300)
+    assert str(expected.value) == ("gave up after 301 consecutive "
+                                   "rejections (59/60 placed)")
+    last = len(sizes) - 1              # the candidate the reference gave up on
+    del sizes[:]
+    with pytest.raises(PackingError) as got:
+        trapnoise.sample_surface(60, 10.0, 1.0, seed=3)
+    assert str(got.value) == str(expected.value)
+    starts = np.cumsum([size[0] for size in sizes])
+    assert np.any((last - 300 < starts) & (starts <= last)), (last, starts)
 
 
 def test_packing_error_names_placed_count(monkeypatch):
