@@ -36,4 +36,11 @@ class AnalysisError(NumericalError):
 
 
 class PackingError(NumericalError):
-    """Random sequential placement failed to satisfy the spacing constraint."""
+    """Random sequential placement failed to satisfy the spacing constraint.
+
+    seed is the seed of the surface that could not be placed, if known.
+    """
+
+    def __init__(self, message, seed=None):
+        super().__init__(message)
+        self.seed = seed

@@ -17,17 +17,20 @@ The Monte Carlo consistency checks use K.
 
 The Monte Carlo path samples dipole positions with a minimum spacing d0,
 sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
-seed-averaged noise inside the window 3 d0 <= d <= extent/10.  Sampling
-draws candidates from the seeded stream in blocks.  Per block, one window
-over the x-sorted placed points and candidates, each against its
-successors less than d0 further along in x, finds every pair closer than
-d0; Python only walks the pairs inside the block, in stream order.  The
-stream, the positions and the rejection counts are those of testing
-every candidate against every placed point.  SurfaceSample checks the
-spacing on every sample with the same window.  mc_field_noise evaluates the
-field kernel once per sample for all distances and gives S_E per unit
-S_mu, projected on a unit axis.  distance_scaling_fit draws each seed's
-surface itself and refuses a surface too sparse near the ion.
+seed-averaged noise inside the window 3 d0 <= d <= extent/10.  The seeds
+of a fit move together as one stack with a leading seed axis: positions
+(S, n, 2), S_E (S, D).  Sampling draws candidates from each seed's stream
+in blocks, and all unfinished seeds draw a block per round.  Per round,
+one window over each surface's x-sorted placed points and candidates,
+each against its successors less than d0 further along in x, finds every
+pair closer than d0; Python only walks the pairs inside the blocks, in
+stream order.  Surface k of a stack has the stream, the positions and the
+rejection count of testing every candidate against every placed point,
+drawn from its seed alone.  SurfaceSample checks the spacing of a whole
+stack with one such window.  mc_field_noise evaluates the field kernel for
+all distances on blocks of surfaces and gives S_E per unit S_mu,
+projected on a unit axis.  distance_scaling_fit draws and sums its seeds
+in chunks of bounded size and refuses a surface too sparse near the ion.
 
 The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
@@ -50,6 +53,13 @@ SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
 MAX_CONSECUTIVE_REJECTS = 1_000_000
 # Entries of the close-pair window tested per numpy pass.
 _WINDOW_CELLS = 1 << 16
+# (seed, distance, dipole) cells of the seeds that distance_scaling_fit
+# draws and sums per chunk.
+_FIT_CELLS = 1 << 16
+# (surface, distance, dipole) cells per kernel evaluation in mc_field_noise:
+# its arrays of 64 KiB stay in cache, where those of a whole 30-surface
+# stack are mapped afresh on every call.
+_KERNEL_CELLS = 1 << 13
 # Gauss-Legendre rules of kernel_integral_constant, and how far apart
 # their two values may lie, relative.
 _KERNEL_RULES = (8, 16)
@@ -58,36 +68,41 @@ _KERNEL_RULE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """Random dipole positions on the electrode plane, minimum spacing d0."""
+    """Random dipole positions on the electrode plane, minimum spacing d0:
+    one surface, (n, 2), or a stack of S surfaces, (S, n, 2)."""
 
-    positions: np.ndarray  # (n, 2), inside [0, extent]^2
+    positions: np.ndarray  # (n, 2) or (S, n, 2), inside [0, extent]^2
     min_spacing: float
     extent: float
-    rejects: int = field(default=0, compare=False)
+    rejects: int = field(default=0, compare=False)  # over the whole stack
 
     def __post_init__(self):
         pts = np.asarray(self.positions, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ConfigurationError("positions must be an (n, 2) array")
+        if pts.ndim not in (2, 3) or pts.shape[-1] != 2:
+            raise ConfigurationError(
+                "positions must be an (n, 2) or (S, n, 2) array")
         if not np.all((pts >= 0) & (pts <= self.extent)):
             raise ConfigurationError("positions must lie inside [0, extent]^2")
         if not self.min_spacing >= 0:
             raise ConfigurationError("min_spacing must be non-negative")
         limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
-        if len(_close_pairs(pts, self.min_spacing, limit)[0]):
+        if len(_close_pairs(pts[None] if pts.ndim == 2 else pts,
+                            self.min_spacing, limit)[0]):
             raise ConfigurationError("positions violate the minimum spacing")
 
     @property
     def n(self):
-        return len(self.positions)
+        """Dipoles in the sample, over every surface of a stack."""
+        return np.size(self.positions) // 2
 
 
 def dipole_field_kernel(sources, ion):
     """Field (V/m per C m) of unit vertical point dipoles in the plane.
 
-    sources is an (n, 2) array of (x, y) on the electrode; ion is (x, y, z)
-    with z > 0, or a (D, 3) array of such positions.  Returns the (n, 3),
-    or (D, n, 3), bare dipole fields at the ion,
+    sources is an (n, 2) array of (x, y) on the electrode, or an (S, n, 2)
+    stack of them; ion is (x, y, z) with z > 0, or a (D, 3) array of such
+    positions.  Returns the bare dipole fields at the ion, shaped
+    sources.shape[:-2] + ion.shape[:-1] + (n, 3):
     E = (3 (z_hat . r_hat) r_hat - z_hat) / (4 pi eps0 r^3); any image
     doubling belongs to the dipole ladder, not here.
     """
@@ -95,12 +110,15 @@ def dipole_field_kernel(sources, ion):
     if (ion[..., 2] <= 0).any():
         raise DomainError("ion must sit strictly above the plane")
     sources = np.asarray(sources, dtype=float)
-    # One (..., n) array per component of r = ion - source.  The sum of
-    # squares runs x, y, z from the left, as np.linalg.norm's does, and
+    # One (..., n) array per component of r = ion - source, with an axis
+    # for the ions between the stack and the sources.  The sum of squares
+    # runs x, y, z from the left, as np.linalg.norm's does, and
     # E_c = ((3 r_z / r) (r_c / r) - delta_cz) / (4 pi eps0 r^3) rounds
     # in this order.
-    rx = ion[..., :1] - sources[:, 0]
-    ry = ion[..., 1:2] - sources[:, 1]
+    src = sources.reshape(sources.shape[:-2] + (1,) * (ion.ndim - 1)
+                          + sources.shape[-2:])
+    rx = ion[..., :1] - src[..., 0]
+    ry = ion[..., 1:2] - src[..., 1]
     rz = ion[..., 2:]
     dist = np.sqrt(rx * rx + ry * ry + rz * rz)
     scale = FOUR_PI_EPS0 * dist ** 3
@@ -164,65 +182,95 @@ def kernel_integral_constant(d=1.0):
 
 
 def _close_pairs(points, reach, limit):
-    """Index pairs (i, j), i < j, of the rows of points whose squared
-    distance is below limit; d^2 is summed as np.sum(d ** 2) would sum it.
+    """Index triples (s, i, j), i < j, of the rows i and j of surface s of
+    an (S, m, 2) stack whose squared distance is below limit; d^2 is
+    summed as np.sum(d ** 2) would sum it.  Rows of nan pad a surface and
+    pair with nothing.
 
-    One window over the x-sorted points: each point against every
-    successor at most reach further along in x, the rows padded with inf.
-    The window holds y only, tested _WINDOW_CELLS entries at a time:
-    dy^2 < limit keeps every pair that dx^2 + dy^2 < limit keeps, as the
-    rounded sum is never below the rounded dy^2, and passes a few per cent
-    of the window.  Those pairs then take the full test.
+    Per surface, one window over the x-sorted rows: each row against every
+    successor at most reach further along in x, padded with nan past the
+    last row.
+    Its width is the most successors in reach of any row, found by
+    bisection on w, as some row has its w-th successor in reach for every
+    w up to it and for none beyond.  The window holds y only, tested
+    _WINDOW_CELLS entries at a time: dy^2 < limit keeps every pair that
+    dx^2 + dy^2 < limit keeps, as the rounded sum is never below the
+    rounded dy^2, and passes a few per cent of the window.  Those pairs
+    then take the full test.
     """
-    order = np.argsort(points[:, 0], kind="stable")
-    n = len(order)
-    p = points.T[:, order]                 # rows x and y, in x order
-    ends = np.searchsorted(p[0], p[0] + reach, side="right")
-    width = int((ends - np.arange(n)).max(initial=1)) - 1
+    # Rows tied in x may come in either order: the pair is tested the same
+    # way from either end.
+    order = np.argsort(points[..., 0], axis=-1)
+    n_surf, m = order.shape
+    x, y = points[np.arange(n_surf)[:, None], order].transpose(2, 0, 1)
+    x_reach = x + reach
+
+    def in_reach(w):
+        return bool((x[:, w:] <= x_reach[:, :-w]).any())
+
+    width, hi = 0, 1
+    while hi < m and in_reach(hi):
+        width, hi = hi, 2 * hi
+    hi = min(hi, m)
+    while hi - width > 1:
+        mid = (width + hi) // 2
+        width, hi = (mid, hi) if in_reach(mid) else (width, mid)
     if not width:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    pad = np.full(n + width, np.inf)
-    pad[:n] = p[1]
-    # win[k, o] = pad[k + 1 + o], the y of the o-th successor of point k
-    s = pad.strides[0]
-    win = np.lib.stride_tricks.as_strided(pad[1:], (n, width), (s, s),
-                                          writeable=False)
-    step = max(_WINDOW_CELLS // width, 1)
+        return (np.empty(0, dtype=np.intp),) * 3
+    pad = np.full((n_surf, m + width), np.nan)
+    pad[:, :m] = y
+    # win[s, k, o] = pad[s, k + 1 + o], the y of the o-th successor of row k
+    rs, cs = pad.strides
+    win = np.lib.stride_tricks.as_strided(pad[:, 1:], (n_surf, m, width),
+                                          (rs, cs, cs), writeable=False)
+    step = max(_WINDOW_CELLS // (n_surf * width), 1)
     hits = []
     # a |dx| or |dy| past 1e154 squares to inf, which is not below limit
     with np.errstate(over="ignore"):
-        for lo in range(0, n, step):
-            dy = win[lo:lo + step] - p[1, lo:lo + step, None]
+        for lo in range(0, m, step):
+            dy = win[:, lo:lo + step] - y[:, lo:lo + step, None]
             dy *= dy
-            row, off = np.nonzero(dy < limit)
-            hits.append((row + lo, row + lo + 1 + off))
-        k, l = (np.concatenate(h) for h in zip(*hits))
-        d = p[:, l] - p[:, k]
-        d *= d
-        close = d[0] + d[1] < limit
-    i, j = order[k[close]], order[l[close]]
-    return np.minimum(i, j), np.maximum(i, j)
+            surf, row, off = np.unravel_index(np.flatnonzero(dy < limit),
+                                              dy.shape)
+            hits.append((surf, row + lo, row + lo + 1 + off))
+        surf, k, l = (np.concatenate(h) for h in zip(*hits))
+        dx = x[surf, l] - x[surf, k]
+        dy = y[surf, l] - y[surf, k]
+        close = dx * dx + dy * dy < limit
+    surf = surf[close]
+    i, j = order[surf, k[close]], order[surf, l[close]]
+    return surf, np.minimum(i, j), np.maximum(i, j)
 
 
 def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     """Uniform positions in [0, extent]^2 with an exclusion radius.
 
-    Rejection sampling, deterministic for a given seed.  Feasibility
-    requires n pi min_spacing^2 / 4 < extent^2 / 2.  Candidates are drawn
-    in blocks, which gives the same doubles in the same order as one draw
-    per candidate, and a block holds at least as many candidates as are
-    placed.  One window over the placed points and the block finds every
-    pair closer than min_spacing, with the squared-distance arithmetic of
-    a test against every placed point.  A candidate close to a placed
-    point is rejected; Python walks the pairs inside the block in stream
-    order and rejects a candidate close to an accepted earlier one.  The
-    rest are accepted, up to the n-th.  Positions and rejects are those of
-    that direct test, candidate by candidate.
+    Rejection sampling, deterministic for a given seed.  seed is one seed,
+    which gives one (n, 2) surface, or a sequence of S seeds, which gives
+    an (S, n, 2) stack whose surface k is, bit for bit, the one drawn from
+    seed[k] alone; rejects is the total over the stack.  Feasibility
+    requires n pi min_spacing^2 / 4 < extent^2 / 2.
+
+    Candidates are drawn in blocks, which gives the same doubles in the
+    same order as one draw per candidate, and a block holds at least as
+    many candidates as are placed.  The unfinished surfaces draw a block
+    each per round, and one window over each surface's placed points and
+    block finds every pair closer than min_spacing, with the
+    squared-distance arithmetic of a test against every placed point.  A
+    candidate close to a placed point is rejected; one Python walk over the
+    pairs inside the blocks, in stream order, rejects a candidate close to
+    an accepted earlier one.  The rest are accepted, up to the n-th.
+    Positions and rejects are those of that direct test, candidate by
+    candidate.  Of the surfaces that give up, the PackingError of the
+    lowest-indexed one is raised, as a loop over the seeds would.
     """
+    stacked = np.ndim(seed) > 0
+    seeds = list(seed) if stacked else [seed]
     if n < 1:
         raise ConfigurationError("need at least one dipole")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    for s in seeds:
+        if s < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {s}")
     if not (min_spacing > 0 and 0 < extent < math.inf):
         raise ConfigurationError(
             "min_spacing and extent must be positive and finite")
@@ -235,74 +283,120 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     # two in x lies at most at fl(x + d0), inside the window.  The hair
     # beyond d0 is a margin.
     reach = min_spacing * (1.0 + 1e-9)
-    rng = np.random.default_rng(seed)
-    placed = np.empty((0, 2))
-    run = total_rejects = 0    # run: consecutive rejects carried over
-    while len(placed) < n:
-        m, need = len(placed), n - len(placed)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = np.empty((len(seeds), n, 2))
+    placed = np.zeros(len(seeds), dtype=np.intp)
+    run = np.zeros(len(seeds), dtype=np.intp)    # consecutive rejects
+    total_rejects = np.zeros(len(seeds), dtype=np.intp)
+    failed = {}                                  # surface: PackingError text
+    active = np.arange(len(seeds))
+    while len(active):
+        m = placed[active]
+        need = n - m
         # need and an eighth more, but at least m (and 256): re-scanning the
         # m placed rows then costs at most one row per candidate
-        block = rng.uniform(0.0, extent, (max(need + need // 8, m, 256), 2))
-        i, j = _close_pairs(np.concatenate([placed, block]), reach, limit)
-        j -= m                 # no two placed points are close: j >= m
-        inner = i >= m
-        rejected = np.zeros(len(block), dtype=bool)
-        rejected[j[~inner]] = True
-        # Pairs inside the block, less those with a candidate already
+        size = np.maximum(np.maximum(need + need // 8, m), 256)
+        # row t holds surface active[t]: its m placed points, its block of
+        # candidates from column m on, then nan
+        pts = np.full((len(active), int((m + size).max()), 2), np.nan)
+        for t, k in enumerate(active):
+            pts[t, :m[t]] = out[k, :m[t]]
+            pts[t, m[t]:m[t] + size[t]] = rngs[k].uniform(
+                0.0, extent, (int(size[t]), 2))
+        surf, i, j = _close_pairs(pts, reach, limit)
+        rejected = np.zeros(pts.shape[:2], dtype=bool)
+        inner = i >= m[surf]   # no two placed points are close: j >= m
+        rejected[surf[~inner], j[~inner]] = True
+        # Pairs inside a block, less those with a candidate already
         # rejected: such a pair can reject neither.  In order of the later
         # candidate, the earlier one of each pair is settled before it
-        # comes up.
-        a, b = i[inner] - m, j[inner]
-        live = ~(rejected[a] | rejected[b])
+        # comes up; surfaces do not mix.
+        flat = rejected.ravel()
+        a = surf[inner] * pts.shape[1] + i[inner]
+        b = surf[inner] * pts.shape[1] + j[inner]
+        live = ~(flat[a] | flat[b])
         a, b = a[live], b[live]
         later = np.argsort(b, kind="stable")
         for early, late in zip(a[later].tolist(), b[later].tolist()):
-            if not rejected[early]:
-                rejected[late] = True
-        taken = np.flatnonzero(~rejected)[:need]
-        cut = int(taken[-1]) + 1 if len(taken) == need else len(block)
-        rejects = cut - len(taken)
+            if not flat[early]:
+                flat[late] = True
+        col = np.arange(pts.shape[1]) - m[:, None]   # index in the block
+        accepted = ~rejected & (col >= 0) & (col < size[:, None])
+        count = np.cumsum(accepted, axis=1)          # accepts so far
+        taken = accepted & (count <= need[:, None])
+        n_taken = np.minimum(count[:, -1], need)
+        # the block is cut at the n-th acceptance
+        cut = np.where(n_taken == need,
+                       np.argmax(count >= need[:, None], axis=1) - m + 1,
+                       size)
+        rejects = cut - n_taken
         # No run can pass the limit unless the rejects before the cut do,
         # with the run carried in.
-        if run + rejects > MAX_CONSECUTIVE_REJECTS:
+        for t in np.flatnonzero(run[active] + rejects
+                                > MAX_CONSECUTIVE_REJECTS):
+            block = rejected[t, m[t]:m[t] + cut[t]]
             # the consecutive rejects up to each candidate, 0 at an accept
-            k = np.arange(cut)
-            last = np.maximum.accumulate(np.where(rejected[:cut], -1, k))
+            c = np.arange(cut[t])
+            last = np.maximum.accumulate(np.where(block, -1, c))
             over = np.flatnonzero(
-                np.where(last < 0, run + k + 1, k - last)
+                np.where(last < 0, run[active[t]] + c + 1, c - last)
                 > MAX_CONSECUTIVE_REJECTS)
             if len(over):
-                raise PackingError(
+                done = m[t] + np.count_nonzero(taken[t, m[t]:m[t] + over[0]])
+                failed[active[t]] = (
                     f"gave up after {MAX_CONSECUTIVE_REJECTS + 1} "
-                    f"consecutive rejections "
-                    f"({m + np.count_nonzero(taken < over[0])}/{n} placed)")
-        total_rejects += rejects
-        run = cut - 1 - int(taken[-1]) if len(taken) else run + cut
-        placed = np.concatenate([placed, block[taken]])
-    return SurfaceSample(positions=placed, min_spacing=min_spacing,
-                         extent=extent, rejects=total_rejects)
+                    f"consecutive rejections ({done}/{n} placed)")
+        total_rejects[active] += rejects
+        # the trailing rejects of a block with no n-th acceptance
+        last_taken = pts.shape[1] - 1 - np.argmax(taken[:, ::-1], axis=1) - m
+        run[active] = np.where(n_taken > 0, cut - 1 - last_taken,
+                               run[active] + cut)
+        new = pts[taken]             # in order of surface, then of the stream
+        ends = np.cumsum(n_taken)
+        for k, lo, hi, start in zip(active.tolist(), (ends - n_taken).tolist(),
+                                    ends.tolist(), m.tolist()):
+            out[k, start:start + hi - lo] = new[lo:hi]
+        placed[active] += n_taken
+        active = active[placed[active] < n]
+        if failed:
+            active = active[active < min(failed)]
+    if failed:
+        first = min(failed)
+        raise PackingError(failed[first], seed=seeds[first])
+    return SurfaceSample(positions=out if stacked else out[0],
+                         min_spacing=min_spacing, extent=extent,
+                         rejects=int(total_rejects.sum()))
 
 
 def mc_field_noise(sample: SurfaceSample, axis, distances):
-    """Field noise per unit S_mu from one dipole configuration; sources
-    add in power.
+    """Field noise per unit S_mu from dipole configurations; sources add
+    in power.
 
     The ion sits at each height in distances above the sample center, and
     the field is projected on the unit vector axis.  Returns one S_E per
-    distance, from one kernel evaluation for all of them.
+    distance, shaped (D,) for one surface and (S, D) for a stack of S.
+    The kernel is evaluated for all distances at once, on blocks of
+    surfaces of at most _KERNEL_CELLS (surface, distance, dipole) cells.
     """
     d = np.asarray(distances, dtype=float)
     ions = np.empty((len(d), 3))
     ions[:, :2] = 0.5 * sample.extent
     ions[:, 2] = d
-    # A source too far away for r^3 to be a float gives a zero field.
-    with np.errstate(over="ignore"):
-        e = dipole_field_kernel(sample.positions, ions)
     axis = np.asarray(axis, dtype=float)
-    # One (n, 3) @ axis per distance: a fused (D n, 3) @ axis differs from
-    # it in the last bit in a few per cent of samples.
-    proj = np.array([e_d @ axis for e_d in e])
-    return np.sum(proj ** 2, axis=1)
+    pos = np.asarray(sample.positions, dtype=float)
+    stack = pos if pos.ndim == 3 else pos[None]
+    n_surf, n = stack.shape[:2]
+    se = np.empty((n_surf, len(d)))
+    step = max(_KERNEL_CELLS // max(len(d) * n, 1), 1)
+    for lo in range(0, n_surf, step):
+        # A source too far away for r^3 to be a float gives a zero field.
+        with np.errstate(over="ignore"):
+            e = dipole_field_kernel(stack[lo:lo + step], ions)
+        # The stacked product is one (n, 3) @ axis per surface and
+        # distance: a fused (D n, 3) @ axis differs from it in the last
+        # bit in a few per cent of samples.
+        se[lo:lo + step] = np.sum((e @ axis) ** 2, axis=-1)
+    return se if pos.ndim == 3 else se[0]
 
 
 @dataclass(frozen=True)
@@ -324,13 +418,21 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
 
     Lengths are in units of the minimum spacing d0.  Surface k is
     sample_surface(n, extent, 1.0, seed + k), so parallel and serial
-    evaluation agree.  A surface on which the seeds together expect fewer
-    than one dipole within the largest distance is refused before any is
-    drawn: S_E then hardly depends on d, and the exponent comes out near
-    0.  The window 3 d0 <= d <= extent/10 avoids granularity at small d
-    and finite-patch edge effects at large d.  With the distances scaled
-    up along with the extent, S_E can be tiny or underflow; a seed mean
-    that is not finite and positive is an AnalysisError.
+    evaluation agree.  The seeds are drawn and summed in chunks, each one
+    sample_surface call on a stack of seeds and one mc_field_noise call;
+    a chunk holds as many seeds as keep seeds x distances x dipoles within
+    _FIT_CELLS, and at least one.  A surface on which the seeds together
+    expect fewer than one dipole within the largest distance is refused
+    before any is drawn: S_E then hardly depends on d, and the exponent
+    comes out near 0.  The window 3 d0 <= d <= extent/10 avoids
+    granularity at small d and finite-patch edge effects at large d.  With
+    the distances scaled up along with the extent, S_E can be tiny or
+    underflow; a seed mean that is not finite and positive is an
+    AnalysisError.  Errors come in the order of a loop over the seeds
+    that checks its arguments after drawing surface 0: the sparse-surface
+    refusal, sampling's argument errors and surface 0's PackingError, the
+    axis, window and seed-count checks, then the PackingError of the
+    lowest-indexed later surface that gives up.
     """
     # In float64, so that a square past the float range is inf, not an
     # OverflowError: the window or seed-mean check below then refuses it.
@@ -343,27 +445,22 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
             f"the ion over all seeds (n_seeds * pi * d_max^2 * n_dipoles / "
             f"extent^2 < 1), distances {np.asarray(d_list)}: the "
             "surface is too sparse for a distance scaling fit")
-    # Drawn first, so that sampling's errors come before the checks below.
-    surface = sample_surface(n, extent, 1.0, seed)
-    if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
-        raise DomainError(f"axis {tuple(axis)} is not a unit vector")
-    d_list = np.asarray(d_list, dtype=float)
-    lo, hi = 3.0, extent / 10.0
-    bad = d_list[(d_list < lo) | (d_list > hi)]
-    if len(bad):
-        raise AnalysisError(
-            f"distances {bad} outside the valid window [{lo:.3g}, {hi:.3g}] "
-            "(below: dipole granularity dominates; above: the finite patch "
-            "acts as a composite source)")
-    if n_seeds < 2 or len(np.unique(d_list)) < 3:
-        raise AnalysisError(
-            f"n_seeds = {n_seeds}, distances {d_list}: the standard errors "
-            "need at least 2 seeds and the fit at least 3 distinct distances")
+    seeds = range(seed, seed + n_seeds)
+    step = max(_FIT_CELLS // max(n * len(d_list), 1), 1)
+    # Surface 0's PackingError comes before the argument checks, that of
+    # a later surface after them.
+    try:
+        surfaces = sample_surface(n, extent, 1.0, seeds[:step])
+    except PackingError as exc:
+        if exc.seed != seed:
+            _check_fit_arguments(extent, axis, d_list, n_seeds)
+        raise
+    d_list = _check_fit_arguments(extent, axis, d_list, n_seeds)
     se = np.empty((n_seeds, len(d_list)))
-    for k in range(n_seeds):
-        if k:
-            surface = sample_surface(n, extent, 1.0, seed + k)
-        se[k] = mc_field_noise(surface, axis, d_list)
+    for lo in range(0, n_seeds, step):
+        if lo:
+            surfaces = sample_surface(n, extent, 1.0, seeds[lo:lo + step])
+        se[lo:lo + step] = mc_field_noise(surfaces, axis, d_list)
     means = se.mean(axis=0)
     empty = ~(np.isfinite(means) & (means > 0))
     if np.any(empty):
@@ -381,6 +478,26 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     slope, _, _, stderr = _line_fit(np.log(d_list), np.log(means))
     return DistanceScaling(exponent=slope, stderr=stderr, distances=d_list,
                            means=means, stderrs=stderrs, n_seeds=n_seeds)
+
+
+def _check_fit_arguments(extent, axis, d_list, n_seeds):
+    """The axis, distance-window and seed-count checks of
+    distance_scaling_fit; returns d_list as a float array."""
+    if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
+        raise DomainError(f"axis {tuple(axis)} is not a unit vector")
+    d_list = np.asarray(d_list, dtype=float)
+    lo, hi = 3.0, extent / 10.0
+    bad = d_list[(d_list < lo) | (d_list > hi)]
+    if len(bad):
+        raise AnalysisError(
+            f"distances {bad} outside the valid window [{lo:.3g}, {hi:.3g}] "
+            "(below: dipole granularity dominates; above: the finite patch "
+            "acts as a composite source)")
+    if n_seeds < 2 or len(np.unique(d_list)) < 3:
+        raise AnalysisError(
+            f"n_seeds = {n_seeds}, distances {d_list}: the standard errors "
+            "need at least 2 seeds and the fit at least 3 distinct distances")
+    return d_list
 
 
 def heating_rate(s_E, charge, ion_mass, omega_t):

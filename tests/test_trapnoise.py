@@ -54,6 +54,15 @@ def test_kernel_broadcasts_over_ion_positions():
             sources, ion).tobytes()
     with pytest.raises(DomainError):
         trapnoise.dipole_field_kernel(sources, [(1.0, 1.0, 2.0), (1.0, 1.0, 0.0)])
+    # an (S, n, 2) stack of sources gives (S, D, n, 3), one surface a row
+    stack = trapnoise.sample_surface(50, 60.0, 1.0, range(4, 7)).positions
+    batch = trapnoise.dipole_field_kernel(stack, ions)
+    assert batch.shape == (3, 3, 50, 3)
+    for surface, e in zip(stack, batch):
+        assert e.tobytes() == trapnoise.dipole_field_kernel(
+            surface, ions).tobytes()
+    assert trapnoise.dipole_field_kernel(stack, ions[0]).tobytes() == (
+        batch[:, 0].tobytes())
 
 
 def test_analytic_field_noise_formula():
@@ -223,7 +232,9 @@ def test_sample_surface_bit_identical_dense_packing():
 
 
 def test_sample_surface_bit_identical_non_integer_cells():
-    # cell edges fall at non-integer multiples of the extent
+    # extent 37.3 and d0 = 0.7, not a multiple of each other and d0 not a
+    # double: the window's reach and the limit fl(0.7^2) are those of a
+    # spacing other than 1 (the name is from the deleted cell grid)
     assert_matches_reference(600, 37.3, 0.7, range(10))
 
 
@@ -235,8 +246,9 @@ def test_sample_surface_bit_identical_beyond_int64_keys():
 
 
 def test_sample_surface_bit_identical_cell_edges_at_two_d0():
-    # cells are a hair wider than 2 d0, so their edges sit next to
-    # multiples of 2 d0 when the extent is one
+    # 1000 in 64^2 needs a second block on every seed, scanned together
+    # with the points placed from the first (the name is from the deleted
+    # cell grid, whose cells were a hair wider than 2 d0)
     assert_matches_reference(1000, 64.0, 1.0, range(6))
 
 
@@ -328,6 +340,36 @@ def test_packing_error_run_across_blocks(monkeypatch):
     assert np.any((last - 300 < starts) & (starts <= last)), (last, starts)
 
 
+@pytest.mark.parametrize("n, extent, seed, longest", [
+    (150, 20.0, 3, 17), (240, 22.0, 2, 57), (60, 10.5, 1, 77)])
+def test_packing_limit_at_the_longest_run_across_blocks(monkeypatch, n,
+                                                        extent, seed,
+                                                        longest):
+    # The longest run of rejects of these draws begins in one block and
+    # ends in the next.  With the limit at its length the draw fills, one
+    # below it gives up at its last candidate: the run carried from block
+    # to block is counted exactly, alone and in a stack.
+    sizes = draw_spy(monkeypatch)
+    with pytest.raises(PackingError) as expected:
+        reference_sample(n, extent, 1.0, seed, max_rejects=longest - 1)
+    end = len(sizes) - 1          # the candidate the reference gave up on
+    pts, rejects = reference_sample(n, extent, 1.0, seed,
+                                    max_rejects=longest)
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", longest)
+    del sizes[:]
+    s = trapnoise.sample_surface(n, extent, 1.0, seed)
+    assert (s.positions.tobytes(), s.rejects) == (pts.tobytes(), rejects)
+    starts = np.cumsum([size[0] for size in sizes])
+    assert np.any((end - longest < starts) & (starts <= end)), (end, starts)
+    seeds = [seed, seed + 1, seed + 2]
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", longest - 1)
+    with pytest.raises(PackingError) as got:
+        trapnoise.sample_surface(n, extent, 1.0, seed)
+    assert str(got.value) == str(expected.value)
+    assert stacked_draw(n, extent, 1.0, seeds) == single_draws(
+        n, extent, 1.0, seeds)
+
+
 def test_packing_error_names_placed_count(monkeypatch):
     monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 20)
     with pytest.raises(PackingError) as expected:
@@ -336,6 +378,144 @@ def test_packing_error_names_placed_count(monkeypatch):
     with pytest.raises(PackingError) as got:
         trapnoise.sample_surface(1500, 60.0, 1.0, seed=0)
     assert str(got.value) == str(expected.value)
+
+
+def single_draws(n, extent, min_spacing, seeds):
+    """The stack a loop over the seeds gives: (positions, total rejects),
+    or the text and seed of the first PackingError."""
+    try:
+        samples = [trapnoise.sample_surface(n, extent, min_spacing, s)
+                   for s in seeds]
+    except PackingError as exc:
+        return str(exc), exc.seed
+    return (np.array([s.positions for s in samples]).tobytes(),
+            sum(s.rejects for s in samples))
+
+
+def stacked_draw(n, extent, min_spacing, seeds):
+    """single_draws' result from one stacked sample_surface call."""
+    try:
+        stack = trapnoise.sample_surface(n, extent, min_spacing, seeds)
+    except PackingError as exc:
+        return str(exc), exc.seed
+    assert stack.positions.shape == (len(seeds), n, 2)
+    assert stack.n == len(seeds) * n
+    return stack.positions.tobytes(), stack.rejects
+
+
+@pytest.mark.parametrize("n, extent, min_spacing, seeds, blocks", [
+    (150, 24.0, 1.0, range(16), {1, 2}),
+    (240, 22.0, 1.0, range(8), {4, 5}),
+    (300, 100.0, 1.0, range(30), {1}),
+    (600, 37.3, 0.7, range(4), {2}),
+    (100, 1e20, 1.0, range(10), {1}),
+    (100, 1e35, 1.0, range(10), {1}),
+    (1, 10.0, 3.0, [0, 7, 7, 2 ** 40], {1}),
+], ids=["1-2-blocks", "4-5-blocks", "surface-mc", "d0-0.7", "extent-1e20",
+        "extent-1e35", "one-point"])
+def test_stacked_sample_matches_single_draws(monkeypatch, n, extent,
+                                             min_spacing, seeds, blocks):
+    # Surface k of a stack is, bit for bit, the draw from seeds[k] alone,
+    # whether it finishes in the first round or needs more blocks.  At
+    # extents of 1e20 and 1e35 with d0 = 1, seed * extent + x would round
+    # away the x of every pair; the surfaces must stay apart all the same.
+    # The first three single draws are those of the per-candidate loop.
+    sizes = draw_spy(monkeypatch)
+    rounds = []
+    for s in seeds:
+        del sizes[:]
+        trapnoise.sample_surface(n, extent, min_spacing, s)
+        rounds.append(len(sizes))
+    assert set(rounds) == blocks
+    assert_matches_reference(n, extent, min_spacing, seeds[:3])
+    assert stacked_draw(n, extent, min_spacing, seeds) == single_draws(
+        n, extent, min_spacing, seeds)
+
+
+def test_stacked_packing_error_is_the_lowest_failing_seed(monkeypatch):
+    # 600 in 34^2 with the limit at 120: seed 8 fills, seed 9 gives up in
+    # its 7th block, seeds 10 and 11 in their 6th.  The stack raises seed
+    # 9's error, as a loop over the seeds does, though 10 fails first.
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 120)
+    sizes = draw_spy(monkeypatch)
+    blocks = {}
+    for s in range(8, 12):
+        del sizes[:]
+        try:
+            trapnoise.sample_surface(600, 34.0, 1.0, s)
+            blocks[s] = "filled"
+        except PackingError:
+            blocks[s] = len(sizes)
+    assert blocks == {8: "filled", 9: 7, 10: 6, 11: 6}
+    got = stacked_draw(600, 34.0, 1.0, range(8, 12))
+    assert got == single_draws(600, 34.0, 1.0, range(8, 12))
+    assert got[1] == 9 and got[0].startswith("gave up after 121")
+
+
+@st.composite
+def seed_stacks(draw):
+    """(n, extent, min_spacing, seeds) with 1-6 seeds: mostly dense, by
+    packing fraction from 0.3 to 0.4999, where blocks run out and draws
+    give up, else sparse by extent up to 1e35."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(150, 300)))
+    d0 = draw(st.one_of(st.sampled_from([1.0, 0.7]), st.floats(1e-3, 1e3)))
+    if draw(st.integers(0, 2)):
+        fraction = draw(st.floats(0.3, 0.4999))
+        extent = d0 * math.sqrt(n * math.pi / 4.0 / fraction)
+    else:
+        extent = 10.0 ** draw(st.floats(0.0, 35.0))
+    assume(n * math.pi * (d0 / extent) ** 2 / 4.0 < 0.5)
+    seed = draw(st.integers(0, 2 ** 32))
+    return n, extent, d0, [seed + draw(st.integers(0, 50))
+                           for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed_stacks())
+def test_stacked_sample_matches_single_draws_property(case):
+    # Near the gate some seeds give up after 101 rejections in a row: the
+    # stack then raises the error of the lowest-indexed one.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 100)
+        assert stacked_draw(*case) == single_draws(*case)
+
+
+def test_stack_spacing_check_keeps_surfaces_apart():
+    # The same surface twice is a valid stack: points of different
+    # surfaces never pair.  One close pair inside the third surface is
+    # found, at the extents where seed * extent + x would round.
+    for extent in (100.0, 1e20, 1e35):
+        one = trapnoise.sample_surface(50, extent, 1.0, seed=1).positions
+        stack = np.array([one, one, one])
+        sample = trapnoise.SurfaceSample(positions=stack, min_spacing=1.0,
+                                         extent=extent)
+        assert sample.n == 150
+        stack[2, 7] = stack[2, 3] + (0.0, 0.5)
+        with pytest.raises(ConfigurationError, match="minimum spacing"):
+            trapnoise.SurfaceSample(positions=stack, min_spacing=1.0,
+                                    extent=extent)
+    with pytest.raises(ConfigurationError, match=r"\(S, n, 2\)"):
+        trapnoise.SurfaceSample(positions=np.zeros((2, 3, 3)),
+                                min_spacing=1.0, extent=10.0)
+
+
+def test_single_point_sample_as_validate_builds_it():
+    # validate and acceptance criterion 10 build a one-dipole (1, 2)
+    # sample by hand: it counts one dipole, gives one S_E per distance and
+    # the bits of the same point as a stack of one surface
+    ds = (1.0, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0)
+    point = np.array([[50.0, 50.0]])
+    single = trapnoise.SurfaceSample(positions=point, min_spacing=1.0,
+                                     extent=100.0)
+    stack = trapnoise.SurfaceSample(positions=point[None], min_spacing=1.0,
+                                    extent=100.0)
+    assert single.n == stack.n == 1
+    se = trapnoise.mc_field_noise(single, Z_AXIS, ds)
+    assert se.shape == (len(ds),)
+    assert se.tobytes() == trapnoise.mc_field_noise(stack, Z_AXIS,
+                                                    ds)[0].tobytes()
+    assert se[0] == pytest.approx(4 / FPE ** 2, rel=1e-12)
+    assert validate._check_single_dipole()[1]
 
 
 def test_packing_error_exits_four(monkeypatch, tmp_path, capsys):
@@ -601,6 +781,115 @@ def test_distance_scaling_draws_surface_k_with_seed_plus_k():
     assert res.means.tobytes() == se.mean(axis=0).tobytes()
     assert res.stderrs.tobytes() == (se.std(axis=0, ddof=1)
                                      / math.sqrt(5)).tobytes()
+
+
+def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
+    """(type, text) of the error of a fit that draws surface 0, checks the
+    axis, the window and the seed count, then draws surfaces 1, 2, ... one
+    seed at a time; None if it raises none."""
+    try:
+        trapnoise.sample_surface(n, extent, 1.0, seed)
+        if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
+            raise DomainError(f"axis {tuple(axis)} is not a unit vector")
+        d_list = np.asarray(d_list, dtype=float)
+        bad = d_list[(d_list < 3.0) | (d_list > extent / 10.0)]
+        if len(bad):
+            raise AnalysisError(
+                f"distances {bad} outside the valid window [3, "
+                f"{extent / 10.0:.3g}] (below: dipole granularity dominates; "
+                "above: the finite patch acts as a composite source)")
+        if n_seeds < 2 or len(np.unique(d_list)) < 3:
+            raise AnalysisError(
+                f"n_seeds = {n_seeds}, distances {d_list}: the standard "
+                "errors need at least 2 seeds and the fit at least 3 "
+                "distinct distances")
+        for k in range(1, n_seeds):
+            trapnoise.sample_surface(n, extent, 1.0, seed + k)
+    except (AnalysisError, DomainError, PackingError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed, axis, d_list, n_seeds, expect", [
+    (9, (0.0, 0.0, 2.0), [3.0, 3.2, 3.4], 4, PackingError),
+    (8, (0.0, 0.0, 2.0), [3.0, 3.2, 3.4], 4, DomainError),
+    (8, Z_AXIS, [1.0, 3.0, 3.2], 4, AnalysisError),
+    (8, Z_AXIS, [3.0, 3.0, 3.2], 4, AnalysisError),
+    (8, Z_AXIS, [3.0, 3.2, 3.4], 4, PackingError),
+    (9, Z_AXIS, [3.0, 3.2, 3.4], 1, PackingError),
+    (8, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
+], ids=["surface-0", "axis", "window", "distinct", "later-seed",
+        "one-seed-packing", "one-seed"])
+@pytest.mark.parametrize("fit_cells", [trapnoise._FIT_CELLS, 1, 3600],
+                         ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
+def test_fit_errors_come_in_the_order_of_a_seed_loop(
+        monkeypatch, seed, axis, d_list, n_seeds, expect, fit_cells):
+    # 600 in 34^2 with the limit at 120: seed 8 fills, seed 9 gives up in
+    # its 7th block and seed 10 in its 6th.  Surface 0's PackingError
+    # comes before the argument checks, a later surface's after them, and
+    # of the later ones the lowest-indexed, whatever the chunks.
+    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 120)
+    monkeypatch.setattr(trapnoise, "_FIT_CELLS", fit_cells)
+    want = loop_fit_error(600, 34.0, seed, axis, d_list, n_seeds)
+    assert want[0] is expect
+    with pytest.raises(expect) as got:
+        trapnoise.distance_scaling_fit(600, 34.0, seed, axis, d_list,
+                                       n_seeds=n_seeds)
+    assert (type(got.value), str(got.value)) == want
+    if expect is PackingError and n_seeds > 1 and seed == 8:
+        assert got.value.seed == 9
+
+
+def test_fit_chunks_stay_within_the_cell_budget(monkeypatch):
+    # 300 seeds of 100 dipoles at 6 distances are 180,000 cells: the fit
+    # draws and sums them in chunks of at most _FIT_CELLS, in seed order,
+    # and each kernel evaluation stays within _KERNEL_CELLS; the result
+    # has the bits of one unchunked pass and of one surface at a time.
+    d_values = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
+    calls = []
+    for name in ("sample_surface", "mc_field_noise", "dipole_field_kernel"):
+        def spy(*args, _name=name, _f=getattr(trapnoise, name), **kwargs):
+            calls.append((_name, args))
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(trapnoise, name, spy)
+    res = trapnoise.distance_scaling_fit(100, 100.0, 3, Z_AXIS, d_values,
+                                         n_seeds=300)
+    seeds = [list(a[3]) for f, a in calls if f == "sample_surface"]
+    assert len(seeds) == 3 and sum(seeds, []) == list(range(3, 303))
+    budget = trapnoise._FIT_CELLS
+    stacks = [a[0].positions.shape for f, a in calls if f == "mc_field_noise"]
+    assert [s[0] for s in stacks] == [len(c) for c in seeds]
+    assert all(s * n * len(d_values) <= budget for s, n, _ in stacks)
+    kernels = [a[0].shape for f, a in calls if f == "dipole_field_kernel"]
+    assert all(s * n * len(d_values) <= trapnoise._KERNEL_CELLS
+               for s, n, _ in kernels)
+    assert sum(s for s, _, _ in kernels) == 300
+    calls.clear()
+    monkeypatch.setattr(trapnoise, "_FIT_CELLS", 1 << 30)
+    whole = trapnoise.distance_scaling_fit(100, 100.0, 3, Z_AXIS, d_values,
+                                           n_seeds=300)
+    assert len([f for f, _ in calls if f == "sample_surface"]) == 1
+    for field_name in ("exponent", "stderr", "means", "stderrs"):
+        assert (np.asarray(getattr(res, field_name)).tobytes()
+                == np.asarray(getattr(whole, field_name)).tobytes())
+    se = seed_field_noise(100, 100.0, 3, d_values, 300)
+    assert res.means.tobytes() == se.mean(axis=0).tobytes()
+
+
+def test_stacked_field_sum_matches_one_surface_at_a_time():
+    # (S, D) from a stack, in kernel blocks of several surfaces or, past
+    # _KERNEL_CELLS, of one: each row has the bits of its surface alone
+    ds = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
+    for n, extent, seeds in ((100, 100.0, range(40)),
+                             (2000, 100.0, range(3))):
+        stack = trapnoise.sample_surface(n, extent, 1.0, seeds)
+        for axis in (Z_AXIS, (0.6, 0.0, 0.8)):
+            se = trapnoise.mc_field_noise(stack, axis, ds)
+            assert se.shape == (len(seeds), len(ds))
+            for row, s in zip(se, seeds):
+                one = trapnoise.sample_surface(n, extent, 1.0, s)
+                assert row.tobytes() == trapnoise.mc_field_noise(
+                    one, axis, ds).tobytes()
 
 
 def test_mc_single_dipole_below_ion():
