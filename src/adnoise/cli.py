@@ -12,6 +12,13 @@ Subcommands map one-to-one onto the quantities of interest:
   validate    run the internal invariant checks
 
 Exit codes: 0 ok, 2 configuration error, 3 model error, 4 numerical error.
+
+Each subcommand loads only the chain modules it runs: this module imports
+config, errors, tables and units at the top, and boundstates, dipoles,
+phonons, spectrum and trapnoise inside the Pipeline properties and cmd_*
+functions that call them.  So mc-scaling runs on numpy alone and never
+loads LAPACK; the least-squares line it shares with spectrum lives in
+units.
 """
 
 import argparse
@@ -23,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, boundstates, dipoles, phonons, spectrum, trapnoise
+from . import __version__
 from .config import RunConfig, override, parse_config, serialize_config
 from .errors import (AdnoiseError, ConfigurationError, DomainError,
                      ModelError, NumericalError)
@@ -43,10 +50,12 @@ class Pipeline:
 
     @cached_property
     def grid(self):
+        from . import boundstates
         return boundstates.auto_grid(self.params, self.cfg.solver.n_points)
 
     @cached_property
     def states(self):
+        from . import boundstates
         return boundstates.solve(self.params, self.grid,
                                  self.cfg.solver.max_states)
 
@@ -58,6 +67,7 @@ class Pipeline:
     @cached_property
     def gamma0(self):
         """Exact zero-temperature 1 -> 0 decay rate, 1/s."""
+        from . import phonons
         rate, masked = phonons.transition_rate(self.states, self.material,
                                                1, 0, 0.0,
                                                coupling=self.coupling)
@@ -69,6 +79,7 @@ class Pipeline:
 
     @cached_property
     def ladder(self):
+        from . import dipoles
         if self.params.polarizability is None:
             raise ConfigurationError(
                 f"{self.params.name}: polarizability is required for dipole "
@@ -78,6 +89,7 @@ class Pipeline:
 
     @cached_property
     def coupling(self):
+        from . import boundstates
         return boundstates.coupling_matrix(self.states)
 
     def kelvin(self, tspec):
@@ -97,15 +109,18 @@ class Pipeline:
         return f"kT_{value:g}nu10" if unit == "nu10" else f"T_{value:g}K"
 
     def rate_matrix(self, T):
+        from . import phonons
         return phonons.build_rate_matrix(self.states, self.material, T,
                                          coupling=self.coupling)
 
     def spectrum_at(self, T):
+        from . import phonons, spectrum
         r = self.rate_matrix(T)
         p0 = phonons.stationary_distribution(r)
         return spectrum.correlation_modes(r, p0, self.ladder)
 
     def omega_grid(self):
+        from . import spectrum
         sp = self.cfg.spectrum
         return spectrum.omega_grid(self.gamma0, sp.omega_min, sp.omega_max,
                                    sp.points_per_decade)
@@ -173,6 +188,7 @@ def cmd_rates(pipe: Pipeline, outdir: Path):
 
 
 def cmd_spectrum(pipe: Pipeline, outdir: Path):
+    from . import spectrum
     temperatures = pipe.cfg.spectrum.temperatures
     tags = [pipe.temp_tag(tspec) for tspec in temperatures]
     for k, tag in enumerate(tags):
@@ -201,6 +217,7 @@ def cmd_spectrum(pipe: Pipeline, outdir: Path):
 
 
 def cmd_tempsweep(pipe: Pipeline, outdir: Path):
+    from . import spectrum
     ts = pipe.cfg.tempsweep
     t_lo, t_hi = pipe.kelvin(ts.t_min), pipe.kelvin(ts.t_max)
     temps = np.linspace(t_lo, t_hi, ts.n_temps)
@@ -227,6 +244,7 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
 
 
 def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
+    from . import trapnoise
     cfg = pipe.cfg
     mc = cfg.montecarlo
     result = trapnoise.distance_scaling_fit(
@@ -254,6 +272,7 @@ def cmd_mc_scaling(pipe: Pipeline, outdir: Path):
 
 
 def cmd_heat(pipe: Pipeline, outdir: Path):
+    from . import spectrum, trapnoise
     trap = pipe.cfg.trap
     omega_t = TWO_PI * trap.frequency
     temps = np.array([pipe.kelvin(tspec)

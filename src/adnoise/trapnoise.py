@@ -35,9 +35,12 @@ in chunks of bounded size and refuses a surface too sparse near the ion.
 The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
 work elementwise on arrays.
+
+The fit's line and K's Gauss-Legendre nodes come from units (_line_fit,
+_gauss_legendre), so this module imports none of the spectral chain:
+the Monte Carlo path runs on numpy alone.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,8 +48,7 @@ import numpy as np
 
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      NumericalError, PackingError)
-from .spectrum import _line_fit
-from .units import EPS0, HBAR
+from .units import EPS0, HBAR, _gauss_legendre, _line_fit
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
@@ -143,15 +145,6 @@ def analytic_field_noise(sigma, s_mu, d):
     return SURFACE_AVERAGE_CONSTANT * sigma * s_mu / (FOUR_PI_EPS0 ** 2 * d ** 4)
 
 
-@functools.cache
-def _kernel_rules():
-    """Nodes u and weights of the Gauss-Legendre rules of _KERNEL_RULES on
-    [0, 1], concatenated in that order; built on first use."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = zip(*(leggauss(n) for n in _KERNEL_RULES))
-    return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(w)
-
-
 def kernel_integral_constant(d=1.0):
     """Dimensionless plane integral of the squared vertical-field kernel.
 
@@ -165,7 +158,7 @@ def kernel_integral_constant(d=1.0):
     16-point one is returned.  A kernel that is not that polynomial makes
     them disagree, which is a NumericalError.
     """
-    u, w = _kernel_rules()
+    u, w = _gauss_legendre(_KERNEL_RULES)
     s = d * np.sqrt(1.0 - u * u) / u
     ez = dipole_field_kernel(np.column_stack([s, np.zeros_like(s)]),
                              (0.0, 0.0, d))[:, 2]

@@ -4,10 +4,18 @@ Every physics module computes in SI internally; units are converted only
 at input/output boundaries.  Kelvin and hertz equivalents are treated as
 first-class energy units (E = k_B*T and E = h*nu respectively) because
 surface-physics parameter sets freely mix meV, K and THz.
+
+The module also holds the two numerical helpers that both the spectral
+chain and the Monte Carlo path use, so that neither imports the other:
+the least-squares line _line_fit and the Gauss-Legendre builder
+_gauss_legendre.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -111,3 +119,26 @@ def convert_dipole(value, from_unit, to_unit):
     """Convert between C*m, D (debye) and e*a0 (atomic units)."""
     return value * unit_factor(DIPOLE_TO_CM, from_unit) \
         / unit_factor(DIPOLE_TO_CM, to_unit)
+
+
+def _line_fit(x, y):
+    """Least-squares line y = intercept + slope * x.
+
+    Returns (slope, intercept, residuals, standard error of the slope).
+    """
+    xm = x - x.mean()
+    sxx = np.dot(xm, xm)
+    slope = float(np.dot(xm, y) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (intercept + slope * x)
+    dof = max(len(x) - 2, 1)
+    return slope, intercept, resid, float(np.sqrt(resid @ resid / dof / sxx))
+
+
+@functools.cache
+def _gauss_legendre(orders):
+    """Nodes u and weights of the Gauss-Legendre rules of the given orders
+    on [0, 1], concatenated in that order; built on first use."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = zip(*(leggauss(n) for n in orders))
+    return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(w)

@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import subprocess
@@ -884,26 +885,51 @@ def test_cli_steep_wall(tmp_path, capsys, command, beta, code):
         assert "beta*z0 = 6050 is too steep" in err
 
 
-def test_cli_import_leaves_optimize_and_integrate_unloaded(tmp_path):
-    # A fresh interpreter: a states and an mc-scaling run load no scipy
-    # module but the LAPACK extension scipy.linalg._flapack, neither the
-    # scipy package nor scipy.linalg, and K takes no quad.
+CHAIN = ("boundstates", "dipoles", "phonons", "spectrum", "trapnoise")
+
+
+def loaded_after_each(tmp_path, commands):
+    """Run commands in turn in one fresh interpreter; after each, the
+    scipy modules and the chain modules loaded so far, sorted."""
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import adnoise.cli\n"
-        "for command in ('states', 'mc-scaling'):\n"
-        "    adnoise.cli.main([command, '--preset', 'Ne-Au', '--output',"
-        f" {str(tmp_path)!r}])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print('scipy.integrate' in sys.modules)\n")
+        f"for command in {commands!r}:\n"
+        "    assert adnoise.cli.main([command, '--preset', 'Ne-Au',"
+        f" '--output', {str(tmp_path)!r}]) == 0\n"
+        "    print('@', json.dumps(sorted(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    loaded, integrate = run.stdout.splitlines()[-2:]
-    assert (tmp_path / "states.csv").exists()
+    found = []
+    for line in run.stdout.splitlines():
+        if line.startswith("@ "):
+            mods = json.loads(line[2:])
+            found.append(([m for m in mods if m.split(".")[0] == "scipy"],
+                          [m for m in CHAIN if "adnoise." + m in mods]))
+    assert len(found) == len(commands)
+    return found
+
+
+def test_cli_subcommands_load_only_what_they_run(tmp_path):
+    # Two fresh interpreters.  mc-scaling runs on numpy alone: no scipy
+    # module, no LAPACK, none of the spectral chain.  states, tempsweep and
+    # validate load no scipy module but scipy.linalg._flapack (neither the
+    # scipy package, scipy.linalg nor scipy.integrate), states none of the
+    # Monte Carlo path or the spectrum, tempsweep no trapnoise.
+    [(scipy_mods, chain)] = loaded_after_each(tmp_path, ("mc-scaling",))
     assert (tmp_path / "mc_scaling.csv").exists()
-    assert loaded == "['scipy.linalg._flapack']"
-    assert integrate == "False"
+    assert scipy_mods == []
+    assert chain == ["trapnoise"]
+    states, tempsweep, validate = loaded_after_each(
+        tmp_path, ("states", "tempsweep", "validate"))
+    assert (tmp_path / "states.csv").exists()
+    assert (tmp_path / "tempsweep.csv").exists()
+    for scipy_mods, _ in (states, tempsweep, validate):
+        assert scipy_mods == ["scipy.linalg._flapack"]
+    assert states[1] == ["boundstates", "phonons"]
+    assert tempsweep[1] == ["boundstates", "dipoles", "phonons", "spectrum"]
+    assert validate[1] == list(CHAIN)
 
 
 @pytest.mark.parametrize("mass, message", [

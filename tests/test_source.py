@@ -1,6 +1,9 @@
 """Static checks over the package source: no module imports a name it
-never uses (a name listed in __all__ counts as used), and no public
-function, class or method goes unnamed outside its own definition."""
+never uses (a name listed in __all__ counts as used), no public
+function, class or method goes unnamed outside its own definition, no
+import statement names scipy, and the module-level imports keep the
+command line and the Monte Carlo path clear of the chain modules they do
+not run."""
 
 import ast
 from pathlib import Path
@@ -89,3 +92,84 @@ def test_every_public_definition_is_named():
     src = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
     tests = [ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))]
     assert unnamed_public_definitions(src, src + tests) == []
+
+
+def imported_modules(tree, package="adnoise"):
+    """(line, module) of every import statement in tree, at any depth;
+    a relative import is resolved inside package, and `from . import x`
+    names the module package.x."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ((package + "." + node.module if node.module else package)
+                    if node.level else node.module)
+            if node.module is None:
+                found += [(node.lineno, base + "." + a.name)
+                          for a in node.names]
+            else:
+                found.append((node.lineno, base))
+    return found
+
+
+def module_level_imports(tree, package="adnoise"):
+    """Sibling modules of package that tree imports when it is loaded,
+    that is outside a function body."""
+    names, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {name.split(".")[1]
+                      for _, name in imported_modules(node, package)
+                      if name.startswith(package + ".")}
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def import_closure(graph, start):
+    """Every module that loading start loads, through graph."""
+    seen, todo = set(), [start]
+    while todo:
+        for dep in graph.get(todo.pop(), ()):
+            if dep not in seen:
+                seen.add(dep)
+                todo.append(dep)
+    return seen
+
+
+def test_import_checks_resolve_relative_and_nested_imports():
+    tree = ast.parse("import numpy as np\nfrom . import errors, units\n"
+                     "from .phonons import RateMatrix\n"
+                     "class A:\n    from . import tables\n"
+                     "def f():\n    from . import spectrum\n"
+                     "    import scipy.linalg\n")
+    assert [m for _, m in imported_modules(tree)] == [
+        "numpy", "adnoise.errors", "adnoise.units", "adnoise.phonons",
+        "adnoise.tables", "adnoise.spectrum", "scipy.linalg"]
+    assert module_level_imports(tree) == {"errors", "units", "phonons",
+                                          "tables"}
+    graph = {"cli": {"config"}, "config": {"units"}, "units": {"errors"},
+             "spectrum": {"phonons"}}
+    assert import_closure(graph, "cli") == {"config", "units", "errors"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # boundstates._load_flapack loads the one LAPACK extension from its
+    # file; no import statement at any depth may pull in scipy itself.
+    found = imported_modules(ast.parse(path.read_text()))
+    assert [(line, m) for line, m in found
+            if m.split(".")[0] == "scipy"] == []
+
+
+def test_module_level_imports_keep_chain_modules_out():
+    graph = {p.stem: module_level_imports(ast.parse(p.read_text()))
+             for p in SRC.glob("*.py")}
+    chain = {"boundstates", "dipoles", "phonons", "spectrum", "trapnoise"}
+    assert import_closure(graph, "cli") & chain == set()
+    assert import_closure(graph, "trapnoise") & {
+        "spectrum", "phonons", "boundstates"} == set()

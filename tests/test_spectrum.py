@@ -86,10 +86,50 @@ def test_spectrum_even_and_monotone(ne_spectrum_at):
 
 
 def test_sum_rule_adaptive_quadrature(ne_spectrum_at):
-    for x in (0.2, 1.0, 3.0):
+    # The panel rule gives the weight sum to round-off on the Ne-Au chain.
+    for x in (0.05, 0.2, 1.0, 3.0, 6.0):
         _, _, spec = ne_spectrum_at(x)
         val = spectrum.integrate_spectrum(spec)
-        assert val / math.pi == pytest.approx(spec.variance, rel=0.01)
+        assert val / math.pi == pytest.approx(spec.variance, rel=1e-13)
+        assert val / math.pi == pytest.approx(spec.weights.sum(), rel=1e-14)
+
+
+def test_integrate_spectrum_sums_the_evaluated_spectrum(ne_spectrum_at,
+                                                        monkeypatch):
+    # An independent check of evaluate_spectrum: it integrates the values
+    # on its nodes, one 16- and one 32-point rule per panel between the
+    # knees, and does not return pi sum(w) from the weights.
+    _, _, spec = ne_spectrum_at(1.0)
+    exact = spectrum.evaluate_spectrum
+    shapes = []
+
+    def doubled(s, omega):
+        shapes.append(np.shape(omega))
+        return 2.0 * exact(s, omega)
+
+    monkeypatch.setattr(spectrum, "evaluate_spectrum", doubled)
+    val = spectrum.integrate_spectrum(spec)
+    assert val == pytest.approx(2.0 * math.pi * spec.weights.sum(),
+                                rel=1e-14)
+    panels = len(np.unique(spec.lambdas)) + 1
+    assert shapes == [(panels, 16 + 32)]
+
+
+def test_integrate_spectrum_rules_that_disagree_raise():
+    # Two modes 1000 apart leave a tail too steep for one panel: the 16-
+    # and 32-point rules disagree in the fourth digit, which is an error,
+    # not a value.  50 apart they agree to round-off.
+    for ratio, ok in ((50.0, True), (1e3, False)):
+        spec = spectrum.DipoleSpectrum(lambdas=np.array([1.0, ratio]),
+                                       weights=np.array([1.0, 1.0]),
+                                       mean_dipole=0.0, variance=2.0)
+        if ok:
+            assert spectrum.integrate_spectrum(spec) == pytest.approx(
+                2.0 * math.pi, rel=1e-14)
+        else:
+            with pytest.raises(NumericalError,
+                               match="16- and 32-point panel rules"):
+                spectrum.integrate_spectrum(spec)
 
 
 def test_detailed_balance_violation_detected(ne_spectrum_at, ne_ladder):
