@@ -26,8 +26,7 @@ each against its successors less than d0 further along in x, finds every
 pair closer than d0; Python only walks the pairs inside the blocks, in
 stream order.  Surface k of a stack has the stream, the positions and the
 rejection count of testing every candidate against every placed point,
-drawn from its seed alone.  SurfaceSample checks the spacing of a whole
-stack with one such window.  mc_field_noise evaluates the field kernel for
+drawn from its seed alone.  mc_field_noise evaluates the field kernel for
 all distances on blocks of surfaces and gives S_E per unit S_mu,
 projected on a unit axis.  distance_scaling_fit draws and sums its seeds
 in chunks of bounded size and refuses a surface too sparse near the ion.
@@ -70,11 +69,11 @@ _KERNEL_RULE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """Random dipole positions on the electrode plane, minimum spacing d0:
-    one surface, (n, 2), or a stack of S surfaces, (S, n, 2)."""
+    """Dipole positions on the electrode plane: one surface, (n, 2), or a
+    stack of S surfaces, (S, n, 2).  The minimum spacing is not checked
+    here: sample_surface keeps it while placing."""
 
     positions: np.ndarray  # (n, 2) or (S, n, 2), inside [0, extent]^2
-    min_spacing: float
     extent: float
     rejects: int = field(default=0, compare=False)  # over the whole stack
 
@@ -85,12 +84,6 @@ class SurfaceSample:
                 "positions must be an (n, 2) or (S, n, 2) array")
         if not np.all((pts >= 0) & (pts <= self.extent)):
             raise ConfigurationError("positions must lie inside [0, extent]^2")
-        if not self.min_spacing >= 0:
-            raise ConfigurationError("min_spacing must be non-negative")
-        limit = (self.min_spacing * (1.0 - 1e-12)) ** 2
-        if len(_close_pairs(pts[None] if pts.ndim == 2 else pts,
-                            self.min_spacing, limit)[0]):
-            raise ConfigurationError("positions violate the minimum spacing")
 
     @property
     def n(self):
@@ -356,8 +349,7 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     if failed:
         first = min(failed)
         raise PackingError(failed[first], seed=seeds[first])
-    return SurfaceSample(positions=out if stacked else out[0],
-                         min_spacing=min_spacing, extent=extent,
+    return SurfaceSample(positions=out if stacked else out[0], extent=extent,
                          rejects=int(total_rejects.sum()))
 
 

@@ -104,7 +104,7 @@ def _check_kernel():
 
 def _check_single_dipole():
     sample = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
-                                     min_spacing=1.0, extent=100.0)
+                                     extent=100.0)
     s1, s2 = trapnoise.mc_field_noise(sample, (0.0, 0.0, 1.0), (1.0, 2.0))
     expected = 4.0 / (trapnoise.FOUR_PI_EPS0 ** 2)
     ok = abs(s1 - expected) < 1e-9 * expected

@@ -273,7 +273,7 @@ def test_criterion_10_distance_scaling(pipe):
     # single dipole below the ion
     single = trapnoise.SurfaceSample(
         positions=np.array([[mc.extent / 2, mc.extent / 2]]),
-        min_spacing=1.0, extent=mc.extent)
+        extent=mc.extent)
     se = trapnoise.mc_field_noise(single, (0.0, 0.0, 1.0), mc.d_values)
     slope_single = float(np.polyfit(np.log(mc.d_values), np.log(se), 1)[0])
     ok_single = abs(slope_single + 6.0) <= 0.05

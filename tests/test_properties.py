@@ -17,10 +17,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from adnoise import (boundstates, config, phonons, potential,
-                     spectrum, tables, trapnoise, units)
-from adnoise.errors import ConfigurationError, ModelError
+                     spectrum, tables, units)
+from adnoise.errors import ModelError
 from adnoise.units import HBAR, KB
-from conftest import per_cell_table
+from conftest import assert_close_pairs, per_cell_table
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -407,16 +407,15 @@ def test_config_round_trip(text):
     assert config.serialize_config(again) == document
 
 
-# Partner distances in units of min_spacing: duplicates, either side of
-# min_spacing and either side of the (1 - 1e-12) tolerance.
-_PARTNER_FACTORS = [0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13,
-                    (1.0 - 1e-12) * (1.0 - 1e-13), 1.0 - 1e-12,
-                    (1.0 - 1e-12) * (1.0 + 1e-13), 2.0]
+# Partner distances in units of min_spacing: duplicates and either side
+# of min_spacing, down to an ulp.
+_PARTNER_FACTORS = [0.0, 0.5, 1.0 - 1e-13, 1.0 - 2.0 ** -53, 1.0,
+                    1.0 + 2.0 ** -52, 1.0 + 1e-13, 2.0]
 
 
 @st.composite
 def surface_positions(draw):
-    """(positions, min_spacing, extent), some pairs near min_spacing."""
+    """(positions, min_spacing), some pairs near min_spacing."""
     extent = draw(st.floats(1.0, 100.0))
     if draw(st.booleans()):
         # A lattice that keeps the spacing, so the partners decide.
@@ -439,23 +438,20 @@ def surface_positions(draw):
                                st.floats(0.0, 2.0 * math.pi)))
         pts.append((x + r * math.cos(theta), y + r * math.sin(theta)))
     pts = np.clip(np.array(draw(st.permutations(pts))), 0.0, extent)
-    return pts, spacing, extent
+    return pts, spacing
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(surface_positions())
 def test_spacing_check_matches_pairwise_table(case):
-    pts, spacing, extent = case
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    too_close = d2.min() < (spacing * (1.0 - 1e-12)) ** 2
-    try:
-        trapnoise.SurfaceSample(positions=pts, min_spacing=spacing,
-                                extent=extent)
-    except ConfigurationError as exc:
-        assert too_close and "minimum spacing" in str(exc)
-    else:
-        assert not too_close
+    # A reach of min_spacing itself suffices for the limit min_spacing^2,
+    # as sample_surface's comment argues.  The second surface, reversed
+    # and padded with a row of nan in front, pairs with neither.
+    pts, spacing = case
+    stack = np.full((2, len(pts) + 1, 2), np.nan)
+    stack[0, :-1] = pts
+    stack[1, 1:] = pts[::-1]
+    assert_close_pairs(stack, spacing, spacing ** 2)
 
 
 # Cells that stress '%.9g': signed zeros, subnormals, the float range's

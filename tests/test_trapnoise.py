@@ -10,6 +10,7 @@ from adnoise import cli, config, spectrum, trapnoise, validate
 from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
                             NumericalError, PackingError)
 from adnoise.units import AMU, E_CHARGE, HBAR
+from conftest import assert_close_pairs, close_pair_table
 
 FPE = trapnoise.FOUR_PI_EPS0
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -405,7 +406,7 @@ def stacked_draw(n, extent, min_spacing, seeds):
     return stack.positions.tobytes(), stack.rejects
 
 
-@pytest.mark.parametrize("n, extent, min_spacing, seeds, blocks", [
+STACKS = pytest.mark.parametrize("n, extent, min_spacing, seeds, blocks", [
     (150, 24.0, 1.0, range(16), {1, 2}),
     (240, 22.0, 1.0, range(8), {4, 5}),
     (300, 100.0, 1.0, range(30), {1}),
@@ -415,6 +416,9 @@ def stacked_draw(n, extent, min_spacing, seeds):
     (1, 10.0, 3.0, [0, 7, 7, 2 ** 40], {1}),
 ], ids=["1-2-blocks", "4-5-blocks", "surface-mc", "d0-0.7", "extent-1e20",
         "extent-1e35", "one-point"])
+
+
+@STACKS
 def test_stacked_sample_matches_single_draws(monkeypatch, n, extent,
                                              min_spacing, seeds, blocks):
     # Surface k of a stack is, bit for bit, the draw from seeds[k] alone,
@@ -432,6 +436,33 @@ def test_stacked_sample_matches_single_draws(monkeypatch, n, extent,
     assert_matches_reference(n, extent, min_spacing, seeds[:3])
     assert stacked_draw(n, extent, min_spacing, seeds) == single_draws(
         n, extent, min_spacing, seeds)
+
+
+@STACKS
+def test_sampled_surfaces_keep_the_minimum_spacing(n, extent, min_spacing,
+                                                   seeds, blocks):
+    # Placement is the only spacing test its output gets: every pair of a
+    # surface, stacked or single, lies at least d0 apart by the direct
+    # test's arithmetic.
+    for seed in (seeds, seeds[0]):
+        pts = trapnoise.sample_surface(n, extent, min_spacing, seed).positions
+        assert not close_pair_table(pts.reshape(-1, n, 2), min_spacing ** 2)
+
+
+def test_spacing_is_tested_once_per_placement_round(monkeypatch):
+    # A sample, even one of coincident points, is built without a spacing
+    # pass; a 30-seed draw of 100 that fills in one round makes one.
+    calls, close_pairs = [], trapnoise._close_pairs
+
+    def spy(points, reach, limit):
+        calls.append(points.shape)
+        return close_pairs(points, reach, limit)
+
+    monkeypatch.setattr(trapnoise, "_close_pairs", spy)
+    trapnoise.SurfaceSample(positions=np.ones((3, 2, 2)), extent=1.0)
+    assert calls == []
+    trapnoise.sample_surface(100, 100.0, 1.0, range(30))
+    assert calls == [(30, 256, 2)]
 
 
 def test_stacked_packing_error_is_the_lowest_failing_seed(monkeypatch):
@@ -483,22 +514,18 @@ def test_stacked_sample_matches_single_draws_property(case):
 
 
 def test_stack_spacing_check_keeps_surfaces_apart():
-    # The same surface twice is a valid stack: points of different
+    # The same surface three times has no close pair: points of different
     # surfaces never pair.  One close pair inside the third surface is
     # found, at the extents where seed * extent + x would round.
     for extent in (100.0, 1e20, 1e35):
         one = trapnoise.sample_surface(50, extent, 1.0, seed=1).positions
         stack = np.array([one, one, one])
-        sample = trapnoise.SurfaceSample(positions=stack, min_spacing=1.0,
-                                         extent=extent)
-        assert sample.n == 150
+        assert trapnoise.SurfaceSample(positions=stack, extent=extent).n == 150
+        assert assert_close_pairs(stack, 1.0, 1.0) == set()
         stack[2, 7] = stack[2, 3] + (0.0, 0.5)
-        with pytest.raises(ConfigurationError, match="minimum spacing"):
-            trapnoise.SurfaceSample(positions=stack, min_spacing=1.0,
-                                    extent=extent)
+        assert (2, 3, 7) in assert_close_pairs(stack, 1.0, 1.0)
     with pytest.raises(ConfigurationError, match=r"\(S, n, 2\)"):
-        trapnoise.SurfaceSample(positions=np.zeros((2, 3, 3)),
-                                min_spacing=1.0, extent=10.0)
+        trapnoise.SurfaceSample(positions=np.zeros((2, 3, 3)), extent=10.0)
 
 
 def test_single_point_sample_as_validate_builds_it():
@@ -507,10 +534,8 @@ def test_single_point_sample_as_validate_builds_it():
     # the bits of the same point as a stack of one surface
     ds = (1.0, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0)
     point = np.array([[50.0, 50.0]])
-    single = trapnoise.SurfaceSample(positions=point, min_spacing=1.0,
-                                     extent=100.0)
-    stack = trapnoise.SurfaceSample(positions=point[None], min_spacing=1.0,
-                                    extent=100.0)
+    single = trapnoise.SurfaceSample(positions=point, extent=100.0)
+    stack = trapnoise.SurfaceSample(positions=point[None], extent=100.0)
     assert single.n == stack.n == 1
     se = trapnoise.mc_field_noise(single, Z_AXIS, ds)
     assert se.shape == (len(ds),)
@@ -718,9 +743,10 @@ def test_sample_surface_rejects_bad_geometry():
 
 
 def test_sample_positions_validated():
-    with pytest.raises(ConfigurationError):
-        trapnoise.SurfaceSample(positions=np.array([[0.0, 0.0], [0.1, 0.0]]),
-                                min_spacing=1.0, extent=10.0)
+    pair = np.array([[[0.0, 0.0], [0.1, 0.0]]])
+    assert assert_close_pairs(pair, 1.0, 1.0) == {(0, 0, 1)}
+    with pytest.raises(ConfigurationError, match="inside"):
+        trapnoise.SurfaceSample(positions=pair + 10.0, extent=10.0)
 
 
 def test_spacing_window_reaches_every_close_successor():
@@ -729,21 +755,16 @@ def test_spacing_window_reaches_every_close_successor():
     n = 40
     x = 5.0 + np.linspace(0.0, 1e-3, n)
     y = np.concatenate([[0.0], 2.0 + np.arange(n - 2), [0.5]])
-    with pytest.raises(ConfigurationError, match="minimum spacing"):
-        trapnoise.SurfaceSample(positions=np.column_stack([x, y]),
-                                min_spacing=1.0, extent=100.0)
-    y[-1] = 1.0
-    trapnoise.SurfaceSample(positions=np.column_stack([x, y]),
-                            min_spacing=1.0, extent=100.0)
+    pts = np.column_stack([x, y])[None]
+    assert assert_close_pairs(pts, 1.0, 1.0) == {(0, 0, n - 1)}
+    pts[0, -1, 1] = 1.0
+    assert assert_close_pairs(pts, 1.0, 1.0) == set()
 
 
-def test_sample_positions_must_be_finite_and_spacing_non_negative():
+def test_sample_positions_must_be_finite():
     with pytest.raises(ConfigurationError, match="inside"):
         trapnoise.SurfaceSample(positions=np.array([[1.0, math.nan]]),
-                                min_spacing=1.0, extent=10.0)
-    with pytest.raises(ConfigurationError, match="min_spacing"):
-        trapnoise.SurfaceSample(positions=np.array([[1.0, 1.0]]),
-                                min_spacing=-1.0, extent=10.0)
+                                extent=10.0)
 
 
 def reference_field_noise(positions, extent, axis, d):
@@ -898,7 +919,7 @@ def test_mc_single_dipole_below_ion():
     # one dipole directly under the ion: S_E = 4 S_mu / (4 pi eps0)^2 d^6,
     # here per unit S_mu
     sample = trapnoise.SurfaceSample(positions=np.array([[5.0, 5.0]]),
-                                     min_spacing=1.0, extent=10.0)
+                                     extent=10.0)
     ds = (1.0, 2.0)
     for d, got in zip(ds, trapnoise.mc_field_noise(sample, Z_AXIS, ds)):
         assert got == pytest.approx(4 / (FPE ** 2 * d ** 6), rel=1e-12)
@@ -906,10 +927,8 @@ def test_mc_single_dipole_below_ion():
 
 def test_mc_additive_over_subsamples():
     full = trapnoise.sample_surface(40, 60.0, 1.0, seed=3)
-    lo = trapnoise.SurfaceSample(positions=full.positions[:17],
-                                 min_spacing=1.0, extent=60.0)
-    hi = trapnoise.SurfaceSample(positions=full.positions[17:],
-                                 min_spacing=1.0, extent=60.0)
+    lo = trapnoise.SurfaceSample(positions=full.positions[:17], extent=60.0)
+    hi = trapnoise.SurfaceSample(positions=full.positions[17:], extent=60.0)
     assert trapnoise.mc_field_noise(full, Z_AXIS, [5.0]) == pytest.approx(
         trapnoise.mc_field_noise(lo, Z_AXIS, [5.0])
         + trapnoise.mc_field_noise(hi, Z_AXIS, [5.0]), rel=1e-12)
@@ -922,13 +941,12 @@ def test_mc_rotation_invariance():
     center = np.array([30.0, 30.0])
     inside = np.linalg.norm(raw.positions - center, axis=1) < 25.0
     sample = trapnoise.SurfaceSample(positions=raw.positions[inside],
-                                     min_spacing=1.0, extent=60.0)
+                                     extent=60.0)
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     turned = (sample.positions - center) @ rot.T + center
-    rotated = trapnoise.SurfaceSample(positions=turned, min_spacing=1.0,
-                                      extent=60.0)
+    rotated = trapnoise.SurfaceSample(positions=turned, extent=60.0)
     a = trapnoise.mc_field_noise(sample, Z_AXIS, [4.0])
     b = trapnoise.mc_field_noise(rotated, Z_AXIS, [4.0])
     assert b == pytest.approx(a, rel=1e-12)
@@ -955,7 +973,7 @@ def test_distance_scaling_paper_geometry():
 def test_distance_scaling_single_dipole_is_minus_six():
     # a single dipole under the ion is a pure point source
     base = trapnoise.SurfaceSample(positions=np.array([[50.0, 50.0]]),
-                                   min_spacing=1.0, extent=100.0)
+                                   extent=100.0)
     d_list = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
     se = trapnoise.mc_field_noise(base, Z_AXIS, d_list)
     x = np.log(d_list)
