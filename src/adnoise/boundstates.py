@@ -48,7 +48,6 @@ from .units import HBAR
 TAIL_BOUND = 1e-10
 # Bound/continuum guard: discard states with E > -NEAR_ZERO_FRACTION * U0.
 NEAR_ZERO_FRACTION = 1e-3
-DEFAULT_N_POINTS = 4000
 
 
 def _scipy_linalg_dir():
@@ -158,7 +157,7 @@ class Grid:
         return w
 
 
-def auto_grid(p: pot.SurfacePotentialParams, n_points: int = DEFAULT_N_POINTS) -> Grid:
+def auto_grid(p: pot.SurfacePotentialParams, n_points: int) -> Grid:
     """Choose grid bounds from the potential alone.
 
     The inner edge sits where U climbs to 10*U0 on the repulsive wall; if
@@ -230,7 +229,8 @@ def _fix_sign(psi):
     return -psi if psi[k] < 0 else psi
 
 
-def solve(p: pot.SurfacePotentialParams, grid: Grid, max_states: int = 30) -> BoundStateSet:
+def solve(p: pot.SurfacePotentialParams, grid: Grid,
+          max_states: int) -> BoundStateSet:
     """All bound states of mass m in U(z), up to max_states.
 
     Raises ModelError if fewer than two bound states exist and GridError if

@@ -36,11 +36,5 @@ class AnalysisError(NumericalError):
 
 
 class PackingError(NumericalError):
-    """Random sequential placement failed to satisfy the spacing constraint.
-
-    seed is the seed of the surface that could not be placed, if known.
-    """
-
-    def __init__(self, message, seed=None):
-        super().__init__(message)
-        self.seed = seed
+    """Random sequential placement failed to satisfy the spacing constraint;
+    the message names the seed of the surface that could not be placed."""

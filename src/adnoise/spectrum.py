@@ -41,12 +41,14 @@ import numpy as np
 
 from .errors import AnalysisError, DomainError, NumericalError
 from .phonons import RateMatrix, _require, bose_occupation
-from .units import HBAR, KB, _gauss_legendre, _line_fit
+from .units import HBAR, KB, _gauss_legendre, _line_fit, _rule_pair_sum
 
 # Gauss-Legendre rules per panel of integrate_spectrum, and how far apart
 # their two values may lie, relative.
 _PANEL_RULES = (16, 32)
 _PANEL_RULE_RTOL = 1e-10
+# Widest ratio of adjacent panel knees, as mode rates, in integrate_spectrum.
+_PANEL_RATIO = 4.0
 
 
 @dataclass(frozen=True)
@@ -182,27 +184,28 @@ def integrate_spectrum(spec: DipoleSpectrum):
     mode rates: each Lorentzian becomes a smooth bounded integrand on
     [0, pi/2] no matter how many decades the rates span.  The knees
     theta_k = arctan(lambda_k / c) split [0, pi/2] into panels on which the
-    mapped integrand is smooth, and evaluate_spectrum is summed on the
-    nodes of a 16- and a 32-point rule per panel.  The two values must
-    agree to _PANEL_RULE_RTOL, relative, or it is a NumericalError; the
-    32-point one is returned.  Together with the sum rule
-    int S domega / pi = Var this cross-checks the weights.
+    mapped integrand is smooth.  A gap between adjacent rates wider than a
+    factor _PANEL_RATIO is split further at geometric points: one wide
+    panel cannot follow the tail of the mode at its left knee.
+    evaluate_spectrum is summed on the nodes of a 16- and a 32-point rule
+    per panel.  The two values must agree to _PANEL_RULE_RTOL, relative,
+    or it is a NumericalError; the 32-point one is returned.  Together
+    with the sum rule int S domega / pi = Var this cross-checks the
+    weights.
     """
     c = float(np.exp(np.mean(np.log(spec.lambdas))))
-    knees = np.unique(np.arctan(spec.lambdas / c))
+    lam = np.unique(spec.lambdas)
+    parts = np.ceil(np.log(lam[1:] / lam[:-1]) / math.log(_PANEL_RATIO))
+    steps = [lo * (hi / lo) ** (np.arange(1, k) / k)
+             for lo, hi, k in zip(lam[:-1], lam[1:], parts) if k > 1]
+    knees = np.unique(np.arctan(np.concatenate([lam] + steps) / c))
     edges = np.concatenate([[0.0], knees, [0.5 * math.pi]])
     width = np.diff(edges)[:, None]
     u, w = _gauss_legendre(_PANEL_RULES)
     t = np.tan(edges[:-1, None] + width * u)
     terms = width * w * evaluate_spectrum(spec, c * t) * c * (1.0 + t * t)
-    n = _PANEL_RULES[0]
-    coarse, fine = terms[:, :n].sum(), terms[:, n:].sum()
-    if not abs(fine - coarse) <= _PANEL_RULE_RTOL * abs(fine):
-        raise NumericalError(
-            f"spectrum quadrature: the {_PANEL_RULES[0]}- and "
-            f"{_PANEL_RULES[1]}-point panel rules give {coarse:.17g} and "
-            f"{fine:.17g}")
-    return float(fine)
+    return _rule_pair_sum(terms, _PANEL_RULES, _PANEL_RULE_RTOL,
+                          "spectrum quadrature", "panel rules")
 
 
 def two_level_limit(mu0, mu1, gamma0, nu10, T, omega):

@@ -28,8 +28,8 @@ stream order.  Surface k of a stack has the stream, the positions and the
 rejection count of testing every candidate against every placed point,
 drawn from its seed alone.  mc_field_noise evaluates the field kernel for
 all distances on blocks of surfaces and gives S_E per unit S_mu,
-projected on a unit axis.  distance_scaling_fit draws and sums its seeds
-in chunks of bounded size and refuses a surface too sparse near the ion.
+projected on a unit axis.  distance_scaling_fit checks its arguments,
+then draws and sums its seeds in chunks of bounded size.
 
 The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AnalysisError, ConfigurationError, DomainError,
-                     NumericalError, PackingError)
-from .units import EPS0, HBAR, _gauss_legendre, _line_fit
+                     PackingError)
+from .units import EPS0, HBAR, _gauss_legendre, _line_fit, _rule_pair_sum
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
@@ -157,14 +157,8 @@ def kernel_integral_constant(d=1.0):
                              (0.0, 0.0, d))[:, 2]
     terms = w * (2.0 * math.pi * d ** 2 * (ez * FOUR_PI_EPS0 * d ** 2) ** 2
                  / u ** 3)
-    n = _KERNEL_RULES[0]
-    coarse, fine = terms[:n].sum(), terms[n:].sum()
-    if not abs(fine - coarse) <= _KERNEL_RULE_RTOL * abs(fine):
-        raise NumericalError(
-            f"kernel plane integral: the {_KERNEL_RULES[0]}- and "
-            f"{_KERNEL_RULES[1]}-point rules give {coarse:.17g} and "
-            f"{fine:.17g}")
-    return float(fine)
+    return _rule_pair_sum(terms, _KERNEL_RULES, _KERNEL_RULE_RTOL,
+                          "kernel plane integral")
 
 
 def _close_pairs(points, reach, limit):
@@ -228,6 +222,22 @@ def _close_pairs(points, reach, limit):
     return surf, np.minimum(i, j), np.maximum(i, j)
 
 
+def _check_sampling(n, extent, min_spacing, seeds):
+    """The argument checks of sample_surface, which distance_scaling_fit
+    also makes before its first draw."""
+    if n < 1:
+        raise ConfigurationError("need at least one dipole")
+    for s in seeds:
+        if s < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {s}")
+    if not (min_spacing > 0 and 0 < extent < math.inf):
+        raise ConfigurationError(
+            "min_spacing and extent must be positive and finite")
+    if n * math.pi * (min_spacing / extent) ** 2 / 4.0 >= 0.5:
+        raise ConfigurationError(
+            "packing fraction too high for rejection sampling")
+
+
 def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     """Uniform positions in [0, extent]^2 with an exclusion radius.
 
@@ -248,21 +258,12 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     an accepted earlier one.  The rest are accepted, up to the n-th.
     Positions and rejects are those of that direct test, candidate by
     candidate.  Of the surfaces that give up, the PackingError of the
-    lowest-indexed one is raised, as a loop over the seeds would.
+    lowest-indexed one is raised, as a loop over the seeds would; its
+    text names the seed.
     """
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
-    if n < 1:
-        raise ConfigurationError("need at least one dipole")
-    for s in seeds:
-        if s < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {s}")
-    if not (min_spacing > 0 and 0 < extent < math.inf):
-        raise ConfigurationError(
-            "min_spacing and extent must be positive and finite")
-    if n * math.pi * (min_spacing / extent) ** 2 / 4.0 >= 0.5:
-        raise ConfigurationError(
-            "packing fraction too high for rejection sampling")
+    _check_sampling(n, extent, min_spacing, seeds)
     limit = min_spacing ** 2
     # A pair the direct test fails has fl(dx)^2 < fl(d0^2), so |fl(dx)| < d0
     # and, d0 being a double, the exact |dx| < d0 as well: the later of the
@@ -330,8 +331,9 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
             if len(over):
                 done = m[t] + np.count_nonzero(taken[t, m[t]:m[t] + over[0]])
                 failed[active[t]] = (
-                    f"gave up after {MAX_CONSECUTIVE_REJECTS + 1} "
-                    f"consecutive rejections ({done}/{n} placed)")
+                    f"seed {seeds[active[t]]}: gave up after "
+                    f"{MAX_CONSECUTIVE_REJECTS + 1} consecutive rejections "
+                    f"({done}/{n} placed)")
         total_rejects[active] += rejects
         # the trailing rejects of a block with no n-th acceptance
         last_taken = pts.shape[1] - 1 - np.argmax(taken[:, ::-1], axis=1) - m
@@ -347,8 +349,7 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
         if failed:
             active = active[active < min(failed)]
     if failed:
-        first = min(failed)
-        raise PackingError(failed[first], seed=seeds[first])
+        raise PackingError(failed[min(failed)])
     return SurfaceSample(positions=out if stacked else out[0], extent=extent,
                          rejects=int(total_rejects.sum()))
 
@@ -406,18 +407,17 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     evaluation agree.  The seeds are drawn and summed in chunks, each one
     sample_surface call on a stack of seeds and one mc_field_noise call;
     a chunk holds as many seeds as keep seeds x distances x dipoles within
-    _FIT_CELLS, and at least one.  A surface on which the seeds together
+    _FIT_CELLS, and at least one.  Every argument is checked before the
+    first draw, in this order: a surface on which the seeds together
     expect fewer than one dipole within the largest distance is refused
-    before any is drawn: S_E then hardly depends on d, and the exponent
-    comes out near 0.  The window 3 d0 <= d <= extent/10 avoids
-    granularity at small d and finite-patch edge effects at large d.  With
-    the distances scaled up along with the extent, S_E can be tiny or
-    underflow; a seed mean that is not finite and positive is an
-    AnalysisError.  Errors come in the order of a loop over the seeds
-    that checks its arguments after drawing surface 0: the sparse-surface
-    refusal, sampling's argument errors and surface 0's PackingError, the
-    axis, window and seed-count checks, then the PackingError of the
-    lowest-indexed later surface that gives up.
+    (S_E then hardly depends on d, and the exponent comes out near 0);
+    then come sampling's argument checks, the axis, the window
+    3 d0 <= d <= extent/10, which avoids granularity at small d and
+    finite-patch edge effects at large d, and the counts of seeds and
+    distinct distances.  Of the surfaces that give up, the PackingError of
+    the lowest-indexed one is raised.  With the distances scaled up along
+    with the extent, S_E can be tiny or underflow; a seed mean that is not
+    finite and positive is an AnalysisError.
     """
     # In float64, so that a square past the float range is inf, not an
     # OverflowError: the window or seed-mean check below then refuses it.
@@ -431,21 +431,26 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
             f"extent^2 < 1), distances {np.asarray(d_list)}: the "
             "surface is too sparse for a distance scaling fit")
     seeds = range(seed, seed + n_seeds)
-    step = max(_FIT_CELLS // max(n * len(d_list), 1), 1)
-    # Surface 0's PackingError comes before the argument checks, that of
-    # a later surface after them.
-    try:
-        surfaces = sample_surface(n, extent, 1.0, seeds[:step])
-    except PackingError as exc:
-        if exc.seed != seed:
-            _check_fit_arguments(extent, axis, d_list, n_seeds)
-        raise
-    d_list = _check_fit_arguments(extent, axis, d_list, n_seeds)
+    _check_sampling(n, extent, 1.0, seeds)
+    if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
+        raise DomainError(f"axis {tuple(axis)} is not a unit vector")
+    d_list = np.asarray(d_list, dtype=float)
+    lo, hi = 3.0, extent / 10.0
+    bad = d_list[(d_list < lo) | (d_list > hi)]
+    if len(bad):
+        raise AnalysisError(
+            f"distances {bad} outside the valid window [{lo:.3g}, {hi:.3g}] "
+            "(below: dipole granularity dominates; above: the finite patch "
+            "acts as a composite source)")
+    if n_seeds < 2 or len(np.unique(d_list)) < 3:
+        raise AnalysisError(
+            f"n_seeds = {n_seeds}, distances {d_list}: the standard errors "
+            "need at least 2 seeds and the fit at least 3 distinct distances")
     se = np.empty((n_seeds, len(d_list)))
-    for lo in range(0, n_seeds, step):
-        if lo:
-            surfaces = sample_surface(n, extent, 1.0, seeds[lo:lo + step])
-        se[lo:lo + step] = mc_field_noise(surfaces, axis, d_list)
+    step = max(_FIT_CELLS // (n * len(d_list)), 1)
+    for k in range(0, n_seeds, step):
+        surfaces = sample_surface(n, extent, 1.0, seeds[k:k + step])
+        se[k:k + step] = mc_field_noise(surfaces, axis, d_list)
     means = se.mean(axis=0)
     empty = ~(np.isfinite(means) & (means > 0))
     if np.any(empty):
@@ -463,26 +468,6 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     slope, _, _, stderr = _line_fit(np.log(d_list), np.log(means))
     return DistanceScaling(exponent=slope, stderr=stderr, distances=d_list,
                            means=means, stderrs=stderrs, n_seeds=n_seeds)
-
-
-def _check_fit_arguments(extent, axis, d_list, n_seeds):
-    """The axis, distance-window and seed-count checks of
-    distance_scaling_fit; returns d_list as a float array."""
-    if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
-        raise DomainError(f"axis {tuple(axis)} is not a unit vector")
-    d_list = np.asarray(d_list, dtype=float)
-    lo, hi = 3.0, extent / 10.0
-    bad = d_list[(d_list < lo) | (d_list > hi)]
-    if len(bad):
-        raise AnalysisError(
-            f"distances {bad} outside the valid window [{lo:.3g}, {hi:.3g}] "
-            "(below: dipole granularity dominates; above: the finite patch "
-            "acts as a composite source)")
-    if n_seeds < 2 or len(np.unique(d_list)) < 3:
-        raise AnalysisError(
-            f"n_seeds = {n_seeds}, distances {d_list}: the standard errors "
-            "need at least 2 seeds and the fit at least 3 distinct distances")
-    return d_list
 
 
 def heating_rate(s_E, charge, ion_mass, omega_t):

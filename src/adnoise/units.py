@@ -5,10 +5,10 @@ at input/output boundaries.  Kelvin and hertz equivalents are treated as
 first-class energy units (E = k_B*T and E = h*nu respectively) because
 surface-physics parameter sets freely mix meV, K and THz.
 
-The module also holds the two numerical helpers that both the spectral
+The module also holds the numerical helpers that both the spectral
 chain and the Monte Carlo path use, so that neither imports the other:
-the least-squares line _line_fit and the Gauss-Legendre builder
-_gauss_legendre.
+the least-squares line _line_fit, the Gauss-Legendre builder
+_gauss_legendre and the two-rule check _rule_pair_sum.
 """
 
 import functools
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -142,3 +142,20 @@ def _gauss_legendre(orders):
     from numpy.polynomial.legendre import leggauss
     x, w = zip(*(leggauss(n) for n in orders))
     return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(w)
+
+
+def _rule_pair_sum(terms, orders, rtol, what, rules="rules"):
+    """The finer of two Gauss-Legendre sums.
+
+    terms holds the weighted integrand on the nodes of
+    _gauss_legendre(orders), along its last axis.  The coarse and the fine
+    sum must agree to rtol, relative, or it is a NumericalError that names
+    both, under the label what.
+    """
+    n = orders[0]
+    coarse, fine = terms[..., :n].sum(), terms[..., n:].sum()
+    if not abs(fine - coarse) <= rtol * abs(fine):
+        raise NumericalError(
+            f"{what}: the {orders[0]}- and {orders[1]}-point {rules} give "
+            f"{coarse:.17g} and {fine:.17g}")
+    return float(fine)

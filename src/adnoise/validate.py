@@ -123,7 +123,7 @@ def _check_heating():
 def run_checks():
     # One Ne-Au chain, solved once, serves the four checks that need it.
     p, mat = potential.preset("Ne-Au")
-    s = boundstates.solve(p, boundstates.auto_grid(p, 3000))
+    s = boundstates.solve(p, boundstates.auto_grid(p, 3000), max_states=30)
     lad = dipoles.dipole_ladder(s, p.polarizability)
     r = phonons.build_rate_matrix(s, mat, 2.0 * HBAR * s.splitting(1, 0) / KB)
     p0 = phonons.stationary_distribution(r)

@@ -17,7 +17,7 @@ from adnoise.units import AMU, BOHR, E_CHARGE, HBAR
 
 def test_auto_grid_bounds(ne):
     p, _ = ne
-    g = boundstates.auto_grid(p)
+    g = boundstates.auto_grid(p, 4000)
     assert 0 < g.z_min < p.z0 < g.z_max
     assert g.z_max >= 6 * p.z0
     assert abs(potential.evaluate(p, g.z_max)) <= 1.0001e-4 * p.U0
@@ -28,7 +28,7 @@ def test_auto_grid_bounds(ne):
 
 
 def test_auto_grid_wall_rule_for_steep_well(deep_well):
-    g = boundstates.auto_grid(deep_well)
+    g = boundstates.auto_grid(deep_well, 4000)
     assert potential.evaluate(deep_well, g.z_min) == pytest.approx(
         10 * deep_well.U0, rel=1e-9)
 
@@ -41,7 +41,7 @@ def test_auto_grid_wall_rule_past_overflowing_barrier(ne, beta_a0):
     p = replace(ne[0], beta=beta_a0 / BOHR)
     _, u_pk = potential.inner_barrier(p)
     assert (u_pk == math.inf) == (p.beta_z0 > 709.8)
-    g = boundstates.auto_grid(p)
+    g = boundstates.auto_grid(p, 4000)
     assert potential.evaluate(p, g.z_min) == pytest.approx(10 * p.U0,
                                                            rel=1e-9)
 
@@ -56,7 +56,7 @@ def test_auto_grid_independent_of_resolution(ne):
 
 def test_auto_grid_h_au():
     p, _ = potential.preset("H-Au")
-    g = boundstates.auto_grid(p)
+    g = boundstates.auto_grid(p, 4000)
     assert g.z_max >= 6 * 1.6e-10
 
 
@@ -234,7 +234,7 @@ def test_too_shallow_potential_raises_model_error():
         adatom_mass=1 * AMU)
     grid = boundstates.auto_grid(p, 1200)
     with pytest.raises(ModelError, match="too shallow"):
-        boundstates.solve(p, grid)
+        boundstates.solve(p, grid, max_states=30)
 
 
 @pytest.mark.parametrize("beta_a0, z_min", [(None, 1e-120), (400.0, None)])
@@ -246,7 +246,7 @@ def test_non_finite_potential_on_grid_is_grid_error(ne, beta_a0, z_min):
         z_min, _ = potential.inner_barrier(p)
     grid = boundstates.Grid(z_min=z_min, z_max=30 * p.z0, n_points=400)
     with pytest.raises(GridError, match=r"U\(z\) is not finite on the grid"):
-        boundstates.solve(p, grid)
+        boundstates.solve(p, grid, max_states=30)
 
 
 def test_undersized_grid_fails_tail_condition(ne):
@@ -271,7 +271,7 @@ def test_grid_inside_inner_barrier_is_grid_error(ne):
     assert 0.05 * p.z0 < z_pk
     grid = boundstates.Grid(z_min=0.05 * p.z0, z_max=30 * p.z0, n_points=4000)
     with pytest.raises(GridError, match="inside the inner barrier"):
-        boundstates.solve(p, grid)
+        boundstates.solve(p, grid, max_states=30)
 
 
 @pytest.mark.parametrize("routine, info, message", [

@@ -544,7 +544,7 @@ def test_auto_grid_roots_match_scipy_brentq(name, u0_factor, z0_factor,
     with mock.patch.object(potential, "_brentq",
                            wraps=brentq_like_scipy) as checked:
         try:
-            boundstates.auto_grid(p)
+            boundstates.auto_grid(p, 4000)
         except ModelError:
             # a barrier top below the dissociation limit: only the
             # barrier root ran
@@ -583,7 +583,7 @@ def test_brentq_matches_scipy_on_smooth_functions(family, root, left, right,
     ("H-Au", "0x1.0a07450fcc97ep-34", "0x1.267d731ecbe49p-28"),
 ])
 def test_auto_grid_bounds_pinned(name, z_min, z_max):
-    grid = boundstates.auto_grid(potential.preset(name)[0])
+    grid = boundstates.auto_grid(potential.preset(name)[0], 4000)
     assert (grid.z_min.hex(), grid.z_max.hex()) == (z_min, z_max)
 
 
@@ -686,7 +686,8 @@ def test_solve_lapack_calls_match_scipy_on_real_wells(name, n_points):
                            spy(boundstates._levels_below)), \
             mock.patch.object(boundstates, "_lowest_pairs",
                               spy(boundstates._lowest_pairs)):
-        boundstates.solve(p, boundstates.auto_grid(p, n_points))
+        boundstates.solve(p, boundstates.auto_grid(p, n_points),
+                          max_states=30)
     assert [c[0] for c in calls] == ["_levels_below"] * 2 + ["_lowest_pairs"]
     for _, (diag, off, x, tol), ours in calls[:2]:
         theirs = eigvalsh_tridiagonal(diag, off, select="v",

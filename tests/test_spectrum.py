@@ -115,21 +115,41 @@ def test_integrate_spectrum_sums_the_evaluated_spectrum(ne_spectrum_at,
     assert shapes == [(panels, 16 + 32)]
 
 
-def test_integrate_spectrum_rules_that_disagree_raise():
-    # Two modes 1000 apart leave a tail too steep for one panel: the 16-
-    # and 32-point rules disagree in the fourth digit, which is an error,
-    # not a value.  50 apart they agree to round-off.
-    for ratio, ok in ((50.0, True), (1e3, False)):
-        spec = spectrum.DipoleSpectrum(lambdas=np.array([1.0, ratio]),
+def test_integrate_spectrum_rules_that_disagree_raise(monkeypatch):
+    # Two modes 50 or 1000 apart give 2 pi to round-off: the wide gap is
+    # split at geometric points.  A step in the integrand inside a panel
+    # makes the 16- and 32-point rules disagree, which is an error, not a
+    # value.
+    spec = spectrum.DipoleSpectrum(lambdas=np.array([1.0, 2.0]),
+                                   weights=np.array([1.0, 1.0]),
+                                   mean_dipole=0.0, variance=2.0)
+    for ratio in (50.0, 1e3):
+        wide = spectrum.DipoleSpectrum(lambdas=np.array([1.0, ratio]),
                                        weights=np.array([1.0, 1.0]),
                                        mean_dipole=0.0, variance=2.0)
-        if ok:
-            assert spectrum.integrate_spectrum(spec) == pytest.approx(
-                2.0 * math.pi, rel=1e-14)
-        else:
-            with pytest.raises(NumericalError,
-                               match="16- and 32-point panel rules"):
-                spectrum.integrate_spectrum(spec)
+        assert spectrum.integrate_spectrum(wide) == pytest.approx(
+            2.0 * math.pi, rel=1e-14, abs=0.0)
+    exact = spectrum.evaluate_spectrum
+    monkeypatch.setattr(spectrum, "evaluate_spectrum",
+                        lambda s, omega: np.where(omega < 1.5, 1.0, 0.0)
+                        * exact(s, omega))
+    with pytest.raises(NumericalError, match="16- and 32-point panel rules"):
+        spectrum.integrate_spectrum(spec)
+
+
+def test_integrate_spectrum_over_wide_random_mode_sets():
+    # 3000 seeded sets of 1-22 modes with rates spanning up to 1e10 and
+    # weights up to 1: no set raises, and each value is pi sum(w) to 1e-10.
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        k = rng.integers(1, 23)
+        lam = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(
+            rng.uniform(0.0, math.log(10.0 ** rng.uniform(0.0, 10.0)), k))
+        w = rng.uniform(0.0, 1.0, k)
+        spec = spectrum.DipoleSpectrum(lambdas=lam, weights=w,
+                                       mean_dipole=0.0, variance=w.sum())
+        assert spectrum.integrate_spectrum(spec) == pytest.approx(
+            math.pi * w.sum(), rel=1e-10, abs=0.0), lam
 
 
 def test_detailed_balance_violation_detected(ne_spectrum_at, ne_ladder):

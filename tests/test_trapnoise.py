@@ -207,8 +207,8 @@ def reference_sample(n, extent, min_spacing, seed,
                 total_rejects += 1
                 if consecutive > max_rejects:
                     raise PackingError(
-                        f"gave up after {consecutive} consecutive rejections "
-                        f"({count}/{n} placed)")
+                        f"seed {seed}: gave up after {consecutive} "
+                        f"consecutive rejections ({count}/{n} placed)")
                 continue
         pts[count] = cand
         count += 1
@@ -332,7 +332,7 @@ def test_packing_error_run_across_blocks(monkeypatch):
     sizes = draw_spy(monkeypatch)
     with pytest.raises(PackingError) as expected:
         reference_sample(60, 10.0, 1.0, 3, max_rejects=300)
-    assert str(expected.value) == ("gave up after 301 consecutive "
+    assert str(expected.value) == ("seed 3: gave up after 301 consecutive "
                                    "rejections (59/60 placed)")
     last = len(sizes) - 1              # the candidate the reference gave up on
     del sizes[:]
@@ -385,12 +385,12 @@ def test_packing_error_names_placed_count(monkeypatch):
 
 def single_draws(n, extent, min_spacing, seeds):
     """The stack a loop over the seeds gives: (positions, total rejects),
-    or the text and seed of the first PackingError."""
+    or the text of the first PackingError, which names its seed."""
     try:
         samples = [trapnoise.sample_surface(n, extent, min_spacing, s)
                    for s in seeds]
     except PackingError as exc:
-        return str(exc), exc.seed
+        return str(exc)
     return (np.array([s.positions for s in samples]).tobytes(),
             sum(s.rejects for s in samples))
 
@@ -400,7 +400,7 @@ def stacked_draw(n, extent, min_spacing, seeds):
     try:
         stack = trapnoise.sample_surface(n, extent, min_spacing, seeds)
     except PackingError as exc:
-        return str(exc), exc.seed
+        return str(exc)
     assert stack.positions.shape == (len(seeds), n, 2)
     assert stack.n == len(seeds) * n
     return stack.positions.tobytes(), stack.rejects
@@ -482,7 +482,7 @@ def test_stacked_packing_error_is_the_lowest_failing_seed(monkeypatch):
     assert blocks == {8: "filled", 9: 7, 10: 6, 11: 6}
     got = stacked_draw(600, 34.0, 1.0, range(8, 12))
     assert got == single_draws(600, 34.0, 1.0, range(8, 12))
-    assert got[1] == 9 and got[0].startswith("gave up after 121")
+    assert got.startswith("seed 9: gave up after 121")
 
 
 @st.composite
@@ -807,11 +807,10 @@ def test_distance_scaling_draws_surface_k_with_seed_plus_k():
 
 
 def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
-    """(type, text) of the error of a fit that draws surface 0, checks the
-    axis, the window and the seed count, then draws surfaces 1, 2, ... one
-    seed at a time; None if it raises none."""
+    """(type, text) of the error of a fit that checks the axis, the window
+    and the seed count, then draws surfaces 0, 1, ... one seed at a time;
+    None if it raises none."""
     try:
-        trapnoise.sample_surface(n, extent, 1.0, seed)
         if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
             raise DomainError(f"axis {tuple(axis)} is not a unit vector")
         d_list = np.asarray(d_list, dtype=float)
@@ -826,7 +825,7 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
                 f"n_seeds = {n_seeds}, distances {d_list}: the standard "
                 "errors need at least 2 seeds and the fit at least 3 "
                 "distinct distances")
-        for k in range(1, n_seeds):
+        for k in range(n_seeds):
             trapnoise.sample_surface(n, extent, 1.0, seed + k)
     except (AnalysisError, DomainError, PackingError) as exc:
         return type(exc), str(exc)
@@ -834,12 +833,12 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
 
 
 @pytest.mark.parametrize("seed, axis, d_list, n_seeds, expect", [
-    (9, (0.0, 0.0, 2.0), [3.0, 3.2, 3.4], 4, PackingError),
+    (9, (0.0, 0.0, 2.0), [3.0, 3.2, 3.4], 4, DomainError),
     (8, (0.0, 0.0, 2.0), [3.0, 3.2, 3.4], 4, DomainError),
     (8, Z_AXIS, [1.0, 3.0, 3.2], 4, AnalysisError),
     (8, Z_AXIS, [3.0, 3.0, 3.2], 4, AnalysisError),
     (8, Z_AXIS, [3.0, 3.2, 3.4], 4, PackingError),
-    (9, Z_AXIS, [3.0, 3.2, 3.4], 1, PackingError),
+    (9, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
     (8, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
 ], ids=["surface-0", "axis", "window", "distinct", "later-seed",
         "one-seed-packing", "one-seed"])
@@ -848,9 +847,10 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
 def test_fit_errors_come_in_the_order_of_a_seed_loop(
         monkeypatch, seed, axis, d_list, n_seeds, expect, fit_cells):
     # 600 in 34^2 with the limit at 120: seed 8 fills, seed 9 gives up in
-    # its 7th block and seed 10 in its 6th.  Surface 0's PackingError
-    # comes before the argument checks, a later surface's after them, and
-    # of the later ones the lowest-indexed, whatever the chunks.
+    # its 7th block and seed 10 in its 6th.  The argument checks come
+    # first, even where surface 0 would give up (surface-0,
+    # one-seed-packing); then the PackingError of the lowest-indexed
+    # surface, whatever the chunks.
     monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 120)
     monkeypatch.setattr(trapnoise, "_FIT_CELLS", fit_cells)
     want = loop_fit_error(600, 34.0, seed, axis, d_list, n_seeds)
@@ -859,8 +859,27 @@ def test_fit_errors_come_in_the_order_of_a_seed_loop(
         trapnoise.distance_scaling_fit(600, 34.0, seed, axis, d_list,
                                        n_seeds=n_seeds)
     assert (type(got.value), str(got.value)) == want
-    if expect is PackingError and n_seeds > 1 and seed == 8:
-        assert got.value.seed == 9
+    if expect is PackingError:
+        assert str(got.value).startswith("seed 9: gave up after 121")
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"axis": (0.0, 0.0, 2.0)}, DomainError, "not a unit vector"),
+    ({"d_list": [1.0, 5.0, 10.0]}, AnalysisError, "outside the valid window"),
+    ({"n_seeds": 1}, AnalysisError, "at least 2 seeds"),
+    ({"n": 2000, "extent": 50.0}, ConfigurationError, "packing fraction"),
+    ({"seed": -3}, ConfigurationError, "seed must be non-negative, got -3"),
+], ids=["axis", "window", "one-seed", "packing", "negative-seed"])
+def test_refused_fit_draws_nothing(monkeypatch, changes, error, message):
+    # Every refusal comes before the first sample_surface call.
+    calls = []
+    monkeypatch.setattr(trapnoise, "sample_surface",
+                        lambda *args: calls.append(args))
+    kwargs = dict(n=100, extent=100.0, seed=0, axis=Z_AXIS,
+                  d_list=[3.0, 5.0, 10.0], n_seeds=8)
+    with pytest.raises(error, match=message):
+        trapnoise.distance_scaling_fit(**{**kwargs, **changes})
+    assert calls == []
 
 
 def test_fit_chunks_stay_within_the_cell_budget(monkeypatch):
