@@ -40,6 +40,15 @@ from .units import DEBYE, E_CHARGE, HBAR, KB
 TWO_PI = 2.0 * math.pi
 
 
+def _in_debye2(x, what):
+    """x (C^2 m^2, or per Hz) in D^2; NumericalError past the float range."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(x) / DEBYE ** 2
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{what} in D^2 is past the float range")
+    return x
+
+
 class Pipeline:
     """Lazy orchestration of potential -> states -> dipoles -> rates."""
 
@@ -68,9 +77,8 @@ class Pipeline:
     def gamma0(self):
         """Exact zero-temperature 1 -> 0 decay rate, 1/s."""
         from . import phonons
-        rate, masked = phonons.transition_rate(self.states, self.material,
-                                               1, 0, 0.0,
-                                               coupling=self.coupling)
+        rate, masked = phonons.transition_rate(
+            self.states, self.material, 1, 0, 0.0, self.coupling)
         if masked:
             raise ModelError(
                 f"{self.params.name}: the fundamental transition exceeds the "
@@ -111,7 +119,7 @@ class Pipeline:
     def rate_matrix(self, T):
         from . import phonons
         return phonons.build_rate_matrix(self.states, self.material, T,
-                                         coupling=self.coupling)
+                                         self.coupling)
 
     def spectrum_at(self, T):
         from . import phonons, spectrum
@@ -200,17 +208,18 @@ def cmd_spectrum(pipe: Pipeline, outdir: Path):
     omegas = pipe.omega_grid()
     temps = [pipe.kelvin(tspec) for tspec in temperatures]
     spec = pipe.spectrum_at(np.array(temps))
+    variances = _in_debye2(spec.variance, "a dipole variance")
+    spectra = _in_debye2(spectrum.evaluate_spectrum(spec, omegas), "S_mu")
     paths = []
-    for tspec, tag, T, variance, values in zip(
-            temperatures, tags, temps, spec.variance,
-            spectrum.evaluate_spectrum(spec, omegas)):
+    for tspec, tag, T, variance, values in zip(temperatures, tags, temps,
+                                               variances, spectra):
         wc = spectrum.crossover_frequency(pipe.gamma0, pipe.nu10, T)
         header = pipe.header("spectrum", pipe.derived_header() + [
             f"temperature: {T:.6g} K ({tspec[0]:g} {tspec[1]})",
             f"crossover_omega_c: {wc / pipe.gamma0:.6g} gamma0",
-            f"variance: {variance / DEBYE ** 2:.6g} D^2"])
+            f"variance: {variance:.6g} D^2"])
         columns = [("omega_over_gamma0", "1"), ("S_mu", "D^2/Hz")]
-        rows = np.column_stack([omegas / pipe.gamma0, values / DEBYE ** 2])
+        rows = np.column_stack([omegas / pipe.gamma0, values])
         paths.append(emit_table(outdir / f"spectrum_{tag}.csv", columns,
                                 rows, header))
     return paths
@@ -225,11 +234,9 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
               ts.highfreq_omega * pipe.gamma0]
     values = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omegas)
     rows = np.column_stack([KB * temps / (HBAR * pipe.nu10), temps,
-                            values / DEBYE ** 2])
-    mid_vals = rows[:, 3]
-    fit_lines = []
+                            _in_debye2(values, "S_mu")])
     try:
-        s_t, t0, resid = spectrum.arrhenius_fit(temps, mid_vals)
+        s_t, t0, resid = spectrum.arrhenius_fit(temps, rows[:, 3])
         fit_lines = [
             f"arrhenius_fit at omega = {ts.arrhenius_omega:g} gamma0: "
             f"S_T = {s_t:.6g} D^2/Hz, T0 = {t0:.6g} K "
@@ -308,7 +315,7 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
     columns = [("T", "K"), ("omega_t", "rad/s"), ("S_mu", "D^2/Hz"),
                ("S_E", "(V/m)^2/Hz"), ("ndot", "1/s")]
     rows = np.column_stack([temps, np.full(len(temps), omega_t),
-                            s_mu / DEBYE ** 2, s_e, ndot])
+                            _in_debye2(s_mu, "S_mu"), s_e, ndot])
     return [emit_table(outdir / "heating.csv", columns, rows, header)]
 
 

@@ -8,8 +8,8 @@ which for hydrogen (alpha = 4.5 a0^3) reduces to ~4.49 e a0^5 / z^4.  The
 vibrational average over bound state |i> gives the dipole ladder
 mu_i = <i| P(z) |i> that drives the fluctuation spectrum, a plain array
 with one entry per bound state.  Image charges double the dipole seen by
-the atom itself; that factor is NOT applied by default and is the
-image_factor argument of dipole_ladder.
+the atom itself; that factor is the image_factor argument of
+dipole_ladder, which [spectrum] image_factor sets.
 """
 
 import numpy as np
@@ -34,15 +34,13 @@ def induced_dipole(alpha, z):
 
 
 def dipole_ladder(states: boundstates.BoundStateSet, alpha,
-                  image_factor: float = 1.0) -> np.ndarray:
+                  image_factor: float) -> np.ndarray:
     """The array mu_i = image_factor * <i| P(z) |i> (C m), one per state.
 
     The z^-4 kernel is integrable against |psi_i|^2 because the states
     vanish exponentially inside the repulsive wall; as a guard, the
     integrand maximum must sit strictly inside the grid.
     """
-    if alpha <= 0:
-        raise DomainError("polarizability must be positive")
     psi = states.wavefunctions
     integrand = psi * induced_dipole(alpha, states.grid.z()) * psi
     at_edge = np.flatnonzero(np.argmax(integrand, axis=1) == 0)

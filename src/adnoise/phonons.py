@@ -9,17 +9,17 @@ states i and f separated by delta_omega = |E_i - E_f| / hbar:
 
 The single-phonon picture only holds below the Debye frequency of the
 bulk; transitions above it are hard-zeroed on both directions and flagged
-in the cutoff mask.  The rates assemble into the master-equation generator
+in the cutoff mask.  The rates alone define the master-equation generator
 M (columns sum to zero) whose null space is the stationary distribution;
 detailed balance holds pair by pair, so the stationary state is Boltzmann.
 
 The temperature may be an array: the rates, the generator and the
 stationary state then carry its shape as leading axes, and row k is bit
 for bit the result at the k-th temperature alone.  What does not depend
-on the temperature (the coupling, the degeneracy check, the Debye mask
-and its warning, the base rates and the connectivity of the transition
-graph) is done once per call.  A check that fails on one row names that
-row's temperature.
+on the temperature (the degeneracy check, the Debye mask and its
+warning, the base rates and the connectivity of the transition graph) is
+done once per call; the coupling matrix is the caller's, built once per
+level set.  A check that fails on one row names that row's temperature.
 """
 
 import logging
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundstates import BoundStateSet, coupling_matrix
+from .boundstates import BoundStateSet
 from .errors import DomainError, ModelError, NumericalError
 from .potential import BulkMaterial, SurfacePotentialParams
 from .units import HBAR, KB
@@ -95,7 +95,8 @@ def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
     <f|dU/dz|i>; mask marks the pairs above the Debye cutoff, whose rates
     are zero in both directions; base is the temperature-independent
     prefactor of each pair (zero where masked), which the emission rate
-    multiplies by n + 1 >= 1.  Raises ModelError on degenerate levels.
+    multiplies by n + 1 >= 1.  Raises ModelError on degenerate levels and
+    NumericalError on a rate past the float range.
     """
     E = np.asarray(energies, dtype=float)
     de = E[:, None] - E[None, :]
@@ -112,24 +113,25 @@ def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
     base[live] = (domega[live] / (TWO_PI * HBAR * material.speed_of_sound ** 3
                                   * material.density) * coupling[live] ** 2)
     # Emission (E_i > E_f) goes with n + 1, absorption with n.
-    n = bose_occupation(domega[live], T)
-    gamma = np.zeros(np.shape(T) + de.shape)
-    gamma[..., live] = base[live] * (n + (de[live] > 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = bose_occupation(domega[live], T)
+        gamma = np.zeros(np.shape(T) + de.shape)
+        gamma[..., live] = base[live] * (n + (de[live] > 0))
+    _require(np.isfinite(gamma).all(axis=(-2, -1)), T, NumericalError,
+             "a transition rate is past the float range")
     return gamma, mask, base
 
 
 def transition_rate(states: BoundStateSet, material: BulkMaterial,
-                    i: int, f: int, T, coupling=None):
+                    i: int, f: int, T, coupling):
     """Rate Gamma_{i->f} at temperature T; returns (rate, masked).
 
     masked is True when the transition frequency exceeds the Debye cutoff
-    of the material, in which case the rate is zero.  coupling may carry a
-    precomputed <f|dU/dz|i> matrix, as for build_rate_matrix.
+    of the material, in which case the rate is zero.  coupling is the
+    <f|dU/dz|i> matrix of the states, as for build_rate_matrix.
     """
     if i == f:
         raise DomainError("transition requires i != f")
-    if coupling is None:
-        coupling = coupling_matrix(states)
     gamma, mask, _ = _golden_rule_rates(states.energies, coupling, material,
                                         T)
     return float(gamma[i, f]), bool(mask[i, f])
@@ -137,63 +139,52 @@ def transition_rate(states: BoundStateSet, material: BulkMaterial,
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Pairwise rates and the master-equation generator at temperature T.
+    """Pairwise rates at temperature T and the generator they make.
 
-    gamma[..., i, f] = Gamma_{i->f} (zero diagonal); the generator has
-    M[..., i, j] = Gamma_{j->i} off the diagonal and column sums exactly
-    zero.  temperature is a float, or an array whose shape is the leading
-    shape of gamma (one rate matrix per temperature).  cutoff_mask marks
-    the transition pairs zeroed by the Debye cutoff; it is the same at
-    every temperature and symmetric by construction.
+    gamma[..., i, f] = Gamma_{i->f} (zero diagonal).  temperature is a
+    float, or an array whose shape is the leading shape of gamma (one rate
+    matrix per temperature).  cutoff_mask marks the transition pairs
+    zeroed by the Debye cutoff; it is the same at every temperature and
+    symmetric by construction.
     """
 
     gamma: np.ndarray
-    generator: np.ndarray
     temperature: float
     cutoff_mask: np.ndarray
-
-    def __post_init__(self):
-        scale = np.abs(self.generator).max(axis=(-2, -1))
-        colsums = np.abs(self.generator.sum(axis=-2)).max(axis=-1)
-        _require(~((scale > 0) & (colsums > 1e-12 * scale)),
-                 self.temperature, NumericalError,
-                 "generator columns do not sum to zero")
-        if not np.array_equal(self.cutoff_mask, self.cutoff_mask.T):
-            raise NumericalError("cutoff mask must be symmetric")
 
     @property
     def n_states(self):
         return self.gamma.shape[-1]
 
-    @classmethod
-    def from_gamma(cls, gamma, temperature, cutoff_mask=None):
-        gamma = np.asarray(gamma, dtype=float)
-        n = gamma.shape[-1]
-        if cutoff_mask is None:
-            cutoff_mask = np.zeros((n, n), dtype=bool)
-        gen = np.swapaxes(gamma, -1, -2).copy()
-        diag = np.arange(n)
+    @property
+    def generator(self):
+        """M[..., i, j] = Gamma_{j->i}, i != j; every column sums to zero."""
+        gen = np.swapaxes(self.gamma, -1, -2).copy()
+        diag = np.arange(self.n_states)
         gen[..., diag, diag] = 0.0
         gen[..., diag, diag] = -gen.sum(axis=-2)
-        return cls(gamma=gamma, generator=gen, temperature=temperature,
-                   cutoff_mask=cutoff_mask)
+        return gen
+
+    @classmethod
+    def from_gamma(cls, gamma, temperature):
+        """Rates with no pair masked."""
+        gamma = np.asarray(gamma, dtype=float)
+        return cls(gamma, temperature, np.zeros(gamma.shape[-2:], dtype=bool))
 
 
 def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
-                      coupling=None) -> RateMatrix:
-    """Populate all pairwise rates and assemble the generator.
+                      coupling) -> RateMatrix:
+    """Populate all pairwise rates.
 
     T may be an array of temperatures (see the module docstring).
-    coupling may carry a precomputed <f|dU/dz|i> matrix (temperature
-    independent) to amortize the quadratures across calls.  Raises
+    coupling is the <f|dU/dz|i> matrix of the states, which the caller
+    builds once (boundstates.coupling_matrix) for every call.  Raises
     ModelError when the Debye cutoff disconnects the transition graph,
     because no unique stationary state exists then.
     """
     n = states.n_states
     if n < 2:
         raise ModelError("need at least two bound states")
-    if coupling is None:
-        coupling = coupling_matrix(states)
     gamma, mask, base = _golden_rule_rates(states.energies, coupling,
                                            material, T)
     masked_pairs = np.argwhere(np.tril(mask))
@@ -218,7 +209,7 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
             "transition graph is disconnected and the spectrum is ill-defined")
     logger.info("%s: transition graph connected (%d states)",
                 states.params.name, n)
-    return RateMatrix.from_gamma(gamma, temperature=T, cutoff_mask=mask)
+    return RateMatrix(gamma, T, mask)
 
 
 def stationary_distribution(r: RateMatrix):

@@ -224,7 +224,7 @@ def crossover_frequency(gamma0, nu10, T):
     return gamma0 * (bose_occupation(nu10, T) + 1.0)
 
 
-def omega_grid(gamma0, omega_min=1e-3, omega_max=1e4, points_per_decade=60):
+def omega_grid(gamma0, omega_min, omega_max, points_per_decade):
     """Logarithmic angular-frequency grid in units of gamma0."""
     decades = math.log10(omega_max / omega_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
@@ -296,5 +296,7 @@ def arrhenius_fit(temps, values):
     if np.any(np.diff(values[: ipeak + 1]) <= 0):
         raise AnalysisError("rising flank is not monotonic")
     slope, intercept, resid, _ = _line_fit(1.0 / t_f, np.log(v_f))
+    if not intercept < math.log(sys.float_info.max):
+        raise AnalysisError(f"S_T = exp({intercept:.6g}) overflows")
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return math.exp(intercept), -slope, rms

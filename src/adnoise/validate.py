@@ -124,8 +124,9 @@ def run_checks():
     # One Ne-Au chain, solved once, serves the four checks that need it.
     p, mat = potential.preset("Ne-Au")
     s = boundstates.solve(p, boundstates.auto_grid(p, 3000), max_states=30)
-    lad = dipoles.dipole_ladder(s, p.polarizability)
-    r = phonons.build_rate_matrix(s, mat, 2.0 * HBAR * s.splitting(1, 0) / KB)
+    lad = dipoles.dipole_ladder(s, p.polarizability, 1.0)
+    r = phonons.build_rate_matrix(s, mat, 2.0 * HBAR * s.splitting(1, 0) / KB,
+                                  boundstates.coupling_matrix(s))
     p0 = phonons.stationary_distribution(r)
     return [_check_units(), _check_potential(), _check_boundstates(s),
             _check_dipoles(lad), _check_rates(s, r, p0),

@@ -32,15 +32,16 @@ def ne_states(ne):
 @pytest.fixture(scope="session")
 def ne_ladder(ne, ne_states):
     params, _ = ne
-    return dipoles.dipole_ladder(ne_states, params.polarizability)
+    return dipoles.dipole_ladder(ne_states, params.polarizability, 1.0)
 
 
 @pytest.fixture(scope="session")
-def ne_scales(ne, ne_states):
+def ne_scales(ne, ne_states, ne_coupling):
     """Exact fundamental splitting and zero-temperature decay rate."""
     _, material = ne
     nu10 = ne_states.splitting(1, 0)
-    gamma0, masked = phonons.transition_rate(ne_states, material, 1, 0, 0.0)
+    gamma0, masked = phonons.transition_rate(ne_states, material, 1, 0, 0.0,
+                                             ne_coupling)
     assert not masked
     return nu10, gamma0
 

@@ -475,14 +475,15 @@ def test_cli_tempsweep_builds_the_coupling_matrix_once(tmp_path, monkeypatch):
         return build(states)
 
     monkeypatch.setattr(boundstates, "coupling_matrix", counted)
-    monkeypatch.setattr(phonons, "coupling_matrix", counted)
     assert run_cli(["tempsweep", "--preset", "Ne-Au", "--output",
                     tmp_path]) == 0
     assert len(calls) == 1
-    # and gamma0 has the bits of a transition_rate that builds its own
+    # and gamma0 has the bits of a transition_rate on a coupling matrix
+    # built apart
     pipe = cli.Pipeline(config.parse_config("preset = Ne-Au\n"))
-    rate, masked = phonons.transition_rate(pipe.states, pipe.material, 1, 0,
-                                           0.0)
+    rate, masked = phonons.transition_rate(
+        pipe.states, pipe.material, 1, 0, 0.0,
+        boundstates.coupling_matrix(pipe.states))
     assert not masked
     assert pipe.gamma0 == rate
     assert len(calls) == 3
@@ -815,6 +816,33 @@ def test_cli_heat_trap_value_past_float_range_exits_four(tmp_path, capsys,
     cfgfile.write_text(f"preset = Ne-Au\n[trap]\n{section}\n")
     out = tmp_path / "o"
     assert run_cli(["heat", "--config", cfgfile, "--output", out]) == 4
+    assert capsys.readouterr().err == f"numerical error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, args, error", [
+    ("rates", "", ["--temperature", "1e307 K"],
+     "a transition rate is past the float range at T = 1e+307 K"),
+    ("spectrum", "[spectrum]\nimage_factor = 1e158\n", [],
+     "a dipole variance in D^2 is past the float range"),
+    ("spectrum", "[spectrum]\nimage_factor = 1e165\n", [],
+     "a dipole variance in D^2 is past the float range"),
+    ("tempsweep", "[spectrum]\nimage_factor = 1e162\n", [],
+     "S_mu in D^2 is past the float range"),
+    ("tempsweep", "[spectrum]\nimage_factor = 1e163\n", [],
+     "S_mu in D^2 is past the float range")],
+    ids=["rates-1e307K", "spectrum-1e158", "spectrum-1e165",
+         "tempsweep-1e162", "tempsweep-1e163"])
+def test_cli_value_past_float_range_exits_four(tmp_path, capsys, command,
+                                               text, args, error):
+    # Accepted configurations whose rates, or whose spectra once in D^2,
+    # leave the float range: exit 4 before any file is written, with no
+    # RuntimeWarning (the suite makes one an error) and no traceback.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + text)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]
+                   + args) == 4
     assert capsys.readouterr().err == f"numerical error: {error}\n"
     assert not out.exists()
 

@@ -64,14 +64,14 @@ def test_image_factor_linearity(ne_states, ne):
 
 def test_polarizability_scaling_three_halves(ne_states, ne):
     p, _ = ne
-    base = dipoles.dipole_ladder(ne_states, p.polarizability)
-    scaled = dipoles.dipole_ladder(ne_states, 4.0 * p.polarizability)
+    base = dipoles.dipole_ladder(ne_states, p.polarizability, 1.0)
+    scaled = dipoles.dipole_ladder(ne_states, 4.0 * p.polarizability, 1.0)
     assert np.allclose(scaled, 8.0 * base, rtol=1e-12)
 
 
 def test_alpha_to_zero_limit(ne_states, ne):
     p, _ = ne
-    tiny = dipoles.dipole_ladder(ne_states, 1e-12 * p.polarizability)
+    tiny = dipoles.dipole_ladder(ne_states, 1e-12 * p.polarizability, 1.0)
     assert np.all(tiny < 1e-15 * DEBYE)
 
 

@@ -87,18 +87,19 @@ def test_exact_ne_rate_against_reference_scale(ne_states, ne, ne_scales):
     assert gamma0 / TWO_PI / 3.31e6 < 3.0
 
 
-def test_upward_rate_vanishes_at_zero_temperature(ne_states, ne):
+def test_upward_rate_vanishes_at_zero_temperature(ne_states, ne, ne_coupling):
     _, mat = ne
-    rate, masked = phonons.transition_rate(ne_states, mat, 0, 1, 0.0)
+    rate, masked = phonons.transition_rate(ne_states, mat, 0, 1, 0.0,
+                                           ne_coupling)
     assert rate == 0.0 and not masked
 
 
-def test_down_up_ratio_is_boltzmann(ne_states, ne, ne_scales):
+def test_down_up_ratio_is_boltzmann(ne_states, ne, ne_scales, ne_coupling):
     _, mat = ne
     nu10, _ = ne_scales
     T = 2 * HBAR * nu10 / KB
-    down, _ = phonons.transition_rate(ne_states, mat, 1, 0, T)
-    up, _ = phonons.transition_rate(ne_states, mat, 0, 1, T)
+    down, _ = phonons.transition_rate(ne_states, mat, 1, 0, T, ne_coupling)
+    up, _ = phonons.transition_rate(ne_states, mat, 0, 1, T, ne_coupling)
     domega = ne_states.splitting(1, 0)
     assert down / up == pytest.approx(math.exp(HBAR * domega / (KB * T)),
                                       rel=1e-10)
@@ -108,7 +109,9 @@ def test_deep_well_rate_matches_harmonic_formula(deep_well, deep_states,
                                                  soft_material):
     # golden-rule rate with exact matrix elements against the closed-form
     # scaling, in the harmonic regime: the derivation chain is consistent
-    rate, masked = phonons.transition_rate(deep_states, soft_material, 1, 0, 0.0)
+    rate, masked = phonons.transition_rate(
+        deep_states, soft_material, 1, 0, 0.0,
+        boundstates.coupling_matrix(deep_states))
     assert not masked
     nu_e = deep_states.splitting(1, 0)
     assert rate == pytest.approx(
@@ -118,14 +121,15 @@ def test_deep_well_rate_matches_harmonic_formula(deep_well, deep_states,
 def test_debye_cutoff_masks_fast_transition(deep_states, ne):
     # the deep well's 7.5 THz fundamental exceeds gold's 3.6 THz cutoff
     _, gold = ne
-    rate, masked = phonons.transition_rate(deep_states, gold, 1, 0, 0.0)
+    rate, masked = phonons.transition_rate(
+        deep_states, gold, 1, 0, 0.0, boundstates.coupling_matrix(deep_states))
     assert masked and rate == 0.0
 
 
-def test_transition_rate_rejects_same_state(ne_states, ne):
+def test_transition_rate_rejects_same_state(ne_states, ne, ne_coupling):
     _, mat = ne
     with pytest.raises(DomainError):
-        phonons.transition_rate(ne_states, mat, 2, 2, 1.0)
+        phonons.transition_rate(ne_states, mat, 2, 2, 1.0, ne_coupling)
 
 
 def test_rate_matrix_structure(ne_states, ne, ne_scales, ne_coupling):
@@ -257,7 +261,7 @@ def test_h_au_debye_cutoff_breaks_ergodicity():
     grid = boundstates.auto_grid(p, 3000)
     s = boundstates.solve(p, grid, max_states=5)
     with pytest.raises(ModelError, match="ergodicity"):
-        phonons.build_rate_matrix(s, mat, 10.0)
+        phonons.build_rate_matrix(s, mat, 10.0, boundstates.coupling_matrix(s))
 
 
 def test_generator_eigenvalues_nonpositive(ne_states, ne, ne_scales, ne_coupling):

@@ -1,14 +1,17 @@
 """Static checks over the package source: no module imports a name it
 never uses (a name listed in __all__ counts as used), no public
 function, class or method goes unnamed outside its own definition, no
-import statement names scipy, and the module-level imports keep the
+import statement names scipy, the module-level imports keep the
 command line and the Monte Carlo path clear of the chain modules they do
-not run."""
+not run, and no public function repeats a default of a config section."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from adnoise.config import _SECTION_TYPES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adnoise"
 TESTS = Path(__file__).resolve().parent
@@ -175,3 +178,50 @@ def test_module_level_imports_keep_chain_modules_out():
     assert import_closure(graph, "__init__", "cli") & chain == set()
     assert import_closure(graph, "__init__", "trapnoise") & {
         "spectrum", "phonons", "boundstates"} == set()
+
+
+def repeated_defaults(tree, names):
+    """Sorted 'function(parameter)' of the public functions and public
+    methods of tree whose parameter in names has a default other than
+    None.  None is left alone: it means "not given", as in
+    config.override."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{item.name}", item)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+    found = []
+    for name, fn in functions:
+        if any(part.startswith("_") for part in name.split(".")):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                         a.defaults)) + list(zip(a.kwonlyargs, a.kw_defaults))
+        found += [f"{name}({arg.arg})" for arg, default in pairs
+                  if arg.arg in names and default is not None
+                  and not (isinstance(default, ast.Constant)
+                           and default.value is None)]
+    return sorted(found)
+
+
+def test_repeated_default_check_flags_second_copies():
+    tree = ast.parse("def grid(g, omega_min=1e-3, seed=None, n=4): pass\n"
+                     "def _own(omega_max=1.0): pass\n"
+                     "class Box:\n"
+                     "    def size(self, *, image_factor=2.0, extent): pass\n"
+                     "    def _hidden(self, extent=1.0): pass\n")
+    names = {"omega_min", "omega_max", "seed", "image_factor", "extent"}
+    assert repeated_defaults(tree, names) == ["Box.size(image_factor)",
+                                              "grid(omega_min)"]
+
+
+def test_config_section_defaults_live_only_in_config():
+    # The section dataclasses hold the only copy of each default.
+    names = {f.name for make in _SECTION_TYPES.values() for f in fields(make)}
+    found = {p.name: repeated_defaults(ast.parse(p.read_text()), names)
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
