@@ -111,6 +111,11 @@ def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
     top = np.take_along_axis(lam, izero[..., None], axis=-1)[..., 0]
     _require(~(np.abs(top) > 1e-10 * scale), T, NumericalError,
              "no zero mode found in the symmetrized generator")
+    # |mu_i - mu_j| and |proj| are at most 2 max|mu|; their squares must fit.
+    big = np.abs(mu).max(initial=0.0)
+    if not big < math.sqrt(sys.float_info.max) / 2:
+        raise NumericalError(f"the dipole ladder reaches {big:.3e} C m, past "
+                             "sqrt(DBL_MAX) / 2, so its variance overflows")
     mean = (p0[..., None, :] @ mu[:, None])[..., 0, 0]
     proj = (np.swapaxes(V, -1, -2)
             @ ((mu - mean[..., None]) * d)[..., None])[..., 0]
@@ -127,6 +132,12 @@ def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
     _require(fastest <= math.sqrt(sys.float_info.max), T, NumericalError,
              "the fastest mode decays at %.3e 1/s, past sqrt(DBL_MAX), so "
              "its Lorentzian overflows", fastest)
+    # evaluate_spectrum forms 2 w lambda; S peaks at sum 2 w / lambda.
+    with np.errstate(over="ignore"):
+        peak = np.maximum((2.0 * weights * lambdas).max(axis=-1, initial=0.0),
+                          (2.0 * weights / lambdas).sum(axis=-1))
+    _require(peak < math.inf, T, NumericalError,
+             "the Lorentzian sum is past the float range")
     _require(~((variance > 0) & (np.abs(weights.sum(axis=-1) - variance)
                                  > 1e-8 * variance)), T, NumericalError,
              "mode weights do not add up to the dipole variance")

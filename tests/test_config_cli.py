@@ -820,6 +820,10 @@ def test_cli_heat_trap_value_past_float_range_exits_four(tmp_path, capsys,
     assert not out.exists()
 
 
+LADDER = ("the dipole ladder reaches 1.092e+155 C m, past sqrt(DBL_MAX) / 2, "
+          "so its variance overflows")
+
+
 @pytest.mark.parametrize("command, text, args, error", [
     ("rates", "", ["--temperature", "1e307 K"],
      "a transition rate is past the float range at T = 1e+307 K"),
@@ -830,14 +834,26 @@ def test_cli_heat_trap_value_past_float_range_exits_four(tmp_path, capsys,
     ("tempsweep", "[spectrum]\nimage_factor = 1e162\n", [],
      "S_mu in D^2 is past the float range"),
     ("tempsweep", "[spectrum]\nimage_factor = 1e163\n", [],
-     "S_mu in D^2 is past the float range")],
+     "S_mu in D^2 is past the float range"),
+    ("heat", "[spectrum]\nimage_factor = 1e170\n"
+     "[trap]\ndistance = 1 m\ncoverage = 1 1/m^2\n", [],
+     "S_mu in D^2 is past the float range"),
+    ("tempsweep", "[spectrum]\nimage_factor = 1e185\n", [],
+     "the Lorentzian sum is past the float range at T = 3.49065 K"),
+    ("spectrum", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
+    ("tempsweep", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
+    ("heat", "[spectrum]\nimage_factor = 1e187\n", [], LADDER)],
     ids=["rates-1e307K", "spectrum-1e158", "spectrum-1e165",
-         "tempsweep-1e162", "tempsweep-1e163"])
+         "tempsweep-1e162", "tempsweep-1e163", "heat-far-trap-1e170",
+         "tempsweep-1e185", "spectrum-1e187", "tempsweep-1e187",
+         "heat-1e187"])
 def test_cli_value_past_float_range_exits_four(tmp_path, capsys, command,
                                                text, args, error):
-    # Accepted configurations whose rates, or whose spectra once in D^2,
-    # leave the float range: exit 4 before any file is written, with no
-    # RuntimeWarning (the suite makes one an error) and no traceback.
+    # Accepted configurations whose rates, spectra or dipole ladder, or
+    # whose spectra once in D^2, leave the float range: exit 4 before any
+    # file is written, with no RuntimeWarning (the suite makes one an
+    # error) and no traceback.  The far, sparse trap keeps S_E and ndot
+    # finite, so heat reaches its own D^2 conversion of S_mu.
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n" + text)
     out = tmp_path / "o"
