@@ -282,14 +282,12 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
     from . import spectrum, trapnoise
     trap = pipe.cfg.trap
     omega_t = TWO_PI * trap.frequency
-    temps = np.array([pipe.kelvin(tspec)
-                      for tspec in pipe.cfg.spectrum.temperatures])
-    s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omega_t)
     # ndot = q^2 S_E / (2 m hbar omega_t), S_E ~ 1 / ((4 pi eps0)^2 d^4):
     # a value the parser accepts can still overflow q^2, omega_t or a
     # denominator, or underflow a denominator to 0.  Each factor is
-    # checked as it is built, under the key that brings it in, and then
-    # the product.
+    # checked under the key that brings it in, before evaluate_spectrum
+    # can refuse an overflowed omega_t without naming the key, and the
+    # product last.
     with np.errstate(all="ignore"):
         den = 2.0 * trap.ion_mass * HBAR
         for key, ok in (
@@ -301,6 +299,10 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
             if not ok:
                 raise NumericalError(
                     f"{key}: a factor of S_E or ndot leaves the float range")
+    temps = np.array([pipe.kelvin(tspec)
+                      for tspec in pipe.cfg.spectrum.temperatures])
+    s_mu = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omega_t)
+    with np.errstate(all="ignore"):
         s_e = trapnoise.analytic_field_noise(trap.coverage, s_mu,
                                              trap.distance)
         ndot = trapnoise.heating_rate(s_e, trap.charge, trap.ion_mass,

@@ -30,14 +30,13 @@ import numpy as np
 
 from .boundstates import BoundStateSet, coupling_matrix
 from .errors import DomainError, ModelError, NumericalError
-from .potential import BulkMaterial, SurfacePotentialParams
+from .potential import BulkMaterial
 from .units import HBAR, KB
 
 # Re-exported, never called here: it builds the coupling every rate
 # function takes, and the benchmark self-test traces this binding.
 __all__ = ["RateMatrix", "bose_occupation", "build_rate_matrix",
-           "coupling_matrix", "gamma0_harmonic", "stationary_distribution",
-           "transition_rate"]
+           "coupling_matrix", "stationary_distribution", "transition_rate"]
 
 logger = logging.getLogger(__name__)
 
@@ -64,18 +63,6 @@ def bose_occupation(delta_omega, T):
     # than let expm1 overflow.
     n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
     return n if n.ndim else float(n)
-
-
-def gamma0_harmonic(p: SurfacePotentialParams, material: BulkMaterial, nu10):
-    """Zero-temperature 1->0 decay rate in the harmonic approximation, 1/s.
-
-    Closed-form scaling Gamma0 ~ nu10^4 m / (4 pi v^3 rho) with nu10 the
-    fundamental angular frequency; no Debye cutoff is applied here.
-    """
-    if nu10 <= 0:
-        raise DomainError("nu10 must be positive")
-    return (nu10 ** 4 * p.adatom_mass
-            / (4.0 * math.pi * material.speed_of_sound ** 3 * material.density))
 
 
 def _require(ok, T, exc, message, *values):

@@ -6,9 +6,8 @@ a van der Waals attraction that goes to -C3/z^3 at large z::
     U(z) = bz/(bz - 3) * U0 * [ 3/bz * exp(bz*(1 - z/z0)) - (z0/z)^3 ]
 
 with bz = beta*z0.  The well minimum sits at z0 with depth -U0, and
-C3 = beta*z0^4*U0/(beta*z0 - 3).  A harmonic expansion around z0 gives the
-fundamental vibration frequency used for quick estimates; the exact level
-structure comes from the `boundstates` module.
+C3 = beta*z0^4*U0/(beta*z0 - 3).  The level structure comes from the
+`boundstates` module.
 
 Note the cubic attraction always wins over the (finite) exponential as
 z -> 0, so U dives to -infinity at the origin.  The physically meaningful
@@ -23,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .units import AMU, BOHR, E_CHARGE, HBAR
+from .units import AMU, BOHR, E_CHARGE
 
 GOLD_MASS_AMU = 196.966569
 
@@ -122,21 +121,6 @@ def c3(p: SurfacePotentialParams):
     if bz <= 3.0:
         raise DomainError(f"beta*z0 = {bz:.3f} <= 3: no attractive tail")
     return p.beta * p.z0 ** 4 * p.U0 / (bz - 3.0)
-
-
-def harmonic_frequency(p: SurfacePotentialParams):
-    """Fundamental vibration frequency from the curvature at z0, rad/s."""
-    bz = p.beta_z0
-    if bz <= 4.0:
-        raise DomainError(f"beta*z0 = {bz:.3f} <= 4: curvature at z0 not positive")
-    return math.sqrt(p.U0 / (p.adatom_mass * p.z0 ** 2)
-                     * 3.0 * (bz * bz - 4.0 * bz) / (bz - 3.0))
-
-
-def bound_state_count_estimate(p: SurfacePotentialParams):
-    """Rough count of strongly bound levels, U0/(hbar*nu10), at least 1."""
-    n = round(p.U0 / (HBAR * harmonic_frequency(p)))
-    return max(int(n), 1)
 
 
 def _brentq(f, a, b, xtol, rtol, maxiter=100):

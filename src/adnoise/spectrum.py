@@ -1,29 +1,18 @@
 """Dipole fluctuation spectrum of a single adatom.
 
 The dipole operator is diagonal in the vibrational basis,
-mu = sum_i mu_i |i><i|; both routes below take the ladder as the plain
-array mu_i (C m).  The populations relax under the master equation
-d<rho>/dt = M <rho>.  Two independent routes to the two-sided
-spectrum S(omega) = int dtau (<mu(tau) mu(0)> - <mu>^2) e^{i omega tau}
-are implemented:
-
-* correlation_modes: detailed balance makes A = D^{-1/2} M D^{1/2}
-  symmetric (D = diag of the stationary state), with off-diagonal
-  entries sqrt(Gamma_ij Gamma_ji) from the rates alone, so the correlation
-  function is an exact finite sum of decaying exponentials and the
-  spectrum an exact sum of origin-centered Lorentzians
-  S(omega) = sum_k w_k 2 lambda_k / (omega^2 + lambda_k^2).
-  This is the primary method: no frequency grid error, manifestly
-  non-negative weights, valid down to T = 0.
-
-* spectrum_via_resolvent: solves the Laplace-transformed regression
-  equations for the population correlations <rho_i(tau) rho_k(0)>, one
-  linear system (a resolvent of the generator) per frequency.  Exact up
-  to round-off and independent of the eigendecomposition; serves as the
-  cross-check.
-
-Both use the convention S(omega) two-sided in angular frequency, with
-sum rule int S(omega) domega / 2 pi = Var(mu).
+mu = sum_i mu_i |i><i|; the ladder is the plain array mu_i (C m).  The
+populations relax under the master equation d<rho>/dt = M <rho>.  The
+two-sided spectrum S(omega) = int dtau (<mu(tau) mu(0)> - <mu>^2)
+e^{i omega tau}, in angular frequency with sum rule
+int S(omega) domega / 2 pi = Var(mu), comes from the relaxation modes:
+detailed balance makes A = D^{-1/2} M D^{1/2} symmetric (D = diag of the
+stationary state), with off-diagonal entries sqrt(Gamma_ij Gamma_ji) from
+the rates alone, so the correlation function is an exact finite sum of
+decaying exponentials (correlation_modes) and the spectrum an exact sum
+of origin-centered Lorentzians (evaluate_spectrum)
+S(omega) = sum_k w_k 2 lambda_k / (omega^2 + lambda_k^2): no frequency
+grid error, manifestly non-negative weights, valid down to T = 0.
 
 correlation_modes and evaluate_spectrum also take a stack of rate
 matrices with a leading temperature axis (see phonons): the mode set and
@@ -39,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, DomainError, NumericalError
+from .errors import AnalysisError, ConfigurationError, NumericalError
 from .phonons import RateMatrix, _require, bose_occupation
-from .units import HBAR, KB, _gauss_legendre, _line_fit, _rule_pair_sum
+from .units import _gauss_legendre, _line_fit, _rule_pair_sum
 
 # Gauss-Legendre rules per panel of integrate_spectrum, and how far apart
 # their two values may lie, relative.
@@ -152,6 +141,11 @@ def evaluate_spectrum(spec: DipoleSpectrum, omega):
     omega.shape.
     """
     omega = np.asarray(omega, dtype=float)
+    # Past sqrt(DBL_MAX) omega^2 overflows, and every Lorentzian reads 0.
+    fastest = np.abs(omega).max(initial=0.0)
+    if not fastest <= math.sqrt(sys.float_info.max):
+        raise NumericalError(f"the frequency {fastest:.3e} rad/s is past "
+                             "sqrt(DBL_MAX), so its Lorentzians overflow")
     tail = (...,) + (None,) * omega.ndim
     out = np.zeros(spec.lambdas.shape[:-1] + omega.shape)
     for lam, wk in zip(np.moveaxis(spec.lambdas, -1, 0),
@@ -159,32 +153,6 @@ def evaluate_spectrum(spec: DipoleSpectrum, omega):
         lam, wk = lam[tail], wk[tail]
         out = out + wk * 2.0 * lam / (omega ** 2 + lam * lam)
     return out if out.ndim else float(out)
-
-
-def spectrum_via_resolvent(r: RateMatrix, p0, mu, omegas):
-    """Regression-equation route to S_mu, sampled at the given omegas.
-
-    The Laplace transform of the regression equations for the population
-    correlations gives, with mu the dipole ladder (C m) and dmu = mu - <mu>,
-
-        S(omega) = 2 Re dmu^T (i omega - M + c p0 1^T)^{-1} diag(p0) dmu,
-
-    one linear solve per omega.  Since 1^T diag(p0) dmu = 0, the rank-one
-    term leaves the solution unchanged; it makes the system regular at
-    omega = 0.  Its scale c, the generator's largest rate, keeps the
-    round-off left in 1^T diag(p0) dmu from being amplified there.
-    Independent of the mode decomposition.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    M = r.generator
-    dmu = mu - p0 @ mu
-    a = np.abs(M).max() * p0[:, None] - M
-    rhs = p0 * dmu
-    eye = np.eye(len(p0))
-    return np.array([2.0 * (dmu @ np.linalg.solve(1j * w * eye + a, rhs)).real
-                     for w in omegas])
 
 
 def integrate_spectrum(spec: DipoleSpectrum):
@@ -219,17 +187,6 @@ def integrate_spectrum(spec: DipoleSpectrum):
                           "spectrum quadrature", "panel rules")
 
 
-def two_level_limit(mu0, mu1, gamma0, nu10, T, omega):
-    """Low-temperature closed form: a single thermally activated Lorentzian
-    of width gamma0 and weight (mu0 - mu1)^2 exp(-hbar nu10 / kB T)."""
-    if T <= 0:
-        raise DomainError("two-level limit requires T > 0")
-    omega = np.asarray(omega, dtype=float)
-    out = ((mu0 - mu1) ** 2 * 2.0 * gamma0 / (omega ** 2 + gamma0 ** 2)
-           * math.exp(-HBAR * nu10 / (KB * T)))
-    return out if out.ndim else float(out)
-
-
 def crossover_frequency(gamma0, nu10, T):
     """Knee between the flat and the falling part: gamma0 (n(nu10) + 1)."""
     return gamma0 * (bose_occupation(nu10, T) + 1.0)
@@ -237,52 +194,14 @@ def crossover_frequency(gamma0, nu10, T):
 
 def omega_grid(gamma0, omega_min, omega_max, points_per_decade):
     """Logarithmic angular-frequency grid in units of gamma0."""
-    decades = math.log10(omega_max / omega_min)
+    ratio = omega_max / omega_min
+    if not ratio < math.inf:
+        raise ConfigurationError(
+            f"spectrum.omega_max / omega_min = {omega_max:g} / "
+            f"{omega_min:g} is past the float range")
+    decades = math.log10(ratio)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return gamma0 * np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-
-
-def fit_loglog_slope(omegas, values, window):
-    """Least-squares slope of log S vs log omega inside window = (lo, hi).
-
-    Returns (slope, standard_error).  Needs at least 8 positive samples in
-    the window.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    values = np.asarray(values, dtype=float)
-    lo, hi = window
-    m = (omegas >= lo) & (omegas <= hi)
-    if m.sum() < 8:
-        raise AnalysisError(
-            f"only {int(m.sum())} points inside window [{lo:.3g}, {hi:.3g}]; "
-            "need at least 8")
-    if np.any(values[m] <= 0):
-        raise AnalysisError("spectrum values must be positive for a log-log fit")
-    slope, _, _, stderr = _line_fit(np.log(omegas[m]), np.log(values[m]))
-    return slope, stderr
-
-
-def empirical_knee(omegas, values):
-    """Locate the crossover out of the white-noise plateau.
-
-    The plateau level is read off the low-frequency end; a log-log line is
-    fitted over the first decade after the spectrum has dropped to half
-    the plateau, and the knee is where that line meets the plateau.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(omegas)
-    omegas, values = omegas[order], values[order]
-    plateau = float(np.median(values[:5]))
-    below = np.flatnonzero(values <= 0.5 * plateau)
-    if len(below) == 0:
-        raise AnalysisError("spectrum never drops below half the plateau")
-    w_half = omegas[below[0]]
-    slope, _ = fit_loglog_slope(omegas, values, (w_half, 10.0 * w_half))
-    # Intercept of the fitted line through the half point.
-    i0 = below[0]
-    log_knee = np.log(omegas[i0]) + (np.log(plateau) - np.log(values[i0])) / slope
-    return float(np.exp(log_knee))
 
 
 def arrhenius_fit(temps, values):

@@ -48,12 +48,13 @@ def _check_boundstates(s):
 
 
 def _check_dipoles(lad):
-    coeff = 0.47 * 4.5 ** 1.5
+    c = dipoles.INDUCED_DIPOLE_COEFFICIENT
+    coeff = c * 4.5 ** 1.5
     ok = abs(coeff - 4.5) / 4.5 < 0.003
     mu0 = lad[0] / DEBYE
     ok &= 0.0025 <= mu0 <= 0.01 and np.all(lad > 0)
     return "induced dipoles: hydrogen coefficient, ladder magnitude", ok, \
-        f"0.47*4.5^1.5 = {coeff:.4f}, mu_0 = {mu0:.4f} D"
+        f"{c:g}*4.5^1.5 = {coeff:.4f}, mu_0 = {mu0:.4f} D"
 
 
 def _check_rates(s, r, p0):

@@ -30,6 +30,9 @@ import pytest
 from adnoise import cli, dipoles, phonons, potential, spectrum, trapnoise
 from adnoise.config import parse_config
 from adnoise.units import AMU, DEBYE, HBAR, KB
+from oracles import (empirical_knee, fit_loglog_slope, gamma0_harmonic,
+                     harmonic_frequency, spectrum_via_resolvent,
+                     two_level_limit)
 
 TWO_PI = 2 * math.pi
 
@@ -70,7 +73,7 @@ def test_criterion_1_vibrational_splitting(pipe):
     bt = p.beta * p.z0
     closed = math.sqrt(p.U0 / (p.adatom_mass * p.z0 ** 2)
                        * 3 * (bt * bt - 4 * bt) / (bt - 3))
-    nu_h = potential.harmonic_frequency(p)
+    nu_h = harmonic_frequency(p)
     ok2 = abs(nu_h - closed) <= 1e-6 * closed
     ok3 = abs(nu_h / TWO_PI - 0.40e12) <= 0.01e12
     report("1", ok1 and ok2 and ok3,
@@ -98,7 +101,7 @@ def test_criterion_2b_gamma0_harmonic_scale(pipe):
     k = potential.SurfacePotentialParams(
         name="K-scale", U0=1.79 * 1.602176634e-19, z0=2e-10, beta=4e10,
         adatom_mass=39 * AMU)
-    g = phonons.gamma0_harmonic(k, pipe.material, TWO_PI * 4e12)
+    g = gamma0_harmonic(k, pipe.material, TWO_PI * 4e12)
     ref = TWO_PI * 67e6
     ok = abs(g - ref) <= 0.05 * ref
     report("2b", ok,
@@ -135,8 +138,8 @@ def test_criterion_5_two_level_limit(pipe, spectra):
     T, _, _, spec = spectra(0.2)
     om = np.linspace(0.0, 10 * pipe.gamma0, 51)
     full = spectrum.evaluate_spectrum(spec, om)
-    limit = spectrum.two_level_limit(pipe.ladder[0], pipe.ladder[1],
-                                     pipe.gamma0, pipe.nu10, T, om)
+    limit = two_level_limit(pipe.ladder[0], pipe.ladder[1],
+                            pipe.gamma0, pipe.nu10, T, om)
     dev = float(np.max(np.abs(full - limit) / limit))
     report("5", dev <= 0.05,
            f"max deviation from the two-level closed form {dev * 100:.2f}% "
@@ -150,8 +153,8 @@ def test_criterion_5_two_level_limit_colder(pipe, spectra, x):
     T, _, _, spec = spectra(x)
     om = np.linspace(0.0, 10 * pipe.gamma0, 51)
     full = spectrum.evaluate_spectrum(spec, om)
-    limit = spectrum.two_level_limit(pipe.ladder[0], pipe.ladder[1],
-                                     pipe.gamma0, pipe.nu10, T, om)
+    limit = two_level_limit(pipe.ladder[0], pipe.ladder[1],
+                            pipe.gamma0, pipe.nu10, T, om)
     dev = float(np.max(np.abs(full - limit) / limit))
     report(f"5 (kT = {x} hbar nu10)", dev <= 0.05,
            f"max deviation from the two-level closed form {dev:.2g} "
@@ -166,8 +169,8 @@ def test_criterion_6_regime_slopes_flat_and_tail(pipe, spectra):
         T, _, _, spec = spectra(x)
         vals = spectrum.evaluate_spectrum(spec, om)
         wc = spectrum.crossover_frequency(pipe.gamma0, pipe.nu10, T)
-        low, _ = spectrum.fit_loglog_slope(om, vals, (om[0], wc / 3))
-        high, _ = spectrum.fit_loglog_slope(om, vals, (300 * pipe.gamma0, om[-1]))
+        low, _ = fit_loglog_slope(om, vals, (om[0], wc / 3))
+        high, _ = fit_loglog_slope(om, vals, (300 * pipe.gamma0, om[-1]))
         ok &= -0.1 <= low <= 0.1 and -2.2 <= high <= -1.8
         details.append(f"kT={x}: low {low:+.3f}, high {high:+.3f}")
     report("6 (flat + 1/f^2 windows)", ok, "; ".join(details)
@@ -187,7 +190,7 @@ def test_criterion_6_one_over_f_window(pipe, spectra):
         T, _, _, spec = spectra(x)
         vals = spectrum.evaluate_spectrum(spec, om)
         wc = spectrum.crossover_frequency(pipe.gamma0, pipe.nu10, T)
-        mid, _ = spectrum.fit_loglog_slope(om, vals, (wc, 10 * wc))
+        mid, _ = fit_loglog_slope(om, vals, (wc, 10 * wc))
         ok &= -1.3 <= mid <= -0.7
         details.append(f"kT={x}: slope {mid:+.3f} over [wc, 10 wc]")
     report("6 (1/f window)", ok, "; ".join(details) + " (allowed [-1.3, -0.7])")
@@ -202,7 +205,7 @@ def test_criterion_7_crossover_knee(pipe, spectra):
         T, _, _, spec = spectra(x)
         vals = spectrum.evaluate_spectrum(spec, om)
         wc = spectrum.crossover_frequency(pipe.gamma0, pipe.nu10, T)
-        knee = spectrum.empirical_knee(om, vals)
+        knee = empirical_knee(om, vals)
         ratio = knee / wc
         ok &= 1 / 3 <= ratio <= 3
         details.append(f"kT={x}: knee/wc = {ratio:.2f}")
@@ -252,7 +255,7 @@ def test_criterion_9_method_cross_validation(pipe, spectra):
     worst_sum = 0.0
     for x in (1.0, 2.0, 3.0):
         _, r, p0, spec = spectra(x)
-        s_res = spectrum.spectrum_via_resolvent(r, p0, pipe.ladder, om)
+        s_res = spectrum_via_resolvent(r, p0, pipe.ladder, om)
         s_mod = spectrum.evaluate_spectrum(spec, om)
         worst_res = max(worst_res, float(np.max(np.abs(s_res - s_mod) / s_mod)))
         total = spectrum.integrate_spectrum(spec) / math.pi

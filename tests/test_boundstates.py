@@ -13,6 +13,7 @@ import pytest
 from adnoise import boundstates, potential
 from adnoise.errors import ConfigurationError, GridError, ModelError, NumericalError
 from adnoise.units import AMU, BOHR, E_CHARGE, HBAR
+from oracles import bound_state_count_estimate, harmonic_frequency
 
 
 def test_auto_grid_bounds(ne):
@@ -116,7 +117,7 @@ def test_state_count_vs_estimate(ne, ne_states_full):
     # spaced levels; the full exp-3 well additionally supports a band of
     # shallow tail states, so the uncapped count exceeds the estimate.
     p, _ = ne
-    estimate = potential.bound_state_count_estimate(p)
+    estimate = bound_state_count_estimate(p)
     assert ne_states_full.n_states >= estimate
     # capped at the pipeline default the count matches the estimate band
     grid = boundstates.auto_grid(p, 3000)
@@ -158,7 +159,7 @@ def test_ground_state_error_shrinks_factor_four(ne):
 def test_deep_well_matches_harmonic_oracle(deep_well, deep_states):
     # beta*z0 = 60 and several hundred bound levels: the fundamental
     # splitting approaches the curvature result.
-    nu_h = potential.harmonic_frequency(deep_well)
+    nu_h = harmonic_frequency(deep_well)
     nu_e = deep_states.splitting(1, 0)
     assert abs(nu_e - nu_h) / nu_h < 0.01
 

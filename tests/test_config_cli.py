@@ -822,6 +822,7 @@ def test_cli_heat_trap_value_past_float_range_exits_four(tmp_path, capsys,
 
 LADDER = ("the dipole ladder reaches 1.092e+155 C m, past sqrt(DBL_MAX) / 2, "
           "so its variance overflows")
+OMEGA = "rad/s is past sqrt(DBL_MAX), so its Lorentzians overflow"
 
 
 @pytest.mark.parametrize("command, text, args, error", [
@@ -842,24 +843,45 @@ LADDER = ("the dipole ladder reaches 1.092e+155 C m, past sqrt(DBL_MAX) / 2, "
      "the Lorentzian sum is past the float range at T = 3.49065 K"),
     ("spectrum", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
     ("tempsweep", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
-    ("heat", "[spectrum]\nimage_factor = 1e187\n", [], LADDER)],
+    ("heat", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
+    ("spectrum", "[spectrum]\nomega_max = 1e160\n", [],
+     "the frequency 5.755e+167 " + OMEGA),
+    ("tempsweep", "[tempsweep]\nhighfreq_omega = 1e160\n", [],
+     "the frequency 5.755e+167 " + OMEGA),
+    ("heat", "[trap]\nfrequency = 1e300 Hz\n", [],
+     "the frequency 6.283e+300 " + OMEGA)],
     ids=["rates-1e307K", "spectrum-1e158", "spectrum-1e165",
          "tempsweep-1e162", "tempsweep-1e163", "heat-far-trap-1e170",
          "tempsweep-1e185", "spectrum-1e187", "tempsweep-1e187",
-         "heat-1e187"])
+         "heat-1e187", "spectrum-omega_max", "tempsweep-highfreq_omega",
+         "heat-frequency"])
 def test_cli_value_past_float_range_exits_four(tmp_path, capsys, command,
                                                text, args, error):
-    # Accepted configurations whose rates, spectra or dipole ladder, or
-    # whose spectra once in D^2, leave the float range: exit 4 before any
-    # file is written, with no RuntimeWarning (the suite makes one an
-    # error) and no traceback.  The far, sparse trap keeps S_E and ndot
-    # finite, so heat reaches its own D^2 conversion of S_mu.
+    # Accepted configurations whose rates, spectra, dipole ladder or
+    # frequencies, or whose spectra once in D^2, leave the float range:
+    # exit 4 before any file is written, with no RuntimeWarning (the suite
+    # makes one an error) and no traceback.  The far, sparse trap keeps
+    # S_E and ndot finite, so heat reaches its own D^2 conversion of S_mu.
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n" + text)
     out = tmp_path / "o"
     assert run_cli([command, "--config", cfgfile, "--output", out]
                    + args) == 4
     assert capsys.readouterr().err == f"numerical error: {error}\n"
+    assert not out.exists()
+
+
+def test_cli_omega_range_past_float_range_is_config_error(tmp_path, capsys):
+    # Both bounds are accepted, but their ratio is inf: the grid's point
+    # count would be int(round(inf)).
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[spectrum]\n"
+                       "omega_min = 1e-300\nomega_max = 1e300\n")
+    out = tmp_path / "o"
+    assert run_cli(["spectrum", "--config", cfgfile, "--output", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: spectrum.omega_max / omega_min = 1e+300 / "
+        "1e-300 is past the float range\n")
     assert not out.exists()
 
 

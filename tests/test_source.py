@@ -1,9 +1,10 @@
 """Static checks over the package source: no module imports a name it
-never uses (a name listed in __all__ counts as used), no public
-function, class or method goes unnamed outside its own definition, no
-import statement names scipy, the module-level imports keep the
-command line and the Monte Carlo path clear of the chain modules they do
-not run, and no public function repeats a default of a config section."""
+never uses (a name listed in __all__ counts as used), every public
+function, class or method has a caller in the library's live code or is
+exported by the package __all__ (the tests do not count as callers), no
+import statement names scipy, the module-level imports keep the command
+line and the Monte Carlo path clear of the chain modules they do not run,
+and no public function repeats a default of a config section."""
 
 import ast
 from dataclasses import fields
@@ -14,7 +15,6 @@ import pytest
 from adnoise.config import _SECTION_TYPES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adnoise"
-TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(tree):
@@ -27,12 +27,19 @@ def unused_imports(tree):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__"
-                        for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - exported_names(tree))
+
+
+def is_all(node):
+    """Whether node is a module-level assignment to __all__."""
+    return (isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+
+
+def exported_names(tree):
+    """The names listed in tree's __all__, if it has one."""
+    return {name for node in tree.body if is_all(node)
+            for name in ast.literal_eval(node.value)}
 
 
 def test_unused_import_check_flags_stale_name():
@@ -46,19 +53,6 @@ def test_unused_import_check_flags_stale_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
-
-
-def public_definitions(tree):
-    """Public module-level functions and classes of tree, and the public
-    methods of its classes."""
-    found = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            found += [item.name for item in node.body
-                      if isinstance(item, ast.FunctionDef)]
-    return {name for name in found if not name.startswith("_")}
 
 
 def names_used(tree, inside=frozenset()):
@@ -76,25 +70,98 @@ def names_used(tree, inside=frozenset()):
     return used
 
 
-def unnamed_public_definitions(defined, users):
-    """Sorted public names defined in the trees of defined that no tree in
-    users names outside their own definition."""
-    public = set().union(*map(public_definitions, defined))
-    return sorted(public - set().union(*map(names_used, users)))
+def definitions(tree):
+    """(name, nodes) of each module-level function and class of tree and of
+    each method of its classes, where nodes is the code that is live once
+    the name is.  A class's code is its body but for its methods, save the
+    dunder methods Python calls for it; each other method is its own
+    definition."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, [node]))
+        elif isinstance(node, ast.ClassDef):
+            own = node.bases + node.keywords + node.decorator_list
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    found.append((item.name, [item]))
+                else:
+                    own.append(item)
+            found.append((node.name, own))
+    return found
 
 
-def test_unnamed_public_check_flags_dead_names():
-    lib = ast.parse("def used(): pass\ndef dead(): return dead()\n"
-                    "class Box:\n    def size(self): pass\n"
-                    "    def stale(self): pass\n    def _own(self): pass\n")
-    user = ast.parse("import lib\nlib.used(lib.Box().size())\n")
-    assert unnamed_public_definitions([lib], [lib, user]) == ["dead", "stale"]
+def live_names(trees, exported):
+    """Names the live code of trees reads.  The module-level statements
+    other than definitions, imports and __all__ are live, and so is each
+    name in exported; a definition whose name a live one reads is live,
+    iterated to a fixed point."""
+    defined = [d for tree in trees for d in definitions(tree)]
+    live = set(exported)
+    for tree in trees:
+        live |= set().union(*(
+            names_used(node) for node in tree.body
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                     ast.Import, ast.ImportFrom))
+            and not is_all(node)))
+    while True:
+        reached = set().union(*(names_used(node) for name, nodes in defined
+                                if name in live for node in nodes))
+        if reached <= live:
+            return live
+        live |= reached
+
+
+def unnamed_public_definitions(package):
+    """Sorted public functions, classes and methods of the modules in the
+    package directory that neither the package __init__'s __all__ lists
+    nor its live code names.  A per-module __all__ exports nothing, and
+    code outside the package, the tests included, calls nothing."""
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(package.glob("*.py"))}
+    public = {name for tree in trees.values()
+              for name, _ in definitions(tree) if not name.startswith("_")}
+    exported = exported_names(trees["__init__.py"])
+    return sorted(public - live_names(trees.values(), exported))
+
+
+def write_package(root, modules):
+    """Directory root holding one file per (file name, source) of modules."""
+    root.mkdir()
+    for name, text in modules.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_unnamed_public_check_flags_dead_names(tmp_path):
+    lib = write_package(tmp_path / "lib", {
+        "__init__.py": "from .core import run\n__all__ = ['run']\n",
+        "core.py": "__all__ = ['run', 'dead']\n"
+                   "def run(): return Box().size()\n"
+                   "def dead(): return dead()\n"
+                   "class Box:\n    def __init__(self): self._own()\n"
+                   "    def size(self): pass\n    def stale(self): pass\n"
+                   "    def _own(self): pass\n"})
+    assert unnamed_public_definitions(lib) == ["dead", "stale"]
+
+
+def test_unnamed_public_check_ignores_tests_and_dead_callers(tmp_path):
+    # oracle has a caller only in the test tree; estimate calls route, and
+    # nothing in the library calls either.
+    lib = write_package(tmp_path / "lib", {
+        "__init__.py": "from .core import run\n__all__ = ['run']\n",
+        "core.py": "def run(): return 1\ndef oracle(): return 2\n"
+                   "def estimate(): return route()\n"
+                   "def route(): return 3\n"})
+    write_package(tmp_path / "tests", {
+        "test_core.py": "from lib.core import estimate, oracle\n"
+                        "def test_core(): assert oracle() < estimate()\n"})
+    assert unnamed_public_definitions(lib) == ["estimate", "oracle", "route"]
 
 
 def test_every_public_definition_is_named():
-    src = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
-    tests = [ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))]
-    assert unnamed_public_definitions(src, src + tests) == []
+    assert unnamed_public_definitions(SRC) == []
 
 
 def imported_modules(tree, package="adnoise"):

@@ -8,6 +8,8 @@ from adnoise.units import HBAR, KB
 from scipy.linalg import expm
 
 from conftest import two_state_rate_matrix
+from oracles import (empirical_knee, fit_loglog_slope, spectrum_via_resolvent,
+                     two_level_limit)
 
 TWO_PI = 2 * math.pi
 
@@ -271,7 +273,7 @@ def test_resolvent_telegraph_closed_form():
     ladder = np.array([4e-33, 1e-33])
     lam = g10 + g01
     om = np.array([0.0, 0.3 * lam, lam, 5 * lam, 40 * lam])
-    s_res = spectrum.spectrum_via_resolvent(r, p0, ladder, om)
+    s_res = spectrum_via_resolvent(r, p0, ladder, om)
     w = (4e-33 - 1e-33) ** 2 * p0[0] * p0[1]
     expected = w * 2 * lam / (om ** 2 + lam ** 2)
     assert np.allclose(s_res, expected, rtol=1e-12, atol=0)
@@ -283,7 +285,7 @@ def test_resolvent_matches_mode_decomposition(ne_spectrum_at, ne_ladder,
     om = np.concatenate([[0.0], spectrum.omega_grid(gamma0, 1e-2, 1e3, 20)])
     for x in (1.0, 2.0, 3.0):
         r, p0, spec = ne_spectrum_at(x)
-        s_res = spectrum.spectrum_via_resolvent(r, p0, ne_ladder, om)
+        s_res = spectrum_via_resolvent(r, p0, ne_ladder, om)
         s_mod = spectrum.evaluate_spectrum(spec, om)
         assert np.max(np.abs(s_res - s_mod) / s_mod) < 1e-9
 
@@ -325,17 +327,17 @@ def test_low_temperature_statistics_are_centered(
     assert spec.variance == pytest.approx(pairwise, rel=1e-12)
     assert spec.weights.sum() == pytest.approx(pairwise, rel=1e-8)
     om = np.array([0.0, ne_scales[1]])
-    assert np.allclose(spectrum.spectrum_via_resolvent(r, p0, ne_ladder, om),
+    assert np.allclose(spectrum_via_resolvent(r, p0, ne_ladder, om),
                        spectrum.evaluate_spectrum(spec, om), rtol=1e-12, atol=0)
 
 
 def test_two_level_limit_closed_form():
     mu0, mu1 = 4e-33, 2.5e-33
     g0, nu10, T = 2e7, TWO_PI * 0.36e12, 3.5
-    s_0 = spectrum.two_level_limit(mu0, mu1, g0, nu10, T, 0.0)
+    s_0 = two_level_limit(mu0, mu1, g0, nu10, T, 0.0)
     boltz = math.exp(-HBAR * nu10 / (KB * T))
     assert s_0 == pytest.approx((mu0 - mu1) ** 2 * 2 / g0 * boltz, rel=1e-12)
-    s_g = spectrum.two_level_limit(mu0, mu1, g0, nu10, T, g0)
+    s_g = two_level_limit(mu0, mu1, g0, nu10, T, g0)
     assert s_g == pytest.approx(0.5 * s_0, rel=1e-12)
 
 
@@ -347,8 +349,8 @@ def test_two_level_limit_matches_full_spectrum_at_low_T(
     _, _, spec = ne_spectrum_at(x)
     om = np.linspace(0.0, 10 * gamma0, 41)
     full = spectrum.evaluate_spectrum(spec, om)
-    limit = spectrum.two_level_limit(ne_ladder[0], ne_ladder[1],
-                                     gamma0, nu10, T, om)
+    limit = two_level_limit(ne_ladder[0], ne_ladder[1],
+                            gamma0, nu10, T, om)
     assert np.max(np.abs(full - limit) / limit) < 0.05
 
 
@@ -375,11 +377,11 @@ def test_loglog_slope_pure_power_laws():
     om = np.logspace(6, 9, 200)
     lam = 1e3
     lorentz_tail = 2 * lam / (om ** 2 + lam ** 2)
-    slope, err = spectrum.fit_loglog_slope(om, lorentz_tail, (om[0], om[-1]))
+    slope, err = fit_loglog_slope(om, lorentz_tail, (om[0], om[-1]))
     assert slope == pytest.approx(-2.0, abs=0.01)
     assert err < 0.01
     flat = np.full_like(om, 7.5)
-    slope, err = spectrum.fit_loglog_slope(om, flat, (om[0], om[-1]))
+    slope, err = fit_loglog_slope(om, flat, (om[0], om[-1]))
     assert slope == pytest.approx(0.0, abs=0.02)
 
 
@@ -387,14 +389,14 @@ def test_loglog_slope_requires_points():
     om = np.logspace(0, 3, 50)
     vals = 1.0 / om
     with pytest.raises(AnalysisError):
-        spectrum.fit_loglog_slope(om, vals, (1e5, 1e6))
+        fit_loglog_slope(om, vals, (1e5, 1e6))
 
 
 def test_empirical_knee_single_lorentzian():
     lam = 3.7e6
     om = np.logspace(-3, 3, 400) * lam
     vals = 2 * lam / (om ** 2 + lam ** 2)
-    knee = spectrum.empirical_knee(om, vals)
+    knee = empirical_knee(om, vals)
     assert knee == pytest.approx(lam, rel=0.5)
 
 
