@@ -1,14 +1,22 @@
 """Bound vibrational states of the adatom in the surface well.
 
 The time-independent Schroedinger problem for the adatom of mass m in U(z)
-is discretized with a three-point central finite difference on a uniform
-grid, giving a real symmetric tridiagonal Hamiltonian
+is discretized on a logarithmic grid, nodes evenly spaced in ln z, with the
+three-point ("box") finite difference for unequal spacing.  With the
+spacings d_{i+1/2} = z_{i+1} - z_i, the cell widths
+W_i = (d_{i-1/2} + d_{i+1/2}) / 2 (a ghost spacing equal to its neighbour
+at each end) and k = hbar^2/(2m), the symmetrized Hamiltonian is the real
+symmetric tridiagonal matrix
 
-    H = -hbar^2/(2m) D2 + diag(U(z_i)),  Dirichlet boundaries,
+    H_ii     = U(z_i) + k (1/d_{i-1/2} + 1/d_{i+1/2}) / W_i,
+    H_i,i+1  = -k / (d_{i+1/2} sqrt(W_i W_{i+1})),  Dirichlet boundaries,
 
-solved exactly with LAPACK: dstebz (bisection) for the levels and dstein
-(inverse iteration) for the vectors, called as scipy.linalg's tridiagonal
-eigensolver calls them with its stebz driver, so every bit is scipy's.
+whose eigenvectors phi give the wavefunctions psi = phi / sqrt(W).  The
+grid puts its points where U changes fast, at the wall and in the well,
+rather than in the slowly varying C3 tail.  H is solved exactly with
+LAPACK: dstebz (bisection) for the levels and dstein (inverse iteration)
+for the vectors, called as scipy.linalg's tridiagonal eigensolver calls
+them with its stebz driver, so every bit is scipy's.
 Both come from scipy's f2py extension scipy.linalg._flapack, loaded once
 from its file at import (or reused from sys.modules) without running
 scipy/linalg/__init__.py, which would double the start-up time of the
@@ -44,7 +52,8 @@ from . import potential as pot
 from .errors import ConfigurationError, GridError, ModelError, NumericalError
 from .units import HBAR
 
-# Kept states must satisfy |psi(z_max)|^2 * h below this bound.
+# Kept states must satisfy |psi(z_max)|^2 times the last cell width below
+# this bound.
 TAIL_BOUND = 1e-10
 # Bound/continuum guard: discard states with E > -NEAR_ZERO_FRACTION * U0.
 NEAR_ZERO_FRACTION = 1e-3
@@ -131,7 +140,8 @@ def _lowest_pairs(diag, off, k):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial grid for the eigenproblem."""
+    """Logarithmic spatial grid for the eigenproblem: n_points nodes from
+    z_min to z_max, evenly spaced in ln z."""
 
     z_min: float
     z_max: float
@@ -143,18 +153,14 @@ class Grid:
         if self.n_points < 200:
             raise ConfigurationError("grid requires n_points >= 200")
 
-    @property
-    def h(self):
-        return (self.z_max - self.z_min) / (self.n_points - 1)
-
     def z(self):
-        return np.linspace(self.z_min, self.z_max, self.n_points)
+        return np.geomspace(self.z_min, self.z_max, self.n_points)
 
     def weights(self):
-        """Trapezoid quadrature weights on z(): h inside, h/2 at both ends."""
-        w = np.full(self.n_points, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        return w
+        """Trapezoid quadrature weights on z(): half the sum of the two
+        adjacent spacings, half the one spacing at each end."""
+        ends = np.concatenate(([0.0], np.diff(self.z()), [0.0]))
+        return 0.5 * (ends[:-1] + ends[1:])
 
 
 def auto_grid(p: pot.SurfacePotentialParams, n_points: int) -> Grid:
@@ -229,6 +235,19 @@ def _fix_sign(psi):
     return -psi if psi[k] < 0 else psi
 
 
+def _box_hamiltonian(u, z, mass):
+    """Diagonal, off-diagonal and cell widths W of the symmetrized
+    three-point Hamiltonian for U = u on the nodes z (module docstring);
+    its eigenvectors phi give psi = phi / sqrt(W)."""
+    dz = np.diff(z)
+    ghost = np.concatenate((dz[:1], dz, dz[-1:]))
+    width = 0.5 * (ghost[:-1] + ghost[1:])
+    k = HBAR ** 2 / (2.0 * mass)
+    diag = u + k * (1.0 / ghost[:-1] + 1.0 / ghost[1:]) / width
+    off = -k / (dz * np.sqrt(width[:-1] * width[1:]))
+    return diag, off, width
+
+
 def solve(p: pot.SurfacePotentialParams, grid: Grid,
           max_states: int) -> BoundStateSet:
     """All bound states of mass m in U(z), up to max_states.
@@ -242,7 +261,6 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
     if max_states < 2:
         raise ConfigurationError("max_states must be at least 2")
     z = grid.z()
-    h = grid.h
     w = grid.weights()
     with np.errstate(over="ignore", invalid="ignore"):
         u = pot.evaluate(p, z)
@@ -255,16 +273,18 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
             f"{p.name}: U(z) rises at the inner edge, so the grid starts "
             f"inside the inner barrier (z_min = {grid.z_min / p.z0:.3g} z0); "
             "start it at the barrier top or on the wall beyond")
-    # A float64 quotient: a denominator that underflows to 0 gives inf.
+    # The kinetic term on the smallest spacing h, a float64 quotient: a
+    # denominator that underflows to 0 gives inf.
+    h = np.diff(z).min()
     with np.errstate(divide="ignore", over="ignore"):
         kin = HBAR ** 2 / np.float64(2.0 * p.adatom_mass * h * h)
-        diag = u + 2.0 * kin
+        diag, off, width = _box_hamiltonian(u, z, p.adatom_mass)
     # LAPACK needs finite input (scipy.linalg's check_finite); u is.
-    if not np.all(np.isfinite(diag)):
+    if not (np.isfinite(kin) and np.all(np.isfinite(diag))
+            and np.all(np.isfinite(off))):
         raise NumericalError(
             f"{p.name}: the kinetic term hbar^2/(2 m h^2) = {kin:.3g} J "
             "overflows the Hamiltonian; the adatom mass is too small")
-    off = np.full(grid.n_points - 1, -kin)
 
     # Levels below cut and below 0, from LAPACK bisection (dstebz by
     # value): the count is the difference of its Sturm counts at the ends
@@ -282,13 +302,15 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
 
     energies, vecs = _lowest_pairs(diag, off, n_keep)
     psis = np.empty((n_keep, grid.n_points))
+    root_width = np.sqrt(width)
+    last_cell = z[-1] - z[-2]
     for i in range(n_keep):
-        psi = vecs[:, i]
+        psi = vecs[:, i] / root_width
         # np.sum, not "@": BLAS would sum in another order, other bits.
         norm = np.sum(psi * psi * w)
         psi = psi / np.sqrt(norm)
         psis[i] = _fix_sign(psi)
-        tail = psis[i, -1] ** 2 * h
+        tail = psis[i, -1] ** 2 * last_cell
         if tail >= TAIL_BOUND:
             raise GridError(
                 f"{p.name}: state {i} (E = {energies[i] / p.U0:.4f} U0) "

@@ -45,7 +45,7 @@ class SolverSection:
     # max_states) adds slow relaxation modes that shift the white-noise
     # knee well below gamma0*(n+1) and push the low-frequency noise peak
     # to higher temperature.
-    n_points: int = 4000
+    n_points: int = 1000
     max_states: int = 5
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import boundstates, dipoles, phonons, potential, spectrum, trapnoise
+from .config import SolverSection
 from .units import BOHR, DEBYE, E_CHARGE, HBAR, KB, convert_energy
 
 
@@ -124,7 +125,8 @@ def _check_heating():
 def run_checks():
     # One Ne-Au chain, solved once, serves the four checks that need it.
     p, mat = potential.preset("Ne-Au")
-    s = boundstates.solve(p, boundstates.auto_grid(p, 3000), max_states=30)
+    grid = boundstates.auto_grid(p, SolverSection().n_points)
+    s = boundstates.solve(p, grid, max_states=30)
     lad = dipoles.dipole_ladder(s, p.polarizability, 1.0)
     r = phonons.build_rate_matrix(s, mat, 2.0 * HBAR * s.splitting(1, 0) / KB,
                                   boundstates.coupling_matrix(s))

@@ -85,21 +85,15 @@ def test_energies_negative_ascending_above_well_bottom(ne_states_full):
 
 def test_orthonormality(ne_states_full):
     s = ne_states_full
-    h = s.grid.h
     psi = s.wavefunctions
-    gram = (psi * h) @ psi.T
-    gram[np.diag_indices_from(gram)] -= 0.5 * h * (psi[:, 0] ** 2 + psi[:, -1] ** 2)
-    # off-diagonals need the same endpoint correction
-    corr = 0.5 * h * (np.outer(psi[:, 0], psi[:, 0])
-                      + np.outer(psi[:, -1], psi[:, -1]))
-    np.fill_diagonal(corr, 0.0)
-    gram -= corr
+    gram = (psi * s.grid.weights()) @ psi.T
     assert np.abs(gram - np.eye(s.n_states)).max() < 1e-8
 
 
 def test_tail_condition(ne_states_full):
     s = ne_states_full
-    tails = s.wavefunctions[:, -1] ** 2 * s.grid.h
+    z = s.grid.z()
+    tails = s.wavefunctions[:, -1] ** 2 * (z[-1] - z[-2])
     assert tails.max() < 1e-10
 
 
@@ -196,6 +190,33 @@ def test_matrix_element_commutator_identity(ne_states):
                                                 rel=2e-3)
 
 
+def test_log_grid_convergence_table(ne):
+    # Ne-Au with max_states = 30 against a 16000-point reference: the
+    # errors of nu10, C10 = <1|dU/dz|0> and the worst of the 23 levels (in
+    # U0) at 1000 and 2000 points, as tabulated in CHANGES.md, held within
+    # a factor 2; the O(h^2) scheme cuts each by about 4 per doubling.
+    p, _ = ne
+
+    def headline(n):
+        s = boundstates.solve(p, boundstates.auto_grid(p, n), max_states=30)
+        assert s.n_states == 23
+        return s.splitting(1, 0), boundstates.coupling_matrix(s)[1, 0], \
+            s.energies
+
+    nu_ref, c_ref, e_ref = headline(16000)
+    errors = {}
+    for n in (1000, 2000, 4000):
+        nu, c10, e = headline(n)
+        errors[n] = np.array([abs(nu / nu_ref - 1), abs(c10 / c_ref - 1),
+                              np.abs(e - e_ref).max() / p.U0])
+    for n, table in [(1000, [1.51e-4, 6.78e-5, 2.39e-4]),
+                     (2000, [3.74e-5, 1.67e-5, 5.88e-5])]:
+        assert np.all((errors[n] > 0.5 * np.array(table))
+                      & (errors[n] < 2.0 * np.array(table))), (n, errors[n])
+    assert np.all(errors[1000] > 3.5 * errors[2000])
+    assert np.all(errors[2000] > 3.5 * errors[4000])
+
+
 def test_matrix_element_grid_convergence(ne):
     p, _ = ne
     m1, m2 = (boundstates.coupling_matrix(boundstates.solve(
@@ -207,11 +228,11 @@ def test_matrix_element_grid_convergence(ne):
 def test_coupling_matrix_consistent(ne, ne_states):
     # Against the textbook composite trapezoid rule, pair by pair.
     c = boundstates.coupling_matrix(ne_states)
-    du = potential.derivative(ne[0], ne_states.grid.z())
+    z = ne_states.grid.z()
+    du = potential.derivative(ne[0], z)
     for i, f in [(0, 1), (2, 4), (3, 3)]:
         y = ne_states.wavefunctions[f] * du * ne_states.wavefunctions[i]
-        trapezoid = 0.5 * ne_states.grid.h * np.sum(y[1:] + y[:-1])
-        assert c[i, f] == pytest.approx(trapezoid, rel=1e-12)
+        assert c[i, f] == pytest.approx(np.trapezoid(y, z), rel=1e-12)
 
 
 def test_grid_matrix_normalization_orthogonality(ne_states):

@@ -614,9 +614,9 @@ def test_level_counts_match_sturm_recurrence(name, log_u0_factor, z0_factor,
     p = replace(base, U0=base.U0 * 10.0 ** log_u0_factor, z0=z0,
                 beta=beta_z0 / z0)
     grid = boundstates.auto_grid(p, n_points)
-    kin = HBAR ** 2 / (2.0 * p.adatom_mass * grid.h * grid.h)
-    diag = potential.evaluate(p, grid.z()) + 2.0 * kin
-    off = np.full(n_points - 1, -kin)
+    z = grid.z()
+    diag, off, _ = boundstates._box_hamiltonian(potential.evaluate(p, z), z,
+                                                p.adatom_mass)
     n_bound = sturm_count(diag, off, -boundstates.NEAR_ZERO_FRACTION * p.U0)
     n_negative = sturm_count(diag, off, 0.0)
     # every level below the cut is kept, whatever its tail
