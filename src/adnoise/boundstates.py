@@ -33,10 +33,12 @@ Sturm counts, which no tolerance changes.  U must be finite on the whole
 grid and must not rise at its inner edge: a grid that starts inside the
 inner barrier, where the exp-3 form dives towards -infinity, is refused.
 
-All quadratures (normalization, matrix elements, expectation values) use
-the trapezoid weights of Grid.weights() on the eigensolver grid, so no
-interpolation error is introduced anywhere downstream; grid_matrix is the
-one matrix-element quadrature, <f|g|i> for every pair at once.
+The cell widths W are the one quadrature rule: the scheme is self-adjoint
+in the inner product sum_i W_i f_i g_i, the unit eigenvectors phi make the
+psi orthonormal in it, and every matrix element and expectation value
+weights with Grid.width on the eigensolver grid, so no interpolation error
+is introduced anywhere downstream; grid_matrix is the one matrix-element
+quadrature, <f|g|i> for every pair at once.
 """
 
 import importlib.machinery
@@ -45,6 +47,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -140,8 +143,10 @@ def _lowest_pairs(diag, off, k):
 
 @dataclass(frozen=True)
 class Grid:
-    """Logarithmic spatial grid for the eigenproblem: n_points nodes from
-    z_min to z_max, evenly spaced in ln z."""
+    """Logarithmic spatial grid for the eigenproblem: n_points nodes z from
+    z_min to z_max, evenly spaced in ln z, each built once.  spacing holds
+    the n_points + 1 spacings d_{i+1/2} with a ghost equal to its neighbour
+    at each end, width the cell widths W (module docstring)."""
 
     z_min: float
     z_max: float
@@ -153,14 +158,18 @@ class Grid:
         if self.n_points < 200:
             raise ConfigurationError("grid requires n_points >= 200")
 
+    @cached_property
     def z(self):
         return np.geomspace(self.z_min, self.z_max, self.n_points)
 
-    def weights(self):
-        """Trapezoid quadrature weights on z(): half the sum of the two
-        adjacent spacings, half the one spacing at each end."""
-        ends = np.concatenate(([0.0], np.diff(self.z()), [0.0]))
-        return 0.5 * (ends[:-1] + ends[1:])
+    @cached_property
+    def spacing(self):
+        dz = np.diff(self.z)
+        return np.concatenate((dz[:1], dz, dz[-1:]))
+
+    @cached_property
+    def width(self):
+        return 0.5 * (self.spacing[:-1] + self.spacing[1:])
 
 
 def auto_grid(p: pot.SurfacePotentialParams, n_points: int) -> Grid:
@@ -201,10 +210,10 @@ def auto_grid(p: pot.SurfacePotentialParams, n_points: int) -> Grid:
 
 @dataclass(frozen=True)
 class BoundStateSet:
-    """Eigenpairs of the adatom in the well, trapezoid-normalized.
+    """Eigenpairs of the adatom in the well, orthonormal under grid.width.
 
     energies are ascending and all negative; wavefunctions[i] is state i
-    sampled on grid.z(), with sign fixed so the first antinode from the
+    sampled on grid.z, with sign fixed so the first antinode from the
     wall is positive.  near_zero_discarded counts negative-energy
     eigenvalues dropped by the continuum-contamination guard.
     """
@@ -235,17 +244,15 @@ def _fix_sign(psi):
     return -psi if psi[k] < 0 else psi
 
 
-def _box_hamiltonian(u, z, mass):
-    """Diagonal, off-diagonal and cell widths W of the symmetrized
-    three-point Hamiltonian for U = u on the nodes z (module docstring);
-    its eigenvectors phi give psi = phi / sqrt(W)."""
-    dz = np.diff(z)
-    ghost = np.concatenate((dz[:1], dz, dz[-1:]))
-    width = 0.5 * (ghost[:-1] + ghost[1:])
+def _box_hamiltonian(u, grid, mass):
+    """Diagonal and off-diagonal of the symmetrized three-point Hamiltonian
+    for U = u on the nodes of grid (module docstring); its eigenvectors phi
+    give psi = phi / sqrt(grid.width)."""
+    d, width = grid.spacing, grid.width
     k = HBAR ** 2 / (2.0 * mass)
-    diag = u + k * (1.0 / ghost[:-1] + 1.0 / ghost[1:]) / width
-    off = -k / (dz * np.sqrt(width[:-1] * width[1:]))
-    return diag, off, width
+    diag = u + k * (1.0 / d[:-1] + 1.0 / d[1:]) / width
+    off = -k / (d[1:-1] * np.sqrt(width[:-1] * width[1:]))
+    return diag, off
 
 
 def solve(p: pot.SurfacePotentialParams, grid: Grid,
@@ -260,10 +267,8 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
     """
     if max_states < 2:
         raise ConfigurationError("max_states must be at least 2")
-    z = grid.z()
-    w = grid.weights()
     with np.errstate(over="ignore", invalid="ignore"):
-        u = pot.evaluate(p, z)
+        u = pot.evaluate(p, grid.z)
     if not np.all(np.isfinite(u)):
         raise GridError(
             f"{p.name}: U(z) is not finite on the grid (z_min = "
@@ -275,10 +280,10 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
             "start it at the barrier top or on the wall beyond")
     # The kinetic term on the smallest spacing h, a float64 quotient: a
     # denominator that underflows to 0 gives inf.
-    h = np.diff(z).min()
+    h = grid.spacing.min()
     with np.errstate(divide="ignore", over="ignore"):
         kin = HBAR ** 2 / np.float64(2.0 * p.adatom_mass * h * h)
-        diag, off, width = _box_hamiltonian(u, z, p.adatom_mass)
+        diag, off = _box_hamiltonian(u, grid, p.adatom_mass)
     # LAPACK needs finite input (scipy.linalg's check_finite); u is.
     if not (np.isfinite(kin) and np.all(np.isfinite(diag))
             and np.all(np.isfinite(off))):
@@ -301,16 +306,11 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
     n_keep = min(n_bound, max_states)
 
     energies, vecs = _lowest_pairs(diag, off, n_keep)
-    psis = np.empty((n_keep, grid.n_points))
-    root_width = np.sqrt(width)
-    last_cell = z[-1] - z[-2]
+    # dstein's vectors are unit vectors, so the psi are orthonormal under W.
+    psis = vecs.T / np.sqrt(grid.width)
     for i in range(n_keep):
-        psi = vecs[:, i] / root_width
-        # np.sum, not "@": BLAS would sum in another order, other bits.
-        norm = np.sum(psi * psi * w)
-        psi = psi / np.sqrt(norm)
-        psis[i] = _fix_sign(psi)
-        tail = psis[i, -1] ** 2 * last_cell
+        psis[i] = _fix_sign(psis[i])
+        tail = psis[i, -1] ** 2 * grid.width[-1]
         if tail >= TAIL_BOUND:
             raise GridError(
                 f"{p.name}: state {i} (E = {energies[i] / p.U0:.4f} U0) "
@@ -324,14 +324,14 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
 def grid_matrix(s: BoundStateSet, g_values):
     """All <f| g |i> as a symmetric n_states x n_states array.
 
-    Psi diag(w g) Psi^T with the trapezoid weights w; g_values is g
-    sampled on s.grid.z() and must be finite there.
+    Psi diag(W g) Psi^T with the cell widths W = s.grid.width; g_values
+    is g sampled on s.grid.z and must be finite there.
     """
     g = np.asarray(g_values, dtype=float)
     if not np.all(np.isfinite(g)):
         raise NumericalError("g(z) is not finite everywhere on the grid")
     psi = s.wavefunctions
-    m = (psi * (s.grid.weights() * g)) @ psi.T
+    m = (psi * (s.grid.width * g)) @ psi.T
     # The product is symmetric only to round-off; mirror the lower triangle
     # so that <f|g|i> == <i|g|f> holds exactly.
     return np.tril(m) + np.tril(m, -1).T
@@ -339,4 +339,4 @@ def grid_matrix(s: BoundStateSet, g_values):
 
 def coupling_matrix(s: BoundStateSet):
     """All pairwise <f|dU/dz|i> in J/m, symmetric n_states x n_states."""
-    return grid_matrix(s, pot.derivative(s.params, s.grid.z()))
+    return grid_matrix(s, pot.derivative(s.params, s.grid.z))

@@ -158,7 +158,7 @@ class Pipeline:
 
 def cmd_states(pipe: Pipeline, outdir: Path):
     s = pipe.states
-    z = s.grid.z()
+    z = s.grid.z
     header = pipe.header("states", pipe.derived_header() + [
         "energies_meV: " + ", ".join(f"{e / (1e-3 * E_CHARGE):.6g}"
                                      for e in s.energies)])

@@ -42,10 +42,10 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
     integrand maximum must sit strictly inside the grid.
     """
     psi = states.wavefunctions
-    integrand = psi * induced_dipole(alpha, states.grid.z()) * psi
+    integrand = psi * induced_dipole(alpha, states.grid.z) * psi
     at_edge = np.flatnonzero(np.argmax(integrand, axis=1) == 0)
     if len(at_edge):
         raise NumericalError(
             f"state {at_edge[0]}: dipole integrand peaks at the grid edge; "
             "the wall region is not resolved")
-    return image_factor * np.sum(integrand * states.grid.weights(), axis=1)
+    return image_factor * np.sum(integrand * states.grid.width, axis=1)

@@ -62,10 +62,7 @@ def _check_rates(s, r, p0):
     boltz = np.exp(-(s.energies - s.energies[0]) / (KB * r.temperature))
     boltz /= boltz.sum()
     dev = np.abs(p0 - boltz).max() / boltz.max()
-    ok = dev < 1e-10
-    colsum = np.abs(r.generator.sum(axis=0)).max()
-    ok &= colsum < 1e-12 * np.abs(r.generator).max()
-    return "rate matrix: Boltzmann stationary state, zero column sums", ok, \
+    return "rate matrix: Boltzmann stationary state", dev < 1e-10, \
         f"max Boltzmann deviation {dev:.1e}"
 
 

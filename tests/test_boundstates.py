@@ -86,14 +86,13 @@ def test_energies_negative_ascending_above_well_bottom(ne_states_full):
 def test_orthonormality(ne_states_full):
     s = ne_states_full
     psi = s.wavefunctions
-    gram = (psi * s.grid.weights()) @ psi.T
+    gram = (psi * s.grid.width) @ psi.T
     assert np.abs(gram - np.eye(s.n_states)).max() < 1e-8
 
 
 def test_tail_condition(ne_states_full):
     s = ne_states_full
-    z = s.grid.z()
-    tails = s.wavefunctions[:, -1] ** 2 * (z[-1] - z[-2])
+    tails = s.wavefunctions[:, -1] ** 2 * s.grid.width[-1]
     assert tails.max() < 1e-10
 
 
@@ -167,7 +166,7 @@ def test_deep_well_matrix_element_identity(deep_well, deep_states):
 
 
 def test_deep_well_position_expectation(deep_well, deep_states):
-    z00 = boundstates.grid_matrix(deep_states, deep_states.grid.z())[0, 0]
+    z00 = boundstates.grid_matrix(deep_states, deep_states.grid.z)[0, 0]
     assert z00 == pytest.approx(deep_well.z0, rel=0.01)
 
 
@@ -183,7 +182,7 @@ def test_matrix_element_commutator_identity(ne_states):
     s = ne_states
     m = s.params.adatom_mass
     dudz = boundstates.coupling_matrix(s)
-    z = boundstates.grid_matrix(s, s.grid.z())
+    z = boundstates.grid_matrix(s, s.grid.z)
     for i, f in [(0, 1), (1, 2), (0, 3)]:
         omega = s.splitting(i, f)
         assert abs(dudz[f, i]) == pytest.approx(abs(m * omega ** 2 * z[f, i]),
@@ -228,7 +227,7 @@ def test_matrix_element_grid_convergence(ne):
 def test_coupling_matrix_consistent(ne, ne_states):
     # Against the textbook composite trapezoid rule, pair by pair.
     c = boundstates.coupling_matrix(ne_states)
-    z = ne_states.grid.z()
+    z = ne_states.grid.z
     du = potential.derivative(ne[0], z)
     for i, f in [(0, 1), (2, 4), (3, 3)]:
         y = ne_states.wavefunctions[f] * du * ne_states.wavefunctions[i]
@@ -243,7 +242,7 @@ def test_grid_matrix_normalization_orthogonality(ne_states):
 
 
 def test_grid_matrix_rejects_non_finite(ne_states):
-    z = ne_states.grid.z()
+    z = ne_states.grid.z
     with pytest.raises(NumericalError):
         boundstates.grid_matrix(ne_states, np.where(z > z[0], 1.0, np.inf))
     with pytest.raises(NumericalError):

@@ -276,7 +276,7 @@ def test_states_csv_matches_per_cell_rows(tmp_path):
     written = (out / "states.csv").read_text()
 
     s = cli.Pipeline(config.parse_config(text)).states
-    z = s.grid.z()
+    z = s.grid.z
     header = [line[2:] for line in written.splitlines()
               if line.startswith("#")]
     columns = [("z", "m"), ("U", "J")] + [(f"psi_{i}", "1/sqrt(m)")
@@ -487,6 +487,21 @@ def test_cli_tempsweep_builds_the_coupling_matrix_once(tmp_path, monkeypatch):
     assert not masked
     assert pipe.gamma0 == rate
     assert len(calls) == 3
+
+
+def test_cli_tempsweep_builds_the_grid_nodes_once(tmp_path, monkeypatch):
+    # the solve, the ladder and the couplings share Grid.z
+    calls = []
+    geomspace = np.geomspace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return geomspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "geomspace", counted)
+    assert run_cli(["tempsweep", "--preset", "Ne-Au", "--output",
+                    tmp_path]) == 0
+    assert len(calls) == 1
 
 
 def per_temperature_spectrum(pipe, outdir):

@@ -614,9 +614,8 @@ def test_level_counts_match_sturm_recurrence(name, log_u0_factor, z0_factor,
     p = replace(base, U0=base.U0 * 10.0 ** log_u0_factor, z0=z0,
                 beta=beta_z0 / z0)
     grid = boundstates.auto_grid(p, n_points)
-    z = grid.z()
-    diag, off, _ = boundstates._box_hamiltonian(potential.evaluate(p, z), z,
-                                                p.adatom_mass)
+    diag, off = boundstates._box_hamiltonian(potential.evaluate(p, grid.z),
+                                             grid, p.adatom_mass)
     n_bound = sturm_count(diag, off, -boundstates.NEAR_ZERO_FRACTION * p.U0)
     n_negative = sturm_count(diag, off, 0.0)
     # every level below the cut is kept, whatever its tail
@@ -629,6 +628,10 @@ def test_level_counts_match_sturm_recurrence(name, log_u0_factor, z0_factor,
         s = boundstates.solve(p, grid, max_states=10 ** 6)
     assert s.n_states == n_bound
     assert s.near_zero_discarded == n_negative - n_bound
+    # the unit eigenvectors make psi orthonormal under the cell widths
+    psi = s.wavefunctions
+    gram = (psi * grid.width) @ psi.T
+    assert np.abs(gram - np.eye(s.n_states)).max() < 1e-12
 
 
 @st.composite

@@ -112,7 +112,7 @@ def test_large_table_memory_stays_near_its_text(ne):
     params, _ = ne
     s = boundstates.solve(params, boundstates.auto_grid(params, 16000),
                           max_states=5)
-    rows = np.column_stack([s.grid.z(), s.potential_values,
+    rows = np.column_stack([s.grid.z, s.potential_values,
                             s.wavefunctions.T])
     columns = [("z", "m"), ("U", "J")]
     columns += [(f"psi_{i}", "1/sqrt(m)") for i in range(s.n_states)]
