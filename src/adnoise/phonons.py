@@ -181,6 +181,21 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
     gamma, mask, base = _golden_rule_rates(states.energies, coupling,
                                            material, T)
     masked_pairs = np.argwhere(np.tril(mask))
+    # A pair is linked at every temperature exactly when its base rate is
+    # positive, since its emission rate is at least that.  Boolean
+    # closure: after k squarings reach[i, j] holds when a path of at most
+    # 2**k transitions joins i and j, and 2**n.bit_length() > n.  A
+    # refusal is one line, so the check comes before the mask's warning.
+    linked = base > 0
+    reach = linked | linked.T | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    if not reach[0].all():
+        raise ModelError(
+            f"{states.params.name}: ergodicity broken by Debye cutoff "
+            f"({len(masked_pairs)} transition(s) above "
+            f"{material.debye_frequency / 1e12:.3g} THz); the transition "
+            "graph is disconnected and the spectrum is ill-defined")
     if len(masked_pairs):
         logger.warning(
             "%s: %d transition(s) above the Debye cutoff (%.3g THz): %s",
@@ -188,18 +203,6 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
             material.debye_frequency / 1e12,
             ", ".join(f"{i}<->{f} ({states.splitting(i, f) / TWO_PI / 1e12:.3g}"
                       " THz)" for i, f in masked_pairs))
-    # A pair is linked at every temperature exactly when its base rate is
-    # positive, since its emission rate is at least that.  Boolean
-    # closure: after k squarings reach[i, j] holds when a path of at most
-    # 2**k transitions joins i and j, and 2**n.bit_length() > n.
-    linked = base > 0
-    reach = linked | linked.T | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = reach @ reach
-    if not reach[0].all():
-        raise ModelError(
-            f"{states.params.name}: ergodicity broken by Debye cutoff; the "
-            "transition graph is disconnected and the spectrum is ill-defined")
     logger.info("%s: transition graph connected (%d states)",
                 states.params.name, n)
     return RateMatrix(gamma, T, mask)

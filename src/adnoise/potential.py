@@ -61,14 +61,11 @@ class SurfacePotentialParams:
 
     @property
     def beta_z0(self):
-        self._require_beta()
-        return self.beta * self.z0
-
-    def _require_beta(self):
         if self.beta is None:
             raise ConfigurationError(
                 f"{self.name}: beta is not set for this system; supply the "
                 "repulsion range explicitly")
+        return self.beta * self.z0
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,8 @@ def _check_z(z):
 
 def evaluate(p: SurfacePotentialParams, z):
     """Potential energy U(z) in J; z in m (scalar or array)."""
-    p._require_beta()
     z = _check_z(z)
-    bz = p.beta * p.z0
+    bz = p.beta_z0
     amp = bz / (bz - 3.0) * p.U0
     out = amp * ((3.0 / bz) * np.exp(bz * (1.0 - z / p.z0)) - (p.z0 / z) ** 3)
     return out if out.ndim else float(out)
@@ -105,9 +101,8 @@ def evaluate(p: SurfacePotentialParams, z):
 
 def derivative(p: SurfacePotentialParams, z):
     """Analytic dU/dz in J/m; z in m (scalar or array)."""
-    p._require_beta()
     z = _check_z(z)
-    bz = p.beta * p.z0
+    bz = p.beta_z0
     amp = bz / (bz - 3.0) * p.U0
     out = 3.0 * amp * (p.z0 ** 3 / z ** 4
                        - np.exp(bz * (1.0 - z / p.z0)) / p.z0)
@@ -116,11 +111,7 @@ def derivative(p: SurfacePotentialParams, z):
 
 def c3(p: SurfacePotentialParams):
     """Long-range van der Waals coefficient, J m^3."""
-    p._require_beta()
-    bz = p.beta * p.z0
-    if bz <= 3.0:
-        raise DomainError(f"beta*z0 = {bz:.3f} <= 3: no attractive tail")
-    return p.beta * p.z0 ** 4 * p.U0 / (bz - 3.0)
+    return p.beta * p.z0 ** 4 * p.U0 / (p.beta_z0 - 3.0)
 
 
 def _brentq(f, a, b, xtol, rtol, maxiter=100):

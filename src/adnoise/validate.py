@@ -3,7 +3,10 @@
 Each check returns (name, passed, detail).  These are fast consistency
 checks of the numerical machinery against closed forms and independent
 quadratures; the full acceptance suite with frozen reference values lives
-in the test tree.
+in the test tree.  The checks of the chain read one built-in Ne-Au
+`Pipeline`, the assembler every subcommand runs, at max_states = 30; the
+two-state, kernel, single-dipole, heating and unit checks build their
+values by hand.
 """
 
 import math
@@ -11,8 +14,11 @@ import math
 import numpy as np
 
 from . import boundstates, dipoles, phonons, potential, spectrum, trapnoise
-from .config import SolverSection
-from .units import BOHR, DEBYE, E_CHARGE, HBAR, KB, convert_energy
+from .cli import Pipeline
+from .config import parse_config
+from .units import BOHR, DEBYE, E_CHARGE, KB, convert_energy
+
+CHAIN_CONFIG = "preset = Ne-Au\n[solver]\nmax_states = 30\n"
 
 
 def _check_units():
@@ -23,8 +29,7 @@ def _check_units():
     return "unit round-trips and constant consistency", ok, f"e*a0 = {ea0:.5f} D"
 
 
-def _check_potential():
-    p, _ = potential.preset("Ne-Au")
+def _check_potential(p):
     ok = abs(potential.evaluate(p, p.z0) + p.U0) < 1e-12 * p.U0
     z = np.linspace(0.5 * p.z0, 5 * p.z0, 2001)
     du_fd = np.gradient(potential.evaluate(p, z), z)
@@ -66,8 +71,7 @@ def _check_rates(s, r, p0):
         f"max Boltzmann deviation {dev:.1e}"
 
 
-def _check_spectrum(r, p0, lad):
-    spec = spectrum.correlation_modes(r, p0, lad)
+def _check_spectrum(spec):
     sum_rule = spectrum.integrate_spectrum(spec) / math.pi
     dev = abs(sum_rule - spec.variance) / spec.variance
     ok = dev < 0.01
@@ -120,15 +124,13 @@ def _check_heating():
 
 
 def run_checks():
-    # One Ne-Au chain, solved once, serves the four checks that need it.
-    p, mat = potential.preset("Ne-Au")
-    grid = boundstates.auto_grid(p, SolverSection().n_points)
-    s = boundstates.solve(p, grid, max_states=30)
-    lad = dipoles.dipole_ladder(s, p.polarizability, 1.0)
-    r = phonons.build_rate_matrix(s, mat, 2.0 * HBAR * s.splitting(1, 0) / KB,
-                                  boundstates.coupling_matrix(s))
+    # One Ne-Au chain, built once, serves the five checks that read it.
+    pipe = Pipeline(parse_config(CHAIN_CONFIG))
+    T = pipe.kelvin((2.0, "nu10"))
+    r = pipe.rate_matrix(T)
     p0 = phonons.stationary_distribution(r)
-    return [_check_units(), _check_potential(), _check_boundstates(s),
-            _check_dipoles(lad), _check_rates(s, r, p0),
-            _check_spectrum(r, p0, lad), _check_two_state(), _check_kernel(),
-            _check_single_dipole(), _check_heating()]
+    return [_check_units(), _check_potential(pipe.params),
+            _check_boundstates(pipe.states), _check_dipoles(pipe.ladder),
+            _check_rates(pipe.states, r, p0),
+            _check_spectrum(pipe.spectrum_at(T)), _check_two_state(),
+            _check_kernel(), _check_single_dipole(), _check_heating()]

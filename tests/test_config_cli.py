@@ -397,6 +397,25 @@ def test_cli_h_au_spectrum_is_model_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rates", "heat"])
+def test_cli_h_au_disconnected_refusal_is_one_line(tmp_path, command):
+    # A fresh interpreter, so a logged warning would reach stderr through
+    # logging's last-resort handler: the refusal comes before the mask's
+    # warning and names the count and the cutoff itself.
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "adnoise.cli", command,
+                          "--preset", "H-Au", "--output", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr == (
+        "model error: H-Au: ergodicity broken by Debye cutoff (10 "
+        "transition(s) above 3.6 THz); the transition graph is disconnected "
+        "and the spectrum is ill-defined\n")
+    assert not out.exists()
+
+
 def test_cli_k_surface_needs_beta(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(["states", "--preset", "K-surface", "--output", out]) == 2
@@ -660,6 +679,39 @@ def test_cli_validate_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "invariant checks passed" in out
     assert "[FAIL]" not in out
+
+
+VALIDATE_CHECKS = (
+    "unit round-trips and constant consistency",
+    "exp-3 well: minimum, derivative, C3 tail",
+    "bound states: orthonormal, negative, splitting in range",
+    "induced dipoles: hydrogen coefficient, ladder magnitude",
+    "rate matrix: Boltzmann stationary state",
+    "spectrum: Lorentzian sum rule equals the dipole variance",
+    "two-state telegraph closed form",
+    "field kernel plane integral = 3 pi / 4, d-independent",
+    "single on-axis dipole: 4/(4 pi eps0 d^3)^2 and d^-6",
+    "heating rate dimensional check",
+)
+
+
+def test_cli_validate_prints_each_check_and_solves_once(capsys, monkeypatch):
+    # The chain checks read one Pipeline: a single eigensolve per run.
+    solves = []
+    solve = boundstates.solve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(boundstates, "solve", counted)
+    assert run_cli(["validate", "--preset", "Ne-Au"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(VALIDATE_CHECKS) + 1
+    for line, name in zip(lines, VALIDATE_CHECKS):
+        assert line.startswith(f"[PASS] {name}: ")
+    assert lines[-1] == "all 10 invariant checks passed"
+    assert len(solves) == 1
 
 
 def test_config_error_in_file(tmp_path, capsys):

@@ -4,7 +4,8 @@ function, class or method has a caller in the library's live code or is
 exported by the package __all__ (the tests do not count as callers), no
 import statement names scipy, the module-level imports keep the command
 line and the Monte Carlo path clear of the chain modules they do not run,
-and no public function repeats a default of a config section."""
+no public function repeats a default of a config section, and only
+cli.Pipeline calls the functions that build the chain."""
 
 import ast
 from dataclasses import fields
@@ -162,6 +163,49 @@ def test_unnamed_public_check_ignores_tests_and_dead_callers(tmp_path):
 
 def test_every_public_definition_is_named():
     assert unnamed_public_definitions(SRC) == []
+
+
+# The functions that build the chain from a configuration.
+ASSEMBLY = {"auto_grid", "solve", "coupling_matrix", "dipole_ladder",
+            "build_rate_matrix", "transition_rate"}
+
+
+def called_name(call):
+    """The name a call calls: f in f(...) and in m.f(...)."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def assembly_calls(package, names=ASSEMBLY, home=("cli.py", "Pipeline")):
+    """(file, line, name) of each call of a function named in names in the
+    modules of package outside the class home[1] of the module home[0],
+    the one assembler of the chain."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {id(node) for cls in tree.body
+               if path.name == home[0] and isinstance(cls, ast.ClassDef)
+               and cls.name == home[1] for node in ast.walk(cls)}
+        found += [(path.name, node.lineno, called_name(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in own
+                  and called_name(node) in names]
+    return sorted(found)
+
+
+def test_assembly_check_flags_calls_outside_the_pipeline(tmp_path):
+    lib = write_package(tmp_path / "lib", {
+        "cli.py": "class Pipeline:\n"
+                  "    def states(self): return boundstates.solve(1)\n"
+                  "def other(): return dipole_ladder(2)\n",
+        "check.py": "from . import boundstates, phonons\n"
+                    "def run(r): phonons.stationary_distribution(r)\n"
+                    "def rebuild(p): return boundstates.solve(p)\n"})
+    assert assembly_calls(lib) == [("check.py", 3, "solve"),
+                                   ("cli.py", 3, "dipole_ladder")]
+
+
+def test_pipeline_is_the_only_assembler():
+    assert assembly_calls(SRC) == []
 
 
 def imported_modules(tree, package="adnoise"):
