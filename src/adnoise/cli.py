@@ -323,12 +323,10 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
 
 def cmd_validate(pipe: Pipeline, outdir: Path):
     from .validate import run_checks
-    results = run_checks()
-    failed = 0
+    results = run_checks(pipe)
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        failed += 0 if ok else 1
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    failed = sum(not ok for _, ok, _ in results)
     if failed:
         raise NumericalError(f"{failed} invariant check(s) failed")
     print(f"all {len(results)} invariant checks passed")
@@ -372,17 +370,14 @@ _parser = functools.cache(build_parser)
 
 
 def load_config(args) -> RunConfig:
+    if args.config is None and args.preset is None:
+        raise ConfigurationError("either --config or --preset is required")
+    text = "" if args.preset is None else f"preset = {args.preset}\n"
     if args.config is not None:
         try:
-            text = args.config.read_text()
+            text += args.config.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {args.config}: {exc}") from None
-    elif args.preset is not None:
-        text = f"preset = {args.preset}\n"
-    else:
-        raise ConfigurationError("either --config or --preset is required")
-    if args.config is not None and args.preset is not None:
-        text = f"preset = {args.preset}\n" + text
     cfg = parse_config(text)
     return override(cfg, output=args.output, seed=args.seed,
                     temperatures=args.temperature)

@@ -183,8 +183,8 @@ def _temperature(value, key):
         t = _finite(float(parts[0]), key, value)
     except ValueError:
         raise ConfigurationError(f"{key}: {parts[0]!r} is not a number") from None
-    if t < 0 or (parts[1] == "nu10" and t == 0):
-        raise ConfigurationError(f"{key}: temperature must be positive")
+    if t < 0:
+        raise ConfigurationError(f"{key}: temperature must be non-negative")
     return (t, parts[1])
 
 

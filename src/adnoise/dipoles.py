@@ -29,7 +29,7 @@ def induced_dipole(alpha, z):
     if np.any(z <= 0):
         raise DomainError("z must be strictly positive")
     out = (INDUCED_DIPOLE_COEFFICIENT * E_CHARGE * np.sqrt(BOHR)
-           * alpha ** 1.5 / z ** 4)
+           * np.float64(alpha) ** 1.5 / z ** 4)
     return out if out.ndim else float(out)
 
 
@@ -42,7 +42,12 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
     integrand maximum must sit strictly inside the grid.
     """
     psi = states.wavefunctions
-    integrand = psi * induced_dipole(alpha, states.grid.z) * psi
+    # alpha^1.5, P(z) or the integrand overflow from about 1e190 m^3.
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = psi * induced_dipole(alpha, states.grid.z) * psi
+    if not np.isfinite(integrand).all():
+        raise NumericalError("potential.polarizability: the dipole integrand "
+                             "|psi|^2 P(z) leaves the float range")
     at_edge = np.flatnonzero(np.argmax(integrand, axis=1) == 0)
     if len(at_edge):
         raise NumericalError(

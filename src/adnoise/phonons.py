@@ -102,9 +102,13 @@ def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
     domega = np.abs(de) / HBAR
     mask = pair & (domega / TWO_PI > material.debye_frequency)
     live = pair & ~mask
+    try:
+        cube = material.speed_of_sound ** 3
+    except OverflowError:
+        raise NumericalError("material.speed_of_sound: c^3 overflows") from None
     base = np.zeros_like(de)
-    base[live] = (domega[live] / (TWO_PI * HBAR * material.speed_of_sound ** 3
-                                  * material.density) * coupling[live] ** 2)
+    base[live] = (domega[live] / (TWO_PI * HBAR * cube * material.density)
+                  * coupling[live] ** 2)
     # Emission (E_i > E_f) goes with n + 1, absorption with n.
     with np.errstate(over="ignore", invalid="ignore"):
         n = bose_occupation(domega[live], T)

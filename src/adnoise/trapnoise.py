@@ -233,7 +233,9 @@ def _check_sampling(n, extent, min_spacing, seeds):
     if not (min_spacing > 0 and 0 < extent < math.inf):
         raise ConfigurationError(
             "min_spacing and extent must be positive and finite")
-    if n * math.pi * (min_spacing / extent) ** 2 / 4.0 >= 0.5:
+    # ratio > 1 fails for any n >= 1; testing it first keeps ratio**2 finite
+    ratio = min_spacing / extent
+    if ratio > 1 or n * math.pi * ratio ** 2 / 4.0 >= 0.5:
         raise ConfigurationError(
             "packing fraction too high for rejection sampling")
 

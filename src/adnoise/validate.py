@@ -3,10 +3,9 @@
 Each check returns (name, passed, detail).  These are fast consistency
 checks of the numerical machinery against closed forms and independent
 quadratures; the full acceptance suite with frozen reference values lives
-in the test tree.  The checks of the chain read one built-in Ne-Au
-`Pipeline`, the assembler every subcommand runs, at max_states = 30; the
-two-state, kernel, single-dipole, heating and unit checks build their
-values by hand.
+in the test tree.  The checks of the chain read the `Pipeline` built from
+--preset or --config and hold for any chain that runs; the two-state,
+kernel, single-dipole, heating and unit checks build their values by hand.
 """
 
 import math
@@ -14,11 +13,7 @@ import math
 import numpy as np
 
 from . import boundstates, dipoles, phonons, potential, spectrum, trapnoise
-from .cli import Pipeline
-from .config import parse_config
 from .units import BOHR, DEBYE, E_CHARGE, KB, convert_energy
-
-CHAIN_CONFIG = "preset = Ne-Au\n[solver]\nmax_states = 30\n"
 
 
 def _check_units():
@@ -29,14 +24,13 @@ def _check_units():
     return "unit round-trips and constant consistency", ok, f"e*a0 = {ea0:.5f} D"
 
 
-def _check_potential(p):
+def _check_potential(p, grid):
+    # U is finite from the grid's inner edge out; further in exp can overflow
     ok = abs(potential.evaluate(p, p.z0) + p.U0) < 1e-12 * p.U0
-    z = np.linspace(0.5 * p.z0, 5 * p.z0, 2001)
-    du_fd = np.gradient(potential.evaluate(p, z), z)
+    z = np.linspace(grid.z_min, 5 * p.z0, 2001)
     du = potential.derivative(p, z)
-    mid = slice(100, -100)
-    ok &= np.max(np.abs(du[mid] - du_fd[mid])
-                 / np.max(np.abs(du))) < 1e-3
+    err = np.abs(du - np.gradient(potential.evaluate(p, z), z))[100:-100]
+    ok &= err.max() / np.abs(du).max() < 1e-3
     far = 60 * p.z0
     ok &= abs(potential.evaluate(p, far) * far ** 3 + potential.c3(p)) \
         < 1e-3 * potential.c3(p)
@@ -48,19 +42,17 @@ def _check_boundstates(s):
     overlaps = boundstates.grid_matrix(s, np.ones(s.grid.n_points))
     dev = np.abs(overlaps - np.eye(s.n_states)).max()
     nu = s.splitting(1, 0) / (2 * math.pi) / 1e12
-    ok = dev < 1e-8 and 0.2 <= nu <= 0.45 and np.all(s.energies < 0)
-    return "bound states: orthonormal, negative, splitting in range", ok, \
+    ok = dev < 1e-8 and np.all(s.energies < 0)
+    return "bound states: orthonormal, negative", ok, \
         f"{s.n_states} states, nu10 = {nu:.3f} THz, max overlap dev {dev:.1e}"
 
 
 def _check_dipoles(lad):
     c = dipoles.INDUCED_DIPOLE_COEFFICIENT
     coeff = c * 4.5 ** 1.5
-    ok = abs(coeff - 4.5) / 4.5 < 0.003
-    mu0 = lad[0] / DEBYE
-    ok &= 0.0025 <= mu0 <= 0.01 and np.all(lad > 0)
-    return "induced dipoles: hydrogen coefficient, ladder magnitude", ok, \
-        f"{c:g}*4.5^1.5 = {coeff:.4f}, mu_0 = {mu0:.4f} D"
+    ok = abs(coeff - 4.5) / 4.5 < 0.003 and np.all(lad > 0)
+    return "induced dipoles: hydrogen coefficient, positive ladder", ok, \
+        f"{c:g}*4.5^1.5 = {coeff:.4f}, mu_0 = {lad[0] / DEBYE:.4f} D"
 
 
 def _check_rates(s, r, p0):
@@ -123,14 +115,15 @@ def _check_heating():
     return "heating rate dimensional check", ok, f"ndot = {n:.4g} 1/s"
 
 
-def run_checks():
-    # One Ne-Au chain, built once, serves the five checks that read it.
-    pipe = Pipeline(parse_config(CHAIN_CONFIG))
+def run_checks(pipe):
+    """The ten checks.  The five of the chain read pipe at T = 2 nu10 and
+    share one rate matrix and its stationary state."""
     T = pipe.kelvin((2.0, "nu10"))
     r = pipe.rate_matrix(T)
     p0 = phonons.stationary_distribution(r)
-    return [_check_units(), _check_potential(pipe.params),
+    return [_check_units(), _check_potential(pipe.params, pipe.grid),
             _check_boundstates(pipe.states), _check_dipoles(pipe.ladder),
             _check_rates(pipe.states, r, p0),
-            _check_spectrum(pipe.spectrum_at(T)), _check_two_state(),
-            _check_kernel(), _check_single_dipole(), _check_heating()]
+            _check_spectrum(spectrum.correlation_modes(r, p0, pipe.ladder)),
+            _check_two_state(), _check_kernel(), _check_single_dipole(),
+            _check_heating()]

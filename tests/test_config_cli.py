@@ -397,11 +397,12 @@ def test_cli_h_au_spectrum_is_model_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["rates", "heat"])
+@pytest.mark.parametrize("command", ["rates", "heat", "validate"])
 def test_cli_h_au_disconnected_refusal_is_one_line(tmp_path, command):
     # A fresh interpreter, so a logged warning would reach stderr through
     # logging's last-resort handler: the refusal comes before the mask's
-    # warning and names the count and the cutoff itself.
+    # warning and names the count and the cutoff itself.  validate prints
+    # no check before it.
     out = tmp_path / "o"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     run = subprocess.run([sys.executable, "-m", "adnoise.cli", command,
@@ -684,8 +685,8 @@ def test_cli_validate_exits_zero(capsys):
 VALIDATE_CHECKS = (
     "unit round-trips and constant consistency",
     "exp-3 well: minimum, derivative, C3 tail",
-    "bound states: orthonormal, negative, splitting in range",
-    "induced dipoles: hydrogen coefficient, ladder magnitude",
+    "bound states: orthonormal, negative",
+    "induced dipoles: hydrogen coefficient, positive ladder",
     "rate matrix: Boltzmann stationary state",
     "spectrum: Lorentzian sum rule equals the dipole variance",
     "two-state telegraph closed form",
@@ -695,23 +696,54 @@ VALIDATE_CHECKS = (
 )
 
 
-def test_cli_validate_prints_each_check_and_solves_once(capsys, monkeypatch):
-    # The chain checks read one Pipeline: a single eigensolve per run.
-    solves = []
-    solve = boundstates.solve
+def test_cli_validate_prints_each_check_and_solves_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # The chain checks read the Pipeline the command line built from
+    # --config: one eigensolve and one rate matrix per run.
+    calls = []
 
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
+    def counter(f):
+        def counted(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(boundstates, "solve", counted)
-    assert run_cli(["validate", "--preset", "Ne-Au"]) == 0
+    monkeypatch.setattr(boundstates, "solve", counter(boundstates.solve))
+    monkeypatch.setattr(phonons, "build_rate_matrix",
+                        counter(phonons.build_rate_matrix))
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[solver]\nmax_states = 30\n")
+    assert run_cli(["validate", "--config", cfgfile]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(VALIDATE_CHECKS) + 1
     for line, name in zip(lines, VALIDATE_CHECKS):
         assert line.startswith(f"[PASS] {name}: ")
     assert lines[-1] == "all 10 invariant checks passed"
-    assert len(solves) == 1
+    assert " 23 states, " in lines[2] and lines[5].endswith(" over 22 modes")
+    assert sorted(calls) == ["build_rate_matrix", "solve"]
+
+
+@pytest.mark.parametrize("beta", ["4.69e12", "1e11"])
+def test_cli_validate_checks_the_configured_well(tmp_path, capsys, beta):
+    # beta*z0 = 1500 and 32: the potential check samples U only where the
+    # grid is, so exp never overflows (the suite makes a RuntimeWarning an
+    # error), and no check holds a window of the Ne-Au preset.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[potential]\nbeta = {beta} 1/m\n")
+    assert run_cli(["validate", "--config", cfgfile]) == 0
+    assert capsys.readouterr().out.endswith(
+        "\nall 10 invariant checks passed\n")
+
+
+@pytest.mark.parametrize("preset, error", [
+    ("Nope", "unknown preset 'Nope'"),
+    ("K-surface", "K-surface: beta is not set for this system")])
+def test_cli_validate_refuses_a_chain_that_cannot_run(capsys, preset, error):
+    assert run_cli(["validate", "--preset", preset]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"configuration error: {error}")
+    assert err.count("\n") == 1
 
 
 def test_config_error_in_file(tmp_path, capsys):
@@ -835,6 +867,26 @@ def test_cli_zero_temperature_is_a_zero_spectrum(tmp_path):
         out / "tempsweep.csv").read_text().splitlines()
 
 
+def test_cli_zero_temperature_is_zero_in_either_unit(tmp_path, capsys):
+    # 0 nu10 is 0 K; a negative temperature is refused in either unit
+    rows = []
+    for temperature in ("0 K", "0 nu10"):
+        out = tmp_path / temperature.split()[1]
+        assert run_cli(["heat", "--preset", "Ne-Au", "--output", out,
+                        "--temperature", temperature]) == 0
+        rows.append([line for line in
+                     (out / "heating.csv").read_text().splitlines()
+                     if not line.startswith("#")])
+    assert rows[0] == rows[1]
+    capsys.readouterr()
+    for temperature in ("-1 K", "-0.5 nu10"):
+        assert run_cli(["heat", "--preset", "Ne-Au", "--output",
+                        tmp_path / "neg", "--temperature", temperature]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --temperature: temperature must be "
+            "non-negative\n")
+
+
 @pytest.mark.parametrize("command, section, temperature", [
     ("spectrum", "", "1e+150"), ("heat", "", "1e+150"),
     ("tempsweep", "[tempsweep]\nt_max = 1e160 K\n", "3.44828e+158")])
@@ -949,6 +1001,35 @@ def test_cli_omega_range_past_float_range_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: spectrum.omega_max / omega_min = 1e+300 / "
         "1e-300 is past the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, code, error", [
+    (command, f"[potential]\npolarizability = {alpha} m^3\n", 4,
+     "numerical error: potential.polarizability: the dipole integrand "
+     "|psi|^2 P(z) leaves the float range")
+    for alpha in ("1e200", "1e300") for command in ("dipoles", "spectrum")] + [
+    (command, f"[material]\nspeed_of_sound = {c} m/s\n", 4,
+     "numerical error: material.speed_of_sound: c^3 overflows")
+    for c in ("1e150", "1e300") for command in ("rates", "spectrum")] + [
+    ("mc-scaling", "[montecarlo]\nextent = 1e-300\nn_seeds = 20\n", 2,
+     "configuration error: packing fraction too high for rejection "
+     "sampling")],
+    ids=["dipoles-alpha-1e200", "spectrum-alpha-1e200",
+         "dipoles-alpha-1e300", "spectrum-alpha-1e300",
+         "rates-c-1e150", "spectrum-c-1e150", "rates-c-1e300",
+         "spectrum-c-1e300", "mc-scaling-extent-1e-300"])
+def test_cli_value_past_float_range_names_its_key(tmp_path, capsys, command,
+                                                  text, code, error):
+    # Accepted values whose alpha^1.5 or dipole integrand, c^3 or
+    # (min_spacing / extent)^2 leaves the float range: one stderr line that
+    # names the key (or, for the extent, the packing refusal a smaller
+    # extent already gives), no traceback and no output directory.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + text)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == code
+    assert capsys.readouterr().err == error + "\n"
     assert not out.exists()
 
 

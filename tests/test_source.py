@@ -4,8 +4,9 @@ function, class or method has a caller in the library's live code or is
 exported by the package __all__ (the tests do not count as callers), no
 import statement names scipy, the module-level imports keep the command
 line and the Monte Carlo path clear of the chain modules they do not run,
-no public function repeats a default of a config section, and only
-cli.Pipeline calls the functions that build the chain."""
+no public function repeats a default of a config section, only
+cli.Pipeline calls the functions that build the chain, and no module
+but cli imports cli."""
 
 import ast
 from dataclasses import fields
@@ -211,7 +212,7 @@ def test_pipeline_is_the_only_assembler():
 def imported_modules(tree, package="adnoise"):
     """(line, module) of every import statement in tree, at any depth;
     a relative import is resolved inside package, and `from . import x`
-    names the module package.x."""
+    and `from package import x` name the module package.x."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -219,7 +220,7 @@ def imported_modules(tree, package="adnoise"):
         elif isinstance(node, ast.ImportFrom):
             base = ((package + "." + node.module if node.module else package)
                     if node.level else node.module)
-            if node.module is None:
+            if base == package:
                 found += [(node.lineno, base + "." + a.name)
                           for a in node.names]
             else:
@@ -260,16 +261,48 @@ def test_import_checks_resolve_relative_and_nested_imports():
                      "from .phonons import RateMatrix\n"
                      "class A:\n    from . import tables\n"
                      "def f():\n    from . import spectrum\n"
-                     "    import scipy.linalg\n")
+                     "    import scipy.linalg\n"
+                     "    from adnoise import config\n")
     assert [m for _, m in imported_modules(tree)] == [
         "numpy", "adnoise.errors", "adnoise.units", "adnoise.phonons",
-        "adnoise.tables", "adnoise.spectrum", "scipy.linalg"]
+        "adnoise.tables", "adnoise.spectrum", "scipy.linalg",
+        "adnoise.config"]
     assert module_level_imports(tree) == {"errors", "units", "phonons",
                                           "tables"}
     graph = {"cli": {"config"}, "config": {"units"}, "units": {"errors"},
              "spectrum": {"phonons"}, "__init__": {"tables"}}
     assert import_closure(graph, "__init__", "cli") == {
         "config", "units", "errors", "tables"}
+
+
+def cli_imports(package):
+    """(file, line) of each import of adnoise.cli, at any depth, in the
+    modules of package other than cli.py: the library never runs the
+    command line."""
+    return sorted((path.name, line) for path in sorted(package.glob("*.py"))
+                  if path.name != "cli.py"
+                  for line, module in imported_modules(
+                      ast.parse(path.read_text()))
+                  if module.split(".")[:2] == ["adnoise", "cli"])
+
+
+def test_cli_import_check_flags_library_imports(tmp_path):
+    lib = write_package(tmp_path / "lib", {
+        "cli.py": "from . import check\nfrom .cli import main\n",
+        "check.py": "import numpy\n"
+                    "def run():\n    from .cli import Pipeline\n"
+                    "    return Pipeline\n",
+        "deep.py": "class A:\n    def f(self):\n"
+                   "        import adnoise.cli as c\n",
+        "flat.py": "from adnoise import cli, config\n",
+        "near.py": "from . import client\nimport adnoise.cli_tools\n"
+                   "from .config import cli\n"})
+    assert cli_imports(lib) == [("check.py", 3), ("deep.py", 3),
+                                ("flat.py", 1)]
+
+
+def test_library_does_not_import_the_command_line():
+    assert cli_imports(SRC) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
