@@ -40,12 +40,14 @@ from .units import DEBYE, E_CHARGE, HBAR, KB
 TWO_PI = 2.0 * math.pi
 
 
-def _in_debye2(x, what):
-    """x (C^2 m^2, or per Hz) in D^2; NumericalError past the float range."""
+def _in_debye(x, what, power=1):
+    """x (C m, or C^2 m^2 and per Hz at power 2) in D^power;
+    NumericalError past the float range."""
     with np.errstate(over="ignore"):
-        x = np.asarray(x) / DEBYE ** 2
+        x = np.asarray(x) / DEBYE ** power
     if not np.isfinite(x).all():
-        raise NumericalError(f"{what} in D^2 is past the float range")
+        unit = "D" if power == 1 else f"D^{power}"
+        raise NumericalError(f"{what} in {unit} is past the float range")
     return x
 
 
@@ -124,7 +126,7 @@ class Pipeline:
     def spectrum_at(self, T):
         from . import phonons, spectrum
         r = self.rate_matrix(T)
-        p0 = phonons.stationary_distribution(r)
+        p0 = phonons.stationary_distribution(self.states.energies, T)
         return spectrum.correlation_modes(r, p0, self.ladder)
 
     def omega_grid(self):
@@ -176,7 +178,8 @@ def cmd_dipoles(pipe: Pipeline, outdir: Path):
         f"ladder_monotonic_decreasing: {bool(np.all(np.diff(mu) < 0))}"])
     columns = [("i", "1"), ("E", "meV"), ("mu", "D")]
     rows = np.column_stack([np.arange(s.n_states),
-                            s.energies / (1e-3 * E_CHARGE), mu / DEBYE])
+                            s.energies / (1e-3 * E_CHARGE),
+                            _in_debye(mu, "the dipole ladder")])
     return [emit_table(outdir / "dipoles.csv", columns, rows, header)]
 
 
@@ -208,8 +211,9 @@ def cmd_spectrum(pipe: Pipeline, outdir: Path):
     omegas = pipe.omega_grid()
     temps = [pipe.kelvin(tspec) for tspec in temperatures]
     spec = pipe.spectrum_at(np.array(temps))
-    variances = _in_debye2(spec.variance, "a dipole variance")
-    spectra = _in_debye2(spectrum.evaluate_spectrum(spec, omegas), "S_mu")
+    variances = _in_debye(spec.variance, "a dipole variance", 2)
+    spectra = _in_debye(spectrum.evaluate_spectrum(spec, omegas),
+                        "S_mu", 2)
     paths = []
     for tspec, tag, T, variance, values in zip(temperatures, tags, temps,
                                                variances, spectra):
@@ -234,7 +238,7 @@ def cmd_tempsweep(pipe: Pipeline, outdir: Path):
               ts.highfreq_omega * pipe.gamma0]
     values = spectrum.evaluate_spectrum(pipe.spectrum_at(temps), omegas)
     rows = np.column_stack([KB * temps / (HBAR * pipe.nu10), temps,
-                            _in_debye2(values, "S_mu")])
+                            _in_debye(values, "S_mu", 2)])
     try:
         s_t, t0, resid = spectrum.arrhenius_fit(temps, rows[:, 3])
         fit_lines = [
@@ -317,7 +321,7 @@ def cmd_heat(pipe: Pipeline, outdir: Path):
     columns = [("T", "K"), ("omega_t", "rad/s"), ("S_mu", "D^2/Hz"),
                ("S_E", "(V/m)^2/Hz"), ("ndot", "1/s")]
     rows = np.column_stack([temps, np.full(len(temps), omega_t),
-                            _in_debye2(s_mu, "S_mu"), s_e, ndot])
+                            _in_debye(s_mu, "S_mu", 2), s_e, ndot])
     return [emit_table(outdir / "heating.csv", columns, rows, header)]
 
 

@@ -10,8 +10,9 @@ states i and f separated by delta_omega = |E_i - E_f| / hbar:
 The single-phonon picture only holds below the Debye frequency of the
 bulk; transitions above it are hard-zeroed on both directions and flagged
 in the cutoff mask.  The rates alone define the master-equation generator
-M (columns sum to zero) whose null space is the stationary distribution;
-detailed balance holds pair by pair, so the stationary state is Boltzmann.
+M (columns sum to zero).  Detailed balance holds pair by pair and a graph
+the mask disconnects is refused, so the null space of M is the Boltzmann
+distribution of the levels, which stationary_distribution writes.
 
 The temperature may be an array: the rates, the generator and the
 stationary state then carry its shape as leading axes, and row k is bit
@@ -24,6 +25,7 @@ level set.  A check that fails on one row names that row's temperature.
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +108,16 @@ def _golden_rule_rates(energies, coupling, material: BulkMaterial, T):
         cube = material.speed_of_sound ** 3
     except OverflowError:
         raise NumericalError("material.speed_of_sound: c^3 overflows") from None
+    # Below DBL_MIN the rates divide by zero or overflow; past DBL_MAX
+    # they all read 0 and the graph looks disconnected.
+    den = TWO_PI * HBAR * cube * material.density
+    if not sys.float_info.min <= den < math.inf:
+        raise NumericalError(
+            "material.speed_of_sound, material.density: the golden-rule "
+            f"denominator 2 pi hbar c^3 rho = {den:.3g} kg^2 m^2/s^4 leaves "
+            "the float range")
     base = np.zeros_like(de)
-    base[live] = (domega[live] / (TWO_PI * HBAR * cube * material.density)
-                  * coupling[live] ** 2)
+    base[live] = domega[live] / den * coupling[live] ** 2
     # Emission (E_i > E_f) goes with n + 1, absorption with n.
     with np.errstate(over="ignore", invalid="ignore"):
         n = bose_occupation(domega[live], T)
@@ -212,31 +221,13 @@ def build_rate_matrix(states: BoundStateSet, material: BulkMaterial, T,
     return RateMatrix(gamma, T, mask)
 
 
-def stationary_distribution(r: RateMatrix):
-    """Probability vector p with M p = 0, by GTH elimination.
-
-    Gaussian elimination reorganized so every intermediate is a sum of
-    products of non-negative rates: no cancellation, hence componentwise
-    relative accuracy even when populations span hundreds of orders of
-    magnitude (deep Boltzmann tails at low temperature).  It raises
-    ModelError exactly when some state has no path toward lower states.
-    Otherwise every state reaches state 0, which makes the closed class and
-    hence the stationary state unique.  A stack of rate matrices gives one
-    probability vector per temperature, p[..., i].
-    """
-    a = np.array(r.gamma, dtype=float)  # a[..., i, j] = rate i -> j, i != j
-    n = a.shape[-1]
-    diag = np.arange(n)
-    a[..., diag, diag] = 0.0
-    for k in range(n - 1, 0, -1):
-        s = a[..., k, :k].sum(axis=-1)
-        _require(~(s <= 0.0), r.temperature, ModelError,
-                 f"state {k} has no path toward lower states; stationary "
-                 "state not reachable by elimination")
-        a[..., :k, k] /= s[..., None]
-        a[..., :k, :k] += a[..., :k, k, None] * a[..., k, None, :k]
-    p = np.zeros(a.shape[:-1])
+def stationary_distribution(energies, T):
+    """Boltzmann populations exp(-(E - E0) / kB T), normalised, with E0 =
+    energies[0]: one row per temperature of T, and (1, 0, ...) at T = 0."""
+    E = np.asarray(energies, dtype=float)
+    kT = KB * np.asarray(T, dtype=float)[..., None]
+    # At T = 0 the ground state reads 0/0 until set; the rest exp(-inf) = 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.exp(-(E - E[0]) / kT)
     p[..., 0] = 1.0
-    for k in range(1, n):
-        p[..., k] = (p[..., None, :k] @ a[..., :k, k, None])[..., 0, 0]
     return p / p.sum(axis=-1, keepdims=True)

@@ -121,6 +121,12 @@ def correlation_modes(r: RateMatrix, p0, mu) -> DipoleSpectrum:
     _require(fastest <= math.sqrt(sys.float_info.max), T, NumericalError,
              "the fastest mode decays at %.3e 1/s, past sqrt(DBL_MAX), so "
              "its Lorentzian overflows", fastest)
+    # Below sqrt(DBL_MIN) lambda^2 is no normal double, and at omega = 0
+    # the Lorentzian reads 0/0.
+    slowest = lambdas.min(axis=-1, initial=math.inf)
+    _require(slowest >= math.sqrt(sys.float_info.min), T, NumericalError,
+             "the slowest mode decays at %.3e 1/s, below sqrt(DBL_MIN), so "
+             "its Lorentzian underflows", slowest)
     # evaluate_spectrum forms 2 w lambda; S peaks at sum 2 w / lambda.
     with np.errstate(over="ignore"):
         peak = np.maximum((2.0 * weights * lambdas).max(axis=-1, initial=0.0),

@@ -10,6 +10,11 @@ routes and the estimates that only the tests use:
   spectrum.correlation_modes; it cross-checks the Lorentzian sum, with
   the same two-sided convention and sum rule
   int S(omega) domega / 2 pi = Var(mu).
+* gth_stationary: the null vector of a generator built from any rates,
+  by GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107
+  (1985)).  It knows nothing of energies, so it checks that the
+  Boltzmann state phonons.stationary_distribution writes is the
+  stationary state of the rates.
 * two_level_limit: the low-temperature closed form of the spectrum.
 * fit_loglog_slope and empirical_knee: the slope and the knee read off a
   sampled spectrum.
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from adnoise.errors import AnalysisError, DomainError
+from adnoise.errors import AnalysisError, DomainError, ModelError
 from adnoise.phonons import RateMatrix
 from adnoise.potential import BulkMaterial, SurfacePotentialParams
 from adnoise.units import HBAR, KB, _line_fit
@@ -51,6 +56,35 @@ def spectrum_via_resolvent(r: RateMatrix, p0, mu, omegas):
     eye = np.eye(len(p0))
     return np.array([2.0 * (dmu @ np.linalg.solve(1j * w * eye + a, rhs)).real
                      for w in omegas])
+
+
+def gth_stationary(r: RateMatrix):
+    """Probability vector p with M p = 0, by GTH elimination.
+
+    Gaussian elimination reorganized so every intermediate is a sum of
+    products of non-negative rates: no cancellation, hence componentwise
+    relative accuracy even when populations span hundreds of orders of
+    magnitude (deep Boltzmann tails at low temperature).  It raises
+    ModelError exactly when some state has no path toward lower states.
+    Otherwise every state reaches state 0, which makes the closed class and
+    hence the stationary state unique.  A stack of rate matrices gives one
+    probability vector per temperature, p[..., i].
+    """
+    a = np.array(r.gamma, dtype=float)  # a[..., i, j] = rate i -> j, i != j
+    n = a.shape[-1]
+    diag = np.arange(n)
+    a[..., diag, diag] = 0.0
+    for k in range(n - 1, 0, -1):
+        s = a[..., k, :k].sum(axis=-1)
+        if np.any(s <= 0.0):
+            raise ModelError(f"state {k} has no path toward lower states")
+        a[..., :k, k] /= s[..., None]
+        a[..., :k, :k] += a[..., :k, k, None] * a[..., k, None, :k]
+    p = np.zeros(a.shape[:-1])
+    p[..., 0] = 1.0
+    for k in range(1, n):
+        p[..., k] = (p[..., None, :k] @ a[..., :k, k, None])[..., 0, 0]
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def two_level_limit(mu0, mu1, gamma0, nu10, T, omega):

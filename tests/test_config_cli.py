@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adnoise import (boundstates, cli, config, phonons, spectrum, tables,
-                     trapnoise)
+                     trapnoise, validate)
 from adnoise.errors import AdnoiseError, ConfigurationError
 from adnoise.tables import emit_table
 from adnoise.units import AMU, BOHR, DEBYE, E_CHARGE, HBAR, KB
@@ -687,7 +687,7 @@ VALIDATE_CHECKS = (
     "exp-3 well: minimum, derivative, C3 tail",
     "bound states: orthonormal, negative",
     "induced dipoles: hydrogen coefficient, positive ladder",
-    "rate matrix: Boltzmann stationary state",
+    "rate matrix: detailed balance, M p0 = 0 for Boltzmann p0",
     "spectrum: Lorentzian sum rule equals the dipole variance",
     "two-state telegraph closed form",
     "field kernel plane integral = 3 pi / 4, d-independent",
@@ -721,6 +721,26 @@ def test_cli_validate_prints_each_check_and_solves_once(tmp_path, capsys,
     assert lines[-1] == "all 10 invariant checks passed"
     assert " 23 states, " in lines[2] and lines[5].endswith(" over 22 modes")
     assert sorted(calls) == ["build_rate_matrix", "solve"]
+
+
+def test_validate_rates_check_fails_when_detailed_balance_breaks(
+        ne, ne_states, ne_scales, ne_coupling):
+    # The Boltzmann state is the rates' null vector only while every pair
+    # keeps its ratio exp(-dE / kT).
+    _, mat = ne
+    nu10, _ = ne_scales
+    T = 2 * HBAR * nu10 / KB
+    r = phonons.build_rate_matrix(ne_states, mat, T, coupling=ne_coupling)
+    p0 = phonons.stationary_distribution(ne_states.energies, T)
+    assert validate._check_rates(r, p0)[:2] == (VALIDATE_CHECKS[4], True)
+    cold = phonons.build_rate_matrix(ne_states, mat, 0.0, coupling=ne_coupling)
+    assert validate._check_rates(
+        cold, phonons.stationary_distribution(ne_states.energies, 0.0))[1]
+    gamma = r.gamma.copy()
+    gamma[1, 0] *= 1.5
+    _, ok, detail = validate._check_rates(
+        phonons.RateMatrix.from_gamma(gamma, T), p0)
+    assert not ok, detail
 
 
 @pytest.mark.parametrize("beta", ["4.69e12", "1e11"])
@@ -1030,6 +1050,56 @@ def test_cli_value_past_float_range_names_its_key(tmp_path, capsys, command,
     out = tmp_path / "o"
     assert run_cli([command, "--config", cfgfile, "--output", out]) == code
     assert capsys.readouterr().err == error + "\n"
+    assert not out.exists()
+
+
+CHAIN_COMMANDS = ("states", "dipoles", "rates", "spectrum", "tempsweep",
+                  "heat", "validate")
+DENOMINATOR = ("numerical error: material.speed_of_sound, material.density: "
+               "the golden-rule denominator 2 pi hbar c^3 rho = {} "
+               "kg^2 m^2/s^4 leaves the float range")
+SLOWEST = ("numerical error: the slowest mode decays at {} 1/s, below "
+           "sqrt(DBL_MIN), so its Lorentzian underflows at T = {} K")
+
+
+@pytest.mark.parametrize("command, text, code, line", [
+    pytest.param(command, f"[material]\n{key} = {value}\n", 4,
+                 DENOMINATOR.format(den),
+                 id=f"{command}-{key}-{value.split()[0]}")
+    for key, value, den in (("speed_of_sound", "1e-100 m/s", "0"),
+                            ("speed_of_sound", "1e-300 m/s", "0"),
+                            ("density", "1e-300 kg/m^3", "3.95e-323"))
+    for command in CHAIN_COMMANDS] + [
+    pytest.param("dipoles", "[potential]\npolarizability = 1e185 m^3\n", 4,
+                 "numerical error: the dipole ladder in D is past the float "
+                 "range", id="dipoles-polarizability-1e185")] + [
+    pytest.param(command, "[material]\nspeed_of_sound = 1e100 m/s\n", 4,
+                 SLOWEST.format(*(("9.332e-282", "34.9148")
+                                  if command == "validate"
+                                  else ("3.602e-282", "3.49148"))),
+                 id=f"{command}-speed_of_sound-1e100")
+    for command in ("spectrum", "tempsweep", "heat", "validate")] + [
+    pytest.param("validate", "[potential]\npolarizability = 1e-150 m^3\n", 0,
+                 "[PASS] spectrum: Lorentzian sum rule equals the dipole "
+                 "variance: absolute deviation 0.00e+00 C^2 m^2 at zero "
+                 "variance over 4 modes", id="validate-polarizability-1e-150")])
+def test_cli_float_range_edges_of_the_chain(tmp_path, capsys, command, text,
+                                            code, line):
+    # The golden-rule denominator 2 pi hbar c^3 rho below DBL_MIN, a
+    # ladder past DBL_MAX once in D, mode rates whose square underflows,
+    # and a dipole variance that underflows to 0 on a chain every other
+    # subcommand runs: one line and no output directory, with no
+    # RuntimeWarning (the suite makes one an error).
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n" + text)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == code
+    stdout, stderr = capsys.readouterr()
+    if code:
+        assert stderr == line + "\n"
+    else:
+        assert stderr == "" and line in stdout.splitlines()
+        assert stdout.endswith("\nall 10 invariant checks passed\n")
     assert not out.exists()
 
 

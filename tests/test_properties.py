@@ -21,7 +21,7 @@ from adnoise import (boundstates, config, phonons, potential,
 from adnoise.errors import ModelError
 from adnoise.units import HBAR, KB
 from conftest import assert_close_pairs, per_cell_table
-from oracles import spectrum_via_resolvent
+from oracles import gth_stationary, spectrum_via_resolvent
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -77,11 +77,7 @@ def deep_detailed_balance_chains(draw):
 @given(detailed_balance_chains())
 def test_spectral_invariants(chain):
     r, energies, ladder = chain
-    p0 = phonons.stationary_distribution(r)
-    boltzmann = np.exp(-(energies - energies[0]))
-    boltzmann /= boltzmann.sum()
-    assert np.allclose(p0, boltzmann, rtol=1e-10, atol=0)
-
+    p0 = phonons.stationary_distribution(KB * energies, r.temperature)
     spec = spectrum.correlation_modes(r, p0, ladder)
     mu, n = ladder, len(ladder)
     pairwise = 0.5 * math.fsum(p0[i] * p0[j] * (mu[i] - mu[j]) ** 2
@@ -99,8 +95,8 @@ def test_spectral_invariants(chain):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(deep_detailed_balance_chains())
 def test_spectral_invariants_deep_tail(chain):
-    r, _, ladder = chain
-    p0 = phonons.stationary_distribution(r)
+    r, energies, ladder = chain
+    p0 = phonons.stationary_distribution(KB * energies, r.temperature)
     assert p0[-1] < 1e-300 * p0[0]
     spec = spectrum.correlation_modes(r, p0, ladder)
     mu, n = ladder, len(ladder)
@@ -108,6 +104,19 @@ def test_spectral_invariants_deep_tail(chain):
                                for i in range(n) for j in range(n))
     assert spec.weights.min() >= -1e-12 * pairwise
     assert abs(spec.weights.sum() - pairwise) <= 1e-12 * pairwise
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(detailed_balance_chains(), deep_detailed_balance_chains()))
+def test_boltzmann_is_the_null_vector_of_the_rates(chain):
+    # The closed form from the energies against elimination on the rates
+    # alone, wherever the populations are far from underflow.
+    r, energies, _ = chain
+    p0 = phonons.stationary_distribution(KB * energies, r.temperature)
+    null = gth_stationary(r)
+    big = null > 1e-250
+    assert big[:2].all()
+    assert np.all(np.abs(p0 - null)[big] <= 1e-12 * null[big])
 
 
 def reference_rate(e_i, e_f, coupling, material, T):
@@ -198,8 +207,8 @@ def temperature_stacks(draw):
 
 def reference_chain(energies, coupling, material, T, mu, om):
     """The chain at one temperature as written before it took a
-    temperature axis: (gamma, generator, p0, lambdas, weights, mean,
-    variance, S at om)."""
+    temperature axis, with p0 in closed form: (gamma, generator, p0,
+    lambdas, weights, mean, variance, S at om)."""
     de = energies[:, None] - energies[None, :]
     pair = ~np.eye(len(energies), dtype=bool)
     domega = np.abs(de) / HBAR
@@ -216,14 +225,11 @@ def reference_chain(energies, coupling, material, T, mu, om):
     gen = gamma.T.copy()
     np.fill_diagonal(gen, 0.0)
     np.fill_diagonal(gen, -gen.sum(axis=0))
-    a = gamma.copy()
-    for k in range(len(a) - 1, 0, -1):
-        a[:k, k] /= a[k, :k].sum()
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    p = np.zeros(len(a))
-    p[0] = 1.0
-    for k in range(1, len(a)):
-        p[k] = p[:k] @ a[:k, k]
+    if T == 0:
+        p = np.zeros(len(energies))
+        p[0] = 1.0
+    else:
+        p = np.exp(-(energies - energies[0]) / (KB * T))
     p = p / p.sum()
     root = np.sqrt(gamma)
     A = root * root.T
@@ -252,7 +258,7 @@ def test_stacked_chain_is_bit_identical_to_one_temperature(stack):
     states, coupling, material, temps, mu = stack
     om = np.concatenate([[0.0], np.logspace(6.0, 12.0, 7)])
     r = phonons.build_rate_matrix(states, material, temps, coupling=coupling)
-    p0 = phonons.stationary_distribution(r)
+    p0 = phonons.stationary_distribution(states.energies, temps)
     spec = spectrum.correlation_modes(r, p0, mu)
     stacked = (r.gamma, r.generator, p0, spec.lambdas, spec.weights,
                spec.mean_dipole, spec.variance,
@@ -261,7 +267,7 @@ def test_stacked_chain_is_bit_identical_to_one_temperature(stack):
     for k, T in enumerate(temps):
         r1 = phonons.build_rate_matrix(states, material, float(T),
                                        coupling=coupling)
-        p1 = phonons.stationary_distribution(r1)
+        p1 = phonons.stationary_distribution(states.energies, float(T))
         spec1 = spectrum.correlation_modes(r1, p1, mu)
         single = (r1.gamma, r1.generator, p1, spec1.lambdas, spec1.weights,
                   spec1.mean_dipole, spec1.variance,
