@@ -262,11 +262,18 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
     Raises ModelError if fewer than two bound states exist and GridError if
     U is not finite on the grid, rises at its inner edge (the grid starts
     inside the inner barrier) or a kept state fails the tail condition
-    (grid too small).  Raises NumericalError if the Hamiltonian is not
-    finite (a mass too small for the grid) or a LAPACK call fails.
+    (grid too small).  Raises NumericalError if U0/hbar overflows, if the
+    Hamiltonian is not finite (a mass too small for the grid) or if a
+    LAPACK call fails.
     """
     if max_states < 2:
         raise ConfigurationError("max_states must be at least 2")
+    # Every level lies in [-U0, 0), so U0/hbar bounds each transition
+    # frequency formed from the levels.
+    if not float(p.U0) / HBAR < math.inf:
+        raise NumericalError(
+            f"potential.U0: the frequency scale of the levels U0/hbar = "
+            f"{float(p.U0) / HBAR:.3g} rad/s leaves the float range")
     with np.errstate(over="ignore", invalid="ignore"):
         u = pot.evaluate(p, grid.z)
     if not np.all(np.isfinite(u)):

@@ -35,20 +35,9 @@ from .config import RunConfig, override, parse_config, serialize_config
 from .errors import (AdnoiseError, ConfigurationError, DomainError,
                      ModelError, NumericalError)
 from .tables import emit_table
-from .units import DEBYE, E_CHARGE, HBAR, KB
+from .units import E_CHARGE, HBAR, KB, _in_debye
 
 TWO_PI = 2.0 * math.pi
-
-
-def _in_debye(x, what, power=1):
-    """x (C m, or C^2 m^2 and per Hz at power 2) in D^power;
-    NumericalError past the float range."""
-    with np.errstate(over="ignore"):
-        x = np.asarray(x) / DEBYE ** power
-    if not np.isfinite(x).all():
-        unit = "D" if power == 1 else f"D^{power}"
-        raise NumericalError(f"{what} in {unit} is past the float range")
-    return x
 
 
 class Pipeline:

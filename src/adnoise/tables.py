@@ -12,7 +12,8 @@ or 'true'; any other value there is written like a float cell.
 
 The data lines come from one numpy byte kernel, `_render_rows`, run over
 blocks of about `_BLOCK` cells (whole rows), so that its temporaries stay
-small.  Its output equals '%.9g' byte for byte:
+small.  It works cell by cell on 64-bit words, and its output equals
+'%.9g' byte for byte:
 
 1. Per cell it estimates the decimal exponent e = floor(log10|x|) and the
    nine digits y = |x| 10^(8 - e), rounded to n9.  It trusts the estimate
@@ -20,19 +21,28 @@ small.  Its output equals '%.9g' byte for byte:
    tie.  That margin is about 80 ulp at 1e9, while the float estimate is
    off by a few ulp, so the digits do not depend on how log10 or the
    powers of ten round on a given CPU.
-2. It lays out every cell in a fixed-width byte template, one template
-   row per byte position and one column per cell (`_LAYOUT`): the sign,
-   the '0.000' ahead of a fixed form below 1, the nine digits each with a
-   point slot after it, the scientific exponent (2 or 3 digits) and the
-   separator.  A keep mask picks the bytes of '%.9g': trailing zeros and
-   unused slots are dropped.  The bytes outside the mask are zeroed and
-   deleted in one pass over the block's text.
+2. Two integer divmods split n9 into three 3-digit groups.  Each cell is
+   laid out in 32 bytes, four little-endian uint64 words: the sign and
+   the '0.000' ahead of a fixed form below 1 (6 bytes), the three groups
+   as 'd.d.d.' from a 1000-entry table (18 bytes, each digit with a point
+   slot after it), then 'e+ddd' or 'e-ddd' from a table over e, the
+   column's separator and two zero bytes.  The format class of a cell is
+   its fixed form with e in -4..8, or its scientific form with a 2- or
+   3-digit exponent; with its count of significant digits, 1..9, taken
+   from the groups by table, it picks one of 135 keep-mask rows
+   (`_KEEP`).  One take of those rows and one AND zero every byte that
+   '%.9g' does not write: trailing zeros, unused point slots and prefix
+   bytes, a missing sign.  The zero bytes are then deleted in one pass
+   over the block's text, which is already in cell order.
 3. Python writes with '%.9g' only the cells the kernel cannot be sure
    of: zero, -0, nan, +-inf, |x| outside 1e-290 to 1e290, and the cells
    the estimate does not settle (near a tie, or rounding to a power of
    ten the estimate missed).  It also writes the 0/1 cells of 'bool'
-   columns, as 'false' and 'true'.  On a states table this leaves about 2
-   cells in 100,000 to Python.
+   columns, as 'false' and 'true'.  Their text replaces the first three
+   words of the cell.  On a states table this leaves about 2 cells in
+   100,000 to Python.
+
+Every table is built with numpy at import.
 """
 
 from pathlib import Path
@@ -47,14 +57,72 @@ _BLOCK = 4096                 # cells per kernel pass, in whole rows
 _LIMIT = 290                  # the kernel writes |x| in 1e-290..1e290
 # 10^(8 - e) at index _LIMIT + 1 - e, one spare power at each end
 _POW10 = 10.0 ** np.arange(7 - _LIMIT, 10 + _LIMIT)
-_PLACE = 10.0 ** np.arange(9, -1, -1)[:, None]    # 1e9, 1e8, ..., 1
-_EPLACE = _PLACE[-4:]                             # 1000, 100, 10, 1
-_INDEX = np.arange(9.0)[:, None]
-# One template row per byte: sign, the '0.000' ahead of a fixed form below
-# 1, nine digits each followed by a point (the last excepted), the
-# exponent and the separator.  Python writes at most _TEXT bytes.
-_LAYOUT = np.frombuffer(b"-0.0000.0.0.0.0.0.0.0.0e+000,", np.uint8)[:, None]
-_TEXT = len(_LAYOUT) - 1
+_WORD = np.dtype("<u8")
+_FIXED = 13                   # format classes 0..12: fixed, e = -4..8
+
+
+def _words(b):
+    """Rows of 8 bytes as little-endian uint64 words, one per row."""
+    return np.ascontiguousarray(b, np.uint8).view(_WORD)[..., 0]
+
+
+def _decimal(n, width):
+    """The ASCII digits of each n, zero-padded to width, one row each."""
+    return 48 + n[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10
+
+
+def _tables():
+    """The kernel's lookup tables, built without a Python loop over them.
+
+    digits: 'd.d.d.' for each 3-digit group g.  significant[j]: for g as
+    group j + 1 of the nine digits, the count of digits up to its last
+    non-zero one (0 for 000).  exponent: 'e+ddd' or 'e-ddd' for each e
+    that step 1 can give, at index e + _LIMIT + 1; row: at the same
+    index, the first keep-mask row of e's format class, less 1.  keep:
+    one 32-byte row per format class and count s = 1..9 of significant
+    digits, at 9 class + s - 1.  Class 13 is the scientific form with a
+    2-digit exponent and class 14 the one with 3.  In a cell, byte 0 is
+    the sign, 1-5 '0.000', 6 + 2i digit i and 7 + 2i the point slot after
+    it, 24-28 the exponent and 29 the separator.
+    """
+    g = np.arange(1000)
+    b = np.zeros((1000, 8), np.uint8)
+    b[:, 0:6:2] = _decimal(g, 3)
+    b[:, 1:6:2] = ord(".")
+    digits = _words(b)
+    last = 3 - (g % 10 == 0) - (g % 100 == 0)
+    significant = np.where(g > 0, last + 3 * np.arange(3)[:, None], 0)
+
+    e = np.arange(-_LIMIT - 1, _LIMIT + 2)
+    b = np.zeros((e.size, 8), np.uint8)
+    b[:, 0] = ord("e")
+    b[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    b[:, 2:5] = _decimal(np.abs(e), 3)
+    exponent = _words(b)
+    row = 9 * np.where((e >= -4) & (e < 9), e + 4,
+                       _FIXED + (np.abs(e) >= 100)) - 1
+
+    c = np.arange(_FIXED + 2)[:, None, None]
+    s = np.arange(1, 10)[:, None]
+    p = np.arange(32)
+    fixed = c < _FIXED
+    point = np.where(fixed, c - 4, 0)         # the digit the point follows
+    digit = (p >= 6) & (p < 24)
+    keep = ((p == 0) | (p == 29)
+            | fixed & (point < 0) & (p >= 1) & (p <= 1 - point)
+            | digit & (p % 2 == 0)
+            & ((p - 6) // 2 < np.where(fixed, np.maximum(s, point + 1), s))
+            | digit & (p == 7 + 2 * point) & (s > point + 1)
+            | ~fixed & (p >= 24) & (p < 29) & ((p != 26) | (c > _FIXED)))
+    keep = _words(keep.reshape(-1, 4, 8) * np.uint8(255))
+    return digits, significant, exponent, row, keep
+
+
+_DIGITS, _SIGNIFICANT, _EXPONENT, _ROW, _KEEP = _tables()
+# word 0 ahead of the digits: a zero byte, where a sign goes, and '0.000'
+_ZERO = np.frombuffer(b"\0" b"0.000\0\0", _WORD)[0]
+_SIGN = _WORD.type(ord("-"))
+_SEPARATOR = _WORD.type(0xFF << 40)       # the separator byte of word 3
 
 
 def _render_rows(block, sep, bools):
@@ -66,43 +134,42 @@ def _render_rows(block, sep, bools):
     ok = (a >= 10.0 ** -_LIMIT) & (a <= 10.0 ** _LIMIT)
     a[~ok] = 1.0
     e = np.floor(np.log10(a))
-    y = a * _POW10[_LIMIT + 1 - e.astype(np.intp)]
+    k = e.astype(np.intp)
+    y = a * _POW10[_LIMIT + 1 - k]
     n9 = np.rint(y)                              # the nine digits
     ok &= (y >= 1e8) & (n9 < 1e9) & (np.abs(y - n9) < 0.5 - 1e-5)
-    q = np.floor(n9 / _PLACE)                    # n9 // 1e9, ..., n9 // 1
-    more = q[:-1] * _PLACE[:-1] != n9            # a non-zero digit from i on
-    fixed = (e >= -4) & (e < 9)
-    point = np.where(fixed, e, 0.0)              # digit the point follows
-    point[fixed & (e < 0)] = -1.0                # 0.000ddd: in the prefix
-    qe = np.floor(np.abs(e) / _EPLACE)
 
-    t = np.repeat(_LAYOUT, x.size, axis=1)
-    keep = np.empty(t.shape, bool)
-    keep[0] = x < 0
-    keep[1:3] = point < 0
-    np.less(_INDEX[1:4], -e, out=keep[3:6])
-    keep[3:6] &= fixed
-    t[6:23:2] += (q[1:] - 10 * q[:-1]).astype(np.uint8)
-    np.less_equal(_INDEX, point, out=keep[6:23:2])
-    keep[6:23:2] |= more
-    np.equal(_INDEX[:8], point, out=keep[7:22:2])
-    keep[7:22:2] &= more[1:]
-    t[24, e < 0] = ord("-")
-    t[25:28] += (qe[1:] - 10 * qe[:-1]).astype(np.uint8)
-    keep[23:28] = ~fixed
-    keep[25] &= qe[1] > 0
-    t[28].reshape(block.shape)[...] = sep
-    keep[28] = True
-    t *= keep
+    # Two divmods split n9 into its 3-digit groups; an unsettled cell can
+    # hold n9 up to 1e10, so the takes of group 1 clip.
+    n = n9.astype(np.int64)
+    g12 = n // 1000
+    g3 = n - 1000 * g12
+    g1 = g12 // 1000
+    g2 = g12 - 1000 * g1
+    d1 = _DIGITS.take(g1, mode="clip")
+    d2 = _DIGITS.take(g2)
+    d3 = _DIGITS.take(g3)
+    k += _LIMIT + 1                              # e's index in the tables
+    w = np.empty((x.size, 4), _WORD)
+    w[:, 0] = (x < 0) * _SIGN | _ZERO | d1 << 48
+    w[:, 1] = d1 >> 16 | d2 << 32
+    w[:, 2] = d2 >> 32 | d3 << 16
+    w.reshape(*block.shape, 4)[..., 3] = (
+        _EXPONENT.take(k).reshape(block.shape) | sep.astype(_WORD) << 40)
+    row = np.maximum(_SIGNIFICANT[0].take(g1, mode="clip"),
+                     _SIGNIFICANT[1].take(g2))
+    np.maximum(row, _SIGNIFICANT[2].take(g3), out=row)
+    row += _ROW.take(k)
+    w &= _KEEP.take(row, axis=0)
 
     flag = (bools & ((block == 0) | (block == 1))).ravel()
     fall = np.flatnonzero(~ok | flag)
     if fall.size:
         words = [_BOOL[v] if f else _FLOAT % v
                  for v, f in zip(x[fall].tolist(), flag[fall].tolist())]
-        b = np.array(words, dtype=f"S{_TEXT}").view(np.uint8)
-        t[:_TEXT, fall] = b.reshape(fall.size, _TEXT).T
-    return t.T.tobytes().translate(None, b"\0").decode()
+        w[fall, :3] = np.array(words, dtype="S24").view(_WORD).reshape(-1, 3)
+        w[fall, 3] &= _SEPARATOR
+    return w.tobytes().translate(None, b"\0").decode()
 
 
 def render_table(columns, rows, header_lines=()):

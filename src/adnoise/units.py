@@ -8,7 +8,9 @@ surface-physics parameter sets freely mix meV, K and THz.
 The module also holds the numerical helpers that both the spectral
 chain and the Monte Carlo path use, so that neither imports the other:
 the least-squares line _line_fit, the Gauss-Legendre builder
-_gauss_legendre and the two-rule check _rule_pair_sum.
+_gauss_legendre and the two-rule check _rule_pair_sum.  The checked
+conversion to debye, _in_debye, serves both the command line and
+validate.
 """
 
 import functools
@@ -119,6 +121,17 @@ def convert_dipole(value, from_unit, to_unit):
     """Convert between C*m, D (debye) and e*a0 (atomic units)."""
     return value * unit_factor(DIPOLE_TO_CM, from_unit) \
         / unit_factor(DIPOLE_TO_CM, to_unit)
+
+
+def _in_debye(x, what, power=1):
+    """x (C m, or C^2 m^2 and per Hz at power 2) in D^power;
+    NumericalError past the float range."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(x) / DEBYE ** power
+    if not np.isfinite(x).all():
+        unit = "D" if power == 1 else f"D^{power}"
+        raise NumericalError(f"{what} in {unit} is past the float range")
+    return x
 
 
 def _line_fit(x, y):

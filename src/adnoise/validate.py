@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import boundstates, dipoles, phonons, potential, spectrum, trapnoise
-from .units import BOHR, DEBYE, E_CHARGE, convert_energy
+from .units import BOHR, DEBYE, E_CHARGE, _in_debye, convert_energy
 
 
 def _check_units():
@@ -51,9 +51,15 @@ def _check_boundstates(s):
 def _check_dipoles(lad):
     c = dipoles.INDUCED_DIPOLE_COEFFICIENT
     coeff = c * 4.5 ** 1.5
-    ok = abs(coeff - 4.5) / 4.5 < 0.003 and np.all(lad > 0)
-    return "induced dipoles: hydrogen coefficient, positive ladder", ok, \
-        f"{c:g}*4.5^1.5 = {coeff:.4f}, mu_0 = {lad[0] / DEBYE:.4f} D"
+    ok = abs(coeff - 4.5) / 4.5 < 0.003 and np.all(lad >= 0)
+    detail = f"{c:g}*4.5^1.5 = {coeff:.4f}, "
+    if lad.any():
+        detail += f"mu_0 = {_in_debye(lad[0], 'the dipole ladder'):.4f} D"
+    else:
+        # A ladder that underflows to 0 has no sign to check.
+        detail += ("the ladder underflows to 0 C m: positive ladder not "
+                   "applicable")
+    return "induced dipoles: hydrogen coefficient, positive ladder", ok, detail
 
 
 def _check_rates(r, p0):

@@ -1082,14 +1082,29 @@ SLOWEST = ("numerical error: the slowest mode decays at {} 1/s, below "
     pytest.param("validate", "[potential]\npolarizability = 1e-150 m^3\n", 0,
                  "[PASS] spectrum: Lorentzian sum rule equals the dipole "
                  "variance: absolute deviation 0.00e+00 C^2 m^2 at zero "
-                 "variance over 4 modes", id="validate-polarizability-1e-150")])
+                 "variance over 4 modes", id="validate-polarizability-1e-150")
+    ] + [
+    pytest.param("validate", "[potential]\npolarizability = 1e185 m^3\n", 4,
+                 "numerical error: the dipole ladder in D is past the float "
+                 "range", id="validate-polarizability-1e185"),
+    pytest.param("validate", "[spectrum]\nimage_factor = 1e-300\n", 0,
+                 "[PASS] induced dipoles: hydrogen coefficient, positive "
+                 "ladder: 0.47*4.5^1.5 = 4.4866, the ladder underflows to 0 "
+                 "C m: positive ladder not applicable",
+                 id="validate-image_factor-1e-300")] + [
+    pytest.param(command, "[potential]\nU0 = 1e300 J\n", 4,
+                 "numerical error: potential.U0: the frequency scale of the "
+                 "levels U0/hbar = inf rad/s leaves the float range",
+                 id=f"{command}-U0-1e300")
+    for command in CHAIN_COMMANDS])
 def test_cli_float_range_edges_of_the_chain(tmp_path, capsys, command, text,
                                             code, line):
     # The golden-rule denominator 2 pi hbar c^3 rho below DBL_MIN, a
     # ladder past DBL_MAX once in D, mode rates whose square underflows,
-    # and a dipole variance that underflows to 0 on a chain every other
-    # subcommand runs: one line and no output directory, with no
-    # RuntimeWarning (the suite makes one an error).
+    # a dipole variance or ladder that underflows to 0 on a chain every
+    # other subcommand runs, and a well so deep that U0/hbar overflows:
+    # one line and no output directory, with no RuntimeWarning (the suite
+    # makes one an error).
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n" + text)
     out = tmp_path / "o"

@@ -53,6 +53,23 @@ def test_nine_digit_half_way_values():
         signed(neighbours((m + 0.5) * 10.0 ** q, k=2)))
 
 
+def test_every_format_class_and_count_of_significant_digits():
+    # s significant digits '12...' at exponent e: fixed for e in -4..8,
+    # scientific with a 2- or 3-digit exponent beyond
+    exponents = list(range(-4, 9)) + [-99, -5, 9, 99, -290, -100, 100, 290]
+    e, s = np.meshgrid(exponents, np.arange(1, 10), indexing="ij")
+    e, s = e.ravel(), s.ravel()
+    rows = tables._ROW[e + tables._LIMIT + 1] + s
+    assert set(rows.tolist()) == set(range(len(tables._KEEP))) == set(
+        range(135))
+    x = np.array([float(f"{'123456789'[:k]}e{q - k + 1}")
+                  for q, k in zip(e.tolist(), s.tolist())])
+    # integral cells whose integer part ends in zeros
+    integral = [10.0 ** q for q in range(9)] + [120.0, 1020.0, 5e8,
+                                                123456780.0, 100000001.0]
+    assert_renders_like_reference(signed(np.concatenate([x, integral])))
+
+
 def test_edges_of_the_kernel_range_and_special_values():
     # the float maximum stands alone: its upper neighbour overflows
     assert_renders_like_reference(signed(np.concatenate([
