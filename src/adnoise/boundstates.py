@@ -179,33 +179,36 @@ def auto_grid(p: pot.SurfacePotentialParams, n_points: int) -> Grid:
     the wall tops out below that (shallow wells), the edge is placed at the
     barrier top instead, which acts as a hard wall against the unphysical
     z -> 0 region of the exp-3 form.  The outer edge is where the tail has
-    decayed to |U| <= 1e-4*U0, and never closer than 6*z0.
+    decayed to |U| <= 1e-4*U0, and never closer than 6*z0.  pot._root
+    finds both edges.  A U0/hbar past the float range, a bound on every
+    splitting of levels in [-U0, 0), is refused first with NumericalError.
     """
+    if not float(p.U0) / HBAR < math.inf:
+        raise NumericalError(
+            f"potential.U0: the frequency scale of the levels U0/hbar = "
+            f"{float(p.U0) / HBAR:.3g} rad/s leaves the float range")
     z_pk, u_pk = pot.inner_barrier(p)
     if u_pk <= 0:
         raise ModelError(
             f"{p.name}: inner barrier top ({u_pk / p.U0:.2f} U0) is below the "
             "dissociation limit; the outer well is not protected and the "
             "exp-3 parameters are outside the model's validity")
-    target = 10.0 * p.U0
+    target, z_min = 10.0 * p.U0, z_pk
     if u_pk >= target:
         # U decreases monotonically from the barrier top to -U0 at z0.  Past
         # a top that overflows, bracket from exp(bz*(1 - z/z0)) = e^700,
         # where U is finite and still far above 10 U0.
         z_lo = z_pk if u_pk < math.inf else p.z0 * (1.0 - 700.0 / p.beta_z0)
-        z_min = pot._brentq(lambda z: pot.evaluate(p, z) - target,
-                            z_lo, p.z0, xtol=1e-18, rtol=1e-14)
-    else:
-        z_min = z_pk
+        z_min = pot._root(lambda z: pot.evaluate(p, z) - target,
+                          z_lo, p.z0, xtol=1e-18, rtol=1e-14)
 
     # Tail crossing |U| = 1e-4*U0; bracket from the asymptote and refine.
     tail_level = 1e-4 * p.U0
     z_guess = (pot.c3(p) / tail_level) ** (1.0 / 3.0)
     z_hi = max(2.0 * z_guess, 8.0 * p.z0)
-    z_max = pot._brentq(lambda z: abs(pot.evaluate(p, z)) - tail_level,
-                        1.5 * p.z0, z_hi, xtol=1e-18, rtol=1e-14)
-    z_max = max(z_max, 6.0 * p.z0)
-    return Grid(z_min=z_min, z_max=z_max, n_points=n_points)
+    z_max = pot._root(lambda z: abs(pot.evaluate(p, z)) - tail_level,
+                      1.5 * p.z0, z_hi, xtol=1e-18, rtol=1e-14)
+    return Grid(z_min=z_min, z_max=max(z_max, 6.0 * p.z0), n_points=n_points)
 
 
 @dataclass(frozen=True)
@@ -262,18 +265,11 @@ def solve(p: pot.SurfacePotentialParams, grid: Grid,
     Raises ModelError if fewer than two bound states exist and GridError if
     U is not finite on the grid, rises at its inner edge (the grid starts
     inside the inner barrier) or a kept state fails the tail condition
-    (grid too small).  Raises NumericalError if U0/hbar overflows, if the
-    Hamiltonian is not finite (a mass too small for the grid) or if a
-    LAPACK call fails.
+    (grid too small).  Raises NumericalError if the Hamiltonian is not
+    finite (a mass too small for the grid) or if a LAPACK call fails.
     """
     if max_states < 2:
         raise ConfigurationError("max_states must be at least 2")
-    # Every level lies in [-U0, 0), so U0/hbar bounds each transition
-    # frequency formed from the levels.
-    if not float(p.U0) / HBAR < math.inf:
-        raise NumericalError(
-            f"potential.U0: the frequency scale of the levels U0/hbar = "
-            f"{float(p.U0) / HBAR:.3g} rad/s leaves the float range")
     with np.errstate(over="ignore", invalid="ignore"):
         u = pot.evaluate(p, grid.z)
     if not np.all(np.isfinite(u)):

@@ -12,7 +12,8 @@ C3 = beta*z0^4*U0/(beta*z0 - 3).  The level structure comes from the
 Note the cubic attraction always wins over the (finite) exponential as
 z -> 0, so U dives to -infinity at the origin.  The physically meaningful
 region is outside the inner barrier top; `inner_barrier` locates it and
-the bound-state grid is clipped there.
+the bound-state grid is clipped there.  `_root`, a vectorised bracketing
+search, finds the barrier top and both edges of that grid.
 """
 
 import math
@@ -114,111 +115,59 @@ def c3(p: SurfacePotentialParams):
     return p.beta * p.z0 ** 4 * p.U0 / (p.beta_z0 - 3.0)
 
 
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """Root of f in the bracket [a, b] by Brent's method.
+_ROOT_POINTS = 48
 
-    A port of scipy.optimize.brentq (Brent 1973 as in scipy's brentq.c):
-    the same secant, inverse quadratic and bisection steps, the same
-    tolerance delta = (xtol + rtol*|x|)/2 and the same function calls, so
-    it returns scipy's float bit for bit.  A bracket without a sign
-    change, a NaN value of f or no convergence within maxiter iterations
-    raises NumericalError.
+
+def _root(f, lo, hi, xtol, rtol):
+    """Root of the vectorised f in the bracket [lo, hi].
+
+    Each round evaluates f once, on _ROOT_POINTS points evenly across the
+    bracket, and keeps the first cell whose ends differ in the sign of f
+    (zero counts as a sign), until the cell is within xtol + rtol*|x| of
+    its midpoint x, the root.  No sign change or a NaN value of f is a
+    NumericalError.  The loop ends for xtol > 0 and rtol >= DBL_EPSILON: a
+    cell with a float strictly inside gets a sample there, so each round
+    shrinks it until its ends are adjacent floats, which pass the test.
     """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericalError(
-                f"root bracket [{a!r}, {b!r}]: f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericalError(
-            f"root bracket [{a!r}, {b!r}] holds no sign change "
-            f"(f = {fpre:.6g}, {fcur:.6g})")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # C division gives inf or nan here; either way it bisects.
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise NumericalError(
-        f"root bracket [{a!r}, {b!r}]: no convergence after {maxiter} "
-        f"iterations (last x = {xcur!r})")
+    bracket = f"root bracket [{lo!r}, {hi!r}]"
+    while True:
+        x = np.linspace(lo, hi, _ROOT_POINTS)
+        y = f(x)
+        if np.isnan(y).any():
+            raise NumericalError(f"{bracket}: f is NaN")
+        cells = np.flatnonzero(np.sign(y[:-1]) != np.sign(y[1:]))
+        if not cells.size:
+            raise NumericalError(f"{bracket} holds no sign change "
+                                 f"(f = {y[0]:.6g}, {y[-1]:.6g})")
+        lo, hi = x[cells[0]], x[cells[0] + 1]
+        if abs(hi - lo) <= xtol + rtol * abs(lo + hi) / 2:
+            return float(lo + hi) / 2
 
 
 def inner_barrier(p: SurfacePotentialParams):
     """Locate the top of the repulsive wall.
 
     Returns (z_peak, U_peak).  U' has exactly one root below z0, where
-    (z0/z)^4 = exp(bz*(1 - z/z0)); solved by Brent's method on the reduced
-    variable x = z/z0 in (0, 4/bz).  The bracket is [1e-12, 4/bz), or
-    [0.5, 2]*exp(-bz/4) for walls so steep (bz > ~110.5) that the root
-    lies below 1e-12; DomainError if 0.5*exp(-bz/4) is not a normal float
-    (bz > ~2830).  Where exp(bz*(1 - z/z0)) overflows at the top (bz >
-    ~709.8) U_peak is inf: the barrier is above every float energy.
+    (z0/z)^4 = exp(bz*(1 - z/z0)): in t = ln(z/z0), the root of
+    g(t) = -4t - bz*(1 - e^t) below its minimum at ln(4/bz).  One bracket,
+    [ln DBL_MIN, ln(4/bz*(1 - 1e-12))], holds it for every wall up to
+    bz = -4 ln DBL_MIN ~ 2833.6; a steeper top lies below the smallest
+    normal float in z/z0, a DomainError.  Where U overflows at the top
+    (past bz ~ 709.8, or for a huge U0) U_peak is inf: the barrier is
+    above every float energy.
     """
     bz = p.beta_z0
 
-    def g(x):
-        return -4.0 * math.log(x) - bz * (1.0 - x)
+    def g(t):
+        return -4.0 * t - bz * (1.0 - np.exp(t))
 
-    lo, hi, xtol = 1e-12, 4.0 / bz * (1.0 - 1e-12), 1e-15
-    if g(lo) <= 0:
-        # Below x = 1e-12, bz*x is negligible and the root sits at
-        # exp(-bz/4) to within a factor 1 + bz*x/4: g(lo) = 4 ln 2 + bz*lo
-        # > 0 and g(4 lo) = -4 ln 2 + 4 bz*lo < 0.  The tolerance scales
-        # with the root.
-        lo = 0.5 * math.exp(-0.25 * bz)
-        if lo < sys.float_info.min:
-            raise DomainError(
-                f"{p.name}: beta*z0 = {bz:.6g} is too steep; the inner "
-                "barrier top lies below the smallest normal float in z/z0")
-        hi, xtol = 4.0 * lo, 1e-14 * lo
-    x_pk = _brentq(g, lo, hi, xtol=xtol, rtol=1e-14)
-    z_pk = x_pk * p.z0
+    lo = math.log(sys.float_info.min)
+    if not g(lo) > 0:
+        raise DomainError(
+            f"{p.name}: beta*z0 = {bz:.6g} is too steep; the inner "
+            "barrier top lies below the smallest normal float in z/z0")
+    z_pk = p.z0 * math.exp(_root(g, lo, math.log(4.0 / bz * (1.0 - 1e-12)),
+                                 xtol=1e-15, rtol=1e-14))
     with np.errstate(over="ignore", invalid="ignore"):
         u_pk = evaluate(p, z_pk)
     return z_pk, u_pk if math.isfinite(u_pk) else math.inf

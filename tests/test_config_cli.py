@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1092,18 +1093,19 @@ SLOWEST = ("numerical error: the slowest mode decays at {} 1/s, below "
                  "ladder: 0.47*4.5^1.5 = 4.4866, the ladder underflows to 0 "
                  "C m: positive ladder not applicable",
                  id="validate-image_factor-1e-300")] + [
-    pytest.param(command, "[potential]\nU0 = 1e300 J\n", 4,
+    pytest.param(command, f"[potential]\nU0 = {u0} J\n", 4,
                  "numerical error: potential.U0: the frequency scale of the "
                  "levels U0/hbar = inf rad/s leaves the float range",
-                 id=f"{command}-U0-1e300")
-    for command in CHAIN_COMMANDS])
+                 id=f"{command}-U0-{u0}")
+    for u0 in ("1e300", "1e308", "1.7e308") for command in CHAIN_COMMANDS])
 def test_cli_float_range_edges_of_the_chain(tmp_path, capsys, command, text,
                                             code, line):
     # The golden-rule denominator 2 pi hbar c^3 rho below DBL_MIN, a
     # ladder past DBL_MAX once in D, mode rates whose square underflows,
     # a dipole variance or ladder that underflows to 0 on a chain every
-    # other subcommand runs, and a well so deep that U0/hbar overflows:
-    # one line and no output directory, with no RuntimeWarning (the suite
+    # other subcommand runs, and a well so deep that U0/hbar overflows
+    # (up to U0 near DBL_MAX, where U overflows on the barrier too): one
+    # line and no output directory, with no RuntimeWarning (the suite
     # makes one an error).
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n" + text)
@@ -1116,6 +1118,81 @@ def test_cli_float_range_edges_of_the_chain(tmp_path, capsys, command, text,
         assert stderr == "" and line in stdout.splitlines()
         assert stdout.endswith("\nall 10 invariant checks passed\n")
     assert not out.exists()
+
+
+# The subcommands that read each swept key: "section.key" first, then the
+# section, so that a new key of a known section joins the sweep unasked.
+SWEEP_COMMANDS = {
+    "potential": CHAIN_COMMANDS, "material": CHAIN_COMMANDS,
+    "spectrum.temperatures": ("rates", "spectrum", "heat"),
+    "spectrum.omega_min": ("spectrum",), "spectrum.omega_max": ("spectrum",),
+    "spectrum.image_factor": ("dipoles", "spectrum", "tempsweep", "heat",
+                              "validate"),
+    "trap": ("heat",), "montecarlo": ("mc-scaling",),
+    "tempsweep": ("tempsweep",)}
+SWEEP_VALUES = (1e-300, 1e-100, 1e-30, 1e100, 1e300, 1e308)
+
+
+def swept_keys():
+    """(section, key, value text) for every float, unit and temperature key
+    of config._FIELDS and every value of SWEEP_VALUES in the key's SI unit;
+    trap.axis, the integers (their sizes have a budget of their own), the
+    seed and the text keys are left out."""
+    skip = (config._INT, config._SEED, config._TEXT, config._AXIS)
+    for section, table in config._FIELDS.items():
+        for key, field in table.items():
+            if any(field is other for other in skip):
+                continue
+            for v in SWEEP_VALUES:
+                if field in (config._TEMPERATURE, config._TEMPERATURES):
+                    text = f"{v!r} K"
+                elif field is config._FLOATS:
+                    text = f"{v!r}, {2 * v!r}"
+                elif field is config._FLOAT:
+                    text = repr(v)
+                else:
+                    text = field[1](v)
+                yield section, key, text
+
+
+def test_every_accepted_value_gives_finite_cells_or_one_error_line(
+        tmp_path, capsys):
+    # Each swept value, in every subcommand that reads its key: exit 0 with
+    # no non-finite cell, or exit 2, 3 or 4 with one stderr line and no
+    # output directory.  A RuntimeWarning is an error in this suite.
+    offenders, runs = [], 0
+    cfgfile, out = tmp_path / "run.ini", tmp_path / "o"
+    for section, key, text in swept_keys():
+        commands = SWEEP_COMMANDS.get(f"{section}.{key}",
+                                      SWEEP_COMMANDS.get(section))
+        assert commands, f"{section}.{key} has no subcommand to sweep"
+        seeds = "" if section == "montecarlo" else "\n[montecarlo]"
+        cfgfile.write_text(f"preset = Ne-Au\n[{section}]\n{key} = {text}"
+                           f"{seeds}\nn_seeds = 20\n")
+        for command in commands:
+            runs += 1
+            try:
+                code = run_cli([command, "--config", cfgfile,
+                                "--output", out])
+            except Exception as exc:
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code == 0:
+                cells = {cell for path in out.glob("*.csv")
+                         for line in path.read_text().splitlines()
+                         if not line.startswith("#")
+                         for cell in line.split(",")}
+                ok = not cells & {"nan", "inf", "-inf"}
+            else:
+                ok = (code in (2, 3, 4) and err.count("\n") == 1
+                      and err.endswith("\n") and not out.exists())
+            if not ok:
+                offenders.append((command, f"{section}.{key} = {text}", code,
+                                  err))
+            shutil.rmtree(out, ignore_errors=True)
+    # at least one subcommand per key and value: 23 keys today
+    assert runs >= 23 * len(SWEEP_VALUES)
+    assert offenders == []
 
 
 def test_cli_mc_scaling_follows_trap_axis(tmp_path):

@@ -187,30 +187,23 @@ def test_inner_barrier_ne(ne):
     assert 2.0 * p.U0 < u_pk < 10.0 * p.U0
 
 
-def test_brentq_no_sign_change_names_bracket():
+def test_root_no_sign_change_names_bracket():
     with pytest.raises(NumericalError, match=r"\[1\.0, 2\.0\] holds no sign change"):
-        potential._brentq(lambda x: x * x + 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-14)
+        potential._root(lambda x: x * x + 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-14)
 
 
-def test_brentq_nan_value_names_bracket():
+def test_root_nan_value_names_bracket():
     def f(x):
-        return math.nan if x > 0.5 else x - 0.75
+        return np.where(x > 0.5, math.nan, x - 0.75)
 
-    with pytest.raises(NumericalError, match=r"\[0\.0, 1\.0\]: f\(1\.0\) is NaN"):
-        potential._brentq(f, 0.0, 1.0, xtol=1e-12, rtol=1e-14)
-
-
-def test_brentq_no_convergence_names_bracket():
-    with pytest.raises(NumericalError,
-                       match=r"\[0\.0, 3\.0\]: no convergence after 3 iterations"):
-        potential._brentq(lambda x: math.atan(x - 1.0), 0.0, 3.0,
-                          xtol=1e-15, rtol=1e-15, maxiter=3)
+    with pytest.raises(NumericalError, match=r"\[0\.0, 1\.0\]: f is NaN"):
+        potential._root(f, 0.0, 1.0, xtol=1e-12, rtol=1e-14)
 
 
 @pytest.mark.parametrize("beta_a0", [20.0, 100.0, 400.0])
 def test_inner_barrier_steep_wall(ne, beta_a0):
     # beta*z0 = 121, 605 and 2420: the barrier top lies below x = 1e-12,
-    # and the bracket moves down to [0.5, 2] exp(-beta*z0/4).  U itself
+    # inside the one bracket in ln x that every wall shares.  U itself
     # overflows at the top of the last wall.
     p = replace(ne[0], beta=beta_a0 / BOHR)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,6 +212,22 @@ def test_inner_barrier_steep_wall(ne, beta_a0):
     bz = p.beta_z0
     assert x_pk == pytest.approx(math.exp(-bz / 4), rel=1e-12)
     assert -4.0 * math.log(x_pk) == pytest.approx(bz * (1.0 - x_pk), rel=1e-14)
+
+
+@pytest.mark.parametrize("bz, normal", [(2833.5, True), (2833.7, False)])
+def test_inner_barrier_steepest_wall_is_minus_four_ln_dbl_min(ne, bz, normal):
+    # the top sits at x ~ exp(-bz/4), a normal float up to
+    # bz = -4 ln DBL_MIN ~ 2833.57; z_pk = x z0 is subnormal in metres,
+    # good to about 20 bits
+    p = replace(ne[0], beta=bz / ne[0].z0)
+    if normal:
+        z_pk, u_pk = potential.inner_barrier(p)
+        assert z_pk / p.z0 == pytest.approx(math.exp(-bz / 4), rel=1e-6,
+                                            abs=0.0)
+        assert u_pk == math.inf
+    else:
+        with pytest.raises(DomainError, match=r"beta\*z0 = 2833\.7 is too steep"):
+            potential.inner_barrier(p)
 
 
 def test_inner_barrier_too_steep_is_domain_error(ne):

@@ -520,36 +520,37 @@ def test_unit_round_trip(convert, unit, other, value):
 
 
 # Held here because test_auto_grid_roots_match_scipy_brentq patches
-# potential._brentq with the checker below.
-_PORTED_BRENTQ = potential._brentq
+# potential._root with the checker below.
+_ROOT = potential._root
 
 
-def brentq_like_scipy(f, a, b, xtol, rtol):
-    """_brentq's root, after checking it against scipy's brentq: the same
-    float and the same sequence of abscissae handed to f."""
-    ours, theirs = [], []
-    root = _PORTED_BRENTQ(lambda x: ours.append(x) or f(x), a, b,
-                          xtol=xtol, rtol=rtol)
-    ref = brentq(lambda x: theirs.append(x) or f(x), a, b,
-                 xtol=xtol, rtol=rtol)
-    assert root == ref
-    assert ours == theirs
-    return root
+def root_like_scipy(f, a, b, xtol, rtol):
+    """_root's root x, after checking it against scipy's brentq on the same
+    bracket: the two lie within the tolerance xtol + rtol*|x| of each other,
+    and f changes sign across x -+ that tolerance, clipped to the bracket."""
+    x = _ROOT(f, a, b, xtol=xtol, rtol=rtol)
+    ref = brentq(lambda u: float(f(u)), a, b, xtol=xtol, rtol=rtol)
+    tol = xtol + rtol * abs(x)
+    assert abs(x - ref) <= tol
+    ends = np.clip([x - tol, x + tol], min(a, b), max(a, b))
+    assert np.sign(f(ends[0])) != np.sign(f(ends[1]))
+    return x
 
 
-# beta*z0 up to 700 reaches the steep-wall bracket (above ~110.5) and stays
-# below the overflow of exp(beta*z0) in U(z).
+# beta*z0 up to 2830 takes the barrier root to the smallest normal floats
+# in z/z0; past ~709.8 U overflows at the top and the 10 U0 root starts
+# from exp(beta*z0 (1 - z/z0)) = e^700.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["Ne-Au", "H-Au"]),
        u0_factor=st.floats(0.3, 3.0), z0_factor=st.floats(0.6, 1.6),
-       beta_z0=st.floats(4.5, 700.0))
+       beta_z0=st.floats(4.5, 2830.0))
 def test_auto_grid_roots_match_scipy_brentq(name, u0_factor, z0_factor,
                                             beta_z0):
     base, _ = potential.preset(name)
     z0 = base.z0 * z0_factor
     p = replace(base, U0=base.U0 * u0_factor, z0=z0, beta=beta_z0 / z0)
-    with mock.patch.object(potential, "_brentq",
-                           wraps=brentq_like_scipy) as checked:
+    with mock.patch.object(potential, "_root",
+                           wraps=root_like_scipy) as checked:
         try:
             boundstates.auto_grid(p, 4000)
         except ModelError:
@@ -560,11 +561,11 @@ def test_auto_grid_roots_match_scipy_brentq(name, u0_factor, z0_factor,
 
 
 _SMOOTH = [
-    lambda u: math.tanh(3.0 * u),
+    lambda u: np.tanh(3.0 * u),
     lambda u: u ** 3 + 0.1 * u,
-    lambda u: math.expm1(u),
-    lambda u: math.atan(5.0 * u) + 0.3 * math.sin(u),
-    # values so small that the extrapolation's denominator underflows to 0
+    lambda u: np.expm1(u),
+    lambda u: np.arctan(5.0 * u) + 0.3 * np.sin(u),
+    # values so small that the product of two underflows to 0
     lambda u: 1e-120 * (u ** 3 + 0.1 * u),
 ]
 
@@ -581,13 +582,13 @@ def test_brentq_matches_scipy_on_smooth_functions(family, root, left, right,
     a, b = root - left, root + right
     if flip:
         a, b = b, a
-    brentq_like_scipy(lambda x: g(x - root), a, b, xtol=10.0 ** log_xtol,
-                      rtol=10.0 ** log_rtol)
+    root_like_scipy(lambda x: g(x - root), a, b, xtol=10.0 ** log_xtol,
+                    rtol=10.0 ** log_rtol)
 
 
 @pytest.mark.parametrize("name, z_min, z_max", [
-    ("Ne-Au", "0x1.4470c211de282p-33", "0x1.2f19c048ca6d1p-27"),
-    ("H-Au", "0x1.0a07450fcc97ep-34", "0x1.267d731ecbe49p-28"),
+    ("Ne-Au", "0x1.4470c211de27fp-33", "0x1.2f19c048baf98p-27"),
+    ("H-Au", "0x1.0a07450fcc97dp-34", "0x1.267d731f0a2bep-28"),
 ])
 def test_auto_grid_bounds_pinned(name, z_min, z_max):
     grid = boundstates.auto_grid(potential.preset(name)[0], 4000)
