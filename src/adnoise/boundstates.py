@@ -46,7 +46,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -196,10 +196,13 @@ def auto_grid(p: pot.SurfacePotentialParams, n_points: int) -> Grid:
     target, z_min = 10.0 * p.U0, z_pk
     if u_pk >= target:
         # U decreases monotonically from the barrier top to -U0 at z0.  Past
-        # a top that overflows, bracket from exp(bz*(1 - z/z0)) = e^700,
-        # where U is finite and still far above 10 U0.
-        z_lo = z_pk if u_pk < math.inf else p.z0 * (1.0 - 700.0 / p.beta_z0)
-        z_min = pot._root(lambda z: pot.evaluate(p, z) - target,
+        # a top that overflows, bracket the finite U0-free U/U0 - 10 from the
+        # top or from exp(bz*(1 - z/z0)) = e^700, whichever is higher.
+        well, level, z_lo = p, target, z_pk
+        if u_pk == math.inf:
+            well, level = replace(p, U0=1.0), 10.0
+            z_lo = max(z_pk, p.z0 * (1.0 - 700.0 / p.beta_z0))
+        z_min = pot._root(lambda z: pot.evaluate(well, z) - level,
                           z_lo, p.z0, xtol=1e-18, rtol=1e-14)
 
     # Tail crossing |U| = 1e-4*U0; bracket from the asymptote and refine.

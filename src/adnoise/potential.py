@@ -173,9 +173,9 @@ def inner_barrier(p: SurfacePotentialParams):
     return z_pk, u_pk if math.isfinite(u_pk) else math.inf
 
 
-def reduced_mass(p: SurfacePotentialParams, host_mass_amu=GOLD_MASS_AMU):
-    """Replace the adatom mass with the adatom-host reduced mass."""
-    m_host = host_mass_amu * AMU
+def reduced_mass(p: SurfacePotentialParams):
+    """Replace the adatom mass with the adatom-gold reduced mass."""
+    m_host = GOLD_MASS_AMU * AMU
     mu = p.adatom_mass * m_host / (p.adatom_mass + m_host)
     return replace(p, adatom_mass=mu)
 

@@ -30,14 +30,13 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, NumericalError
 from .phonons import RateMatrix, _require, bose_occupation
-from .units import _gauss_legendre, _line_fit, _rule_pair_sum
+from .units import _line_fit, _rule_pair_sum
 
-# Gauss-Legendre rules per panel of integrate_spectrum, and how far apart
-# their two values may lie, relative.
-_PANEL_RULES = (16, 32)
-_PANEL_RULE_RTOL = 1e-10
-# Widest ratio of adjacent panel knees, as mode rates, in integrate_spectrum.
-_PANEL_RATIO = 4.0
+# Step in u = ln omega of the trapezoid rule of integrate_spectrum, a
+# power of two so that every node k * step is exact, and how far its
+# nodes reach past the slowest and the fastest mode, in e-folds.
+_LOG_STEP = 0.125
+_LOG_TAIL = 40.0
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,9 @@ class DipoleSpectrum:
     """Lorentzian-mode decomposition of S_mu plus dipole statistics.
 
     modes: decay rates lambdas (1/s, all > 0) with spectral weights
-    (C^2 m^2, all >= 0); their sum equals the variance.
-    A stack carries the leading temperature axis on every field:
-    lambdas[..., k], mean_dipole[...].
+    (C^2 m^2, all >= 0); their sum equals the variance.  A stack carries
+    the leading temperature axis on every field: lambdas[..., k],
+    mean_dipole[...]; integrate_spectrum takes one mode set, not a stack.
     """
 
     lambdas: np.ndarray
@@ -162,35 +161,26 @@ def evaluate_spectrum(spec: DipoleSpectrum, omega):
 
 
 def integrate_spectrum(spec: DipoleSpectrum):
-    """One-sided integral of S_mu over omega by a composite Gauss-Legendre
-    rule.
+    """One-sided integral of S_mu over omega: the trapezoid rule in
+    u = ln omega on the nodes u = k _LOG_STEP, from _LOG_TAIL e-folds
+    below the slowest mode to _LOG_TAIL above the fastest.
 
-    Integrated as omega = c tan(theta) with c the geometric mean of the
-    mode rates: each Lorentzian becomes a smooth bounded integrand on
-    [0, pi/2] no matter how many decades the rates span.  The knees
-    theta_k = arctan(lambda_k / c) split [0, pi/2] into panels on which the
-    mapped integrand is smooth.  A gap between adjacent rates wider than a
-    factor _PANEL_RATIO is split further at geometric points: one wide
-    panel cannot follow the tail of the mode at its left knee.
-    evaluate_spectrum is summed on the nodes of a 16- and a 32-point rule
-    per panel.  The two values must agree to _PANEL_RULE_RTOL, relative,
-    or it is a NumericalError; the 32-point one is returned.  Together
-    with the sum rule int S domega / pi = Var this cross-checks the
-    weights.
+    In u each Lorentzian is w_k sech(u - ln lambda_k), analytic in the
+    strip |Im u| < pi/2, so the rule is exact to a relative
+    4 exp(-pi^2 / _LOG_STEP) wherever the rates lie (Trefethen and
+    Weideman, SIAM Rev. 56, 385 (2014)).  One evaluate_spectrum call gives
+    the sum of step h and, on every other node, that of step 2h; the two
+    must agree to 1e-10, relative, or it is a NumericalError.  The step-h
+    sum is returned: with the sum rule int S domega / pi = Var it
+    cross-checks the weights.  spec is one mode set, not a stack.
     """
-    c = float(np.exp(np.mean(np.log(spec.lambdas))))
-    lam = np.unique(spec.lambdas)
-    parts = np.ceil(np.log(lam[1:] / lam[:-1]) / math.log(_PANEL_RATIO))
-    steps = [lo * (hi / lo) ** (np.arange(1, k) / k)
-             for lo, hi, k in zip(lam[:-1], lam[1:], parts) if k > 1]
-    knees = np.unique(np.arctan(np.concatenate([lam] + steps) / c))
-    edges = np.concatenate([[0.0], knees, [0.5 * math.pi]])
-    width = np.diff(edges)[:, None]
-    u, w = _gauss_legendre(_PANEL_RULES)
-    t = np.tan(edges[:-1, None] + width * u)
-    terms = width * w * evaluate_spectrum(spec, c * t) * c * (1.0 + t * t)
-    return _rule_pair_sum(terms, _PANEL_RULES, _PANEL_RULE_RTOL,
-                          "spectrum quadrature", "panel rules")
+    lo = math.floor((math.log(spec.lambdas.min()) - _LOG_TAIL) / _LOG_STEP)
+    hi = math.ceil((math.log(spec.lambdas.max()) + _LOG_TAIL) / _LOG_STEP)
+    omega = np.exp(np.arange(lo, hi + 1) * _LOG_STEP)
+    g = evaluate_spectrum(spec, omega) * omega
+    terms = np.concatenate([2.0 * _LOG_STEP * g[::2], _LOG_STEP * g])
+    return _rule_pair_sum(terms, (len(g[::2]), len(g)), 1e-10,
+                          "spectrum quadrature")
 
 
 def crossover_frequency(gamma0, nu10, T):

@@ -7,10 +7,10 @@ surface-physics parameter sets freely mix meV, K and THz.
 
 The module also holds the numerical helpers that both the spectral
 chain and the Monte Carlo path use, so that neither imports the other:
-the least-squares line _line_fit, the Gauss-Legendre builder
-_gauss_legendre and the two-rule check _rule_pair_sum.  The checked
-conversion to debye, _in_debye, serves both the command line and
-validate.
+the least-squares line _line_fit and the two-rule check _rule_pair_sum.
+The Gauss-Legendre builder _gauss_legendre serves only the plane
+integral K of trapnoise.  The checked conversion to debye, _in_debye,
+serves both the command line and validate.
 """
 
 import functools
@@ -157,18 +157,18 @@ def _gauss_legendre(orders):
     return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(w)
 
 
-def _rule_pair_sum(terms, orders, rtol, what, rules="rules"):
-    """The finer of two Gauss-Legendre sums.
+def _rule_pair_sum(terms, orders, rtol, what):
+    """The finer of two quadrature sums.
 
-    terms holds the weighted integrand on the nodes of
-    _gauss_legendre(orders), along its last axis.  The coarse and the fine
-    sum must agree to rtol, relative, or it is a NumericalError that names
-    both, under the label what.
+    terms holds the weighted integrand on the orders[0] nodes of the
+    coarse rule, then on the orders[1] of the fine one, along its last
+    axis.  The two sums must agree to rtol, relative, or it is a
+    NumericalError that names both, under the label what.
     """
     n = orders[0]
     coarse, fine = terms[..., :n].sum(), terms[..., n:].sum()
     if not abs(fine - coarse) <= rtol * abs(fine):
         raise NumericalError(
-            f"{what}: the {orders[0]}- and {orders[1]}-point {rules} give "
+            f"{what}: the {orders[0]}- and {orders[1]}-point rules give "
             f"{coarse:.17g} and {fine:.17g}")
     return float(fine)

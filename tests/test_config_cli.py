@@ -1120,6 +1120,22 @@ def test_cli_float_range_edges_of_the_chain(tmp_path, capsys, command, text,
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command", ["states", "dipoles"])
+def test_cli_barrier_top_past_the_float_range_on_a_moderate_wall(
+        tmp_path, capsys, command):
+    # U0 = 1e200 J on a wall of beta*z0 = 302.5: U overflows at the barrier
+    # top while exp(bz*(1 - z/z0)) there is still finite, so the 10 U0
+    # edge is bracketed on U/U0 from the top, not from a negative z.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[potential]\nU0 = 1e200 J\n"
+                       "beta = 50 1/a0\n")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    rows = data_rows(out / f"{command}.csv")
+    assert rows.size and np.all(np.isfinite(rows))
+
 # The subcommands that read each swept key: "section.key" first, then the
 # section, so that a new key of a known section joins the sweep unasked.
 SWEEP_COMMANDS = {

@@ -210,7 +210,7 @@ def test_inner_barrier_steep_wall(ne, beta_a0):
         z_pk, _ = potential.inner_barrier(p)
     x_pk = z_pk / p.z0
     bz = p.beta_z0
-    assert x_pk == pytest.approx(math.exp(-bz / 4), rel=1e-12)
+    assert x_pk == pytest.approx(math.exp(-bz / 4), rel=1e-11, abs=0.0)
     assert -4.0 * math.log(x_pk) == pytest.approx(bz * (1.0 - x_pk), rel=1e-14)
 
 

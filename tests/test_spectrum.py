@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from adnoise import cli, phonons, spectrum
+from adnoise import boundstates, cli, dipoles, phonons, spectrum
 from adnoise.errors import AnalysisError, NumericalError
 from adnoise.units import HBAR, KB
 from scipy.linalg import expm
@@ -88,7 +88,8 @@ def test_spectrum_even_and_monotone(ne_spectrum_at):
 
 
 def test_sum_rule_adaptive_quadrature(ne_spectrum_at):
-    # The panel rule gives the weight sum to round-off on the Ne-Au chain.
+    # The trapezoid rule in ln omega gives the weight sum to round-off on
+    # the Ne-Au chain.
     for x in (0.05, 0.2, 1.0, 3.0, 6.0):
         _, _, spec = ne_spectrum_at(x)
         val = spectrum.integrate_spectrum(spec)
@@ -96,32 +97,51 @@ def test_sum_rule_adaptive_quadrature(ne_spectrum_at):
         assert val / math.pi == pytest.approx(spec.weights.sum(), rel=1e-14)
 
 
+def test_sum_rule_on_the_full_ne_ladder(ne, ne_states_full):
+    # The same on the full Ne-Au ladder that max_states = 30 keeps, whose
+    # rates span more decades.
+    params, mat = ne
+    coupling = boundstates.coupling_matrix(ne_states_full)
+    ladder = dipoles.dipole_ladder(ne_states_full, params.polarizability, 1.0)
+    nu10 = ne_states_full.splitting(1, 0)
+    for x in (0.05, 0.2, 1.0, 3.0, 6.0):
+        T = x * HBAR * nu10 / KB
+        r = phonons.build_rate_matrix(ne_states_full, mat, T,
+                                      coupling=coupling)
+        p0 = phonons.stationary_distribution(ne_states_full.energies, T)
+        spec = spectrum.correlation_modes(r, p0, ladder)
+        assert spectrum.integrate_spectrum(spec) == pytest.approx(
+            math.pi * spec.weights.sum(), rel=1e-14, abs=0.0)
+
+
 def test_integrate_spectrum_sums_the_evaluated_spectrum(ne_spectrum_at,
                                                         monkeypatch):
     # An independent check of evaluate_spectrum: it integrates the values
-    # on its nodes, one 16- and one 32-point rule per panel between the
-    # knees, and does not return pi sum(w) from the weights.
+    # of one call on the nodes omega = e^(k/8), k = lo, ..., hi, reaching
+    # 40 e-folds past the slowest and the fastest mode, and does not
+    # return pi sum(w) from the weights.
     _, _, spec = ne_spectrum_at(1.0)
     exact = spectrum.evaluate_spectrum
-    shapes = []
+    calls = []
 
     def doubled(s, omega):
-        shapes.append(np.shape(omega))
+        calls.append(omega)
         return 2.0 * exact(s, omega)
 
     monkeypatch.setattr(spectrum, "evaluate_spectrum", doubled)
     val = spectrum.integrate_spectrum(spec)
     assert val == pytest.approx(2.0 * math.pi * spec.weights.sum(),
-                                rel=1e-14)
-    panels = len(np.unique(spec.lambdas)) + 1
-    assert shapes == [(panels, 16 + 32)]
+                                rel=1e-14, abs=0.0)
+    assert len(calls) == 1
+    lo = math.floor(8.0 * (math.log(spec.lambdas.min()) - 40.0))
+    hi = math.ceil(8.0 * (math.log(spec.lambdas.max()) + 40.0))
+    np.testing.assert_array_equal(calls[0], np.exp(np.arange(lo, hi + 1) / 8))
 
 
 def test_integrate_spectrum_rules_that_disagree_raise(monkeypatch):
-    # Two modes 50 or 1000 apart give 2 pi to round-off: the wide gap is
-    # split at geometric points.  A step in the integrand inside a panel
-    # makes the 16- and 32-point rules disagree, which is an error, not a
-    # value.
+    # Two modes 50 or 1000 apart give 2 pi to round-off.  A step in the
+    # integrand makes the rules of step 1/8 and 1/4 in ln omega disagree,
+    # which is an error, not a value.
     spec = spectrum.DipoleSpectrum(lambdas=np.array([1.0, 2.0]),
                                    weights=np.array([1.0, 1.0]),
                                    mean_dipole=0.0, variance=2.0)
@@ -135,23 +155,38 @@ def test_integrate_spectrum_rules_that_disagree_raise(monkeypatch):
     monkeypatch.setattr(spectrum, "evaluate_spectrum",
                         lambda s, omega: np.where(omega < 1.5, 1.0, 0.0)
                         * exact(s, omega))
-    with pytest.raises(NumericalError, match="16- and 32-point panel rules"):
+    with pytest.raises(NumericalError, match=r"spectrum quadrature: the "
+                       r"\d+- and \d+-point rules give"):
         spectrum.integrate_spectrum(spec)
 
 
+def test_integrate_spectrum_refuses_nodes_past_the_float_range():
+    # Nodes 40 e-folds above a fastest mode at 1e137 1/s pass
+    # sqrt(DBL_MAX): an error, where a mode set spanning 1e-153 to 1e153
+    # once gave half its weight sum.
+    for lam in ([1e137], [1e-153, 1e153]):
+        lam = np.array(lam)
+        spec = spectrum.DipoleSpectrum(lambdas=lam, weights=np.ones_like(lam),
+                                       mean_dipole=0.0, variance=lam.size)
+        with pytest.raises(NumericalError, match="past sqrt"):
+            spectrum.integrate_spectrum(spec)
+
+
 def test_integrate_spectrum_over_wide_random_mode_sets():
-    # 3000 seeded sets of 1-22 modes with rates spanning up to 1e10 and
-    # weights up to 1: no set raises, and each value is pi sum(w) to 1e-10.
-    rng = np.random.default_rng(20261019)
-    for _ in range(3000):
-        k = rng.integers(1, 23)
-        lam = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(
-            rng.uniform(0.0, math.log(10.0 ** rng.uniform(0.0, 10.0)), k))
-        w = rng.uniform(0.0, 1.0, k)
-        spec = spectrum.DipoleSpectrum(lambdas=lam, weights=w,
-                                       mean_dipole=0.0, variance=w.sum())
-        assert spectrum.integrate_spectrum(spec) == pytest.approx(
-            math.pi * w.sum(), rel=1e-10, abs=0.0), lam
+    # 3000 seeded sets of 1-22 modes with rates spanning up to 1e10, and
+    # 3000 spanning up to 1e30, with weights up to 1: no set raises, and
+    # each value is pi sum(w) to 1e-14 wherever the rates lie.
+    for decades in (10.0, 30.0):
+        rng = np.random.default_rng(20261019)
+        for _ in range(3000):
+            k = rng.integers(1, 23)
+            lam = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(rng.uniform(
+                0.0, math.log(10.0 ** rng.uniform(0.0, decades)), k))
+            w = rng.uniform(0.0, 1.0, k)
+            spec = spectrum.DipoleSpectrum(lambdas=lam, weights=w,
+                                           mean_dipole=0.0, variance=w.sum())
+            assert spectrum.integrate_spectrum(spec) == pytest.approx(
+                math.pi * w.sum(), rel=1e-14, abs=0.0), lam
 
 
 def test_detailed_balance_violation_detected(ne_spectrum_at, ne_ladder):
