@@ -19,6 +19,7 @@ once the well is solved).
 """
 
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -202,9 +203,14 @@ def _axis(value, key):
         raise ConfigurationError(f"{key}: expected three numbers") from None
     if len(comps) != 3:
         raise ConfigurationError(f"{key}: expected three components")
-    norm = sum(c * c for c in comps) ** 0.5
-    if norm == 0:
+    if not any(comps):
         raise ConfigurationError(f"{key}: axis must be non-zero")
+    # A sum of squares that is not a normal float gives a norm that is
+    # wrong or 0: the axis is then scaled by its largest |component| first.
+    if not sys.float_info.min <= sum(c * c for c in comps) < math.inf:
+        big = max(map(abs, comps))
+        comps = tuple(c / big for c in comps)
+    norm = sum(c * c for c in comps) ** 0.5
     # Dividing a unit vector by its rounded norm can move its last bits, so
     # an axis that is already unit is kept: serialize/parse is then exact.
     if abs(norm - 1.0) <= 1e-12:

@@ -19,17 +19,17 @@ The Monte Carlo path samples dipole positions with a minimum spacing d0,
 sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
 seed-averaged noise inside the window 3 d0 <= d <= extent/10.  The seeds
 of a fit move together as one stack with a leading seed axis: positions
-(S, n, 2), S_E (S, D).  Sampling draws candidates from each seed's stream
-in blocks, and all unfinished seeds draw a block per round.  Per round,
-one window over each surface's x-sorted placed points and candidates,
-each against its successors less than d0 further along in x, finds every
-pair closer than d0; Python only walks the pairs inside the blocks, in
-stream order.  Surface k of a stack has the stream, the positions and the
-rejection count of testing every candidate against every placed point,
-drawn from its seed alone.  mc_field_noise evaluates the field kernel for
-all distances on blocks of surfaces and gives S_E per unit S_mu,
-projected on a unit axis.  distance_scaling_fit checks its arguments,
-then draws and sums its seeds in chunks of bounded size.
+(S, n, 2), S_E (S, D).  Sampling draws candidates from each seed's
+stream in blocks, and all unfinished seeds draw a block of one size per
+round.  Per round, one loop over successor rank in each surface's
+x-sorted candidates and placed points finds every pair closer than d0;
+Python only walks the pairs inside the blocks, in stream order.  Surface
+k of a stack has the stream, the positions and the rejection count of
+testing every candidate against every placed point, drawn from its seed
+alone.  mc_field_noise evaluates the field kernel for all distances on
+blocks of surfaces and gives S_E per unit S_mu, projected on a unit
+axis.  distance_scaling_fit checks its arguments, then draws and sums
+its seeds in chunks of bounded size.
 
 The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
@@ -52,8 +52,6 @@ from .units import EPS0, HBAR, _gauss_legendre, _line_fit, _rule_pair_sum
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
 MAX_CONSECUTIVE_REJECTS = 1_000_000
-# Entries of the close-pair window tested per numpy pass.
-_WINDOW_CELLS = 1 << 16
 # (seed, distance, dipole) cells of the seeds that distance_scaling_fit
 # draws and sums per chunk.
 _FIT_CELLS = 1 << 16
@@ -167,53 +165,33 @@ def _close_pairs(points, reach, limit):
     summed as np.sum(d ** 2) would sum it.  Rows of nan pad a surface and
     pair with nothing.
 
-    Per surface, one window over the x-sorted rows: each row against every
-    successor at most reach further along in x, padded with nan past the
-    last row.
-    Its width is the most successors in reach of any row, found by
-    bisection on w, as some row has its w-th successor in reach for every
-    w up to it and for none beyond.  The window holds y only, tested
-    _WINDOW_CELLS entries at a time: dy^2 < limit keeps every pair that
-    dx^2 + dy^2 < limit keeps, as the rounded sum is never below the
-    rounded dy^2, and passes a few per cent of the window.  Those pairs
-    then take the full test.
+    Per surface, the rows are sorted by x, and one loop over successor
+    rank o = 1, 2, ... takes each row against its o-th successor.  It
+    stops at the first o at which no row has its o-th successor at most
+    reach further along in x: the rows being sorted, none has a later one
+    in reach either.  dy^2 < limit keeps every pair that dx^2 + dy^2 <
+    limit keeps, as the rounded sum is never below the rounded dy^2, and
+    passes a few per cent of the pairs; those then take the full test.
     """
     # Rows tied in x may come in either order: the pair is tested the same
     # way from either end.
     order = np.argsort(points[..., 0], axis=-1)
     n_surf, m = order.shape
-    x, y = points[np.arange(n_surf)[:, None], order].transpose(2, 0, 1)
+    # x and y gathered by flat row index, several times faster than by 2-D
+    rows = order + m * np.arange(n_surf)[:, None]
+    x, y = (points.reshape(-1, 2)[:, c][rows] for c in (0, 1))
     x_reach = x + reach
-
-    def in_reach(w):
-        return bool((x[:, w:] <= x_reach[:, :-w]).any())
-
-    width, hi = 0, 1
-    while hi < m and in_reach(hi):
-        width, hi = hi, 2 * hi
-    hi = min(hi, m)
-    while hi - width > 1:
-        mid = (width + hi) // 2
-        width, hi = (mid, hi) if in_reach(mid) else (width, mid)
-    if not width:
-        return (np.empty(0, dtype=np.intp),) * 3
-    pad = np.full((n_surf, m + width), np.nan)
-    pad[:, :m] = y
-    # win[s, k, o] = pad[s, k + 1 + o], the y of the o-th successor of row k
-    rs, cs = pad.strides
-    win = np.lib.stride_tricks.as_strided(pad[:, 1:], (n_surf, m, width),
-                                          (rs, cs, cs), writeable=False)
-    step = max(_WINDOW_CELLS // (n_surf * width), 1)
-    hits = []
+    hits = [np.empty((3, 0), dtype=np.intp)]
     # a |dx| or |dy| past 1e154 squares to inf, which is not below limit
     with np.errstate(over="ignore"):
-        for lo in range(0, m, step):
-            dy = win[:, lo:lo + step] - y[:, lo:lo + step, None]
+        for o in range(1, m):
+            if not (x[:, o:] <= x_reach[:, :-o]).any():
+                break
+            dy = y[:, o:] - y[:, :-o]
             dy *= dy
-            surf, row, off = np.unravel_index(np.flatnonzero(dy < limit),
-                                              dy.shape)
-            hits.append((surf, row + lo, row + lo + 1 + off))
-        surf, k, l = (np.concatenate(h) for h in zip(*hits))
+            surf, k = np.divmod(np.flatnonzero(dy < limit), m - o)
+            hits.append((surf, k, k + o))
+        surf, k, l = np.concatenate(hits, axis=1)
         dx = x[surf, l] - x[surf, k]
         dy = y[surf, l] - y[surf, k]
         close = dx * dx + dy * dy < limit
@@ -251,9 +229,11 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
 
     Candidates are drawn in blocks, which gives the same doubles in the
     same order as one draw per candidate, and a block holds at least as
-    many candidates as are placed.  The unfinished surfaces draw a block
-    each per round, and one window over each surface's placed points and
-    block finds every pair closer than min_spacing, with the
+    many candidates as are placed.  The unfinished surfaces draw one block
+    each per round, all of the largest size any of them needs; a larger
+    block moves no bit, as each surface still reads its own stream in
+    order.  One _close_pairs pass over each surface's block and placed
+    points finds every pair closer than min_spacing, with the
     squared-distance arithmetic of a test against every placed point.  A
     candidate close to a placed point is rejected; one Python walk over the
     pairs inside the blocks, in stream order, rejects a candidate close to
@@ -269,83 +249,77 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     limit = min_spacing ** 2
     # A pair the direct test fails has fl(dx)^2 < fl(d0^2), so |fl(dx)| < d0
     # and, d0 being a double, the exact |dx| < d0 as well: the later of the
-    # two in x lies at most at fl(x + d0), inside the window.  The hair
+    # two in x lies at most at fl(x + d0), within reach.  The hair
     # beyond d0 is a margin.
     reach = min_spacing * (1.0 + 1e-9)
     rngs = [np.random.default_rng(s) for s in seeds]
     out = np.empty((len(seeds), n, 2))
     placed = np.zeros(len(seeds), dtype=np.intp)
     run = np.zeros(len(seeds), dtype=np.intp)    # consecutive rejects
-    total_rejects = np.zeros(len(seeds), dtype=np.intp)
+    total_rejects = 0
     failed = {}                                  # surface: PackingError text
     active = np.arange(len(seeds))
     while len(active):
         m = placed[active]
         need = n - m
-        # need and an eighth more, but at least m (and 256): re-scanning the
-        # m placed rows then costs at most one row per candidate
-        size = np.maximum(np.maximum(need + need // 8, m), 256)
-        # row t holds surface active[t]: its m placed points, its block of
-        # candidates from column m on, then nan
-        pts = np.full((len(active), int((m + size).max()), 2), np.nan)
+        # the largest need and an eighth more, but at least every m (and
+        # 256): re-scanning the placed rows then costs at most one row per
+        # candidate
+        size = int(max((need + need // 8).max(), m.max(), 256))
+        # row t holds surface active[t]: its block of candidates, its m
+        # placed points from column size on, then nan
+        pts = np.full((len(active), size + int(m.max()), 2), np.nan)
         for t, k in enumerate(active):
-            pts[t, :m[t]] = out[k, :m[t]]
-            pts[t, m[t]:m[t] + size[t]] = rngs[k].uniform(
-                0.0, extent, (int(size[t]), 2))
+            pts[t, :size] = rngs[k].uniform(0.0, extent, (size, 2))
+            pts[t, size:size + m[t]] = out[k, :m[t]]
         surf, i, j = _close_pairs(pts, reach, limit)
-        rejected = np.zeros(pts.shape[:2], dtype=bool)
-        inner = i >= m[surf]   # no two placed points are close: j >= m
-        rejected[surf[~inner], j[~inner]] = True
+        rejected = np.zeros((len(active), size), dtype=bool)
+        inner = j < size   # no two placed points are close: i < size
+        rejected[surf[~inner], i[~inner]] = True
         # Pairs inside a block, less those with a candidate already
         # rejected: such a pair can reject neither.  In order of the later
         # candidate, the earlier one of each pair is settled before it
         # comes up; surfaces do not mix.
         flat = rejected.ravel()
-        a = surf[inner] * pts.shape[1] + i[inner]
-        b = surf[inner] * pts.shape[1] + j[inner]
+        a = surf[inner] * size + i[inner]
+        b = surf[inner] * size + j[inner]
         live = ~(flat[a] | flat[b])
         a, b = a[live], b[live]
         later = np.argsort(b, kind="stable")
         for early, late in zip(a[later].tolist(), b[later].tolist()):
             if not flat[early]:
                 flat[late] = True
-        col = np.arange(pts.shape[1]) - m[:, None]   # index in the block
-        accepted = ~rejected & (col >= 0) & (col < size[:, None])
-        count = np.cumsum(accepted, axis=1)          # accepts so far
-        taken = accepted & (count <= need[:, None])
+        count = np.cumsum(~rejected, axis=1)         # accepts so far
+        taken = ~rejected & (count <= need[:, None])
         n_taken = np.minimum(count[:, -1], need)
         # the block is cut at the n-th acceptance
         cut = np.where(n_taken == need,
-                       np.argmax(count >= need[:, None], axis=1) - m + 1,
-                       size)
+                       np.argmax(count >= need[:, None], axis=1) + 1, size)
         rejects = cut - n_taken
         # No run can pass the limit unless the rejects before the cut do,
         # with the run carried in.
         for t in np.flatnonzero(run[active] + rejects
                                 > MAX_CONSECUTIVE_REJECTS):
-            block = rejected[t, m[t]:m[t] + cut[t]]
             # the consecutive rejects up to each candidate, 0 at an accept
             c = np.arange(cut[t])
-            last = np.maximum.accumulate(np.where(block, -1, c))
+            last = np.maximum.accumulate(np.where(rejected[t, c], -1, c))
             over = np.flatnonzero(
                 np.where(last < 0, run[active[t]] + c + 1, c - last)
                 > MAX_CONSECUTIVE_REJECTS)
             if len(over):
-                done = m[t] + np.count_nonzero(taken[t, m[t]:m[t] + over[0]])
+                done = m[t] + np.count_nonzero(taken[t, :over[0]])
                 failed[active[t]] = (
                     f"seed {seeds[active[t]]}: gave up after "
                     f"{MAX_CONSECUTIVE_REJECTS + 1} consecutive rejections "
                     f"({done}/{n} placed)")
-        total_rejects[active] += rejects
+        total_rejects += int(rejects.sum())
         # the trailing rejects of a block with no n-th acceptance
-        last_taken = pts.shape[1] - 1 - np.argmax(taken[:, ::-1], axis=1) - m
+        last_taken = size - 1 - np.argmax(taken[:, ::-1], axis=1)
         run[active] = np.where(n_taken > 0, cut - 1 - last_taken,
                                run[active] + cut)
-        new = pts[taken]             # in order of surface, then of the stream
-        ends = np.cumsum(n_taken)
-        for k, lo, hi, start in zip(active.tolist(), (ends - n_taken).tolist(),
-                                    ends.tolist(), m.tolist()):
-            out[k, start:start + hi - lo] = new[lo:hi]
+        for t, (k, lo, hi) in enumerate(zip(active.tolist(), m.tolist(),
+                                            (m + n_taken).tolist())):
+            out[k, lo:hi] = pts[t, :size][taken[t]]
         placed[active] += n_taken
         active = active[placed[active] < n]
         if failed:
@@ -353,7 +327,7 @@ def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
     if failed:
         raise PackingError(failed[min(failed)])
     return SurfaceSample(positions=out if stacked else out[0], extent=extent,
-                         rejects=int(total_rejects.sum()))
+                         rejects=total_rejects)
 
 
 def mc_field_noise(sample: SurfaceSample, axis, distances):

@@ -1236,6 +1236,110 @@ def test_cli_mc_scaling_follows_trap_axis(tmp_path):
     assert not np.array_equal(got, rows["z"][:, :3])
 
 
+@pytest.mark.parametrize("text, axis", [
+    ("1e200 0 0", (1.0, 0.0, 0.0)),
+    ("1e154 1e154 0", (0.5 ** 0.5, 0.5 ** 0.5, 0.0)),
+    ("3e-160 4e-160 0", (0.6, 0.8, 0.0)),
+    ("1e-200 0 0", (1.0, 0.0, 0.0)),
+    ("1e-320 0 0", (1.0, 0.0, 0.0)),
+], ids=["overflow", "overflow-sum", "subnormal-sum", "underflow",
+        "subnormal"])
+def test_axis_whose_squared_norm_leaves_the_float_range(text, axis):
+    # The sum of squares of these is inf, subnormal or 0: the axis is
+    # scaled by its largest |component| before it is normalised, and the
+    # unit axis it gives parses back to its own bits.
+    cfg = config.parse_config(f"preset = Ne-Au\n[trap]\naxis = {text}\n")
+    assert cfg.trap.axis == pytest.approx(axis, rel=1e-15, abs=0.0)
+    assert config.parse_config(config.serialize_config(cfg)) == cfg
+
+
+def resolved_configuration(path):
+    """The configuration document an emitted CSV's header resolves."""
+    lines = path.read_text().splitlines()
+    start = lines.index("# resolved configuration:") + 1
+    return "".join(line[4:] + "\n" for line in lines[start:]
+                   if line.startswith("#   "))
+
+
+@pytest.mark.parametrize("command", ["states", "mc-scaling"])
+def test_cli_axis_past_the_float_range_runs_and_round_trips(tmp_path,
+                                                            command):
+    # an axis of 1e200 0 0 is the z-free unit x axis, in the header too
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("preset = Ne-Au\n[trap]\naxis = 1e200 0 0\n"
+                       "[montecarlo]\nn_seeds = 5\n")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 0
+    (path,) = out.glob("*.csv")
+    cfg = config.parse_config(resolved_configuration(path))
+    assert cfg.trap.axis == (1.0, 0.0, 0.0)
+
+
+def test_reduced_mass_through_the_parser(tmp_path):
+    # reduced_mass = true replaces the adatom mass by the Ne-Au reduced
+    # mass; the resolved document carries that mass and no reduced_mass
+    # line, and parses back to the same configuration.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[potential]\nreduced_mass = true\n")
+    args = ["states", "--config", cfgfile, "--preset", "Ne-Au",
+            "--output", tmp_path / "o"]
+    cfg = cli.load_config(cli.build_parser().parse_args(
+        [str(a) for a in args]))
+    assert cfg.potential.adatom_mass == 3.014940819188273e-26
+    document = config.serialize_config(cfg)
+    lines = document.splitlines()
+    assert "mass = 3.014940819188273e-26 kg" in lines
+    assert not [line for line in lines if line.startswith("reduced_mass")]
+    assert config.parse_config(document) == cfg
+    assert run_cli(args) == 0
+
+
+CUSTOM_WITHOUT_POLARIZABILITY = ("[potential]\nU0 = 12 meV\nz0 = 3 angstrom\n"
+                                 "beta = 3 1/angstrom\nmass = 20 amu\n")
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("states", "preset = Ne-Au\n[solver]\nn_points\n",
+     "line 3: expected 'key = value', got 'n_points'"),
+    ("states", "preset = Ne-Au\n[potential]\nU0 = x meV\n",
+     "potential.U0: 'x' is not a number"),
+    ("states", "preset = Ne-Au\n[solver]\nn_points = 1.5\n",
+     "solver.n_points: '1.5' is not a valid int"),
+    ("states", "preset = Ne-Au\n[potential]\nreduced_mass = maybe\n",
+     "potential.reduced_mass: expected true/false, got 'maybe'"),
+    ("spectrum", "preset = Ne-Au\n[spectrum]\ntemperatures = ,\n",
+     "spectrum.temperatures: temperature list is empty"),
+    ("heat", "preset = Ne-Au\n[trap]\naxis = 1 2\n",
+     "trap.axis: expected three components"),
+    ("heat", "preset = Ne-Au\n[trap]\naxis = a b c\n",
+     "trap.axis: expected three numbers"),
+    ("heat", "preset = Ne-Au\n[trap]\naxis = 0 0 0\n",
+     "trap.axis: axis must be non-zero"),
+    ("mc-scaling", "preset = Ne-Au\n[montecarlo]\nd_values = 3, x\n",
+     "montecarlo.d_values: expected comma-separated numbers"),
+    ("mc-scaling", "preset = Ne-Au\n[montecarlo]\nd_values = 3, -4\n",
+     "montecarlo.d_values: values must be positive"),
+    ("states", "preset = Ne-Au\nmaterial = Pt\n",
+     "unknown material 'Pt'; known: ['Au']"),
+    *((command, CUSTOM_WITHOUT_POLARIZABILITY,
+       "custom: polarizability is required for dipole calculations; set "
+       "potential.polarizability")
+      for command in ("dipoles", "spectrum", "validate")),
+], ids=["no-equals", "U0", "n_points", "reduced_mass", "temperatures",
+        "axis-two", "axis-text", "axis-zero", "d_values-text",
+        "d_values-negative", "material", "dipoles-polarizability",
+        "spectrum-polarizability", "validate-polarizability"])
+def test_cli_parser_refusals(tmp_path, capsys, command, text, error):
+    # each refusal is exit 2 and one stderr line that names its key (or
+    # line), with no output directory made
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 2
+    assert capsys.readouterr().err == f"configuration error: {error}\n"
+    assert not out.exists()
+
+
 def test_length_unit_aliases():
     # every quantity looks its unit up through the alias table in units
     def z0(text):

@@ -354,6 +354,10 @@ def config_documents(draw):
 
     axis = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
     assume(sum(a * a for a in axis) > 1e-6)
+    # scaled by a power of ten, so that the squared norm may overflow,
+    # underflow or be subnormal
+    scale = float(f"1e{draw(st.integers(-320, 300))}")
+    axis = [a * scale for a in axis]
     lines = [
         "preset = Ne-Au", f"seed = {draw(st.integers(-2 ** 40, 2 ** 40))}",
         f"output = {draw(st.from_regex(r'[A-Za-z0-9_./-]{1,12}', fullmatch=True))}",

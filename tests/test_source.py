@@ -1,7 +1,8 @@
 """Static checks over the package source: no module imports a name it
 never uses (a name listed in __all__ counts as used), every public
 function, class or method has a caller in the library's live code or is
-exported by the package __all__ (the tests do not count as callers), no
+exported by the package __all__ (the tests do not count as callers), and
+so does every private module-level function, class and constant, no
 import statement names scipy, the module-level imports keep the command
 line and the Monte Carlo path clear of the chain modules they do not run,
 no public function repeats a default of a config section, only
@@ -72,25 +73,43 @@ def names_used(tree, inside=frozenset()):
     return used
 
 
+def private_constants(node):
+    """The names a module-level assignment binds, if they are all private
+    (one underscore), else none."""
+    if not isinstance(node, ast.Assign):
+        return []
+    names = [n.id for target in node.targets for n in ast.walk(target)
+             if isinstance(n, ast.Name)]
+    if all(name.startswith("_") and not name.startswith("__")
+           for name in names):
+        return names
+    return []
+
+
 def definitions(tree):
-    """(name, nodes) of each module-level function and class of tree and of
-    each method of its classes, where nodes is the code that is live once
-    the name is.  A class's code is its body but for its methods, save the
-    dunder methods Python calls for it; each other method is its own
-    definition."""
+    """(name, nodes, private) of each module-level function, class and
+    private constant of tree and of each method of its classes, where
+    nodes is the code that is live once the name is and private says
+    whether the name is a module-level one with a leading underscore.  A
+    class's code is its body but for its methods, save the dunder methods
+    Python calls for it; each other method is its own definition.  A
+    private constant's code is its assigned value."""
     found = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            found.append((node.name, [node]))
+            found.append((node.name, [node], node.name.startswith("_")))
         elif isinstance(node, ast.ClassDef):
             own = node.bases + node.keywords + node.decorator_list
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("__")):
-                    found.append((item.name, [item]))
+                    found.append((item.name, [item], False))
                 else:
                     own.append(item)
-            found.append((node.name, own))
+            found.append((node.name, own, node.name.startswith("_")))
+        else:
+            found += [(name, [node.value], True)
+                      for name in private_constants(node)]
     return found
 
 
@@ -106,9 +125,9 @@ def live_names(trees, exported):
             names_used(node) for node in tree.body
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
                                      ast.Import, ast.ImportFrom))
-            and not is_all(node)))
+            and not is_all(node) and not private_constants(node)))
     while True:
-        reached = set().union(*(names_used(node) for name, nodes in defined
+        reached = set().union(*(names_used(node) for name, nodes, _ in defined
                                 if name in live for node in nodes))
         if reached <= live:
             return live
@@ -116,16 +135,18 @@ def live_names(trees, exported):
 
 
 def unnamed_public_definitions(package):
-    """Sorted public functions, classes and methods of the modules in the
+    """Sorted public functions, classes and methods, and private
+    module-level functions, classes and constants, of the modules in the
     package directory that neither the package __init__'s __all__ lists
     nor its live code names.  A per-module __all__ exports nothing, and
-    code outside the package, the tests included, calls nothing."""
+    code outside the package, the tests included, reads nothing."""
     trees = {p.name: ast.parse(p.read_text())
              for p in sorted(package.glob("*.py"))}
-    public = {name for tree in trees.values()
-              for name, _ in definitions(tree) if not name.startswith("_")}
+    checked = {name for tree in trees.values()
+               for name, _, private in definitions(tree)
+               if private or not name.startswith("_")}
     exported = exported_names(trees["__init__.py"])
-    return sorted(public - live_names(trees.values(), exported))
+    return sorted(checked - live_names(trees.values(), exported))
 
 
 def write_package(root, modules):
@@ -160,6 +181,27 @@ def test_unnamed_public_check_ignores_tests_and_dead_callers(tmp_path):
         "test_core.py": "from lib.core import estimate, oracle\n"
                         "def test_core(): assert oracle() < estimate()\n"})
     assert unnamed_public_definitions(lib) == ["estimate", "oracle", "route"]
+
+
+def test_unnamed_check_flags_dead_private_names(tmp_path):
+    # _helper and _USED are read by live code, _own by its class's live
+    # __init__; _orphan only by itself, _Gone by nothing, _STALE_CELLS only
+    # by a test, _LATE only by the dead _orphan, and _B of a pair never.
+    lib = write_package(tmp_path / "lib", {
+        "__init__.py": "from .core import run\n__all__ = ['run']\n",
+        "core.py": "_USED = 2\n_STALE_CELLS = 1 << 16\n_A, _B = 1, 2\n"
+                   "_LATE = 3\n"
+                   "def run(): return _helper() + _A + Box().n\n"
+                   "def _helper(): return _USED\n"
+                   "def _orphan(): return _orphan() + _LATE\n"
+                   "class _Gone: pass\n"
+                   "class Box:\n    def __init__(self): self.n = self._own()\n"
+                   "    def _own(self): return 1\n"})
+    write_package(tmp_path / "tests", {
+        "test_core.py": "from lib.core import _STALE_CELLS\n"
+                        "def test_core(): assert _STALE_CELLS\n"})
+    assert unnamed_public_definitions(lib) == [
+        "_B", "_Gone", "_LATE", "_STALE_CELLS", "_orphan"]
 
 
 def test_every_public_definition_is_named():

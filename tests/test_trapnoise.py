@@ -236,14 +236,14 @@ def test_sample_surface_bit_identical_dense_packing():
 
 def test_sample_surface_bit_identical_non_integer_cells():
     # extent 37.3 and d0 = 0.7, not a multiple of each other and d0 not a
-    # double: the window's reach and the limit fl(0.7^2) are those of a
+    # double: the close-pair reach and the limit fl(0.7^2) are those of a
     # spacing other than 1 (the name is from the deleted cell grid)
     assert_matches_reference(600, 37.3, 0.7, range(10))
 
 
 def test_sample_surface_bit_identical_beyond_int64_keys():
-    # extent / d0 past ~1e16: x + d0 rounds to x, so the close-pair window
-    # holds the ties in x only
+    # extent / d0 past ~1e16: x + d0 rounds to x, so the close-pair loop
+    # reaches the ties in x only
     assert_matches_reference(100, 1e10, 1.0, range(10))
     assert_matches_reference(100, 1e20, 1.0, range(10))
 
@@ -463,6 +463,29 @@ def test_spacing_is_tested_once_per_placement_round(monkeypatch):
     assert calls == []
     trapnoise.sample_surface(100, 100.0, 1.0, range(30))
     assert calls == [(30, 256, 2)]
+
+
+@STACKS
+def test_every_surface_of_a_round_draws_one_block_size(monkeypatch, n, extent,
+                                                       min_spacing, seeds,
+                                                       blocks):
+    # In a stacked draw, every surface that draws in a round draws a block
+    # of the same size, which heads its row of the round's spacing pass.
+    sizes = draw_spy(monkeypatch)
+    rounds, close_pairs = [], trapnoise._close_pairs
+
+    def spy(points, reach, limit):
+        rounds.append((points.shape, sizes[:]))
+        del sizes[:]
+        return close_pairs(points, reach, limit)
+
+    monkeypatch.setattr(trapnoise, "_close_pairs", spy)
+    trapnoise.sample_surface(n, extent, min_spacing, seeds)
+    assert len(rounds) == max(blocks)
+    for (surfaces, width, _), drawn in rounds:
+        assert len(drawn) == surfaces
+        assert set(drawn) == {(drawn[0][0], 2)}
+        assert 256 <= drawn[0][0] <= width
 
 
 def test_stacked_packing_error_is_the_lowest_failing_seed(monkeypatch):
@@ -759,6 +782,32 @@ def test_spacing_window_reaches_every_close_successor():
     assert assert_close_pairs(pts, 1.0, 1.0) == {(0, 0, n - 1)}
     pts[0, -1, 1] = 1.0
     assert assert_close_pairs(pts, 1.0, 1.0) == set()
+
+
+def test_spacing_loop_runs_to_the_last_rank_on_tied_x():
+    # Every row of surface 0 shares one x, so each has every successor in
+    # reach and the loop runs to rank m - 1; surface 1 ends it no sooner.
+    m = 30
+    rng = np.random.default_rng(4)
+    tied = np.column_stack([np.full(m, 5.0), 0.7 * np.arange(m)])
+    tied[-1, 1] = 0.2
+    stack = np.array([tied, rng.uniform(0.0, 6.0, (m, 2))])
+    got = assert_close_pairs(stack, 1.0, 1.0)
+    assert {(0, 0, m - 1), (0, 1, m - 1)} <= got
+
+
+def test_spacing_loop_skips_a_surface_of_nan_rows():
+    # a surface of nan pads only: it pairs with nothing, beside a full one
+    full = np.random.default_rng(5).uniform(0.0, 4.0, (40, 2))
+    stack = np.array([np.full((40, 2), np.nan), full])
+    got = assert_close_pairs(stack, 1.0, 1.0)
+    assert got and all(s == 1 for s, _, _ in got)
+
+
+def test_spacing_loop_of_one_row_per_surface():
+    # m = 1: no row has a successor, and the loop never runs
+    stack = np.array([[[1.0, 1.0]], [[1.0, 1.0]], [[np.nan, np.nan]]])
+    assert assert_close_pairs(stack, 1.0, 1.0) == set()
 
 
 def test_sample_positions_must_be_finite():
