@@ -33,8 +33,3 @@ class NumericalError(AdnoiseError):
 
 class AnalysisError(NumericalError):
     """A fitting or post-processing step received unusable data."""
-
-
-class PackingError(NumericalError):
-    """Random sequential placement failed to satisfy the spacing constraint;
-    the message names the seed of the surface that could not be placed."""

@@ -15,21 +15,19 @@ d omega / 2 pi an S_E in the same convention carries K.  The 3/8 gives a
 density per d omega instead, 2 pi below the one heating_rate expects.
 The Monte Carlo consistency checks use K.
 
-The Monte Carlo path samples dipole positions with a minimum spacing d0,
-sums |E_z|^2 per dipole and reproduces the d^-4 distance scaling of the
-seed-averaged noise inside the window 3 d0 <= d <= extent/10.  The seeds
-of a fit move together as one stack with a leading seed axis: positions
-(S, n, 2), S_E (S, D).  Sampling draws candidates from each seed's
-stream in blocks, and all unfinished seeds draw a block of one size per
-round.  Per round, one loop over successor rank in each surface's
-x-sorted candidates and placed points finds every pair closer than d0;
-Python only walks the pairs inside the blocks, in stream order.  Surface
-k of a stack has the stream, the positions and the rejection count of
-testing every candidate against every placed point, drawn from its seed
-alone.  mc_field_noise evaluates the field kernel for all distances on
-blocks of surfaces and gives S_E per unit S_mu, projected on a unit
-axis.  distance_scaling_fit checks its arguments, then draws and sums
-its seeds in chunks of bounded size.
+The Monte Carlo path places n dipoles uniformly and independently on an
+(extent x extent) patch, sums |E_z|^2 per dipole and reproduces the d^-4
+distance scaling of the seed-averaged noise inside the window
+3 d0 <= d <= extent/10.  Lengths are in units of d0, a microscopic
+length such as the adatom spacing; no minimum spacing is kept, as the
+mean noise of uncorrelated dipoles depends on their density alone, never
+on their pair correlations.  The seeds of a fit move together as one stack with a
+leading seed axis: positions (S, n, 2), S_E (S, D).  Surface k of a
+stack is the uniform draw of its own seed's stream.  mc_field_noise
+evaluates the field kernel for all distances on blocks of surfaces and
+gives S_E per unit S_mu, projected on a unit axis.  distance_scaling_fit
+checks its arguments, the size of its largest array among them, then
+draws and sums its seeds in chunks of bounded size.
 
 The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
@@ -45,13 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AnalysisError, ConfigurationError, DomainError,
-                     PackingError)
+from .errors import AnalysisError, ConfigurationError, DomainError
 from .units import EPS0, HBAR, _gauss_legendre, _line_fit, _rule_pair_sum
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
-MAX_CONSECUTIVE_REJECTS = 1_000_000
 # (seed, distance, dipole) cells of the seeds that distance_scaling_fit
 # draws and sums per chunk.
 _FIT_CELLS = 1 << 16
@@ -59,6 +55,9 @@ _FIT_CELLS = 1 << 16
 # its arrays of 64 KiB stay in cache, where those of a whole 30-surface
 # stack are mapped afresh on every call.
 _KERNEL_CELLS = 1 << 13
+# Float cells one array of distance_scaling_fit may hold (400 MB): its
+# largest is the (D, n, 3) field kernel of one surface.
+_ARRAY_CELLS = 5 * 10 ** 7
 # Gauss-Legendre rules of kernel_integral_constant, and how far apart
 # their two values may lie, relative.
 _KERNEL_RULES = (8, 16)
@@ -68,12 +67,15 @@ _KERNEL_RULE_RTOL = 1e-12
 @dataclass(frozen=True)
 class SurfaceSample:
     """Dipole positions on the electrode plane: one surface, (n, 2), or a
-    stack of S surfaces, (S, n, 2).  The minimum spacing is not checked
-    here: sample_surface keeps it while placing."""
+    stack of S surfaces, (S, n, 2).
+
+    rejects is always 0, as sample_surface rejects no candidate.  It stays
+    because the benchmark's tracer reads it from every sample it counts.
+    """
 
     positions: np.ndarray  # (n, 2) or (S, n, 2), inside [0, extent]^2
     extent: float
-    rejects: int = field(default=0, compare=False)  # over the whole stack
+    rejects: int = field(default=0, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.positions, dtype=float)
@@ -159,48 +161,7 @@ def kernel_integral_constant(d=1.0):
                           "kernel plane integral")
 
 
-def _close_pairs(points, reach, limit):
-    """Index triples (s, i, j), i < j, of the rows i and j of surface s of
-    an (S, m, 2) stack whose squared distance is below limit; d^2 is
-    summed as np.sum(d ** 2) would sum it.  Rows of nan pad a surface and
-    pair with nothing.
-
-    Per surface, the rows are sorted by x, and one loop over successor
-    rank o = 1, 2, ... takes each row against its o-th successor.  It
-    stops at the first o at which no row has its o-th successor at most
-    reach further along in x: the rows being sorted, none has a later one
-    in reach either.  dy^2 < limit keeps every pair that dx^2 + dy^2 <
-    limit keeps, as the rounded sum is never below the rounded dy^2, and
-    passes a few per cent of the pairs; those then take the full test.
-    """
-    # Rows tied in x may come in either order: the pair is tested the same
-    # way from either end.
-    order = np.argsort(points[..., 0], axis=-1)
-    n_surf, m = order.shape
-    # x and y gathered by flat row index, several times faster than by 2-D
-    rows = order + m * np.arange(n_surf)[:, None]
-    x, y = (points.reshape(-1, 2)[:, c][rows] for c in (0, 1))
-    x_reach = x + reach
-    hits = [np.empty((3, 0), dtype=np.intp)]
-    # a |dx| or |dy| past 1e154 squares to inf, which is not below limit
-    with np.errstate(over="ignore"):
-        for o in range(1, m):
-            if not (x[:, o:] <= x_reach[:, :-o]).any():
-                break
-            dy = y[:, o:] - y[:, :-o]
-            dy *= dy
-            surf, k = np.divmod(np.flatnonzero(dy < limit), m - o)
-            hits.append((surf, k, k + o))
-        surf, k, l = np.concatenate(hits, axis=1)
-        dx = x[surf, l] - x[surf, k]
-        dy = y[surf, l] - y[surf, k]
-        close = dx * dx + dy * dy < limit
-    surf = surf[close]
-    i, j = order[surf, k[close]], order[surf, l[close]]
-    return surf, np.minimum(i, j), np.maximum(i, j)
-
-
-def _check_sampling(n, extent, min_spacing, seeds):
+def _check_sampling(n, extent, seeds):
     """The argument checks of sample_surface, which distance_scaling_fit
     also makes before its first draw."""
     if n < 1:
@@ -208,126 +169,29 @@ def _check_sampling(n, extent, min_spacing, seeds):
     for s in seeds:
         if s < 0:
             raise ConfigurationError(f"seed must be non-negative, got {s}")
-    if not (min_spacing > 0 and 0 < extent < math.inf):
-        raise ConfigurationError(
-            "min_spacing and extent must be positive and finite")
-    # ratio > 1 fails for any n >= 1; testing it first keeps ratio**2 finite
-    ratio = min_spacing / extent
-    if ratio > 1 or n * math.pi * ratio ** 2 / 4.0 >= 0.5:
-        raise ConfigurationError(
-            "packing fraction too high for rejection sampling")
+    if not 0 < extent < math.inf:
+        raise ConfigurationError("extent must be positive and finite")
 
 
-def sample_surface(n, extent, min_spacing, seed) -> SurfaceSample:
-    """Uniform positions in [0, extent]^2 with an exclusion radius.
+def sample_surface(n, extent, seed) -> SurfaceSample:
+    """Uniform, independent positions in [0, extent]^2, deterministic for
+    a given seed.
 
-    Rejection sampling, deterministic for a given seed.  seed is one seed,
-    which gives one (n, 2) surface, or a sequence of S seeds, which gives
-    an (S, n, 2) stack whose surface k is, bit for bit, the one drawn from
-    seed[k] alone; rejects is the total over the stack.  Feasibility
-    requires n pi min_spacing^2 / 4 < extent^2 / 2.
-
-    Candidates are drawn in blocks, which gives the same doubles in the
-    same order as one draw per candidate, and a block holds at least as
-    many candidates as are placed.  The unfinished surfaces draw one block
-    each per round, all of the largest size any of them needs; a larger
-    block moves no bit, as each surface still reads its own stream in
-    order.  One _close_pairs pass over each surface's block and placed
-    points finds every pair closer than min_spacing, with the
-    squared-distance arithmetic of a test against every placed point.  A
-    candidate close to a placed point is rejected; one Python walk over the
-    pairs inside the blocks, in stream order, rejects a candidate close to
-    an accepted earlier one.  The rest are accepted, up to the n-th.
-    Positions and rejects are those of that direct test, candidate by
-    candidate.  Of the surfaces that give up, the PackingError of the
-    lowest-indexed one is raised, as a loop over the seeds would; its
-    text names the seed.
+    seed is one seed, which gives one (n, 2) surface, or a sequence of S
+    seeds, which gives an (S, n, 2) stack.  Surface k is, bit for bit,
+    np.random.default_rng(seed[k]).random((n, 2)) * extent: it depends on
+    its own seed alone, whatever else the stack holds.  No minimum
+    spacing is kept: the mean noise of uncorrelated dipoles depends on
+    their density alone.
     """
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
-    _check_sampling(n, extent, min_spacing, seeds)
-    limit = min_spacing ** 2
-    # A pair the direct test fails has fl(dx)^2 < fl(d0^2), so |fl(dx)| < d0
-    # and, d0 being a double, the exact |dx| < d0 as well: the later of the
-    # two in x lies at most at fl(x + d0), within reach.  The hair
-    # beyond d0 is a margin.
-    reach = min_spacing * (1.0 + 1e-9)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    _check_sampling(n, extent, seeds)
     out = np.empty((len(seeds), n, 2))
-    placed = np.zeros(len(seeds), dtype=np.intp)
-    run = np.zeros(len(seeds), dtype=np.intp)    # consecutive rejects
-    total_rejects = 0
-    failed = {}                                  # surface: PackingError text
-    active = np.arange(len(seeds))
-    while len(active):
-        m = placed[active]
-        need = n - m
-        # the largest need and an eighth more, but at least every m (and
-        # 256): re-scanning the placed rows then costs at most one row per
-        # candidate
-        size = int(max((need + need // 8).max(), m.max(), 256))
-        # row t holds surface active[t]: its block of candidates, its m
-        # placed points from column size on, then nan
-        pts = np.full((len(active), size + int(m.max()), 2), np.nan)
-        for t, k in enumerate(active):
-            pts[t, :size] = rngs[k].uniform(0.0, extent, (size, 2))
-            pts[t, size:size + m[t]] = out[k, :m[t]]
-        surf, i, j = _close_pairs(pts, reach, limit)
-        rejected = np.zeros((len(active), size), dtype=bool)
-        inner = j < size   # no two placed points are close: i < size
-        rejected[surf[~inner], i[~inner]] = True
-        # Pairs inside a block, less those with a candidate already
-        # rejected: such a pair can reject neither.  In order of the later
-        # candidate, the earlier one of each pair is settled before it
-        # comes up; surfaces do not mix.
-        flat = rejected.ravel()
-        a = surf[inner] * size + i[inner]
-        b = surf[inner] * size + j[inner]
-        live = ~(flat[a] | flat[b])
-        a, b = a[live], b[live]
-        later = np.argsort(b, kind="stable")
-        for early, late in zip(a[later].tolist(), b[later].tolist()):
-            if not flat[early]:
-                flat[late] = True
-        count = np.cumsum(~rejected, axis=1)         # accepts so far
-        taken = ~rejected & (count <= need[:, None])
-        n_taken = np.minimum(count[:, -1], need)
-        # the block is cut at the n-th acceptance
-        cut = np.where(n_taken == need,
-                       np.argmax(count >= need[:, None], axis=1) + 1, size)
-        rejects = cut - n_taken
-        # No run can pass the limit unless the rejects before the cut do,
-        # with the run carried in.
-        for t in np.flatnonzero(run[active] + rejects
-                                > MAX_CONSECUTIVE_REJECTS):
-            # the consecutive rejects up to each candidate, 0 at an accept
-            c = np.arange(cut[t])
-            last = np.maximum.accumulate(np.where(rejected[t, c], -1, c))
-            over = np.flatnonzero(
-                np.where(last < 0, run[active[t]] + c + 1, c - last)
-                > MAX_CONSECUTIVE_REJECTS)
-            if len(over):
-                done = m[t] + np.count_nonzero(taken[t, :over[0]])
-                failed[active[t]] = (
-                    f"seed {seeds[active[t]]}: gave up after "
-                    f"{MAX_CONSECUTIVE_REJECTS + 1} consecutive rejections "
-                    f"({done}/{n} placed)")
-        total_rejects += int(rejects.sum())
-        # the trailing rejects of a block with no n-th acceptance
-        last_taken = size - 1 - np.argmax(taken[:, ::-1], axis=1)
-        run[active] = np.where(n_taken > 0, cut - 1 - last_taken,
-                               run[active] + cut)
-        for t, (k, lo, hi) in enumerate(zip(active.tolist(), m.tolist(),
-                                            (m + n_taken).tolist())):
-            out[k, lo:hi] = pts[t, :size][taken[t]]
-        placed[active] += n_taken
-        active = active[placed[active] < n]
-        if failed:
-            active = active[active < min(failed)]
-    if failed:
-        raise PackingError(failed[min(failed)])
-    return SurfaceSample(positions=out if stacked else out[0], extent=extent,
-                         rejects=total_rejects)
+    for surface, s in zip(out, seeds):
+        np.random.default_rng(s).random(out=surface)
+    out *= extent
+    return SurfaceSample(positions=out if stacked else out[0], extent=extent)
 
 
 def mc_field_noise(sample: SurfaceSample, axis, distances):
@@ -378,23 +242,33 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     """Power-law fit of seed-averaged S_E, per unit S_mu and projected on
     the unit vector axis, over the valid distance window.
 
-    Lengths are in units of the minimum spacing d0.  Surface k is
-    sample_surface(n, extent, 1.0, seed + k), so parallel and serial
-    evaluation agree.  The seeds are drawn and summed in chunks, each one
-    sample_surface call on a stack of seeds and one mc_field_noise call;
-    a chunk holds as many seeds as keep seeds x distances x dipoles within
-    _FIT_CELLS, and at least one.  Every argument is checked before the
-    first draw, in this order: a surface on which the seeds together
-    expect fewer than one dipole within the largest distance is refused
-    (S_E then hardly depends on d, and the exponent comes out near 0);
-    then come sampling's argument checks, the axis, the window
-    3 d0 <= d <= extent/10, which avoids granularity at small d and
-    finite-patch edge effects at large d, and the counts of seeds and
-    distinct distances.  Of the surfaces that give up, the PackingError of
-    the lowest-indexed one is raised.  With the distances scaled up along
-    with the extent, S_E can be tiny or underflow; a seed mean that is not
-    finite and positive is an AnalysisError.
+    Lengths are in units of d0.  Surface k is sample_surface(n, extent,
+    seed + k), so parallel and serial evaluation agree.  The seeds are
+    drawn and summed in chunks, each one sample_surface call on a stack of
+    seeds and one mc_field_noise call; a chunk holds as many seeds as keep
+    seeds x distances x dipoles within _FIT_CELLS, and at least one.
+    Every argument is checked before the first draw, in this order: a
+    field kernel of one surface, 3 x distances x dipoles float cells, past
+    _ARRAY_CELLS is a ConfigurationError naming montecarlo.n_dipoles; a
+    surface on which the seeds together expect fewer than one dipole
+    within the largest distance is refused (S_E then hardly depends on d,
+    and the exponent comes out near 0); then come sampling's argument
+    checks, the axis, the window 3 d0 <= d <= extent/10, which avoids
+    granularity at small d and finite-patch edge effects at large d, and
+    the counts of seeds and distinct distances.  With the distances scaled
+    up along with the extent, S_E can be tiny or underflow; a seed mean
+    that is not finite and positive is an AnalysisError.
     """
+    # A chunk's (S, n, 2) positions hold at most 2 n or 2 _FIT_CELLS / D
+    # cells and a kernel block of several surfaces at most 3 _KERNEL_CELLS,
+    # so one surface's kernel is the array that can outgrow the budget.
+    # In Python integers, so that no dipole count overflows the product.
+    cells = 3 * len(d_list) * n
+    if cells > _ARRAY_CELLS:
+        raise ConfigurationError(
+            f"montecarlo.n_dipoles = {n} at {len(d_list)} distances needs a "
+            f"field kernel of {cells} float cells (3 x distances x "
+            f"dipoles), past the budget of {_ARRAY_CELLS} cells per array")
     # In float64, so that a square past the float range is inf, not an
     # OverflowError: the window or seed-mean check below then refuses it.
     with np.errstate(over="ignore"):
@@ -407,7 +281,7 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
             f"extent^2 < 1), distances {np.asarray(d_list)}: the "
             "surface is too sparse for a distance scaling fit")
     seeds = range(seed, seed + n_seeds)
-    _check_sampling(n, extent, 1.0, seeds)
+    _check_sampling(n, extent, seeds)
     if not abs(math.sqrt(sum(a * a for a in axis)) - 1.0) <= 1e-12:
         raise DomainError(f"axis {tuple(axis)} is not a unit vector")
     d_list = np.asarray(d_list, dtype=float)
@@ -425,7 +299,7 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     se = np.empty((n_seeds, len(d_list)))
     step = max(_FIT_CELLS // (n * len(d_list)), 1)
     for k in range(0, n_seeds, step):
-        surfaces = sample_surface(n, extent, 1.0, seeds[k:k + step])
+        surfaces = sample_surface(n, extent, seeds[k:k + step])
         se[k:k + step] = mc_field_noise(surfaces, axis, d_list)
     means = se.mean(axis=0)
     empty = ~(np.isfinite(means) & (means > 0))

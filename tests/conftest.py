@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from adnoise import boundstates, dipoles, phonons, potential, trapnoise
+from adnoise import boundstates, dipoles, phonons, potential
 from adnoise.units import AMU, E_CHARGE
 
 
@@ -70,30 +70,6 @@ def soft_material():
     """Gold acoustics with the Debye cutoff lifted out of the way."""
     return potential.BulkMaterial(name="test-bulk", speed_of_sound=3962.0,
                                   density=19300.0, debye_frequency=1e16)
-
-
-def close_pair_table(points, limit):
-    """Every (s, i, j), i < j, of rows i and j of surface s of an
-    (S, m, 2) stack whose squared distance, summed as np.sum(d ** 2) sums
-    it, is below limit: the brute-force pairwise table.  Rows of nan pair
-    with nothing."""
-    table = set()
-    for s, surface in enumerate(points):
-        d2 = np.sum((surface[:, None] - surface[None]) ** 2, axis=-1)
-        i, j = np.nonzero(d2 < limit)
-        table.update((s, a, b) for a, b in zip(i.tolist(), j.tolist())
-                     if a < b)
-    return table
-
-
-def assert_close_pairs(points, reach, limit):
-    """trapnoise._close_pairs(points, reach, limit) as a set of (s, i, j),
-    checked against the pairwise table."""
-    found = trapnoise._close_pairs(points, reach, limit)
-    got = set(zip(*(a.tolist() for a in found)))
-    assert len(got) == len(found[0])
-    assert got == close_pair_table(points, limit)
-    return got
 
 
 def two_state_rate_matrix(gamma_down, gamma_up, temperature=1.0):

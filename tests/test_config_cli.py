@@ -1033,9 +1033,10 @@ def test_cli_omega_range_past_float_range_is_config_error(tmp_path, capsys):
     (command, f"[material]\nspeed_of_sound = {c} m/s\n", 4,
      "numerical error: material.speed_of_sound: c^3 overflows")
     for c in ("1e150", "1e300") for command in ("rates", "spectrum")] + [
-    ("mc-scaling", "[montecarlo]\nextent = 1e-300\nn_seeds = 20\n", 2,
-     "configuration error: packing fraction too high for rejection "
-     "sampling")],
+    ("mc-scaling", "[montecarlo]\nextent = 1e-300\nn_seeds = 20\n", 4,
+     "numerical error: distances [ 3.   4.   5.   6.5  8.  10. ] outside the "
+     "valid window [3, 1e-301] (below: dipole granularity dominates; above: "
+     "the finite patch acts as a composite source)")],
     ids=["dipoles-alpha-1e200", "spectrum-alpha-1e200",
          "dipoles-alpha-1e300", "spectrum-alpha-1e300",
          "rates-c-1e150", "spectrum-c-1e150", "rates-c-1e300",
@@ -1043,9 +1044,9 @@ def test_cli_omega_range_past_float_range_is_config_error(tmp_path, capsys):
 def test_cli_value_past_float_range_names_its_key(tmp_path, capsys, command,
                                                   text, code, error):
     # Accepted values whose alpha^1.5 or dipole integrand, c^3 or
-    # (min_spacing / extent)^2 leaves the float range: one stderr line that
-    # names the key (or, for the extent, the packing refusal a smaller
-    # extent already gives), no traceback and no output directory.
+    # extent^-2 leaves the float range: one stderr line that names the key
+    # (or, for the extent, the window refusal a smaller extent already
+    # gives), no traceback and no output directory.
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n" + text)
     out = tmp_path / "o"

@@ -1,6 +1,6 @@
 """Property tests over random level sets, rate chains, rate graphs,
-dipole ladders, configuration documents, dipole positions, float tables,
-unit conversions, root brackets and wells.
+dipole ladders, configuration documents, float tables, unit conversions,
+root brackets and wells.
 
 In the spectral test, energies are drawn in units of kT over forty
 e-folds, so the excited populations reach down to ~1e-17: deep in the
@@ -20,7 +20,7 @@ from adnoise import (boundstates, config, phonons, potential,
                      spectrum, tables, units)
 from adnoise.errors import ModelError
 from adnoise.units import HBAR, KB
-from conftest import assert_close_pairs, per_cell_table
+from conftest import per_cell_table
 from oracles import gth_stationary, spectrum_via_resolvent
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -416,53 +416,6 @@ def test_config_round_trip(text):
     assert again == cfg
     # serialization is a fixed point
     assert config.serialize_config(again) == document
-
-
-# Partner distances in units of min_spacing: duplicates and either side
-# of min_spacing, down to an ulp.
-_PARTNER_FACTORS = [0.0, 0.5, 1.0 - 1e-13, 1.0 - 2.0 ** -53, 1.0,
-                    1.0 + 2.0 ** -52, 1.0 + 1e-13, 2.0]
-
-
-@st.composite
-def surface_positions(draw):
-    """(positions, min_spacing), some pairs near min_spacing."""
-    extent = draw(st.floats(1.0, 100.0))
-    if draw(st.booleans()):
-        # A lattice that keeps the spacing, so the partners decide.
-        m = draw(st.integers(1, 5))
-        pitch = extent / m
-        pts = [((i + 0.5) * pitch, (j + 0.5) * pitch)
-               for i in range(m) for j in range(m)]
-        spacing = pitch * draw(st.floats(0.01, 0.45))
-    else:
-        coord = st.one_of(st.floats(0.0, extent),
-                          st.sampled_from([0.0, extent]))
-        pts = draw(st.lists(st.tuples(coord, coord), min_size=1,
-                            max_size=30))
-        # About the closest-pair distance of len(pts) random points.
-        spacing = extent * draw(st.floats(0.01, 2.0)) / len(pts)
-    for _ in range(draw(st.integers(0, 6))):
-        x, y = draw(st.sampled_from(pts))
-        r = spacing * draw(st.sampled_from(_PARTNER_FACTORS))
-        theta = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi]),
-                               st.floats(0.0, 2.0 * math.pi)))
-        pts.append((x + r * math.cos(theta), y + r * math.sin(theta)))
-    pts = np.clip(np.array(draw(st.permutations(pts))), 0.0, extent)
-    return pts, spacing
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(surface_positions())
-def test_spacing_check_matches_pairwise_table(case):
-    # A reach of min_spacing itself suffices for the limit min_spacing^2,
-    # as sample_surface's comment argues.  The second surface, reversed
-    # and padded with a row of nan in front, pairs with neither.
-    pts, spacing = case
-    stack = np.full((2, len(pts) + 1, 2), np.nan)
-    stack[0, :-1] = pts
-    stack[1, 1:] = pts[::-1]
-    assert_close_pairs(stack, spacing, spacing ** 2)
 
 
 # Cells that stress '%.9g': signed zeros, subnormals, the float range's

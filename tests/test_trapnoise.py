@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from adnoise import cli, config, spectrum, trapnoise, validate
 from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
-                            NumericalError, PackingError)
+                            NumericalError)
 from adnoise.units import AMU, E_CHARGE, HBAR
-from conftest import assert_close_pairs, close_pair_table
 
 FPE = trapnoise.FOUR_PI_EPS0
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -46,7 +45,7 @@ def test_kernel_domain_errors():
 
 def test_kernel_broadcasts_over_ion_positions():
     # a (D, 3) array of ions gives, bit for bit, the D one-ion results
-    sources = trapnoise.sample_surface(50, 60.0, 1.0, seed=4).positions
+    sources = trapnoise.sample_surface(50, 60.0, seed=4).positions
     ions = np.array([(30.0, 30.0, d) for d in (3.0, 4.5, 10.0)])
     batch = trapnoise.dipole_field_kernel(sources, ions)
     assert batch.shape == (3, 50, 3)
@@ -56,7 +55,7 @@ def test_kernel_broadcasts_over_ion_positions():
     with pytest.raises(DomainError):
         trapnoise.dipole_field_kernel(sources, [(1.0, 1.0, 2.0), (1.0, 1.0, 0.0)])
     # an (S, n, 2) stack of sources gives (S, D, n, 3), one surface a row
-    stack = trapnoise.sample_surface(50, 60.0, 1.0, range(4, 7)).positions
+    stack = trapnoise.sample_surface(50, 60.0, range(4, 7)).positions
     batch = trapnoise.dipole_field_kernel(stack, ions)
     assert batch.shape == (3, 3, 50, 3)
     for surface, e in zip(stack, batch):
@@ -126,35 +125,36 @@ def test_kernel_constant_vs_surface_average():
 
 
 def test_sample_surface_contract():
-    s = trapnoise.sample_surface(100, 100.0, 1.0, seed=42)
-    assert s.n == 100
-    assert np.all(s.positions >= 0) and np.all(s.positions <= 100.0)
-    d2 = np.sum((s.positions[:, None] - s.positions[None, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    assert d2.min() >= 1.0
+    s = trapnoise.sample_surface(100, 100.0, seed=42)
+    assert s.n == 100 and s.positions.shape == (100, 2)
+    assert np.all(s.positions >= 0) and np.all(s.positions < 100.0)
+    assert s.rejects == 0
 
 
 def test_sample_surface_deterministic():
-    a = trapnoise.sample_surface(50, 100.0, 1.0, seed=7)
-    b = trapnoise.sample_surface(50, 100.0, 1.0, seed=7)
-    c = trapnoise.sample_surface(50, 100.0, 1.0, seed=8)
+    a = trapnoise.sample_surface(50, 100.0, seed=7)
+    b = trapnoise.sample_surface(50, 100.0, seed=7)
+    c = trapnoise.sample_surface(50, 100.0, seed=8)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
 
 
 def test_sample_surface_single_point():
-    s = trapnoise.sample_surface(1, 10.0, 3.0, seed=0)
+    s = trapnoise.sample_surface(1, 10.0, seed=0)
     assert s.n == 1
 
 
 def test_sample_surface_infeasible_packing():
-    with pytest.raises(ConfigurationError):
-        trapnoise.sample_surface(1000, 10.0, 1.0, seed=0)
+    # Ten dipoles per d0^2, past any packing of disks of diameter d0, are
+    # drawn like any other surface: no minimum spacing is kept.
+    s = trapnoise.sample_surface(1000, 10.0, seed=0)
+    assert s.positions.tobytes() == uniform_draw(1000, 10.0, 0).tobytes()
 
 
 def test_sample_surface_negative_seed():
     with pytest.raises(ConfigurationError, match="non-negative, got -1"):
-        trapnoise.sample_surface(10, 100.0, 1.0, seed=-1)
+        trapnoise.sample_surface(10, 100.0, seed=-1)
+
 
 
 def field_variance_sides():
@@ -192,363 +192,144 @@ def test_field_variance_sum_rule_misses_by_two_pi():
     assert rhs / lhs == pytest.approx(2.0 * math.pi, rel=1e-9)
 
 
-def reference_sample(n, extent, min_spacing, seed,
-                     max_rejects=trapnoise.MAX_CONSECUTIVE_REJECTS):
-    """The per-candidate loop: one draw and one np.sum per candidate."""
-    rng = np.random.default_rng(seed)
-    pts = np.empty((n, 2))
-    count = consecutive = total_rejects = 0
-    while count < n:
-        cand = rng.uniform(0.0, extent, 2)
-        if count:
-            d2 = np.sum((pts[:count] - cand) ** 2, axis=1)
-            if d2.min() < min_spacing ** 2:
-                consecutive += 1
-                total_rejects += 1
-                if consecutive > max_rejects:
-                    raise PackingError(
-                        f"seed {seed}: gave up after {consecutive} "
-                        f"consecutive rejections ({count}/{n} placed)")
-                continue
-        pts[count] = cand
-        count += 1
-        consecutive = 0
-    return pts, total_rejects
+def uniform_draw(n, extent, seed):
+    """The stream sample_surface pins: one uniform (n, 2) draw of the
+    seed's own generator, scaled by the extent."""
+    return np.random.default_rng(seed).random((n, 2)) * extent
 
 
-def assert_matches_reference(n, extent, min_spacing, seeds):
+def assert_matches_reference(n, extent, seeds):
     for seed in seeds:
-        pts, rejects = reference_sample(n, extent, min_spacing, seed)
-        s = trapnoise.sample_surface(n, extent, min_spacing, seed)
-        assert s.positions.tobytes() == pts.tobytes(), seed
-        assert s.rejects == rejects, seed
+        s = trapnoise.sample_surface(n, extent, seed)
+        assert s.positions.tobytes() == uniform_draw(n, extent,
+                                                     seed).tobytes(), seed
+        assert s.rejects == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 300])
 def test_sample_surface_bit_identical_to_reference(n):
-    assert_matches_reference(n, 100.0, 1.0, range(50))
+    assert_matches_reference(n, 100.0, range(50))
 
 
 def test_sample_surface_bit_identical_dense_packing():
-    # 1500 in 60^2 is near the feasibility limit: thousands of rejects
-    assert_matches_reference(1500, 60.0, 1.0, range(4))
+    # 1500 in 60^2, 0.42 dipoles per d0^2
+    assert_matches_reference(1500, 60.0, range(4))
 
 
 def test_sample_surface_bit_identical_non_integer_cells():
-    # extent 37.3 and d0 = 0.7, not a multiple of each other and d0 not a
-    # double: the close-pair reach and the limit fl(0.7^2) are those of a
-    # spacing other than 1 (the name is from the deleted cell grid)
-    assert_matches_reference(600, 37.3, 0.7, range(10))
+    # an extent that is no whole number of d0 (the name is from a deleted
+    # cell grid)
+    assert_matches_reference(600, 37.3, range(10))
 
 
 def test_sample_surface_bit_identical_beyond_int64_keys():
-    # extent / d0 past ~1e16: x + d0 rounds to x, so the close-pair loop
-    # reaches the ties in x only
-    assert_matches_reference(100, 1e10, 1.0, range(10))
-    assert_matches_reference(100, 1e20, 1.0, range(10))
+    # extents past ~1e16 d0 (the name is from a deleted cell grid)
+    assert_matches_reference(100, 1e10, range(10))
+    assert_matches_reference(100, 1e20, range(10))
 
 
 def test_sample_surface_bit_identical_cell_edges_at_two_d0():
-    # 1000 in 64^2 needs a second block on every seed, scanned together
-    # with the points placed from the first (the name is from the deleted
-    # cell grid, whose cells were a hair wider than 2 d0)
-    assert_matches_reference(1000, 64.0, 1.0, range(6))
+    # 1000 in 64^2 (the name is from a deleted cell grid, whose cells were
+    # a hair wider than 2 d0)
+    assert_matches_reference(1000, 64.0, range(6))
 
 
 @st.composite
 def sampler_configs(draw):
-    """(n, extent, min_spacing, seed) below the packing gate: dense ones
-    by packing fraction n pi d0^2 / 4 / extent^2 up to 0.4999, sparse ones
-    by extent up to 1e20."""
-    n = draw(st.one_of(st.integers(1, 60), st.integers(30, 60)))
-    d0 = draw(st.one_of(st.sampled_from([0.7, 1e-3, 37.5]),
-                        st.floats(1e-3, 1e3)))
-    if draw(st.booleans()):
-        fraction = draw(st.one_of(st.floats(1e-3, 0.4999),
-                                  st.floats(0.44, 0.4999)))
-        extent = d0 * math.sqrt(n * math.pi / 4.0 / fraction)
-    else:
-        extent = 10.0 ** draw(st.floats(0.0, 20.0))
-    assume(n * math.pi * (d0 / extent) ** 2 / 4.0 < 0.5)
-    return n, extent, d0, draw(st.integers(0, 2 ** 32))
-
-
-def sample_or_error(sample, *args, **kwargs):
-    """(positions bytes, rejects) of a sample, or a PackingError's text."""
-    try:
-        got = sample(*args, **kwargs)
-    except PackingError as exc:
-        return str(exc)
-    if isinstance(got, tuple):
-        return got[0].tobytes(), got[1]
-    return got.positions.tobytes(), got.rejects
+    """(n, extent, seed) over the float range of the extent: the product
+    of a draw and a tiny extent can be subnormal."""
+    n = draw(st.integers(1, 60))
+    extent = draw(st.one_of(st.floats(1e-300, 1e300),
+                            st.sampled_from([5e-324, 1e-310, 1.7e308])))
+    return n, extent, draw(st.integers(0, 2 ** 64))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(sampler_configs())
 def test_sample_surface_matches_reference_property(case):
-    # Near the gate a run of rejects can end the draw: both sides give up
-    # after the same 101 consecutive rejections, or neither does.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 100)
-        got = sample_or_error(trapnoise.sample_surface, *case)
-    assert got == sample_or_error(reference_sample, *case, max_rejects=100)
+    n, extent, seed = case
+    s = trapnoise.sample_surface(n, extent, seed)
+    assert s.positions.tobytes() == uniform_draw(n, extent, seed).tobytes()
+    assert np.all((s.positions >= 0) & (s.positions <= extent))
 
 
-def draw_spy(monkeypatch):
-    """Patch np.random.default_rng so that its generators record the size
-    of each uniform draw; returns that list."""
-    sizes, make = [], np.random.default_rng
-
-    def spying_rng(seed):
-        rng = make(seed)
-
-        def uniform(low, high, size):
-            sizes.append(size)
-            return rng.uniform(low, high, size)
-        return SimpleNamespace(uniform=uniform)
-
-    monkeypatch.setattr(np.random, "default_rng", spying_rng)
-    return sizes
+def single_draws(n, extent, seeds):
+    """The stack a loop over the seeds gives, as bytes."""
+    return np.array([trapnoise.sample_surface(n, extent, s).positions
+                     for s in seeds]).tobytes()
 
 
-def test_sample_surface_bit_identical_over_several_blocks(monkeypatch):
-    # 150 in 20^2 rejects more candidates than the first block holds
-    # beyond the 150 it needs
-    sizes = draw_spy(monkeypatch)
-    for seed in range(3):
-        pts, rejects = reference_sample(150, 20.0, 1.0, seed)
-        del sizes[:]
-        s = trapnoise.sample_surface(150, 20.0, 1.0, seed)
-        assert rejects > sizes[0][0] - 150 and len(sizes) > 1
-        assert s.positions.tobytes() == pts.tobytes(), seed
-        assert s.rejects == rejects, seed
-
-
-def test_packing_error_run_across_blocks(monkeypatch):
-    # 60 in 10^2 gets stuck at 59: the 301 rejects in a row begin in one
-    # block and end in a later one
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 300)
-    sizes = draw_spy(monkeypatch)
-    with pytest.raises(PackingError) as expected:
-        reference_sample(60, 10.0, 1.0, 3, max_rejects=300)
-    assert str(expected.value) == ("seed 3: gave up after 301 consecutive "
-                                   "rejections (59/60 placed)")
-    last = len(sizes) - 1              # the candidate the reference gave up on
-    del sizes[:]
-    with pytest.raises(PackingError) as got:
-        trapnoise.sample_surface(60, 10.0, 1.0, seed=3)
-    assert str(got.value) == str(expected.value)
-    starts = np.cumsum([size[0] for size in sizes])
-    assert np.any((last - 300 < starts) & (starts <= last)), (last, starts)
-
-
-@pytest.mark.parametrize("n, extent, seed, longest", [
-    (150, 20.0, 3, 17), (240, 22.0, 2, 57), (60, 10.5, 1, 77)])
-def test_packing_limit_at_the_longest_run_across_blocks(monkeypatch, n,
-                                                        extent, seed,
-                                                        longest):
-    # The longest run of rejects of these draws begins in one block and
-    # ends in the next.  With the limit at its length the draw fills, one
-    # below it gives up at its last candidate: the run carried from block
-    # to block is counted exactly, alone and in a stack.
-    sizes = draw_spy(monkeypatch)
-    with pytest.raises(PackingError) as expected:
-        reference_sample(n, extent, 1.0, seed, max_rejects=longest - 1)
-    end = len(sizes) - 1          # the candidate the reference gave up on
-    pts, rejects = reference_sample(n, extent, 1.0, seed,
-                                    max_rejects=longest)
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", longest)
-    del sizes[:]
-    s = trapnoise.sample_surface(n, extent, 1.0, seed)
-    assert (s.positions.tobytes(), s.rejects) == (pts.tobytes(), rejects)
-    starts = np.cumsum([size[0] for size in sizes])
-    assert np.any((end - longest < starts) & (starts <= end)), (end, starts)
-    seeds = [seed, seed + 1, seed + 2]
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", longest - 1)
-    with pytest.raises(PackingError) as got:
-        trapnoise.sample_surface(n, extent, 1.0, seed)
-    assert str(got.value) == str(expected.value)
-    assert stacked_draw(n, extent, 1.0, seeds) == single_draws(
-        n, extent, 1.0, seeds)
-
-
-def test_packing_error_names_placed_count(monkeypatch):
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 20)
-    with pytest.raises(PackingError) as expected:
-        reference_sample(1500, 60.0, 1.0, 0, max_rejects=20)
-    assert "/1500 placed)" in str(expected.value)
-    with pytest.raises(PackingError) as got:
-        trapnoise.sample_surface(1500, 60.0, 1.0, seed=0)
-    assert str(got.value) == str(expected.value)
-
-
-def single_draws(n, extent, min_spacing, seeds):
-    """The stack a loop over the seeds gives: (positions, total rejects),
-    or the text of the first PackingError, which names its seed."""
-    try:
-        samples = [trapnoise.sample_surface(n, extent, min_spacing, s)
-                   for s in seeds]
-    except PackingError as exc:
-        return str(exc)
-    return (np.array([s.positions for s in samples]).tobytes(),
-            sum(s.rejects for s in samples))
-
-
-def stacked_draw(n, extent, min_spacing, seeds):
+def stacked_draw(n, extent, seeds):
     """single_draws' result from one stacked sample_surface call."""
-    try:
-        stack = trapnoise.sample_surface(n, extent, min_spacing, seeds)
-    except PackingError as exc:
-        return str(exc)
+    stack = trapnoise.sample_surface(n, extent, seeds)
     assert stack.positions.shape == (len(seeds), n, 2)
-    assert stack.n == len(seeds) * n
-    return stack.positions.tobytes(), stack.rejects
+    assert stack.n == len(seeds) * n and stack.rejects == 0
+    return stack.positions.tobytes()
 
 
-STACKS = pytest.mark.parametrize("n, extent, min_spacing, seeds, blocks", [
-    (150, 24.0, 1.0, range(16), {1, 2}),
-    (240, 22.0, 1.0, range(8), {4, 5}),
-    (300, 100.0, 1.0, range(30), {1}),
-    (600, 37.3, 0.7, range(4), {2}),
-    (100, 1e20, 1.0, range(10), {1}),
-    (100, 1e35, 1.0, range(10), {1}),
-    (1, 10.0, 3.0, [0, 7, 7, 2 ** 40], {1}),
+# The ids are those the cases had under a deleted hard-core sampler: draws
+# that took one to two or four to five blocks of candidates, the 30 seeds
+# of a surface-mc op, a spacing of 0.7 in an extent of 37.3 (37.3 / 0.7 in
+# d0), and one point in an extent of 10 with a spacing of 3.
+STACKS = pytest.mark.parametrize("n, extent, seeds", [
+    (150, 24.0, range(16)),
+    (240, 22.0, range(8)),
+    (300, 100.0, range(30)),
+    (600, 37.3 / 0.7, range(4)),
+    (100, 1e20, range(10)),
+    (100, 1e35, range(10)),
+    (1, 10.0 / 3.0, [0, 7, 7, 2 ** 40]),
 ], ids=["1-2-blocks", "4-5-blocks", "surface-mc", "d0-0.7", "extent-1e20",
         "extent-1e35", "one-point"])
 
 
 @STACKS
-def test_stacked_sample_matches_single_draws(monkeypatch, n, extent,
-                                             min_spacing, seeds, blocks):
+def test_stacked_sample_matches_single_draws(n, extent, seeds):
     # Surface k of a stack is, bit for bit, the draw from seeds[k] alone,
-    # whether it finishes in the first round or needs more blocks.  At
-    # extents of 1e20 and 1e35 with d0 = 1, seed * extent + x would round
-    # away the x of every pair; the surfaces must stay apart all the same.
-    # The first three single draws are those of the per-candidate loop.
-    sizes = draw_spy(monkeypatch)
-    rounds = []
-    for s in seeds:
-        del sizes[:]
-        trapnoise.sample_surface(n, extent, min_spacing, s)
-        rounds.append(len(sizes))
-    assert set(rounds) == blocks
-    assert_matches_reference(n, extent, min_spacing, seeds[:3])
-    assert stacked_draw(n, extent, min_spacing, seeds) == single_draws(
-        n, extent, min_spacing, seeds)
-
-
-@STACKS
-def test_sampled_surfaces_keep_the_minimum_spacing(n, extent, min_spacing,
-                                                   seeds, blocks):
-    # Placement is the only spacing test its output gets: every pair of a
-    # surface, stacked or single, lies at least d0 apart by the direct
-    # test's arithmetic.
-    for seed in (seeds, seeds[0]):
-        pts = trapnoise.sample_surface(n, extent, min_spacing, seed).positions
-        assert not close_pair_table(pts.reshape(-1, n, 2), min_spacing ** 2)
-
-
-def test_spacing_is_tested_once_per_placement_round(monkeypatch):
-    # A sample, even one of coincident points, is built without a spacing
-    # pass; a 30-seed draw of 100 that fills in one round makes one.
-    calls, close_pairs = [], trapnoise._close_pairs
-
-    def spy(points, reach, limit):
-        calls.append(points.shape)
-        return close_pairs(points, reach, limit)
-
-    monkeypatch.setattr(trapnoise, "_close_pairs", spy)
-    trapnoise.SurfaceSample(positions=np.ones((3, 2, 2)), extent=1.0)
-    assert calls == []
-    trapnoise.sample_surface(100, 100.0, 1.0, range(30))
-    assert calls == [(30, 256, 2)]
+    # repeated seeds included.  At extents of 1e20 and 1e35, seed * extent
+    # + x would round away x: the surfaces must stay apart all the same.
+    reference = np.array([uniform_draw(n, extent, s) for s in seeds])
+    assert stacked_draw(n, extent, seeds) == reference.tobytes()
+    assert single_draws(n, extent, seeds) == reference.tobytes()
 
 
 @STACKS
 def test_every_surface_of_a_round_draws_one_block_size(monkeypatch, n, extent,
-                                                       min_spacing, seeds,
-                                                       blocks):
-    # In a stacked draw, every surface that draws in a round draws a block
-    # of the same size, which heads its row of the round's spacing pass.
-    sizes = draw_spy(monkeypatch)
-    rounds, close_pairs = [], trapnoise._close_pairs
+                                                       seeds):
+    # A stacked draw makes one generator per seed, in seed order, and reads
+    # one block of n points from each: no surface draws a point it does
+    # not keep.
+    drawn, make = [], np.random.default_rng
 
-    def spy(points, reach, limit):
-        rounds.append((points.shape, sizes[:]))
-        del sizes[:]
-        return close_pairs(points, reach, limit)
+    def spying_rng(seed):
+        rng = make(seed)
 
-    monkeypatch.setattr(trapnoise, "_close_pairs", spy)
-    trapnoise.sample_surface(n, extent, min_spacing, seeds)
-    assert len(rounds) == max(blocks)
-    for (surfaces, width, _), drawn in rounds:
-        assert len(drawn) == surfaces
-        assert set(drawn) == {(drawn[0][0], 2)}
-        assert 256 <= drawn[0][0] <= width
+        def random(size=None, out=None):
+            drawn.append((seed, size if out is None else out.shape))
+            return rng.random(size, out=out)
+        return SimpleNamespace(random=random)
 
-
-def test_stacked_packing_error_is_the_lowest_failing_seed(monkeypatch):
-    # 600 in 34^2 with the limit at 120: seed 8 fills, seed 9 gives up in
-    # its 7th block, seeds 10 and 11 in their 6th.  The stack raises seed
-    # 9's error, as a loop over the seeds does, though 10 fails first.
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 120)
-    sizes = draw_spy(monkeypatch)
-    blocks = {}
-    for s in range(8, 12):
-        del sizes[:]
-        try:
-            trapnoise.sample_surface(600, 34.0, 1.0, s)
-            blocks[s] = "filled"
-        except PackingError:
-            blocks[s] = len(sizes)
-    assert blocks == {8: "filled", 9: 7, 10: 6, 11: 6}
-    got = stacked_draw(600, 34.0, 1.0, range(8, 12))
-    assert got == single_draws(600, 34.0, 1.0, range(8, 12))
-    assert got.startswith("seed 9: gave up after 121")
+    monkeypatch.setattr(np.random, "default_rng", spying_rng)
+    trapnoise.sample_surface(n, extent, seeds)
+    assert drawn == [(s, (n, 2)) for s in seeds]
 
 
 @st.composite
 def seed_stacks(draw):
-    """(n, extent, min_spacing, seeds) with 1-6 seeds: mostly dense, by
-    packing fraction from 0.3 to 0.4999, where blocks run out and draws
-    give up, else sparse by extent up to 1e35."""
+    """(n, extent, seeds) with 1-6 seeds, some repeated, at extents from
+    1e-300 to 1e300."""
     n = draw(st.one_of(st.integers(1, 60), st.integers(150, 300)))
-    d0 = draw(st.one_of(st.sampled_from([1.0, 0.7]), st.floats(1e-3, 1e3)))
-    if draw(st.integers(0, 2)):
-        fraction = draw(st.floats(0.3, 0.4999))
-        extent = d0 * math.sqrt(n * math.pi / 4.0 / fraction)
-    else:
-        extent = 10.0 ** draw(st.floats(0.0, 35.0))
-    assume(n * math.pi * (d0 / extent) ** 2 / 4.0 < 0.5)
+    extent = 10.0 ** draw(st.floats(-300.0, 300.0))
     seed = draw(st.integers(0, 2 ** 32))
-    return n, extent, d0, [seed + draw(st.integers(0, 50))
-                           for _ in range(draw(st.integers(1, 6)))]
+    return n, extent, [seed + draw(st.integers(0, 50))
+                       for _ in range(draw(st.integers(1, 6)))]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed_stacks())
 def test_stacked_sample_matches_single_draws_property(case):
-    # Near the gate some seeds give up after 101 rejections in a row: the
-    # stack then raises the error of the lowest-indexed one.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 100)
-        assert stacked_draw(*case) == single_draws(*case)
+    assert stacked_draw(*case) == single_draws(*case)
 
-
-def test_stack_spacing_check_keeps_surfaces_apart():
-    # The same surface three times has no close pair: points of different
-    # surfaces never pair.  One close pair inside the third surface is
-    # found, at the extents where seed * extent + x would round.
-    for extent in (100.0, 1e20, 1e35):
-        one = trapnoise.sample_surface(50, extent, 1.0, seed=1).positions
-        stack = np.array([one, one, one])
-        assert trapnoise.SurfaceSample(positions=stack, extent=extent).n == 150
-        assert assert_close_pairs(stack, 1.0, 1.0) == set()
-        stack[2, 7] = stack[2, 3] + (0.0, 0.5)
-        assert (2, 3, 7) in assert_close_pairs(stack, 1.0, 1.0)
-    with pytest.raises(ConfigurationError, match=r"\(S, n, 2\)"):
-        trapnoise.SurfaceSample(positions=np.zeros((2, 3, 3)), extent=10.0)
 
 
 def test_single_point_sample_as_validate_builds_it():
@@ -568,14 +349,56 @@ def test_single_point_sample_as_validate_builds_it():
     assert validate._check_single_dipole()[1]
 
 
-def test_packing_error_exits_four(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 20)
-    cfgfile = tmp_path / "dense.ini"
-    cfgfile.write_text("preset = Ne-Au\n[montecarlo]\nn_dipoles = 1500\n"
-                       "extent = 60\nd_values = 3, 4, 5\nseed = 0\n")
+def no_sampling(*args, **kwargs):
+    raise AssertionError("a sample was drawn")
+
+
+@pytest.mark.parametrize("n, section, cells", [
+    (2777778, "", 50000004),
+    (2777778, "extent = 1e9\n", 50000004),
+    (1666667, "d_values = 3, 4, 5, 6, 7, 8, 9, 10, 10, 10\n", 50000010),
+], ids=["default", "sparse", "ten-distances"])
+def test_n_dipoles_past_the_cell_budget_exits_two(tmp_path, capsys,
+                                                  monkeypatch, n, section,
+                                                  cells):
+    # One cell past the budget, refused before anything is allocated and
+    # before the sparse-surface rule: the field kernel of one surface holds
+    # 3 x distances x dipoles float cells.
+    monkeypatch.setattr(trapnoise, "sample_surface", no_sampling)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[montecarlo]\nn_dipoles = {n}\n"
+                       + section)
+    out = tmp_path / "o"
     assert cli.main(["mc-scaling", "--config", str(cfgfile),
-                     "--output", str(tmp_path / "o")]) == 4
-    assert "consecutive rejections" in capsys.readouterr().err
+                     "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: montecarlo.n_dipoles = {n} at {cells // 3 // n} "
+        f"distances needs a field kernel of {cells} float cells (3 x "
+        "distances x dipoles), past the budget of 50000000 cells per array\n")
+    assert not out.exists()
+
+
+def test_fit_cell_budget_is_checked_before_any_draw(monkeypatch):
+    # At the budget the fit reaches its first draw, one cell past it, and
+    # at a dipole count past the float range, it is refused before; the
+    # stub draws nothing either way.
+    class Drawn(Exception):
+        pass
+
+    def stub(*args):
+        raise Drawn
+
+    monkeypatch.setattr(trapnoise, "sample_surface", stub)
+    d_values = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
+    assert 3 * len(d_values) * 2777777 <= trapnoise._ARRAY_CELLS
+    with pytest.raises(Drawn):
+        trapnoise.distance_scaling_fit(2777777, 100.0, 0, Z_AXIS, d_values,
+                                       n_seeds=2)
+    for n in (2777778, 10 ** 400):
+        with pytest.raises(ConfigurationError,
+                           match=f"montecarlo.n_dipoles = {n} at 6 "):
+            trapnoise.distance_scaling_fit(n, 100.0, 0, Z_AXIS, d_values,
+                                           n_seeds=2)
 
 
 def test_huge_extent_exits_four(tmp_path, capsys):
@@ -611,9 +434,6 @@ def test_sparse_surface_exits_four_before_sampling(tmp_path, capsys,
     # 30 seeds expect far less than one dipole within d = 10 of the ion, so
     # S_E hardly depends on d: the fitted exponents were -4.65e-06 and
     # -0.140 at exit 0.
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("a sample was drawn")
-
     monkeypatch.setattr(trapnoise, "sample_surface", no_sampling)
     code, csv = run_mc_scaling(tmp_path, extent)
     err = capsys.readouterr().err
@@ -639,8 +459,10 @@ SPARSE = ("dipoles expected within the largest distance of the ion over "
 
 
 @pytest.mark.parametrize("section, code, message", [
-    ("extent = 10\n", 2,
-     "configuration error: packing fraction too high for rejection sampling"),
+    ("extent = 10\n", 4,
+     "numerical error: distances [ 3.   4.   5.   6.5  8.  10. ] outside "
+     "the valid window [3, 1] (below: dipole granularity dominates; above: "
+     "the finite patch acts as a composite source)"),
     ("seed = -3\nextent = 20\n", 2,
      "configuration error: seed must be non-negative, got -3"),
     ("n_seeds = 1\n", 4,
@@ -656,8 +478,9 @@ SPARSE = ("dipoles expected within the largest distance of the ion over "
 ], ids=["packing", "seed", "seeds", "sparse", "sparse-one-seed", "window"])
 def test_mc_scaling_refusals_in_order(tmp_path, capsys, section, code,
                                       message):
-    # the sparse-surface rule first, then sampling's argument and packing
-    # errors, then the window and the seed count
+    # the sparse-surface rule first, then sampling's argument checks, then
+    # the window and the seed count; 100 dipoles in 10^2 (packing) are
+    # refused by the window alone
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n[montecarlo]\n" + section)
     out = tmp_path / "o"
@@ -715,7 +538,7 @@ def test_scaled_distances_reach_the_tiny_field_guards(tmp_path, capsys):
 def seed_field_noise(n, extent, seed, d_values, n_seeds):
     """The per-seed S_E the fit averages: one sample_surface per seed."""
     return np.array([trapnoise.mc_field_noise(
-        trapnoise.sample_surface(n, extent, 1.0, seed + k), Z_AXIS, d_values)
+        trapnoise.sample_surface(n, extent, seed + k), Z_AXIS, d_values)
         for k in range(n_seeds)])
 
 
@@ -747,9 +570,6 @@ def test_fit_refuses_sparse_surface_before_sampling(monkeypatch, extent,
                                                     count):
     # 8 seeds at the distances 3-5 expect next to no dipole near the ion;
     # the count divides by the extent twice, as extent ** 2 overflows at 1e155
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("a sample was drawn")
-
     monkeypatch.setattr(trapnoise, "sample_surface", no_sampling)
     with pytest.raises(AnalysisError) as err:
         trapnoise.distance_scaling_fit(100, extent, 0, Z_AXIS,
@@ -759,55 +579,25 @@ def test_fit_refuses_sparse_surface_before_sampling(monkeypatch, extent,
 
 
 def test_sample_surface_rejects_bad_geometry():
-    for extent, spacing in ((10.0, 0.0), (10.0, -1.0), (-10.0, 1.0),
-                            (math.inf, 1.0), (10.0, math.nan)):
-        with pytest.raises(ConfigurationError):
-            trapnoise.sample_surface(5, extent, spacing, seed=0)
+    for extent in (0.0, -10.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError,
+                           match="extent must be positive and finite"):
+            trapnoise.sample_surface(5, extent, seed=0)
+    with pytest.raises(ConfigurationError, match="at least one dipole"):
+        trapnoise.sample_surface(0, 10.0, seed=0)
 
 
 def test_sample_positions_validated():
-    pair = np.array([[[0.0, 0.0], [0.1, 0.0]]])
-    assert assert_close_pairs(pair, 1.0, 1.0) == {(0, 0, 1)}
+    # A stack counts the dipoles of every surface; coincident points are
+    # a valid sample, points outside [0, extent]^2 and a third axis that
+    # is not (x, y) are not.
+    pair = np.array([[[0.0, 0.0], [0.0, 0.0]]])
+    stack = np.concatenate([pair, pair, pair])
+    assert trapnoise.SurfaceSample(positions=stack, extent=10.0).n == 6
     with pytest.raises(ConfigurationError, match="inside"):
-        trapnoise.SurfaceSample(positions=pair + 10.0, extent=10.0)
-
-
-def test_spacing_window_reaches_every_close_successor():
-    # 40 points within 1e-3 in x: the pair that fails is the first and the
-    # last in x order, 39 places apart
-    n = 40
-    x = 5.0 + np.linspace(0.0, 1e-3, n)
-    y = np.concatenate([[0.0], 2.0 + np.arange(n - 2), [0.5]])
-    pts = np.column_stack([x, y])[None]
-    assert assert_close_pairs(pts, 1.0, 1.0) == {(0, 0, n - 1)}
-    pts[0, -1, 1] = 1.0
-    assert assert_close_pairs(pts, 1.0, 1.0) == set()
-
-
-def test_spacing_loop_runs_to_the_last_rank_on_tied_x():
-    # Every row of surface 0 shares one x, so each has every successor in
-    # reach and the loop runs to rank m - 1; surface 1 ends it no sooner.
-    m = 30
-    rng = np.random.default_rng(4)
-    tied = np.column_stack([np.full(m, 5.0), 0.7 * np.arange(m)])
-    tied[-1, 1] = 0.2
-    stack = np.array([tied, rng.uniform(0.0, 6.0, (m, 2))])
-    got = assert_close_pairs(stack, 1.0, 1.0)
-    assert {(0, 0, m - 1), (0, 1, m - 1)} <= got
-
-
-def test_spacing_loop_skips_a_surface_of_nan_rows():
-    # a surface of nan pads only: it pairs with nothing, beside a full one
-    full = np.random.default_rng(5).uniform(0.0, 4.0, (40, 2))
-    stack = np.array([np.full((40, 2), np.nan), full])
-    got = assert_close_pairs(stack, 1.0, 1.0)
-    assert got and all(s == 1 for s, _, _ in got)
-
-
-def test_spacing_loop_of_one_row_per_surface():
-    # m = 1: no row has a successor, and the loop never runs
-    stack = np.array([[[1.0, 1.0]], [[1.0, 1.0]], [[np.nan, np.nan]]])
-    assert assert_close_pairs(stack, 1.0, 1.0) == set()
+        trapnoise.SurfaceSample(positions=pair + 10.5, extent=10.0)
+    with pytest.raises(ConfigurationError, match=r"\(S, n, 2\)"):
+        trapnoise.SurfaceSample(positions=np.zeros((2, 3, 3)), extent=10.0)
 
 
 def test_sample_positions_must_be_finite():
@@ -836,7 +626,7 @@ def test_field_sum_bit_identical_to_per_distance_reference(n):
     ds = np.array([3.0, 4.0, 5.0, 6.5, 8.0, 10.0])
     axes = [Z_AXIS, (0.6, 0.0, 0.8), tuple(np.ones(3) / math.sqrt(3.0))]
     for seed in range(100):
-        sample = trapnoise.sample_surface(n, 100.0, 1.0, seed)
+        sample = trapnoise.sample_surface(n, 100.0, seed)
         for axis in axes:
             expect = np.array([reference_field_noise(
                 sample.positions, 100.0, axis, d) for d in ds])
@@ -845,7 +635,7 @@ def test_field_sum_bit_identical_to_per_distance_reference(n):
 
 
 def test_distance_scaling_draws_surface_k_with_seed_plus_k():
-    # surface k is sample_surface(n, extent, 1.0, seed + k)
+    # surface k is sample_surface(n, extent, seed + k)
     d_values = [3.0, 4.0, 5.0, 6.5]
     res = trapnoise.distance_scaling_fit(40, 80.0, 7, Z_AXIS, d_values,
                                          n_seeds=5)
@@ -875,8 +665,8 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
                 "errors need at least 2 seeds and the fit at least 3 "
                 "distinct distances")
         for k in range(n_seeds):
-            trapnoise.sample_surface(n, extent, 1.0, seed + k)
-    except (AnalysisError, DomainError, PackingError) as exc:
+            trapnoise.sample_surface(n, extent, seed + k)
+    except (AnalysisError, DomainError) as exc:
         return type(exc), str(exc)
     return None
 
@@ -886,7 +676,7 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
     (8, (0.0, 0.0, 2.0), [3.0, 3.2, 3.4], 4, DomainError),
     (8, Z_AXIS, [1.0, 3.0, 3.2], 4, AnalysisError),
     (8, Z_AXIS, [3.0, 3.0, 3.2], 4, AnalysisError),
-    (8, Z_AXIS, [3.0, 3.2, 3.4], 4, PackingError),
+    (8, Z_AXIS, [3.0, 3.2, 3.4], 4, None),
     (9, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
     (8, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
 ], ids=["surface-0", "axis", "window", "distinct", "later-seed",
@@ -895,30 +685,35 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
                          ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
 def test_fit_errors_come_in_the_order_of_a_seed_loop(
         monkeypatch, seed, axis, d_list, n_seeds, expect, fit_cells):
-    # 600 in 34^2 with the limit at 120: seed 8 fills, seed 9 gives up in
-    # its 7th block and seed 10 in its 6th.  The argument checks come
-    # first, even where surface 0 would give up (surface-0,
-    # one-seed-packing); then the PackingError of the lowest-indexed
-    # surface, whatever the chunks.
-    monkeypatch.setattr(trapnoise, "MAX_CONSECUTIVE_REJECTS", 120)
+    # 600 in 34^2, from seed 8 or 9: the fit raises the error a loop that
+    # checks its arguments and then draws one seed at a time raises,
+    # whatever the chunks.  Where the loop raises none (later-seed), the
+    # fit's means are the loop's, bit for bit.
     monkeypatch.setattr(trapnoise, "_FIT_CELLS", fit_cells)
     want = loop_fit_error(600, 34.0, seed, axis, d_list, n_seeds)
+    if expect is None:
+        assert want is None
+        res = trapnoise.distance_scaling_fit(600, 34.0, seed, axis, d_list,
+                                             n_seeds=n_seeds)
+        se = seed_field_noise(600, 34.0, seed, d_list, n_seeds)
+        assert res.means.tobytes() == se.mean(axis=0).tobytes()
+        return
     assert want[0] is expect
     with pytest.raises(expect) as got:
         trapnoise.distance_scaling_fit(600, 34.0, seed, axis, d_list,
                                        n_seeds=n_seeds)
     assert (type(got.value), str(got.value)) == want
-    if expect is PackingError:
-        assert str(got.value).startswith("seed 9: gave up after 121")
 
 
 @pytest.mark.parametrize("changes, error, message", [
     ({"axis": (0.0, 0.0, 2.0)}, DomainError, "not a unit vector"),
     ({"d_list": [1.0, 5.0, 10.0]}, AnalysisError, "outside the valid window"),
     ({"n_seeds": 1}, AnalysisError, "at least 2 seeds"),
-    ({"n": 2000, "extent": 50.0}, ConfigurationError, "packing fraction"),
+    ({"n": 2000, "extent": 50.0}, AnalysisError, r"window \[3, 5\]"),
     ({"seed": -3}, ConfigurationError, "seed must be non-negative, got -3"),
-], ids=["axis", "window", "one-seed", "packing", "negative-seed"])
+    ({"n": 5555556}, ConfigurationError,
+     "montecarlo.n_dipoles = 5555556 at 3 distances"),
+], ids=["axis", "window", "one-seed", "packing", "negative-seed", "budget"])
 def test_refused_fit_draws_nothing(monkeypatch, changes, error, message):
     # Every refusal comes before the first sample_surface call.
     calls = []
@@ -945,7 +740,7 @@ def test_fit_chunks_stay_within_the_cell_budget(monkeypatch):
         monkeypatch.setattr(trapnoise, name, spy)
     res = trapnoise.distance_scaling_fit(100, 100.0, 3, Z_AXIS, d_values,
                                          n_seeds=300)
-    seeds = [list(a[3]) for f, a in calls if f == "sample_surface"]
+    seeds = [list(a[2]) for f, a in calls if f == "sample_surface"]
     assert len(seeds) == 3 and sum(seeds, []) == list(range(3, 303))
     budget = trapnoise._FIT_CELLS
     stacks = [a[0].positions.shape for f, a in calls if f == "mc_field_noise"]
@@ -973,12 +768,12 @@ def test_stacked_field_sum_matches_one_surface_at_a_time():
     ds = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
     for n, extent, seeds in ((100, 100.0, range(40)),
                              (2000, 100.0, range(3))):
-        stack = trapnoise.sample_surface(n, extent, 1.0, seeds)
+        stack = trapnoise.sample_surface(n, extent, seeds)
         for axis in (Z_AXIS, (0.6, 0.0, 0.8)):
             se = trapnoise.mc_field_noise(stack, axis, ds)
             assert se.shape == (len(seeds), len(ds))
             for row, s in zip(se, seeds):
-                one = trapnoise.sample_surface(n, extent, 1.0, s)
+                one = trapnoise.sample_surface(n, extent, s)
                 assert row.tobytes() == trapnoise.mc_field_noise(
                     one, axis, ds).tobytes()
 
@@ -994,7 +789,7 @@ def test_mc_single_dipole_below_ion():
 
 
 def test_mc_additive_over_subsamples():
-    full = trapnoise.sample_surface(40, 60.0, 1.0, seed=3)
+    full = trapnoise.sample_surface(40, 60.0, seed=3)
     lo = trapnoise.SurfaceSample(positions=full.positions[:17], extent=60.0)
     hi = trapnoise.SurfaceSample(positions=full.positions[17:], extent=60.0)
     assert trapnoise.mc_field_noise(full, Z_AXIS, [5.0]) == pytest.approx(
@@ -1005,7 +800,7 @@ def test_mc_additive_over_subsamples():
 def test_mc_rotation_invariance():
     # rigid rotation about the vertical through the ion leaves the
     # z-axis projection unchanged
-    raw = trapnoise.sample_surface(30, 60.0, 1.0, seed=11)
+    raw = trapnoise.sample_surface(30, 60.0, seed=11)
     center = np.array([30.0, 30.0])
     inside = np.linalg.norm(raw.positions - center, axis=1) < 25.0
     sample = trapnoise.SurfaceSample(positions=raw.positions[inside],
@@ -1055,7 +850,7 @@ def test_far_field_drifts_toward_point_dipole():
     # excluded from the fitting window)
     ds = (250.0, 500.0)
     vals = [trapnoise.mc_field_noise(
-        trapnoise.sample_surface(100, 100.0, 1.0, seed=5 + k), Z_AXIS, ds)
+        trapnoise.sample_surface(100, 100.0, seed=5 + k), Z_AXIS, ds)
         for k in range(60)]
     means = np.mean(vals, axis=0)
     slope = math.log(means[1] / means[0]) / math.log(ds[1] / ds[0])
