@@ -78,7 +78,7 @@ class TrapSection:
 @dataclass(frozen=True)
 class MonteCarloSection:
     n_dipoles: int = 100
-    extent: float = 100.0          # units of the minimum spacing d0
+    extent: float = 100.0          # units of the length d0
     d_values: tuple = (3.0, 4.0, 5.0, 6.5, 8.0, 10.0)  # units of d0
     n_seeds: int = 1000
     seed: int | None = None        # falls back to the top-level seed

@@ -33,18 +33,18 @@ The trap enters as the plain values of the [trap] section, and
 analytic_field_noise and heating_rate(s_E, charge, ion_mass, omega_t)
 work elementwise on arrays.
 
-The fit's line and K's Gauss-Legendre nodes come from units (_line_fit,
-_gauss_legendre), so this module imports none of the spectral chain:
-the Monte Carlo path runs on numpy alone.
+The fit's line comes from units (_line_fit), so this module imports
+none of the spectral chain: the Monte Carlo path runs on numpy alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .units import EPS0, HBAR, _gauss_legendre, _line_fit, _rule_pair_sum
+from .units import EPS0, HBAR, _line_fit
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
@@ -56,12 +56,8 @@ _FIT_CELLS = 1 << 16
 # stack are mapped afresh on every call.
 _KERNEL_CELLS = 1 << 13
 # Float cells one array of distance_scaling_fit may hold (400 MB): its
-# largest is the (D, n, 3) field kernel of one surface.
+# largest are one surface's (D, n, 3) field kernel and the (n_seeds, D) S_E.
 _ARRAY_CELLS = 5 * 10 ** 7
-# Gauss-Legendre rules of kernel_integral_constant, and how far apart
-# their two values may lie, relative.
-_KERNEL_RULES = (8, 16)
-_KERNEL_RULE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,19 +142,23 @@ def kernel_integral_constant(d=1.0):
     plane s = d tan(theta) and u = cos(theta), 2 pi s ds = 2 pi d^2 du / u^3
     on u in [0, 1], and the integrand 2 pi d^2 (E_z 4 pi eps0 d^2)^2 / u^3
     of the bare kernel is 2 pi (3 u^2 - 1)^2 u^3, a polynomial of degree 7.
-    One kernel evaluation on the nodes of an 8- and a 16-point
-    Gauss-Legendre rule gives two values, each exact up to rounding; the
-    16-point one is returned.  A kernel that is not that polynomial makes
-    them disagree, which is a NumericalError.
+    The 16-point Gauss-Legendre rule, exact to degree 31, gives it up to
+    rounding from one kernel call; validate checks it against 3 pi / 4.
     """
-    u, w = _gauss_legendre(_KERNEL_RULES)
+    u, w = _gauss_legendre(16)
     s = d * np.sqrt(1.0 - u * u) / u
     ez = dipole_field_kernel(np.column_stack([s, np.zeros_like(s)]),
                              (0.0, 0.0, d))[:, 2]
-    terms = w * (2.0 * math.pi * d ** 2 * (ez * FOUR_PI_EPS0 * d ** 2) ** 2
-                 / u ** 3)
-    return _rule_pair_sum(terms, _KERNEL_RULES, _KERNEL_RULE_RTOL,
-                          "kernel plane integral")
+    return float((w * (2.0 * math.pi * d ** 2
+                       * (ez * FOUR_PI_EPS0 * d ** 2) ** 2 / u ** 3)).sum())
+
+
+@functools.cache
+def _gauss_legendre(order):
+    """Nodes u and weights of the Gauss-Legendre rule of order on [0, 1]."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _check_sampling(n, extent, seeds):
@@ -248,9 +248,10 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     seeds and one mc_field_noise call; a chunk holds as many seeds as keep
     seeds x distances x dipoles within _FIT_CELLS, and at least one.
     Every argument is checked before the first draw, in this order: a
-    field kernel of one surface, 3 x distances x dipoles float cells, past
-    _ARRAY_CELLS is a ConfigurationError naming montecarlo.n_dipoles; a
-    surface on which the seeds together expect fewer than one dipole
+    field kernel of one surface, 3 x distances x dipoles float cells, or
+    an S_E of seeds x distances cells past _ARRAY_CELLS is a
+    ConfigurationError naming montecarlo.n_dipoles or montecarlo.n_seeds;
+    a surface on which the seeds together expect fewer than one dipole
     within the largest distance is refused (S_E then hardly depends on d,
     and the exponent comes out near 0); then come sampling's argument
     checks, the axis, the window 3 d0 <= d <= extent/10, which avoids
@@ -261,14 +262,20 @@ def distance_scaling_fit(n, extent, seed, axis, d_list,
     """
     # A chunk's (S, n, 2) positions hold at most 2 n or 2 _FIT_CELLS / D
     # cells and a kernel block of several surfaces at most 3 _KERNEL_CELLS,
-    # so one surface's kernel is the array that can outgrow the budget.
-    # In Python integers, so that no dipole count overflows the product.
+    # so one surface's kernel and the (n_seeds, D) S_E can outgrow the budget.
+    # In Python integers, so that no count overflows the product.
     cells = 3 * len(d_list) * n
     if cells > _ARRAY_CELLS:
         raise ConfigurationError(
             f"montecarlo.n_dipoles = {n} at {len(d_list)} distances needs a "
             f"field kernel of {cells} float cells (3 x distances x "
             f"dipoles), past the budget of {_ARRAY_CELLS} cells per array")
+    cells = n_seeds * len(d_list)
+    if cells > _ARRAY_CELLS:
+        raise ConfigurationError(
+            f"montecarlo.n_seeds = {n_seeds} at {len(d_list)} distances "
+            f"needs an S_E array of {cells} float cells (seeds x "
+            f"distances), past the budget of {_ARRAY_CELLS} cells per array")
     # In float64, so that a square past the float range is inf, not an
     # OverflowError: the window or seed-mean check below then refuses it.
     with np.errstate(over="ignore"):

@@ -5,15 +5,12 @@ at input/output boundaries.  Kelvin and hertz equivalents are treated as
 first-class energy units (E = k_B*T and E = h*nu respectively) because
 surface-physics parameter sets freely mix meV, K and THz.
 
-The module also holds the numerical helpers that both the spectral
-chain and the Monte Carlo path use, so that neither imports the other:
-the least-squares line _line_fit and the two-rule check _rule_pair_sum.
-The Gauss-Legendre builder _gauss_legendre serves only the plane
-integral K of trapnoise.  The checked conversion to debye, _in_debye,
-serves both the command line and validate.
+The module also holds the two helpers that two modules share: the
+least-squares line _line_fit of the spectral chain and the Monte Carlo
+path, so that neither imports the other, and _in_debye, the checked
+conversion to debye of the command line and validate.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -146,29 +143,3 @@ def _line_fit(x, y):
     resid = y - (intercept + slope * x)
     dof = max(len(x) - 2, 1)
     return slope, intercept, resid, float(np.sqrt(resid @ resid / dof / sxx))
-
-
-@functools.cache
-def _gauss_legendre(orders):
-    """Nodes u and weights of the Gauss-Legendre rules of the given orders
-    on [0, 1], concatenated in that order; built on first use."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = zip(*(leggauss(n) for n in orders))
-    return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(w)
-
-
-def _rule_pair_sum(terms, orders, rtol, what):
-    """The finer of two quadrature sums.
-
-    terms holds the weighted integrand on the orders[0] nodes of the
-    coarse rule, then on the orders[1] of the fine one, along its last
-    axis.  The two sums must agree to rtol, relative, or it is a
-    NumericalError that names both, under the label what.
-    """
-    n = orders[0]
-    coarse, fine = terms[..., :n].sum(), terms[..., n:].sum()
-    if not abs(fine - coarse) <= rtol * abs(fine):
-        raise NumericalError(
-            f"{what}: the {orders[0]}- and {orders[1]}-point rules give "
-            f"{coarse:.17g} and {fine:.17g}")
-    return float(fine)

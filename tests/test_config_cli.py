@@ -20,7 +20,8 @@ from conftest import per_cell_table
 def test_minimal_preset_document():
     cfg = config.parse_config('preset = "Ne-Au"\n')
     assert cfg.preset == "Ne-Au"
-    assert cfg.potential.U0 == pytest.approx(12e-3 * E_CHARGE)
+    assert cfg.potential.U0 == pytest.approx(
+        12e-3 * E_CHARGE, rel=1e-6, abs=0.0)
     assert cfg.solver.n_points == 1000
     assert cfg.solver.max_states == 5
     assert cfg.montecarlo.n_seeds == 1000
@@ -44,9 +45,12 @@ U0 = 15 meV
 mass = 22 amu
 """
     cfg = config.parse_config(text)
-    assert cfg.potential.U0 == pytest.approx(15e-3 * E_CHARGE)
-    assert cfg.potential.adatom_mass == pytest.approx(22 * AMU)
-    assert cfg.potential.z0 == pytest.approx(6.05 * BOHR)  # still preset
+    assert cfg.potential.U0 == pytest.approx(
+        15e-3 * E_CHARGE, rel=1e-6, abs=0.0)
+    assert cfg.potential.adatom_mass == pytest.approx(
+        22 * AMU, rel=1e-6, abs=0.0)
+    assert cfg.potential.z0 == pytest.approx(  # still preset
+        6.05 * BOHR, rel=1e-6, abs=0.0)
 
 
 def test_full_custom_potential():
@@ -62,8 +66,9 @@ polarizability = 1.2 angstrom^3
     cfg = config.parse_config(text)
     assert cfg.preset is None
     assert cfg.potential.name == "mysystem"
-    assert cfg.potential.beta == pytest.approx(2.6e10)
-    assert cfg.potential.polarizability == pytest.approx(1.2e-30)
+    assert cfg.potential.beta == pytest.approx(2.6e10, rel=1e-6, abs=0.0)
+    assert cfg.potential.polarizability == pytest.approx(
+        1.2e-30, rel=1e-6, abs=0.0)
 
 
 def test_missing_required_key_named():
@@ -468,7 +473,7 @@ def test_cli_tempsweep_and_heat(tmp_path):
     # S_E consistent with the 3/8 transfer at the configured coverage
     assert se == pytest.approx(
         0.375 * 1e18 * (smu * 3.33564e-30 ** 2)
-        / ((4 * np.pi * 8.8541878128e-12) ** 2 * 1e-5 ** 4), rel=1e-6)
+        / ((4 * np.pi * 8.8541878128e-12) ** 2 * 1e-5 ** 4), rel=1e-6, abs=0.0)
 
 
 def test_cli_tempsweep_full_ladder(tmp_path):
@@ -1225,7 +1230,7 @@ def test_cli_mc_scaling_follows_trap_axis(tmp_path):
         rows[name] = data_rows(out / "mc_scaling.csv")
     cfg = config.parse_config((tmp_path / "tilted.ini").read_text())
     assert cfg.trap.axis == pytest.approx(np.array([0.3, 0.4, 1.0])
-                                          / np.sqrt(1.25), rel=1e-15)
+                                          / np.sqrt(1.25), rel=1e-15, abs=0.0)
     mc = cfg.montecarlo
     res = trapnoise.distance_scaling_fit(mc.n_dipoles, mc.extent,
                                          cfg.mc_seed, cfg.trap.axis,

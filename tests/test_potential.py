@@ -12,7 +12,8 @@ from oracles import bound_state_count_estimate, harmonic_frequency
 
 def test_minimum_value_and_location(ne):
     p, _ = ne
-    assert potential.evaluate(p, p.z0) == pytest.approx(-p.U0, rel=1e-12)
+    assert potential.evaluate(p, p.z0) == pytest.approx(
+        -p.U0, rel=1e-12, abs=0.0)
     assert potential.derivative(p, p.z0) == pytest.approx(0.0, abs=1e-9 * p.U0 / p.z0)
 
 
@@ -23,17 +24,19 @@ def test_single_interior_minimum_dense_scan(ne):
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
     minima = np.flatnonzero(interior) + 1
     assert len(minima) == 1
-    assert z[minima[0]] == pytest.approx(p.z0, rel=1e-3)
-    assert u[minima[0]] == pytest.approx(-p.U0, rel=1e-6)
+    assert z[minima[0]] == pytest.approx(p.z0, rel=1e-3, abs=0.0)
+    assert u[minima[0]] == pytest.approx(-p.U0, rel=1e-6, abs=0.0)
 
 
 def test_long_range_c3_tail(ne):
     p, _ = ne
     c3 = potential.c3(p)
     bt = p.beta * p.z0
-    assert c3 == pytest.approx(bt * p.z0 ** 3 * p.U0 / (bt - 3.0), rel=1e-12)
+    assert c3 == pytest.approx(
+        bt * p.z0 ** 3 * p.U0 / (bt - 3.0), rel=1e-12, abs=0.0)
     for z in (40 * p.z0, 80 * p.z0):
-        assert potential.evaluate(p, z) * z ** 3 == pytest.approx(-c3, rel=1e-3)
+        assert potential.evaluate(p, z) * z ** 3 == pytest.approx(
+            -c3, rel=1e-3, abs=0.0)
 
 
 def test_tail_dominates_at_twice_z0(ne):
@@ -48,10 +51,12 @@ def test_c3_limits_and_linearity():
     base = dict(z0=3e-10, adatom_mass=20 * AMU)
     steep = potential.SurfacePotentialParams(name="steep", U0=1 * E_CHARGE,
                                              beta=1e13, **base)
-    assert potential.c3(steep) == pytest.approx(steep.z0 ** 3 * steep.U0, rel=1e-2)
+    assert potential.c3(steep) == pytest.approx(
+        steep.z0 ** 3 * steep.U0, rel=1e-2, abs=0.0)
     doubled = potential.SurfacePotentialParams(name="x2", U0=2 * E_CHARGE,
                                                beta=1e13, **base)
-    assert potential.c3(doubled) == pytest.approx(2 * potential.c3(steep), rel=1e-12)
+    assert potential.c3(doubled) == pytest.approx(
+        2 * potential.c3(steep), rel=1e-12, abs=0.0)
 
 
 def test_derivative_matches_finite_difference(ne):
@@ -59,7 +64,8 @@ def test_derivative_matches_finite_difference(ne):
     for z in np.linspace(0.5 * p.z0, 5 * p.z0, 23):
         h = 1e-7 * p.z0
         fd = (potential.evaluate(p, z + h) - potential.evaluate(p, z - h)) / (2 * h)
-        assert potential.derivative(p, z) == pytest.approx(fd, rel=1e-7)
+        assert potential.derivative(p, z) == pytest.approx(
+            fd, rel=1e-7, abs=0.0)
 
 
 def test_second_difference_gives_harmonic_curvature(ne):
@@ -69,14 +75,14 @@ def test_second_difference_gives_harmonic_curvature(ne):
     d2 = (potential.derivative(p, p.z0 + h)
           - potential.derivative(p, p.z0 - h)) / (2 * h)
     nu = harmonic_frequency(p)
-    assert d2 == pytest.approx(p.adatom_mass * nu ** 2, rel=1e-7)
+    assert d2 == pytest.approx(p.adatom_mass * nu ** 2, rel=1e-7, abs=0.0)
 
 
 def test_derivative_tail(ne):
     p, _ = ne
     z = 60 * p.z0
     assert potential.derivative(p, z) == pytest.approx(
-        3 * potential.c3(p) / z ** 4, rel=1e-3)
+        3 * potential.c3(p) / z ** 4, rel=1e-3, abs=0.0)
 
 
 def test_harmonic_frequency_closed_form(ne):
@@ -85,8 +91,8 @@ def test_harmonic_frequency_closed_form(ne):
     expected = math.sqrt(p.U0 / (p.adatom_mass * p.z0 ** 2)
                          * 3 * (bt * bt - 4 * bt) / (bt - 3))
     nu = harmonic_frequency(p)
-    assert nu == pytest.approx(expected, rel=1e-12)
-    assert nu / (2 * math.pi) == pytest.approx(0.3961e12, rel=1e-3)
+    assert nu == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert nu / (2 * math.pi) == pytest.approx(0.3961e12, rel=1e-3, abs=0.0)
 
 
 def test_harmonic_frequency_mass_scaling(ne):
@@ -95,7 +101,7 @@ def test_harmonic_frequency_mass_scaling(ne):
         name="heavy", U0=p.U0, z0=p.z0, beta=p.beta,
         adatom_mass=4 * p.adatom_mass)
     assert harmonic_frequency(heavy) == pytest.approx(
-        harmonic_frequency(p) / 2, rel=1e-12)
+        harmonic_frequency(p) / 2, rel=1e-12, abs=0.0)
 
 
 def test_h_au_frequency_scale():
@@ -134,23 +140,23 @@ def test_domain_errors(ne):
 
 def test_presets():
     p, m = potential.preset("Ne-Au")
-    assert p.U0 == pytest.approx(12e-3 * E_CHARGE)
-    assert p.z0 == pytest.approx(6.05 * BOHR)
-    assert p.beta == pytest.approx(0.95 / BOHR)
-    assert p.adatom_mass == pytest.approx(20 * AMU)
-    assert p.polarizability == pytest.approx(0.36e-30)
+    assert p.U0 == pytest.approx(12e-3 * E_CHARGE, rel=1e-6, abs=0.0)
+    assert p.z0 == pytest.approx(6.05 * BOHR, rel=1e-6, abs=0.0)
+    assert p.beta == pytest.approx(0.95 / BOHR, rel=1e-6, abs=0.0)
+    assert p.adatom_mass == pytest.approx(20 * AMU, rel=1e-6, abs=0.0)
+    assert p.polarizability == pytest.approx(0.36e-30, rel=1e-6, abs=0.0)
     h, _ = potential.preset("H-Au")
-    assert h.U0 == pytest.approx(2.0 * E_CHARGE)
-    assert h.z0 == pytest.approx(1.6e-10)
-    assert h.beta == pytest.approx(3.91e10)
-    assert m.density == pytest.approx(19300.0)
-    assert m.speed_of_sound == pytest.approx(3962.0)
-    assert m.debye_frequency == pytest.approx(3.6e12)
+    assert h.U0 == pytest.approx(2.0 * E_CHARGE, rel=1e-6, abs=0.0)
+    assert h.z0 == pytest.approx(1.6e-10, rel=1e-6, abs=0.0)
+    assert h.beta == pytest.approx(3.91e10, rel=1e-6, abs=0.0)
+    assert m.density == pytest.approx(19300.0, rel=1e-6, abs=0.0)
+    assert m.speed_of_sound == pytest.approx(3962.0, rel=1e-6, abs=0.0)
+    assert m.debye_frequency == pytest.approx(3.6e12, rel=1e-6, abs=0.0)
 
 
 def test_k_preset_requires_user_beta():
     k, _ = potential.preset("K-surface")
-    assert k.U0 == pytest.approx(1.79 * E_CHARGE)
+    assert k.U0 == pytest.approx(1.79 * E_CHARGE, rel=1e-6, abs=0.0)
     assert k.beta is None
     with pytest.raises(ConfigurationError, match="beta"):
         potential.evaluate(k, 2e-10)
@@ -173,7 +179,7 @@ def test_reduced_mass(ne):
     p, _ = ne
     r = potential.reduced_mass(p)
     expected = 20 * 196.966569 / (20 + 196.966569) * AMU
-    assert r.adatom_mass == pytest.approx(expected, rel=1e-9)
+    assert r.adatom_mass == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_inner_barrier_ne(ne):
@@ -211,7 +217,8 @@ def test_inner_barrier_steep_wall(ne, beta_a0):
     x_pk = z_pk / p.z0
     bz = p.beta_z0
     assert x_pk == pytest.approx(math.exp(-bz / 4), rel=1e-11, abs=0.0)
-    assert -4.0 * math.log(x_pk) == pytest.approx(bz * (1.0 - x_pk), rel=1e-14)
+    assert -4.0 * math.log(x_pk) == pytest.approx(
+        bz * (1.0 - x_pk), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("bz, normal", [(2833.5, True), (2833.7, False)])

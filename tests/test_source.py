@@ -6,8 +6,8 @@ so does every private module-level function, class and constant, no
 import statement names scipy, the module-level imports keep the command
 line and the Monte Carlo path clear of the chain modules they do not run,
 no public function repeats a default of a config section, only
-cli.Pipeline calls the functions that build the chain, and no module
-but cli imports cli."""
+cli.Pipeline calls the functions that build the chain, no module but cli
+imports cli, and every pytest.approx call of the tests passes abs=."""
 
 import ast
 from dataclasses import fields
@@ -17,7 +17,8 @@ import pytest
 
 from adnoise.config import _SECTION_TYPES
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "adnoise"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "adnoise"
 
 
 def unused_imports(tree):
@@ -411,3 +412,36 @@ def test_config_section_defaults_live_only_in_config():
     found = {p.name: repeated_defaults(ast.parse(p.read_text()), names)
              for p in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def calls_approx(call):
+    """Whether call calls pytest.approx, or approx by its bare name."""
+    if isinstance(call.func, ast.Attribute):
+        return (call.func.attr == "approx"
+                and getattr(call.func.value, "id", None) == "pytest")
+    return called_name(call) == "approx"
+
+
+def approx_calls_without_abs(tree):
+    """Line numbers of the approx calls in tree that pass no abs=.
+    pytest's default abs=1e-12 swamps any relative tolerance on values in
+    J, m, C m or C^2 m^2, so every call states its own."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and calls_approx(node)
+            and not any(k.arg == "abs" for k in node.keywords)]
+
+
+def test_approx_check_flags_a_bare_call():
+    tree = ast.parse("assert x == pytest.approx(1e-30)\n"
+                     "assert x == pytest.approx(1e-30, rel=1e-9)\n"
+                     "assert x == pytest.approx(1e-30, rel=1e-9, abs=0.0)\n"
+                     "assert x == pytest.approx(\n    0.0, abs=1e-40)\n"
+                     "assert x == approx(1e-30)\n"
+                     "assert x == np.approx(1e-30)\n")
+    assert approx_calls_without_abs(tree) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_approx_call_passes_abs(path):
+    assert approx_calls_without_abs(ast.parse(path.read_text())) == []

@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adnoise import cli, config, spectrum, trapnoise, validate
-from adnoise.errors import (AnalysisError, ConfigurationError, DomainError,
-                            NumericalError)
+from adnoise.errors import AnalysisError, ConfigurationError, DomainError
 from adnoise.units import AMU, E_CHARGE, HBAR
 
 FPE = trapnoise.FOUR_PI_EPS0
@@ -19,7 +18,7 @@ def test_kernel_on_axis():
     d = 2e-6
     e, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, d))
     assert e[0] == 0.0 and e[1] == 0.0
-    assert e[2] == pytest.approx(2.0 / (FPE * d ** 3), rel=1e-12)
+    assert e[2] == pytest.approx(2.0 / (FPE * d ** 3), rel=1e-12, abs=0.0)
 
 
 def test_kernel_lateral_offset_geometry():
@@ -27,13 +26,14 @@ def test_kernel_lateral_offset_geometry():
     d = 3e-6
     e, = trapnoise.dipole_field_kernel([(d, 0.0)], (0.0, 0.0, d))
     expected_ez = 0.5 / (FPE * (math.sqrt(2) * d) ** 3)
-    assert e[2] == pytest.approx(expected_ez, rel=1e-12)
+    assert e[2] == pytest.approx(expected_ez, rel=1e-12, abs=0.0)
 
 
 def test_kernel_r_cubed_scaling():
     e1, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, 1.0))
     e2, = trapnoise.dipole_field_kernel([(0.0, 0.0)], (0.0, 0.0, 2.0))
-    assert np.linalg.norm(e1) == pytest.approx(8 * np.linalg.norm(e2), rel=1e-12)
+    assert np.linalg.norm(e1) == pytest.approx(
+        8 * np.linalg.norm(e2), rel=1e-12, abs=0.0)
 
 
 def test_kernel_domain_errors():
@@ -69,9 +69,9 @@ def test_analytic_field_noise_formula():
     sigma, d, s_mu = 1e18, 1e-5, 1e-70
     expected = 0.375 * sigma * s_mu / (FPE ** 2 * d ** 4)
     assert trapnoise.analytic_field_noise(sigma, s_mu, d) == pytest.approx(
-        expected, rel=1e-12)
+        expected, rel=1e-12, abs=0.0)
     assert trapnoise.analytic_field_noise(sigma, s_mu, 2 * d) == pytest.approx(
-        expected / 16, rel=1e-12)
+        expected / 16, rel=1e-12, abs=0.0)
     assert trapnoise.analytic_field_noise(sigma, 0.0, d) == 0.0
     # the trap distance is checked here, where it is read
     with pytest.raises(DomainError, match="sigma and d must be positive"):
@@ -81,7 +81,7 @@ def test_analytic_field_noise_formula():
 def test_kernel_integral_constant_closed_form():
     # independently integrable: K = 3 pi / 4 over the infinite plane
     k = trapnoise.kernel_integral_constant()
-    assert k == pytest.approx(3 * math.pi / 4, rel=1e-13)
+    assert k == pytest.approx(3 * math.pi / 4, rel=1e-13, abs=0.0)
     # The bits of the 16-point rule, whichever module builds its nodes.
     assert k == 2.3561944901923413
 
@@ -90,12 +90,21 @@ def test_kernel_integral_d_independent():
     k1 = trapnoise.kernel_integral_constant(1.0)
     for d in np.geomspace(1e-3, 1e3, 25):
         assert trapnoise.kernel_integral_constant(d) == pytest.approx(
-            k1, rel=1e-13)
+            k1, rel=1e-13, abs=0.0)
 
 
-def test_kernel_integral_rejects_a_kernel_off_the_rule(monkeypatch):
-    # A screened kernel, exp(-r / d) times the bare one, is not a
-    # polynomial in u = d / r: the 8- and 16-point rules disagree.
+def test_validate_kernel_check_catches_k_off_in_the_tenth_digit(
+        monkeypatch):
+    # K off by 1e-10 at every d or at d = 2 alone, and a screened kernel,
+    # exp(-r / d) times the bare one, which is no polynomial in u = d / r,
+    # each fail validate's check.
+    assert validate._check_kernel()[1]
+    exact = trapnoise.kernel_integral_constant
+    for off in (lambda d: 1e-10, lambda d: 1e-10 * (d != 1.0)):
+        monkeypatch.setattr(trapnoise, "kernel_integral_constant",
+                            lambda d=1.0, off=off: exact(d) * (1.0 + off(d)))
+        assert not validate._check_kernel()[1]
+    monkeypatch.setattr(trapnoise, "kernel_integral_constant", exact)
     bare = trapnoise.dipole_field_kernel
 
     def screened(sources, ion):
@@ -103,25 +112,14 @@ def test_kernel_integral_rejects_a_kernel_off_the_rule(monkeypatch):
         return bare(sources, ion) * np.exp(-r / ion[2])[:, None]
 
     monkeypatch.setattr(trapnoise, "dipole_field_kernel", screened)
-    with pytest.raises(NumericalError, match="8- and 16-point rules"):
-        trapnoise.kernel_integral_constant()
-
-
-def test_validate_kernel_check_catches_k_off_in_the_tenth_digit(
-        monkeypatch):
-    assert validate._check_kernel()[1]
-    exact = trapnoise.kernel_integral_constant
-    for off in (lambda d: 1e-10, lambda d: 1e-10 * (d != 1.0)):
-        monkeypatch.setattr(trapnoise, "kernel_integral_constant",
-                            lambda d=1.0, off=off: exact(d) * (1.0 + off(d)))
-        assert not validate._check_kernel()[1]
+    assert not validate._check_kernel()[1]
 
 
 def test_kernel_constant_vs_surface_average():
     # the two exposed transfer constants differ by exactly 2 pi
     k = trapnoise.kernel_integral_constant()
     assert k / trapnoise.SURFACE_AVERAGE_CONSTANT == pytest.approx(
-        2 * math.pi, rel=1e-8)
+        2 * math.pi, rel=1e-8, abs=0.0)
 
 
 def test_sample_surface_contract():
@@ -144,13 +142,6 @@ def test_sample_surface_single_point():
     assert s.n == 1
 
 
-def test_sample_surface_infeasible_packing():
-    # Ten dipoles per d0^2, past any packing of disks of diameter d0, are
-    # drawn like any other surface: no minimum spacing is kept.
-    s = trapnoise.sample_surface(1000, 10.0, seed=0)
-    assert s.positions.tobytes() == uniform_draw(1000, 10.0, 0).tobytes()
-
-
 def test_sample_surface_negative_seed():
     with pytest.raises(ConfigurationError, match="non-negative, got -1"):
         trapnoise.sample_surface(10, 100.0, seed=-1)
@@ -168,7 +159,7 @@ def field_variance_sides():
     # S_mu is even in omega: its two-sided integral over domega / 2 pi is
     # the one-sided one over pi.  The transfer is linear in S_mu.
     var_from_spectrum = spectrum.integrate_spectrum(spec) / math.pi
-    assert var_from_spectrum == pytest.approx(spec.variance, rel=1e-9)
+    assert var_from_spectrum == pytest.approx(spec.variance, rel=1e-9, abs=0.0)
     lhs = trapnoise.analytic_field_noise(sigma, var_from_spectrum, d)
     rhs = (sigma * trapnoise.kernel_integral_constant() * spec.variance
            / (FPE ** 2 * d ** 4))
@@ -182,14 +173,14 @@ def field_variance_sides():
                           "6.2831853071795845 = 2 pi")
 def test_field_variance_sum_rule():
     lhs, rhs = field_variance_sides()
-    assert lhs == pytest.approx(rhs, rel=1e-6)
+    assert lhs == pytest.approx(rhs, rel=1e-6, abs=0.0)
 
 
 def test_field_variance_sum_rule_misses_by_two_pi():
     # Pins the xfail above to its stated cause, so that it cannot pass or
     # fail for another reason unnoticed.
     lhs, rhs = field_variance_sides()
-    assert rhs / lhs == pytest.approx(2.0 * math.pi, rel=1e-9)
+    assert rhs / lhs == pytest.approx(2.0 * math.pi, rel=1e-9, abs=0.0)
 
 
 def uniform_draw(n, extent, seed):
@@ -206,32 +197,24 @@ def assert_matches_reference(n, extent, seeds):
         assert s.rejects == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 100, 300])
-def test_sample_surface_bit_identical_to_reference(n):
-    assert_matches_reference(n, 100.0, range(50))
-
-
-def test_sample_surface_bit_identical_dense_packing():
-    # 1500 in 60^2, 0.42 dipoles per d0^2
-    assert_matches_reference(1500, 60.0, range(4))
-
-
-def test_sample_surface_bit_identical_non_integer_cells():
-    # an extent that is no whole number of d0 (the name is from a deleted
-    # cell grid)
-    assert_matches_reference(600, 37.3, range(10))
-
-
-def test_sample_surface_bit_identical_beyond_int64_keys():
-    # extents past ~1e16 d0 (the name is from a deleted cell grid)
-    assert_matches_reference(100, 1e10, range(10))
-    assert_matches_reference(100, 1e20, range(10))
-
-
-def test_sample_surface_bit_identical_cell_edges_at_two_d0():
-    # 1000 in 64^2 (the name is from a deleted cell grid, whose cells were
-    # a hair wider than 2 d0)
-    assert_matches_reference(1000, 64.0, range(6))
+@pytest.mark.parametrize("n, extent, seeds", [
+    (1, 100.0, range(50)),
+    (2, 100.0, range(50)),
+    (100, 100.0, range(50)),
+    (300, 100.0, range(50)),
+    (1500, 60.0, range(4)),
+    (600, 37.3, range(10)),
+    (1000, 64.0, range(6)),
+    (1000, 10.0, [0]),
+    (100, 1e10, range(10)),
+    (100, 1e20, range(10)),
+], ids=["1", "2", "100", "300", "1500-in-60", "600-in-37.3", "1000-in-64",
+        "1000-in-10", "100-in-1e10", "100-in-1e20"])
+def test_sample_surface_bit_identical_to_reference(n, extent, seeds):
+    # n dipoles in extent^2 d0^2, from 0.01 to ten per d0^2 and at extents
+    # past 1e16 d0: no minimum spacing is kept, each surface is its seed's
+    # uniform draw.
+    assert_matches_reference(n, extent, seeds)
 
 
 @st.composite
@@ -267,10 +250,8 @@ def stacked_draw(n, extent, seeds):
     return stack.positions.tobytes()
 
 
-# The ids are those the cases had under a deleted hard-core sampler: draws
-# that took one to two or four to five blocks of candidates, the 30 seeds
-# of a surface-mc op, a spacing of 0.7 in an extent of 37.3 (37.3 / 0.7 in
-# d0), and one point in an extent of 10 with a spacing of 3.
+# n dipoles in extent^2 over seeds: dense stacks, the 30 seeds of a
+# surface-mc op, extents past 1e16 d0, and one point from repeated seeds.
 STACKS = pytest.mark.parametrize("n, extent, seeds", [
     (150, 24.0, range(16)),
     (240, 22.0, range(8)),
@@ -279,7 +260,7 @@ STACKS = pytest.mark.parametrize("n, extent, seeds", [
     (100, 1e20, range(10)),
     (100, 1e35, range(10)),
     (1, 10.0 / 3.0, [0, 7, 7, 2 ** 40]),
-], ids=["1-2-blocks", "4-5-blocks", "surface-mc", "d0-0.7", "extent-1e20",
+], ids=["150-in-24", "240-in-22", "surface-mc", "600-in-53.3", "extent-1e20",
         "extent-1e35", "one-point"])
 
 
@@ -294,11 +275,11 @@ def test_stacked_sample_matches_single_draws(n, extent, seeds):
 
 
 @STACKS
-def test_every_surface_of_a_round_draws_one_block_size(monkeypatch, n, extent,
-                                                       seeds):
+def test_stacked_sample_makes_one_generator_per_seed(monkeypatch, n, extent,
+                                                      seeds):
     # A stacked draw makes one generator per seed, in seed order, and reads
-    # one block of n points from each: no surface draws a point it does
-    # not keep.
+    # one (n, 2) draw from each: no surface draws a point it does not
+    # keep.
     drawn, make = [], np.random.default_rng
 
     def spying_rng(seed):
@@ -345,7 +326,7 @@ def test_single_point_sample_as_validate_builds_it():
     assert se.shape == (len(ds),)
     assert se.tobytes() == trapnoise.mc_field_noise(stack, Z_AXIS,
                                                     ds)[0].tobytes()
-    assert se[0] == pytest.approx(4 / FPE ** 2, rel=1e-12)
+    assert se[0] == pytest.approx(4 / FPE ** 2, rel=1e-12, abs=0.0)
     assert validate._check_single_dipole()[1]
 
 
@@ -399,6 +380,47 @@ def test_fit_cell_budget_is_checked_before_any_draw(monkeypatch):
                            match=f"montecarlo.n_dipoles = {n} at 6 "):
             trapnoise.distance_scaling_fit(n, 100.0, 0, Z_AXIS, d_values,
                                            n_seeds=2)
+
+
+def test_n_seeds_past_the_float_range_exits_two(tmp_path, capsys,
+                                               monkeypatch):
+    # 10**400 seeds would make an (n_seeds, D) S_E array: refused in
+    # Python integers, before the sparse-surface count turns the count
+    # into a float, and before anything is drawn.
+    monkeypatch.setattr(trapnoise, "sample_surface", no_sampling)
+    n_seeds = 10 ** 400
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[montecarlo]\nn_seeds = {n_seeds}\n")
+    out = tmp_path / "o"
+    assert cli.main(["mc-scaling", "--config", str(cfgfile),
+                     "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: montecarlo.n_seeds = {n_seeds} at 6 "
+        f"distances needs an S_E array of {6 * n_seeds} float cells (seeds "
+        "x distances), past the budget of 50000000 cells per array\n")
+    assert not out.exists()
+
+
+def test_seed_cell_budget_is_checked_before_any_draw(monkeypatch):
+    # With the budget at 600 cells, 100 seeds at 6 distances reach the
+    # first draw and 101 are refused; the stub draws nothing either way.
+    class Drawn(Exception):
+        pass
+
+    def stub(*args):
+        raise Drawn
+
+    monkeypatch.setattr(trapnoise, "sample_surface", stub)
+    monkeypatch.setattr(trapnoise, "_ARRAY_CELLS", 600)
+    d_values = [3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
+    with pytest.raises(Drawn):
+        trapnoise.distance_scaling_fit(30, 100.0, 0, Z_AXIS, d_values,
+                                       n_seeds=100)
+    with pytest.raises(ConfigurationError,
+                       match="montecarlo.n_seeds = 101 at 6 distances needs "
+                             "an S_E array of 606 float cells"):
+        trapnoise.distance_scaling_fit(30, 100.0, 0, Z_AXIS, d_values,
+                                       n_seeds=101)
 
 
 def test_huge_extent_exits_four(tmp_path, capsys):
@@ -475,11 +497,12 @@ SPARSE = ("dipoles expected within the largest distance of the ion over "
      "numerical error: distances [1.] outside the valid window [3, 10] "
      "(below: dipole granularity dominates; above: the finite patch acts "
      "as a composite source)"),
-], ids=["packing", "seed", "seeds", "sparse", "sparse-one-seed", "window"])
+], ids=["narrow-window", "seed", "seeds", "sparse", "sparse-one-seed",
+        "window"])
 def test_mc_scaling_refusals_in_order(tmp_path, capsys, section, code,
                                       message):
     # the sparse-surface rule first, then sampling's argument checks, then
-    # the window and the seed count; 100 dipoles in 10^2 (packing) are
+    # the window and the seed count; an extent of 10 (narrow-window) is
     # refused by the window alone
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n[montecarlo]\n" + section)
@@ -679,15 +702,15 @@ def loop_fit_error(n, extent, seed, axis, d_list, n_seeds):
     (8, Z_AXIS, [3.0, 3.2, 3.4], 4, None),
     (9, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
     (8, Z_AXIS, [3.0, 3.2, 3.4], 1, AnalysisError),
-], ids=["surface-0", "axis", "window", "distinct", "later-seed",
-        "one-seed-packing", "one-seed"])
+], ids=["axis-at-seed-9", "axis", "window", "distinct", "no-error",
+        "one-seed-at-seed-9", "one-seed"])
 @pytest.mark.parametrize("fit_cells", [trapnoise._FIT_CELLS, 1, 3600],
                          ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
 def test_fit_errors_come_in_the_order_of_a_seed_loop(
         monkeypatch, seed, axis, d_list, n_seeds, expect, fit_cells):
     # 600 in 34^2, from seed 8 or 9: the fit raises the error a loop that
     # checks its arguments and then draws one seed at a time raises,
-    # whatever the chunks.  Where the loop raises none (later-seed), the
+    # whatever the chunks.  Where the loop raises none (no-error), the
     # fit's means are the loop's, bit for bit.
     monkeypatch.setattr(trapnoise, "_FIT_CELLS", fit_cells)
     want = loop_fit_error(600, 34.0, seed, axis, d_list, n_seeds)
@@ -713,7 +736,8 @@ def test_fit_errors_come_in_the_order_of_a_seed_loop(
     ({"seed": -3}, ConfigurationError, "seed must be non-negative, got -3"),
     ({"n": 5555556}, ConfigurationError,
      "montecarlo.n_dipoles = 5555556 at 3 distances"),
-], ids=["axis", "window", "one-seed", "packing", "negative-seed", "budget"])
+], ids=["axis", "window", "one-seed", "narrow-window", "negative-seed",
+        "budget"])
 def test_refused_fit_draws_nothing(monkeypatch, changes, error, message):
     # Every refusal comes before the first sample_surface call.
     calls = []
@@ -785,7 +809,8 @@ def test_mc_single_dipole_below_ion():
                                      extent=10.0)
     ds = (1.0, 2.0)
     for d, got in zip(ds, trapnoise.mc_field_noise(sample, Z_AXIS, ds)):
-        assert got == pytest.approx(4 / (FPE ** 2 * d ** 6), rel=1e-12)
+        assert got == pytest.approx(
+            4 / (FPE ** 2 * d ** 6), rel=1e-12, abs=0.0)
 
 
 def test_mc_additive_over_subsamples():
@@ -794,7 +819,7 @@ def test_mc_additive_over_subsamples():
     hi = trapnoise.SurfaceSample(positions=full.positions[17:], extent=60.0)
     assert trapnoise.mc_field_noise(full, Z_AXIS, [5.0]) == pytest.approx(
         trapnoise.mc_field_noise(lo, Z_AXIS, [5.0])
-        + trapnoise.mc_field_noise(hi, Z_AXIS, [5.0]), rel=1e-12)
+        + trapnoise.mc_field_noise(hi, Z_AXIS, [5.0]), rel=1e-12, abs=0.0)
 
 
 def test_mc_rotation_invariance():
@@ -812,7 +837,7 @@ def test_mc_rotation_invariance():
     rotated = trapnoise.SurfaceSample(positions=turned, extent=60.0)
     a = trapnoise.mc_field_noise(sample, Z_AXIS, [4.0])
     b = trapnoise.mc_field_noise(rotated, Z_AXIS, [4.0])
-    assert b == pytest.approx(a, rel=1e-12)
+    assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
 
 def test_mc_ensemble_matches_plane_integral():
@@ -823,7 +848,7 @@ def test_mc_ensemble_matches_plane_integral():
     sigma = 100 / 100.0 ** 2
     for d, mean in zip(res.distances, res.means):
         expected = sigma * k / (FPE ** 2 * d ** 4)
-        assert mean == pytest.approx(expected, rel=0.10)
+        assert mean == pytest.approx(expected, rel=0.10, abs=0.0)
 
 
 def test_distance_scaling_paper_geometry():
@@ -873,8 +898,8 @@ def test_heating_rate_reference_point():
     # q = e, m = 40 amu, omega_t = 2 pi MHz, S_E = 1e-12 -> ~2.9e2 /s
     expected = E_CHARGE ** 2 * 1e-12 / (2 * 40 * AMU * HBAR * 2 * math.pi * 1e6)
     got = trapnoise.heating_rate(1e-12, E_CHARGE, 40 * AMU, OMEGA_T)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(291.6, rel=1e-3)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(291.6, rel=1e-3, abs=0.0)
 
 
 def test_heating_rate_scalings():
@@ -882,7 +907,7 @@ def test_heating_rate_scalings():
     assert trapnoise.heating_rate(
         1e-12, E_CHARGE, 40 * AMU, OMEGA_T / 2) == pytest.approx(
         2 * trapnoise.heating_rate(1e-12, E_CHARGE, 40 * AMU, OMEGA_T),
-        rel=1e-12)
+        rel=1e-12, abs=0.0)
 
 
 def test_array_calls_match_scalar_calls():
