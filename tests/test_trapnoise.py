@@ -93,18 +93,11 @@ def test_kernel_integral_d_independent():
             k1, rel=1e-13, abs=0.0)
 
 
-def test_validate_kernel_check_catches_k_off_in_the_tenth_digit(
-        monkeypatch):
-    # K off by 1e-10 at every d or at d = 2 alone, and a screened kernel,
-    # exp(-r / d) times the bare one, which is no polynomial in u = d / r,
-    # each fail validate's check.
+def test_kernel_integral_rejects_a_kernel_off_the_rule(monkeypatch):
+    # A screened kernel, exp(-r / d) times the bare one, is not a
+    # polynomial in u = d / r: the 16-point rule misses 3 pi / 4 by far
+    # more than validate's kernel check allows.
     assert validate._check_kernel()[1]
-    exact = trapnoise.kernel_integral_constant
-    for off in (lambda d: 1e-10, lambda d: 1e-10 * (d != 1.0)):
-        monkeypatch.setattr(trapnoise, "kernel_integral_constant",
-                            lambda d=1.0, off=off: exact(d) * (1.0 + off(d)))
-        assert not validate._check_kernel()[1]
-    monkeypatch.setattr(trapnoise, "kernel_integral_constant", exact)
     bare = trapnoise.dipole_field_kernel
 
     def screened(sources, ion):
@@ -113,6 +106,17 @@ def test_validate_kernel_check_catches_k_off_in_the_tenth_digit(
 
     monkeypatch.setattr(trapnoise, "dipole_field_kernel", screened)
     assert not validate._check_kernel()[1]
+
+
+def test_validate_kernel_check_catches_k_off_in_the_tenth_digit(
+        monkeypatch):
+    # K off by 1e-10 at every d or at d = 2 alone fails validate's check.
+    assert validate._check_kernel()[1]
+    exact = trapnoise.kernel_integral_constant
+    for off in (lambda d: 1e-10, lambda d: 1e-10 * (d != 1.0)):
+        monkeypatch.setattr(trapnoise, "kernel_integral_constant",
+                            lambda d=1.0, off=off: exact(d) * (1.0 + off(d)))
+        assert not validate._check_kernel()[1]
 
 
 def test_kernel_constant_vs_surface_average():
