@@ -139,23 +139,31 @@ class Pipeline:
         except ModelError:
             gamma0_line = ("gamma0_exact: undefined (fundamental transition "
                            "above the Debye cutoff)")
+        s = self.states
+        coordinate = ("ln z" if s.shift == 0.0
+                      else f"ln(z - {s.shift / self.params.z0:.6g} z0)")
         return [
-            f"n_states: {self.states.n_states} "
-            f"(near-zero discarded: {self.states.near_zero_discarded})",
+            f"n_states: {s.n_states} "
+            f"(near-zero discarded: {s.near_zero_discarded})",
+            f"basis: {len(s.nodes)} sinc nodes in {coordinate}, convergence "
+            f"gap {s.gap:.2g} U0 against {s.check_nodes} nodes",
             f"nu10_exact: {self.nu10 / TWO_PI / 1e12:.6g} THz",
             gamma0_line,
         ]
 
 
 def cmd_states(pipe: Pipeline, outdir: Path):
+    from . import potential
     s = pipe.states
+    # The n_points rows sample the sinc interpolant of each state.
     z = s.grid.z
     header = pipe.header("states", pipe.derived_header() + [
         "energies_meV: " + ", ".join(f"{e / (1e-3 * E_CHARGE):.6g}"
                                      for e in s.energies)])
     columns = [("z", "m"), ("U", "J")]
     columns += [(f"psi_{i}", "1/sqrt(m)") for i in range(s.n_states)]
-    rows = np.column_stack([z, s.potential_values, s.wavefunctions.T])
+    rows = np.column_stack([z, potential.evaluate(s.params, z),
+                            s.interpolate(z).T])
     return [emit_table(outdir / "states.csv", columns, rows, header)]
 
 

@@ -25,8 +25,8 @@ from functools import partial
 
 from . import potential as pot
 from .errors import ConfigurationError
-from .units import (AMU, BOHR, E_CHARGE, ENERGY_TO_J, LENGTH_TO_M,
-                    unit_factor)
+from .units import (_ARRAY_CELLS, AMU, BOHR, E_CHARGE, ENERGY_TO_J,
+                    LENGTH_TO_M, unit_factor)
 
 _INVERSE_LENGTH = {"1/m": 1.0, "1/angstrom": 1e10, "1/a0": 1.0 / BOHR}
 _VOLUME = {"m^3": 1.0, "angstrom^3": 1e-30, "a0^3": BOHR ** 3}
@@ -361,6 +361,16 @@ def parse_config(text: str) -> RunConfig:
     resolved = {name: make(**_parsed(_FIELDS[name], sections[name],
                                      f"{name}."))
                 for name, make in _SECTION_TYPES.items()}
+    # states.csv holds n_points rows of z, U and up to max_states states;
+    # in Python integers, so that no count overflows the product.
+    solver = resolved["solver"]
+    cells = solver.n_points * (2 + solver.max_states)
+    if cells > _ARRAY_CELLS:
+        raise ConfigurationError(
+            f"solver.n_points = {solver.n_points} with max_states = "
+            f"{solver.max_states} needs a states table of {cells} float "
+            "cells (n_points x (2 + max_states)), past the budget of "
+            f"{_ARRAY_CELLS} cells per array")
     return RunConfig(potential=params, material=material, preset=preset_name,
                      **resolved, **_parsed(_TOP_FIELDS, top, ""))
 

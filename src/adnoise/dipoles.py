@@ -39,12 +39,12 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
 
     The z^-4 kernel is integrable against |psi_i|^2 because the states
     vanish exponentially inside the repulsive wall; as a guard, the
-    integrand maximum must sit strictly inside the grid.
+    integrand maximum must sit strictly inside the nodes.
     """
     psi = states.wavefunctions
     # alpha^1.5, P(z) or the integrand overflow from about 1e190 m^3.
     with np.errstate(over="ignore", invalid="ignore"):
-        integrand = psi * induced_dipole(alpha, states.grid.z) * psi
+        integrand = psi * induced_dipole(alpha, states.nodes) * psi
     if not np.isfinite(integrand).all():
         raise NumericalError("potential.polarizability: the dipole integrand "
                              "|psi|^2 P(z) leaves the float range")
@@ -53,4 +53,4 @@ def dipole_ladder(states: boundstates.BoundStateSet, alpha,
         raise NumericalError(
             f"state {at_edge[0]}: dipole integrand peaks at the grid edge; "
             "the wall region is not resolved")
-    return image_factor * np.sum(integrand * states.grid.width, axis=1)
+    return image_factor * np.sum(integrand * states.weights, axis=1)

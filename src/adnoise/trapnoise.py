@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .units import EPS0, HBAR, _line_fit
+from .units import _ARRAY_CELLS, EPS0, HBAR, _line_fit
 
 FOUR_PI_EPS0 = 4.0 * math.pi * EPS0
 SURFACE_AVERAGE_CONSTANT = 3.0 / 8.0
@@ -55,9 +55,6 @@ _FIT_CELLS = 1 << 16
 # its arrays of 64 KiB stay in cache, where those of a whole 30-surface
 # stack are mapped afresh on every call.
 _KERNEL_CELLS = 1 << 13
-# Float cells one array of distance_scaling_fit may hold (400 MB): its
-# largest are one surface's (D, n, 3) field kernel and the (n_seeds, D) S_E.
-_ARRAY_CELLS = 5 * 10 ** 7
 
 
 @dataclass(frozen=True)

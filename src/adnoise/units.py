@@ -5,10 +5,10 @@ at input/output boundaries.  Kelvin and hertz equivalents are treated as
 first-class energy units (E = k_B*T and E = h*nu respectively) because
 surface-physics parameter sets freely mix meV, K and THz.
 
-The module also holds the two helpers that two modules share: the
-least-squares line _line_fit of the spectral chain and the Monte Carlo
-path, so that neither imports the other, and _in_debye, the checked
-conversion to debye of the command line and validate.
+The module also holds what several modules share: the least-squares line
+_line_fit of the spectral chain and the Monte Carlo path, so that neither
+imports the other, _in_debye, the checked conversion to debye of the
+command line and validate, and _ARRAY_CELLS, the size budget.
 """
 
 import math
@@ -48,6 +48,12 @@ BOHR = CODATA.bohr_radius
 AMU = CODATA.atomic_mass_unit
 DEBYE = CODATA.debye
 PLANCK = 2.0 * math.pi * HBAR
+
+# Float cells one array may hold (400 MB), checked before it is allocated:
+# the states table of [solver] n_points (config), the dense DVR matrix
+# (boundstates.MAX_NODES), and one surface's (D, n, 3) field kernel and the
+# (n_seeds, D) S_E of the Monte Carlo fit (trapnoise).
+_ARRAY_CELLS = 5 * 10 ** 7
 
 
 # Conversion factors to the SI base of each quantity.  Pure data; the

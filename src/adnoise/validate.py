@@ -40,12 +40,16 @@ def _check_potential(p, grid):
 
 
 def _check_boundstates(s):
-    overlaps = boundstates.grid_matrix(s, np.ones(s.grid.n_points))
+    overlaps = boundstates.grid_matrix(s, np.ones(len(s.nodes)))
     dev = np.abs(overlaps - np.eye(s.n_states)).max()
     nu = s.splitting(1, 0) / (2 * math.pi) / 1e12
+    head, tail = (np.max(s.wavefunctions[:, i] ** 2 * s.weights[i])
+                  for i in (0, -1))
     ok = dev < 1e-8 and np.all(s.energies < 0)
     return "bound states: orthonormal, negative", ok, \
-        f"{s.n_states} states, nu10 = {nu:.3f} THz, max overlap dev {dev:.1e}"
+        f"{s.n_states} states, nu10 = {nu:.3f} THz, max overlap dev " \
+        f"{dev:.1e}, gap {s.gap:.1e} U0, head mass {head:.1e}, " \
+        f"tail mass {tail:.1e}"
 
 
 def _check_dipoles(lad):

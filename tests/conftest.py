@@ -61,7 +61,12 @@ def deep_well():
 
 @pytest.fixture(scope="session")
 def deep_states(deep_well):
-    grid = boundstates.auto_grid(deep_well, 45000)
+    """The three lowest states on z0 +- 5 %, where they live: 18 widths of
+    the ground state either side.  On its whole auto_grid interval the
+    well needs a basis past boundstates.MAX_NODES
+    (test_deep_well_on_its_whole_interval_is_refused_before_any_solve)."""
+    grid = boundstates.Grid(z_min=0.95 * deep_well.z0,
+                            z_max=1.05 * deep_well.z0, n_points=1000)
     return boundstates.solve(deep_well, grid, max_states=3)
 
 

@@ -38,22 +38,25 @@ def test_auto_grid_wall_rule_for_steep_well(deep_well):
 def test_auto_grid_wall_rule_past_overflowing_barrier(ne, beta_a0):
     # beta*z0 = 708 to 2420: from about 709.8 on exp(beta*z0*(1 - z/z0))
     # overflows at the barrier top, which is then reported as inf, and the
-    # 10 U0 root is bracketed below the overflow
+    # root at the WKB level, 5.6e4 to 6.5e5 U0 here, is bracketed below the
+    # overflow
     p = replace(ne[0], beta=beta_a0 / BOHR)
     _, u_pk = potential.inner_barrier(p)
     assert (u_pk == math.inf) == (p.beta_z0 > 709.8)
+    level = boundstates._wall_level(p)
+    assert 5e4 < level < 7e5
     g = boundstates.auto_grid(p, 4000)
     # _root returns the midpoint of a cell of at most xtol + rtol z_min
     # (1e-18 m + 1e-14 z_min) that holds the root.  With
     # U = amp ((3 / bz) e^(bz (1 - z / z0)) - (z0 / z)^3), amp = bz U0 /
     # (bz - 3), the wall has |dU/dz| <= beta (U + amp (z0 / z)^3), so at
-    # first order U misses 10 U0 by at most that slope over U times half
-    # the cell, relative.
+    # first order U misses the level by at most that slope over U times
+    # half the cell, relative.
     bz = p.beta_z0
-    slope = p.beta * (1.0 + bz / (bz - 3.0) * (p.z0 / g.z_min) ** 3 / 10.0)
+    slope = p.beta * (1.0 + bz / (bz - 3.0) * (p.z0 / g.z_min) ** 3 / level)
     half_cell = 0.5 * (1e-18 + 1e-14 * g.z_min)
     assert potential.evaluate(p, g.z_min) == pytest.approx(
-        10 * p.U0, rel=slope * half_cell, abs=0.0)
+        level * p.U0, rel=slope * half_cell, abs=0.0)
 
 
 def test_auto_grid_independent_of_resolution(ne):
@@ -95,14 +98,14 @@ def test_energies_negative_ascending_above_well_bottom(ne_states_full):
 def test_orthonormality(ne_states_full):
     s = ne_states_full
     psi = s.wavefunctions
-    gram = (psi * s.grid.width) @ psi.T
-    assert np.abs(gram - np.eye(s.n_states)).max() < 1e-8
+    gram = (psi * s.weights) @ psi.T
+    assert np.abs(gram - np.eye(s.n_states)).max() < 1e-12
 
 
 def test_tail_condition(ne_states_full):
     s = ne_states_full
-    tails = s.wavefunctions[:, -1] ** 2 * s.grid.width[-1]
-    assert tails.max() < 1e-10
+    for node in (0, -1):
+        assert np.max(s.wavefunctions[:, node] ** 2 * s.weights[node]) < 1e-10
 
 
 def test_sign_convention(ne_states_full):
@@ -133,9 +136,10 @@ def test_near_zero_diagnostics(ne_states_full):
 
 @pytest.mark.parametrize("system", ["Ne-Au", "H-Au", "K-user-beta"])
 def test_eigenvalue_convergence_on_doubling(system):
-    # O(h^2) discretization: at 16k points a further doubling moves every
-    # kept level by less than 1e-4 relative.  K ships without a repulsion
-    # range, so a representative user-supplied value is used here.
+    # Doubling the basis solve chose moves no kept level by more than the
+    # gap tolerance, and n_points plays no part.  K ships without a
+    # repulsion range, so a representative user-supplied value is used
+    # here.
     if system == "K-user-beta":
         base, _ = potential.preset("K-surface")
         p = potential.SurfacePotentialParams(
@@ -143,19 +147,14 @@ def test_eigenvalue_convergence_on_doubling(system):
             adatom_mass=base.adatom_mass)
     else:
         p, _ = potential.preset(system)
-    e1 = boundstates.solve(p, boundstates.auto_grid(p, 16000), max_states=5).energies
-    e2 = boundstates.solve(p, boundstates.auto_grid(p, 32000), max_states=5).energies
-    assert np.max(np.abs(e1 - e2) / np.abs(e2)) < 1e-4
-
-
-def test_ground_state_error_shrinks_factor_four(ne):
-    # O(h^2) scheme: each doubling cuts the ground-state error by ~4.
-    p, _ = ne
-    e = [boundstates.solve(p, boundstates.auto_grid(p, n), max_states=3).energies[0]
-         for n in (2000, 4000, 8000, 16000)]
-    d1, d2, d3 = abs(e[1] - e[0]), abs(e[2] - e[1]), abs(e[3] - e[2])
-    assert d2 < d1 / 3.5
-    assert d3 < d2 / 3.5
+    grid = boundstates.auto_grid(p, 16000)
+    s = boundstates.solve(p, grid, max_states=5)
+    assert s.gap <= boundstates.GAP_TOLERANCE
+    e1 = s.energies
+    e2 = boundstates._states(p, grid, 2 * len(s.nodes), s.shift, 5).energies
+    assert np.max(np.abs(e1 - e2)) < boundstates.GAP_TOLERANCE * p.U0
+    e3 = boundstates.solve(p, boundstates.auto_grid(p, 200), 5).energies
+    assert e3.tobytes() == e1.tobytes()
 
 
 def test_deep_well_matches_harmonic_oracle(deep_well, deep_states):
@@ -175,7 +174,7 @@ def test_deep_well_matrix_element_identity(deep_well, deep_states):
 
 
 def test_deep_well_position_expectation(deep_well, deep_states):
-    z00 = boundstates.grid_matrix(deep_states, deep_states.grid.z)[0, 0]
+    z00 = boundstates.grid_matrix(deep_states, deep_states.nodes)[0, 0]
     assert z00 == pytest.approx(deep_well.z0, rel=0.01, abs=0.0)
 
 
@@ -191,79 +190,51 @@ def test_matrix_element_commutator_identity(ne_states):
     s = ne_states
     m = s.params.adatom_mass
     dudz = boundstates.coupling_matrix(s)
-    z = boundstates.grid_matrix(s, s.grid.z)
+    z = boundstates.grid_matrix(s, s.nodes)
     for i, f in [(0, 1), (1, 2), (0, 3)]:
         omega = s.splitting(i, f)
         assert abs(dudz[f, i]) == pytest.approx(abs(m * omega ** 2 * z[f, i]),
-                                                rel=2e-3, abs=0.0)
-
-
-def test_log_grid_convergence_table(ne):
-    # Ne-Au with max_states = 30 against a 16000-point reference: the
-    # errors of nu10, C10 = <1|dU/dz|0> and the worst of the 23 levels (in
-    # U0) at 1000 and 2000 points, as tabulated in CHANGES.md, held within
-    # a factor 2; the O(h^2) scheme cuts each by about 4 per doubling.
-    p, _ = ne
-
-    def headline(n):
-        s = boundstates.solve(p, boundstates.auto_grid(p, n), max_states=30)
-        assert s.n_states == 23
-        return s.splitting(1, 0), boundstates.coupling_matrix(s)[1, 0], \
-            s.energies
-
-    nu_ref, c_ref, e_ref = headline(16000)
-    errors = {}
-    for n in (1000, 2000, 4000):
-        nu, c10, e = headline(n)
-        errors[n] = np.array([abs(nu / nu_ref - 1), abs(c10 / c_ref - 1),
-                              np.abs(e - e_ref).max() / p.U0])
-    for n, table in [(1000, [1.51e-4, 6.78e-5, 2.39e-4]),
-                     (2000, [3.74e-5, 1.67e-5, 5.88e-5])]:
-        assert np.all((errors[n] > 0.5 * np.array(table))
-                      & (errors[n] < 2.0 * np.array(table))), (n, errors[n])
-    assert np.all(errors[1000] > 3.5 * errors[2000])
-    assert np.all(errors[2000] > 3.5 * errors[4000])
+                                                rel=1e-8, abs=0.0)
 
 
 def test_matrix_element_grid_convergence(ne):
     p, _ = ne
-    m1, m2 = (boundstates.coupling_matrix(boundstates.solve(
-        p, boundstates.auto_grid(p, n), max_states=3))[0, 1]
-        for n in (4000, 8000))
-    assert abs(m1 - m2) / abs(m2) < 1e-3
+    grid = boundstates.auto_grid(p, 4000)
+    s = boundstates.solve(p, grid, max_states=3)
+    m1, m2 = (boundstates.coupling_matrix(t)[0, 1] for t in (
+        s, boundstates._states(p, grid, 2 * len(s.nodes), s.shift, 3)))
+    assert abs(m1 - m2) / abs(m2) < 1e-8
 
 
 def test_coupling_matrix_consistent(ne, ne_states):
-    # Against the textbook composite trapezoid rule, pair by pair.  The
-    # cell widths W of grid_matrix weigh the two end nodes by their whole
-    # spacing, where the trapezoid takes half of it; past that the two
-    # sums of n rounded products differ by rounding alone, at most
-    # (n + 3) eps sum(W |y|).  The diagonal is a force expectation near 0
-    # (Ehrenfest), 1e-5 of sum(W |y|), so its relative bound is wide.
+    # Against the textbook composite trapezoid rule in x = ln z, pair by
+    # pair, of y z over the nodes.  The weights z h of grid_matrix weigh
+    # the two end nodes by a whole step, where the trapezoid takes half of
+    # it; past that the two sums of n rounded products differ by rounding
+    # alone, at most (n + 3) eps sum(z h |y|).  The diagonal is a force
+    # expectation near 0 (Ehrenfest), so its relative bound is wide.
     c = boundstates.coupling_matrix(ne_states)
-    z = ne_states.grid.z
-    dz = np.diff(z)
+    z, h = ne_states.nodes, ne_states.step
     du = potential.derivative(ne[0], z)
     eps = np.finfo(float).eps
     for i, f in [(0, 1), (2, 4), (3, 3)]:
         y = ne_states.wavefunctions[f] * du * ne_states.wavefunctions[i]
-        trap = np.trapezoid(y, z)
-        bound = (0.5 * (dz[0] * abs(y[0]) + dz[-1] * abs(y[-1]))
-                 + (len(z) + 3) * eps
-                 * np.sum(ne_states.grid.width * np.abs(y)))
+        trap = np.trapezoid(y * z, np.log(z))
+        bound = (0.5 * h * (z[0] * abs(y[0]) + z[-1] * abs(y[-1]))
+                 + (len(z) + 3) * eps * np.sum(ne_states.weights * np.abs(y)))
         assert c[i, f] == pytest.approx(trap, rel=bound / abs(trap),
                                         abs=0.0)
 
 
 def test_grid_matrix_normalization_orthogonality(ne_states):
-    gram = boundstates.grid_matrix(ne_states, np.ones(ne_states.grid.n_points))
+    gram = boundstates.grid_matrix(ne_states, np.ones(len(ne_states.nodes)))
     assert gram[0, 0] == pytest.approx(1.0, abs=1e-8)
     assert gram[0, 1] == pytest.approx(0.0, abs=1e-8)
     assert np.abs(gram - np.eye(ne_states.n_states)).max() < 1e-8
 
 
 def test_grid_matrix_rejects_non_finite(ne_states):
-    z = ne_states.grid.z
+    z = ne_states.nodes
     with pytest.raises(NumericalError):
         boundstates.grid_matrix(ne_states, np.where(z > z[0], 1.0, np.inf))
     with pytest.raises(NumericalError):
@@ -317,10 +288,8 @@ def test_grid_inside_inner_barrier_is_grid_error(ne):
 
 
 @pytest.mark.parametrize("routine, info, message", [
-    ("dstebz", 1, "LAPACK dstebz: did not converge (info = 1)"),
-    ("dstein", 3, "LAPACK dstein: 3 eigenvector(s) did not converge "
-                  "(info = 3)"),
-    ("dstein", -4, "LAPACK dstein: illegal value in argument 4 (info = -4)"),
+    ("dsyevr", 1, "LAPACK dsyevr: did not converge (info = 1)"),
+    ("dsyevr", -4, "LAPACK dsyevr: illegal value in argument 4 (info = -4)"),
 ])
 def test_lapack_info_is_numerical_error(monkeypatch, routine, info, message):
     fake = SimpleNamespace(**{routine: lambda *args: (None, info)})
@@ -338,7 +307,7 @@ def test_missing_flapack_names_scipy_version_and_directory(monkeypatch,
         boundstates._load_flapack()
     assert str(err.value) == (
         f"scipy {version('scipy')} has no LAPACK extension _flapack in "
-        f"{tmp_path}; adnoise calls its dstebz and dstein")
+        f"{tmp_path}; adnoise calls its dsyevr")
 
 
 def test_missing_scipy_is_module_not_found(monkeypatch):
@@ -363,12 +332,151 @@ def test_flapack_is_shared_with_scipy_linalg(scipy_first):
         "from adnoise import boundstates\n"
         "assert boundstates._FLAPACK is scipy.linalg.lapack._flapack\n"
         "assert boundstates._FLAPACK is sys.modules['scipy.linalg._flapack']\n"
-        "w, v = scipy.linalg.eigh_tridiagonal(np.arange(4.0), np.ones(3),"
-        " select='i', select_range=(0, 3))\n"
-        "print(w.tobytes() == boundstates._lowest_pairs(np.arange(4.0),"
-        " np.ones(3), 4)[0].tobytes())\n")
+        "a = np.diag(np.arange(4.0)) - np.eye(4, k=1) - np.eye(4, k=-1)\n"
+        "w = scipy.linalg.eigh(a, eigvals_only=True,"
+        " subset_by_value=(-np.inf, 0.0))\n"
+        "ours = boundstates._lapack('dsyevr', a, compute_v=0, range='V',"
+        " lower=1, vl=-np.inf, vu=0.0)\n"
+        "print(w.tobytes() == ours[0][:ours[2]].tobytes())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "True\n"
+
+
+def test_dvr_converged_at_100_nodes(ne):
+    # Ne-Au with every one of its 23 levels: 100 nodes against 200.
+    p, _ = ne
+    grid = boundstates.auto_grid(p, 1000)
+    s100, s200 = (boundstates._states(p, grid, n, 0.0, 30)
+                  for n in (100, 200))
+    assert s100.n_states == s200.n_states == 23
+    assert np.abs(s100.energies - s200.energies).max() < 1e-10 * p.U0
+    c100, c200 = (boundstates.coupling_matrix(s) for s in (s100, s200))
+    assert np.abs(c100 - c200).max() < 1e-8 * np.abs(c200).max()
+
+
+def test_solve_sizes_the_basis_from_the_well(ne):
+    # The rule gives 103 nodes for Ne-Au (2 x Nyquist of its largest
+    # wavenumber in ln z) and 151 for H-Au, each checked against 0.8 of it.
+    for name, n, check in (("Ne-Au", 103, 82), ("H-Au", 151, 121)):
+        p = potential.preset(name)[0]
+        s = boundstates.solve(p, boundstates.auto_grid(p, 1000), 30)
+        assert (len(s.nodes), s.check_nodes) == (n, check)
+        assert 0 <= s.gap <= boundstates.GAP_TOLERANCE
+
+
+def test_gap_compares_only_levels_kept_at_both_sizes():
+    # The level-count pitfall: H-Au has 29 levels below the cut at 60
+    # nodes and 32 from 80 on, so the gap compares the lowest 29.
+    p = potential.preset("H-Au")[0]
+    grid = boundstates.auto_grid(p, 1000)
+    cut = -boundstates.NEAR_ZERO_FRACTION * p.U0
+    levels = {n: boundstates._levels(p, grid, n, 0.0, vectors=False)
+              for n in (60, 80, 100)}
+    assert [np.count_nonzero(levels[n] < cut) for n in (60, 80, 100)] \
+        == [29, 32, 32]
+    gap = boundstates._gap(levels[60], levels[80], cut, 30, p.U0)
+    assert gap == np.abs(levels[60][:29] - levels[80][:29]).max() / p.U0
+    assert 1e-4 < gap < 1e-1
+    assert boundstates._gap(levels[60], levels[80], cut, 5, p.U0) \
+        == np.abs(levels[60][:5] - levels[80][:5]).max() / p.U0
+
+
+def test_basis_grows_to_the_cap_then_raises(ne, monkeypatch):
+    # A gap that never meets the tolerance grows the basis by GROWTH per
+    # round, each round checked against the last, up to MAX_NODES.
+    p, _ = ne
+    sizes = []
+    levels = boundstates._levels
+
+    def spy(p, grid, n, shift, vectors):
+        sizes.append(n)
+        return levels(p, grid, n, shift, vectors)
+
+    monkeypatch.setattr(boundstates, "_levels", spy)
+    monkeypatch.setattr(boundstates, "GAP_TOLERANCE", -1.0)
+    monkeypatch.setattr(boundstates, "MAX_NODES", 200)
+    with pytest.raises(GridError, match="between 129 and 162 sinc nodes"):
+        boundstates.solve(p, boundstates.auto_grid(p, 1000), 5)
+    assert sizes == [82, 103, 129, 162]
+
+
+def test_deep_well_on_its_whole_interval_is_refused_before_any_solve(
+        deep_well, monkeypatch):
+    # beta*z0 = 60 and several hundred levels: the largest wavenumber in
+    # ln z, 6970, asks for 1.4e4 nodes, and 2970 in ln(z - shift) for
+    # 1.09e4, past MAX_NODES either way.
+    monkeypatch.setattr(boundstates, "_levels", None)
+    with pytest.raises(GridError, match=r"needs about 1\.09e\+04 sinc nodes "
+                       r"\(largest local wavenumber 2\.97e\+03 "):
+        boundstates.solve(deep_well, boundstates.auto_grid(deep_well, 1000), 3)
+
+
+def test_head_condition(ne):
+    # An inner edge inside the well, at 0.9 z0, cuts the ground state.
+    p, _ = ne
+    auto = boundstates.auto_grid(p, 1000)
+    grid = boundstates.Grid(z_min=0.9 * p.z0, z_max=auto.z_max, n_points=1000)
+    with pytest.raises(GridError, match=r"state 0 .* violates the head "
+                       r"condition .* at z = 0\.9 z0\); move the inner edge"):
+        boundstates.solve(p, grid, max_states=5)
+
+
+@pytest.mark.parametrize("beta_a0, n_nodes", [(10.0, 114), (20.0, 147),
+                                              (50.0, 198)])
+def test_steep_wall_g10_against_an_edge_at_1e5_u0(ne, beta_a0, n_nodes):
+    # beta*z0 = 60.5, 121 and 302.5: the edge at the WKB level (412, 1649
+    # and 10305 U0) keeps g10 = <1|dU/dz|0> within 1e-4 of an edge at
+    # 1e5 U0; the old 10 U0 edge was off by 3 %, 31 % and a factor 15.
+    # Each basis is in ln(z - shift), which stretches the wall.
+    p = replace(ne[0], beta=beta_a0 / BOHR)
+    grid = boundstates.auto_grid(p, 1000)
+    z_ref = potential._root(lambda z: potential.evaluate(p, z) - 1e5 * p.U0,
+                            potential.inner_barrier(p)[0], p.z0, xtol=1e-18,
+                            rtol=1e-14)
+    assert z_ref < grid.z_min
+    ref = boundstates.Grid(z_min=z_ref, z_max=grid.z_max, n_points=1000)
+    s, r = (boundstates.solve(p, g, 5) for g in (grid, ref))
+    assert len(s.nodes) == n_nodes and s.shift > 0.0
+    g10, g10_ref = (boundstates.coupling_matrix(t)[1, 0] for t in (s, r))
+    assert abs(g10 / g10_ref - 1) < 1e-4
+    assert np.max(s.wavefunctions[:, 0] ** 2 * s.weights[0]) < 1e-15
+
+
+def sinc_reference(s, z):
+    """psi at z from the np.sinc form of the interpolant."""
+    t = (np.log(z)[:, None] - np.log(s.nodes[0])) / s.step
+    j = np.arange(len(s.nodes))
+    chi = s.wavefunctions / np.sqrt(s.nodes)
+    return (np.sinc(t - j) @ chi.T).T * np.sqrt(z)
+
+
+def test_interpolant_matches_the_sinc_form(ne_states_full):
+    s = ne_states_full
+    grid = s.grid
+    z = np.concatenate((np.geomspace(grid.z_min, grid.z_max, 997),
+                        s.nodes[[0, 1, 40, -1]]))
+    ours = s.interpolate(z)
+    assert np.abs(ours - sinc_reference(s, z)).max() \
+        < 1e-12 * np.abs(s.wavefunctions).max()
+    # z_min lands exactly on the first node: its value, but for the
+    # rounding of psi / sqrt(z) * sqrt(z)
+    on = s.wavefunctions[:, 0]
+    assert np.all(np.abs(ours[:, -4] - on) <= 4 * np.finfo(float).eps
+                  * np.abs(on))
+
+
+def test_interpolant_keeps_the_norm_on_the_output_sampling(ne_states_full):
+    s = ne_states_full
+    z = np.geomspace(s.grid.z_min, s.grid.z_max, 4000)
+    norms = np.trapezoid(s.interpolate(z) ** 2, z, axis=1)
+    assert np.abs(norms - 1.0).max() < 1e-6
+
+
+def test_basis_cap_fits_the_array_budget():
+    # the dense matrix of MAX_NODES nodes, and dsyevr's vectors, take
+    # MAX_NODES^2 float cells each
+    from adnoise.units import _ARRAY_CELLS
+    assert boundstates.MAX_NODES ** 2 <= _ARRAY_CELLS

@@ -1,16 +1,19 @@
 import json
 import logging
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adnoise import (boundstates, cli, config, phonons, spectrum, tables,
-                     trapnoise, validate)
+from adnoise import (boundstates, cli, config, phonons, potential, spectrum,
+                     tables, trapnoise, validate)
 from adnoise.errors import AdnoiseError, ConfigurationError
 from adnoise.tables import emit_table
 from adnoise.units import AMU, BOHR, DEBYE, E_CHARGE, HBAR, KB
@@ -283,12 +286,12 @@ def test_states_csv_matches_per_cell_rows(tmp_path):
 
     s = cli.Pipeline(config.parse_config(text)).states
     z = s.grid.z
+    u, psi = potential.evaluate(s.params, z), s.interpolate(z)
     header = [line[2:] for line in written.splitlines()
               if line.startswith("#")]
     columns = [("z", "m"), ("U", "J")] + [(f"psi_{i}", "1/sqrt(m)")
                                           for i in range(s.n_states)]
-    rows = [[z[k], s.potential_values[k],
-             *(s.wavefunctions[i][k] for i in range(s.n_states))]
+    rows = [[z[k], u[k], *(psi[i][k] for i in range(s.n_states))]
             for k in range(len(z))]
     assert s.n_states > 5
     # Compared as lists of lines: a diff of the 1.4 MB strings is slow.
@@ -516,18 +519,26 @@ def test_cli_tempsweep_builds_the_coupling_matrix_once(tmp_path, monkeypatch):
 
 
 def test_cli_tempsweep_builds_the_grid_nodes_once(tmp_path, monkeypatch):
-    # the solve, the ladder and the couplings share Grid.z
-    calls = []
-    geomspace = np.geomspace
+    # The ladder and the couplings share the nodes of the solve: the
+    # levels are solved once on the check basis and once on the kept one,
+    # and the n_points sampling of Grid.z (np.geomspace) is never built.
+    calls, sizes = [], []
+    geomspace, levels = np.geomspace, boundstates._levels
 
     def counted(*args, **kwargs):
         calls.append(args)
         return geomspace(*args, **kwargs)
 
+    def solved(p, grid, n, shift, vectors):
+        sizes.append((n, vectors))
+        return levels(p, grid, n, shift, vectors)
+
     monkeypatch.setattr(np, "geomspace", counted)
+    monkeypatch.setattr(boundstates, "_levels", solved)
     assert run_cli(["tempsweep", "--preset", "Ne-Au", "--output",
                     tmp_path]) == 0
-    assert len(calls) == 1
+    assert calls == []
+    assert sizes == [(82, False), (103, True)]
 
 
 def per_temperature_spectrum(pipe, outdir):
@@ -726,6 +737,9 @@ def test_cli_validate_prints_each_check_and_solves_once(tmp_path, capsys,
         assert line.startswith(f"[PASS] {name}: ")
     assert lines[-1] == "all 10 invariant checks passed"
     assert " 23 states, " in lines[2] and lines[5].endswith(" over 22 modes")
+    # the bound-state line reports the convergence gap and the head and
+    # tail mass of the worst kept state
+    assert re.search(r", gap \S+ U0, head mass \S+, tail mass \S+$", lines[2])
     assert sorted(calls) == ["build_rate_matrix", "solve"]
 
 
@@ -985,14 +999,14 @@ OMEGA = "rad/s is past sqrt(DBL_MAX), so its Lorentzians overflow"
      "[trap]\ndistance = 1 m\ncoverage = 1 1/m^2\n", [],
      "S_mu in D^2 is past the float range"),
     ("tempsweep", "[spectrum]\nimage_factor = 1e185\n", [],
-     "the Lorentzian sum is past the float range at T = 3.49148 K"),
+     "the Lorentzian sum is past the float range at T = 3.49201 K"),
     ("spectrum", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
     ("tempsweep", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
     ("heat", "[spectrum]\nimage_factor = 1e187\n", [], LADDER),
     ("spectrum", "[spectrum]\nomega_max = 1e160\n", [],
-     "the frequency 5.758e+167 " + OMEGA),
+     "the frequency 5.759e+167 " + OMEGA),
     ("tempsweep", "[tempsweep]\nhighfreq_omega = 1e160\n", [],
-     "the frequency 5.758e+167 " + OMEGA),
+     "the frequency 5.759e+167 " + OMEGA),
     ("heat", "[trap]\nfrequency = 1e300 Hz\n", [],
      "the frequency 6.283e+300 " + OMEGA)],
     ids=["rates-1e307K", "spectrum-1e158", "spectrum-1e165",
@@ -1081,9 +1095,9 @@ SLOWEST = ("numerical error: the slowest mode decays at {} 1/s, below "
                  "numerical error: the dipole ladder in D is past the float "
                  "range", id="dipoles-polarizability-1e185")] + [
     pytest.param(command, "[material]\nspeed_of_sound = 1e100 m/s\n", 4,
-                 SLOWEST.format(*(("9.332e-282", "34.9148")
+                 SLOWEST.format(*(("9.336e-282", "34.9201")
                                   if command == "validate"
-                                  else ("3.602e-282", "3.49148"))),
+                                  else ("3.603e-282", "3.49201"))),
                  id=f"{command}-speed_of_sound-1e100")
     for command in ("spectrum", "tempsweep", "heat", "validate")] + [
     pytest.param("validate", "[potential]\npolarizability = 1e-150 m^3\n", 0,
@@ -1132,15 +1146,25 @@ def test_cli_barrier_top_past_the_float_range_on_a_moderate_wall(
         tmp_path, capsys, command):
     # U0 = 1e200 J on a wall of beta*z0 = 302.5: U overflows at the barrier
     # top while exp(bz*(1 - z/z0)) there is still finite, so the 10 U0
-    # edge is bracketed on U/U0 from the top, not from a negative z.
+    # edge is bracketed on U/U0 from the top, not from a negative z.  A well
+    # that deep holds about 1e111 levels: the solve refuses it before any
+    # LAPACK call, with one line and no output.
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("preset = Ne-Au\n[potential]\nU0 = 1e200 J\n"
                        "beta = 50 1/a0\n")
+    p = config.parse_config(cfgfile.read_text()).potential
+    z_pk, u_pk = potential.inner_barrier(p)
+    assert u_pk == math.inf and p.beta_z0 * (1 - z_pk / p.z0) < 700
+    grid = boundstates.auto_grid(p, 1000)
+    assert potential.evaluate(p, grid.z_min) == pytest.approx(
+        10 * p.U0, rel=1e-6, abs=0.0)
     out = tmp_path / "o"
-    assert run_cli([command, "--config", cfgfile, "--output", out]) == 0
-    assert capsys.readouterr().err == ""
-    rows = data_rows(out / f"{command}.csv")
-    assert rows.size and np.all(np.isfinite(rows))
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 3
+    err = capsys.readouterr().err
+    assert err == ("model error: Ne-Au: the well needs about 1.44e+112 sinc "
+                   "nodes (largest local wavenumber 3.08e+111 in the node "
+                   "coordinate, beta*z0 = 302.5), past the cap of 2048\n")
+    assert not out.exists()
 
 # The subcommands that read each swept key: "section.key" first, then the
 # section, so that a new key of a known section joins the sweep unasked.
@@ -1435,17 +1459,74 @@ def test_cli_subcommands_load_only_what_they_run(tmp_path):
 
 
 @pytest.mark.parametrize("mass, message", [
-    ("1e-200", "numerical error: LAPACK dstebz: did not converge (info = 1)"),
+    ("3.3210781332e-26", "numerical error: LAPACK dsyevr: did not converge "
+                         "(info = 1)"),
     ("1e-320", "numerical error: Ne-Au: the kinetic term hbar^2/(2 m h^2) = "
                "inf J overflows the Hamiltonian; the adatom mass is too small"),
 ], ids=["bisection", "kinetic-term"])
-def test_cli_lapack_failure_exits_four(tmp_path, capsys, mass, message):
-    # bisection fails at 1e-200 kg (a LinAlgError traceback through
-    # scipy.linalg, exit 1); at 1e-320 kg 2 m h^2 underflows to 0 (a
-    # ZeroDivisionError)
+def test_cli_lapack_failure_exits_four(tmp_path, capsys, monkeypatch, mass,
+                                       message):
+    # dsyevr by value bisects (dstebz) and iterates inverse (dstein); one
+    # that does not converge (made to fail here: on the finite matrices
+    # solve passes it, none was seen to) is a LinAlgError traceback through
+    # scipy.linalg, exit 1.  At 1e-320 kg 2 m h^2 underflows to 0 (a
+    # ZeroDivisionError).
+    if message.endswith("(info = 1)"):
+        flapack = boundstates._FLAPACK
+        monkeypatch.setattr(boundstates, "_FLAPACK", SimpleNamespace(
+            dsyevr_lwork=flapack.dsyevr_lwork,
+            dsyevr=lambda *args, **kwargs: (None, None, 0, None, 1)))
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(f"preset = Ne-Au\n[potential]\nmass = {mass} kg\n")
     out = tmp_path / "o"
     assert run_cli(["states", "--config", cfgfile, "--output", out]) == 4
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_points, max_states, cells", [
+    (7142858, 5, 50000006), (1562501, 30, 50000032),
+    (10 ** 400, 5, 7 * 10 ** 400)], ids=["default", "full-ladder", "1e400"])
+@pytest.mark.parametrize("command", ["states", "tempsweep"])
+def test_n_points_past_the_cell_budget_exits_two(tmp_path, capsys, command,
+                                                 n_points, max_states, cells):
+    # One cell past the budget, refused by the parser before anything is
+    # allocated: states.csv holds n_points x (2 + max_states) float cells.
+    # 10**400 points used to be an OverflowError traceback in np.geomspace.
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[solver]\nn_points = {n_points}\n"
+                       f"max_states = {max_states}\n")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfgfile, "--output", out]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: solver.n_points = {n_points} with max_states "
+        f"= {max_states} needs a states table of {cells} float cells "
+        "(n_points x (2 + max_states)), past the budget of 50000000 cells "
+        "per array\n")
+    assert not out.exists()
+
+
+def test_n_points_at_the_cell_budget_parses():
+    cfg = config.parse_config(
+        "preset = Ne-Au\n[solver]\nn_points = 7142857\n")
+    assert cfg.solver.n_points * (2 + cfg.solver.max_states) <= 5 * 10 ** 7
+
+
+@pytest.mark.parametrize("beta, basis", [
+    ("0.95 1/a0", "103 sinc nodes in ln z"),
+    ("10 1/a0", "114 sinc nodes in ln(z - 0.785474 z0)")])
+def test_headers_report_the_basis_and_its_gap(tmp_path, beta, basis):
+    # One deterministic line: the basis size and coordinate, the
+    # convergence gap and the size it was checked against; the data rows
+    # do not carry it.  A wall like the preset's is solved in ln z, a
+    # steep one (beta*z0 = 60.5) in ln(z - shift).
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"preset = Ne-Au\n[potential]\nbeta = {beta}\n")
+    out = tmp_path / "o"
+    assert run_cli(["dipoles", "--config", cfgfile, "--output", out]) == 0
+    lines = (out / "dipoles.csv").read_text().splitlines()
+    [line] = [ln for ln in lines if ln.startswith("# basis:")]
+    assert re.fullmatch(rf"# basis: {re.escape(basis)}, convergence gap "
+                        r"\S+ U0 against \d+ nodes", line)
+    gap = float(line.split("gap ")[1].split()[0])
+    assert 0 <= gap <= boundstates.GAP_TOLERANCE

@@ -78,7 +78,7 @@ def test_alpha_to_zero_limit(ne_states, ne):
 def test_integrand_peaks_inside_grid(ne_states, ne):
     # the z^-4 kernel is integrable because the states die inside the wall
     p, _ = ne
-    z = ne_states.grid.z
+    z = ne_states.nodes
     kernel = dipoles.induced_dipole(p.polarizability, z)
     for psi in ne_states.wavefunctions:
         assert np.argmax(psi ** 2 * kernel) > 0

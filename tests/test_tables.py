@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import per_cell_table
 
-from adnoise import boundstates, tables
+from adnoise import boundstates, potential, tables
 
 
 def neighbours(values, k=4):
@@ -129,8 +129,9 @@ def test_large_table_memory_stays_near_its_text(ne):
     params, _ = ne
     s = boundstates.solve(params, boundstates.auto_grid(params, 16000),
                           max_states=5)
-    rows = np.column_stack([s.grid.z, s.potential_values,
-                            s.wavefunctions.T])
+    z = s.grid.z
+    rows = np.column_stack([z, potential.evaluate(params, z),
+                            s.interpolate(z).T])
     columns = [("z", "m"), ("U", "J")]
     columns += [(f"psi_{i}", "1/sqrt(m)") for i in range(s.n_states)]
     assert rows.shape == (16000, 7)
